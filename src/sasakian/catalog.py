@@ -133,7 +133,6 @@ def circle_immersion(
     *,
     n: int | None = None,
     name: str = "",
-    lattice=None,
     sample_box=None,
 ) -> ParametricImmersion:
     """Immersion sum_k coeff_k exp(i(<f_k, p> + theta_k)) E_k in a unitary basis."""
@@ -171,12 +170,10 @@ def circle_immersion(
         n=n,
         eval_fn=ev,
         name=name,
-        lattice=lattice,
         sample_box=sample_box,
         basis=basis,
         circle_coefficients=coeff,
         circle_frequencies=freqs,
-        circle_phases=phases,
     )
 
 
@@ -187,7 +184,7 @@ def _params(tup):
     return float(lam), float(alpha), float(gamma), float(delta)
 
 
-def flat_torus(c: float, tup, basis=None, name: str = "", lattice=None, sample_box=None) -> ParametricImmersion:
+def flat_torus(c: float, tup, basis=None, name: str = "", sample_box=None) -> ParametricImmersion:
     """The flat 3-torus immersion attached to an admissible solution tuple.
 
     The four circle coefficients and frequency rows come straight from the
@@ -230,7 +227,6 @@ def flat_torus(c: float, tup, basis=None, name: str = "", lattice=None, sample_b
         basis=basis,
         n=3,
         name=name or f"flat-torus(c={c:g})",
-        lattice=lattice,
         sample_box=sample_box,
     )
 
@@ -238,14 +234,7 @@ def flat_torus(c: float, tup, basis=None, name: str = "", lattice=None, sample_b
 def corollary_immersion(basis=None) -> ParametricImmersion:
     """The unique proper-biharmonic flat 3-torus in the unit 7-sphere."""
     box = (2.0 * math.pi * SQ5, 2.0 * math.pi * SQ10 / SQ3, 2.0 * SQ2 * math.pi)
-    return flat_torus(
-        1.0,
-        COROLLARY_TUPLE,
-        basis=basis,
-        name="corollary-c1",
-        lattice=COROLLARY_LATTICE,
-        sample_box=box,
-    )
+    return flat_torus(1.0, COROLLARY_TUPLE, basis=basis, name="corollary-c1", sample_box=box)
 
 
 def minus4_immersion(index: int, basis=None) -> ParametricImmersion:
@@ -279,7 +268,6 @@ def s5_surface() -> ParametricImmersion:
         n=2,
         eval_fn=ev,
         name="s5-surface",
-        lattice=S5_LATTICE,
         sample_box=(2.0 * math.pi, SQ2 * math.pi),
     )
 
@@ -428,7 +416,6 @@ def cylinder(F: ParametricImmersion) -> ParametricImmersion:
         basis=F.basis,
         circle_coefficients=F.circle_coefficients,
         circle_frequencies=freqs,
-        circle_phases=F.circle_phases,
     )
 
 
@@ -464,7 +451,6 @@ def precompose_linear(F: ParametricImmersion, A: np.ndarray, name: str = "", sam
         basis=F.basis,
         circle_coefficients=F.circle_coefficients,
         circle_frequencies=freqs,
-        circle_phases=F.circle_phases,
     )
 
 

@@ -347,15 +347,7 @@ def _newton_sweep(b, k, c, mode, starts: int, seed: int):
     alive = np.ones(starts, dtype=bool)
 
     def residual(v):
-        lam, al, ga, de = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
-        L = lam * lam
-        s = (al + ga) ** 2 + de**2
-        f = np.empty_like(v)
-        f[:, 0] = (3 * L - b) * (3 * L * L - (2 * b + k) * L + b * b) + L * L * s
-        f[:, 1] = (al + ga) * (5 * L + al**2 + ga**2 - (b + k)) + ga * de**2
-        f[:, 2] = de * (5 * L + de**2 + 3 * ga**2 + al * ga - (b + k))
-        f[:, 3] = b + L + al * ga - ga**2
-        return f
+        return flat_system_residual(v[:, 0], v[:, 1], v[:, 2], v[:, 3], b, k).T
 
     def jacobian(v):
         lam, al, ga, de = v[:, 0], v[:, 1], v[:, 2], v[:, 3]

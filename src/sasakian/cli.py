@@ -129,8 +129,8 @@ def main(argv=None) -> int:
     if args.command == "verify":
         try:
             report = rep.build_report(args.example, per_axis=args.grid, tol=args.tol)
-        except KeyError as ex:
-            parser.error(str(ex.args[0]))
+        except rep.UsageError as ex:
+            parser.error(ex.args[0])
         if args.format == "json":
             _emit(report.to_json(), args.out)
         elif args.format == "csv":

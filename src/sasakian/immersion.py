@@ -14,6 +14,7 @@ by the checks are at numerical noise level or genuinely nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,12 +46,10 @@ class ParametricImmersion:
     n: int
     eval_fn: Callable[[Sequence[Jet]], Jet]
     name: str = ""
-    lattice: tuple[tuple[float, ...], ...] | None = None
     sample_box: tuple[float, ...] | None = None
     basis: np.ndarray | None = None
     circle_coefficients: np.ndarray | None = None
     circle_frequencies: np.ndarray | None = None
-    circle_phases: np.ndarray | None = None
 
     @property
     def ambient_dim(self) -> int:
@@ -91,8 +90,15 @@ class CheckResult:
 
 @dataclass
 class GeometrySample:
-    """Pointwise induced geometry; all arrays carry the grid as leading axis."""
+    """Induced geometry of F at a grid of points, from one accuracy-4 jet.
 
+    The eager fields carry the grid as leading axis.  The covariant jets
+    (tangents, B_ij, tau) are built on first use, and only on a
+    flat-orthonormal chart: asking for them on any other raises ChartError.
+    """
+
+    immersion: ParametricImmersion
+    jet: Jet                           # accuracy-4 jet of F at the points
     points: np.ndarray                 # (N, m)
     metric: np.ndarray                 # (N, m, m)
     tangents: np.ndarray               # (N, m, dim)
@@ -100,6 +106,43 @@ class GeometrySample:
     mean_curvature: np.ndarray         # (N, dim)
     mean_curvature_norm: np.ndarray    # (N,)
     tangential_residual: float         # max |<nabla_i d_j F, T_k>| before projection
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.jet.value
+
+    @cached_property
+    def tangent_jets(self) -> list[Jet]:
+        """d_i F as jets of accuracy 3; the chart must be flat-orthonormal."""
+        require_flat_chart(self)
+        return [self.jet.deriv(i) for i in range(self.immersion.m)]
+
+    @cached_property
+    def second_fundamental_jets(self) -> dict[tuple[int, int], Jet]:
+        """B_ij as jets of accuracy 2 (flat-orthonormal chart)."""
+        m = self.immersion.m
+        T = self.tangent_jets
+        X2 = self.jet.truncate(2)
+        T2 = [t.truncate(2) for t in T]
+        B: dict[tuple[int, int], Jet] = {}
+        for i in range(m):
+            for j in range(i, m):
+                nab = T[i].deriv(j) + _dotj(T2[i], T2[j]) * X2
+                proj = nab
+                for k in range(m):
+                    proj = proj - _dotj(nab, T2[k]) * T2[k]
+                B[(i, j)] = proj
+                B[(j, i)] = proj
+        return B
+
+    @cached_property
+    def tension_jet(self) -> Jet:
+        """tau = trace B = m H as a jet of accuracy 2."""
+        B = self.second_fundamental_jets
+        tau = B[(0, 0)]
+        for i in range(1, self.immersion.m):
+            tau = tau + B[(i, i)]
+        return tau
 
 
 def _dotj(a: Jet, b: Jet) -> Jet:
@@ -114,12 +157,15 @@ def _dotv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def sample_geometry(F: ParametricImmersion, pts: np.ndarray) -> GeometrySample:
     """First and second fundamental data of F at the given points.
 
-    Uses the sphere connection nabla_X Y = D_X Y + <X,Y> F and projects the
-    second derivatives onto the normal space of span{dF} with the actual
-    induced metric (no flatness assumption here).
+    Evaluates the accuracy-4 jet of F once; every derivative check reads it
+    from the returned sample.  Uses the sphere connection
+    nabla_X Y = D_X Y + <X,Y> F and projects the second derivatives onto the
+    normal space of span{dF} with the actual induced metric (no flatness
+    assumption here).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    X = F.jets(pts, 2)
+    jet = F.jets(pts, 4)
+    X = jet.truncate(2)
     m, dim = F.m, F.ambient_dim
     xval = X.value
     npts = xval.shape[0]
@@ -147,6 +193,8 @@ def sample_geometry(F: ParametricImmersion, pts: np.ndarray) -> GeometrySample:
     Ginv = np.linalg.inv(G)
     H = np.einsum("nij,nijd->nd", Ginv, B) / m
     return GeometrySample(
+        immersion=F,
+        jet=jet,
         points=pts,
         metric=G,
         tangents=tangents,
@@ -163,23 +211,18 @@ def check_unit_norm(F: ParametricImmersion, pts: np.ndarray, tol: float = UNIT_N
     return CheckResult("unit_norm", res, tol)
 
 
-def check_integral(F: ParametricImmersion, pts: np.ndarray, tol: float = 1e-10) -> CheckResult:
+def check_integral(sample: GeometrySample, tol: float = 1e-10) -> CheckResult:
     """Max of |eta0(d_i F)| over the grid: zero iff F is an integral submanifold."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    X = F.jets(pts, 1)
-    xi0 = -complex_structure(X.value)
+    xi0 = -complex_structure(sample.values)
     res = 0.0
-    for i in range(F.m):
-        res = max(res, float(np.max(np.abs(_dotv(X.deriv(i).value, xi0)))))
+    for i in range(sample.immersion.m):
+        res = max(res, float(np.max(np.abs(_dotv(sample.tangents[:, i], xi0)))))
     return CheckResult("integral", res, tol)
 
 
-def require_flat_chart(F: ParametricImmersion, pts: np.ndarray, tol: float = FLAT_CHART_TOL) -> None:
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    X = F.jets(pts, 1)
-    tang = np.stack([X.deriv(i).value for i in range(F.m)], axis=1)
-    G = np.einsum("nid,njd->nij", tang, tang)
-    dev = float(np.max(np.abs(G - np.eye(F.m))))
+def require_flat_chart(sample: GeometrySample, tol: float = FLAT_CHART_TOL) -> None:
+    F = sample.immersion
+    dev = float(np.max(np.abs(sample.metric - np.eye(F.m))))
     if dev > tol:
         raise ChartError(
             f"chart of '{F.name or 'immersion'}' is not flat-orthonormal "
@@ -192,37 +235,15 @@ def _normal_project_values(W: np.ndarray, tangents: np.ndarray) -> np.ndarray:
     return W - np.einsum("nkd,nk->nd", tangents, np.einsum("nd,nkd->nk", W, tangents))
 
 
-def _second_fundamental_jets(F: ParametricImmersion, pts: np.ndarray, acc: int):
-    """B_ij as jets of accuracy ``acc`` (flat-orthonormal chart assumed)."""
-    X = F.jets(pts, acc + 2)
-    m = F.m
-    T = [X.deriv(i) for i in range(m)]
-    Xa = X.truncate(acc)
-    Ta = [t.truncate(acc) for t in T]
-    B: dict[tuple[int, int], Jet] = {}
-    for i in range(m):
-        for j in range(i, m):
-            nab = T[i].deriv(j) + _dotj(Ta[i], Ta[j]) * Xa
-            proj = nab
-            for k in range(m):
-                proj = proj - _dotj(nab, Ta[k]) * Ta[k]
-            B[(i, j)] = proj
-            B[(j, i)] = proj
-    return X, T, B
-
-
-def check_C_parallel(F: ParametricImmersion, pts: np.ndarray, tol: float = 1e-8) -> CheckResult:
+def check_C_parallel(sample: GeometrySample, tol: float = 1e-8) -> CheckResult:
     """Residual of (nabla^perp B)(X_i, X_j, X_k) = g(phi X_i, B(X_j, X_k)) xi.
 
     Also reports the total-symmetry spread of S(X,Y,Z) = g(phi X, B(Y,Z)) in
     ``extra['total_symmetry']``.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    require_flat_chart(F, pts)
-    X, T, B = _second_fundamental_jets(F, pts, acc=1)
-    m = F.m
-    xval = X.value
-    tangents = np.stack([t.value for t in T], axis=1)
+    B = sample.second_fundamental_jets
+    m = sample.immersion.m
+    xval, tangents = sample.values, sample.tangents
     xi0 = -complex_structure(xval)
 
     phiT = np.empty_like(tangents)
@@ -255,31 +276,33 @@ def check_C_parallel(F: ParametricImmersion, pts: np.ndarray, tol: float = 1e-8)
     return out
 
 
-def check_normal_laplacian(F: ParametricImmersion, pts: np.ndarray, tol: float = 1e-8) -> CheckResult:
+def _rough_laplacian(sample: GeometrySample, V: Jet, normal: bool) -> np.ndarray:
+    """-sum_i nabla_i nabla_i V along F for an accuracy-2 jet V of ambient vectors.
+
+    With ``normal`` every covariant step is projected onto the normal bundle,
+    which gives the normal Laplacian Delta^perp; otherwise the sphere
+    connection along the map is used as is.
+    """
+    xval, tangents = sample.values, sample.tangents
+    X1 = sample.jet.truncate(1)
+    T1 = [t.truncate(1) for t in sample.tangent_jets]
+    lap = np.zeros_like(V.value)
+    for i in range(sample.immersion.m):
+        dV = V.deriv(i) + _dotj(T1[i], V.truncate(1)) * X1
+        if normal:
+            proj = dV
+            for t in T1:
+                proj = proj - _dotj(dV, t) * t
+            dV = proj
+        d2 = dV.deriv(i).value + _dotv(tangents[:, i], dV.value)[:, None] * xval
+        lap -= _normal_project_values(d2, tangents) if normal else d2
+    return lap
+
+
+def check_normal_laplacian(sample: GeometrySample, tol: float = 1e-8) -> CheckResult:
     """Residual of Delta^perp H = H (geometric sign, Delta = -sum nabla nabla)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    require_flat_chart(F, pts)
-    X, T, B = _second_fundamental_jets(F, pts, acc=2)
-    m = F.m
-    H = B[(0, 0)]
-    for i in range(1, m):
-        H = H + B[(i, i)]
-    H = H * (1.0 / m)
-
-    xval = X.value
-    tangents = np.stack([t.value for t in T], axis=1)
-    X1 = X.truncate(1)
-    T1 = [t.truncate(1) for t in T]
-
-    lap = np.zeros_like(H.value)
-    for i in range(m):
-        dH = H.deriv(i) + _dotj(T1[i], H.truncate(1)) * X1
-        dH_perp = dH
-        for k in range(m):
-            dH_perp = dH_perp - _dotj(dH, T1[k]) * T1[k]
-        d2 = dH_perp.deriv(i).value + _dotv(tangents[:, i], dH_perp.value)[:, None] * xval
-        lap -= _normal_project_values(d2, tangents)
-
+    H = sample.tension_jet * (1.0 / sample.immersion.m)
+    lap = _rough_laplacian(sample, H, normal=True)
     res = float(np.max(np.abs(lap - H.value)))
     out = CheckResult("normal_laplacian", res, tol)
     hnorm = np.linalg.norm(H.value, axis=-1)
@@ -288,7 +311,7 @@ def check_normal_laplacian(F: ParametricImmersion, pts: np.ndarray, tol: float =
     return out
 
 
-def bitension(F: ParametricImmersion, pts: np.ndarray, mode: str = "biharmonic") -> np.ndarray:
+def bitension(sample: GeometrySample, mode: str = "biharmonic") -> np.ndarray:
     """Bitension field tau_2 (mode 'biharmonic') or tau_2 + 4 tau (mode 'minus4').
 
     tau = m H; Delta tau = -sum_i nabla^F_i nabla^F_i tau along the map with
@@ -297,28 +320,12 @@ def bitension(F: ParametricImmersion, pts: np.ndarray, mode: str = "biharmonic")
     """
     if mode not in ("biharmonic", "minus4"):
         raise ValueError(f"unknown bitension mode {mode!r}")
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    require_flat_chart(F, pts)
-    X, T, B = _second_fundamental_jets(F, pts, acc=2)
-    m = F.m
-    tau = B[(0, 0)]
-    for i in range(1, m):
-        tau = tau + B[(i, i)]
-
-    xval = X.value
-    tangents = np.stack([t.value for t in T], axis=1)
-    X1 = X.truncate(1)
-    T1 = [t.truncate(1) for t in T]
-
-    tau2 = np.zeros_like(tau.value)
-    for i in range(m):
-        dtau = tau.deriv(i) + _dotj(T1[i], tau.truncate(1)) * X1
-        d2 = dtau.deriv(i).value + _dotv(tangents[:, i], dtau.value)[:, None] * xval
-        tau2 += d2
+    tau = sample.tension_jet
+    tau2 = -_rough_laplacian(sample, tau, normal=False)
     # - trace R^N(dF, tau) dF at c = 1:  R(u,v)w = <w,v>u - <w,u>v
     tv = tau.value
-    for i in range(m):
-        ti = tangents[:, i]
+    for i in range(sample.immersion.m):
+        ti = sample.tangents[:, i]
         r = _dotv(ti, tv)[:, None] * ti - _dotv(ti, ti)[:, None] * tv
         tau2 -= r
     if mode == "minus4":
@@ -326,18 +333,15 @@ def bitension(F: ParametricImmersion, pts: np.ndarray, mode: str = "biharmonic")
     return tau2
 
 
-def check_bitension(
-    F: ParametricImmersion, pts: np.ndarray, mode: str = "biharmonic", tol: float = 1e-8
-) -> CheckResult:
-    t2 = bitension(F, pts, mode)
+def check_bitension(sample: GeometrySample, mode: str = "biharmonic", tol: float = 1e-8) -> CheckResult:
+    t2 = bitension(sample, mode)
     name = "bitension" if mode == "biharmonic" else "bitension_minus4"
     return CheckResult(name, float(np.max(np.abs(t2))), tol)
 
 
 def coordinate_laplacian_eigencheck(
-    F: ParametricImmersion,
+    sample: GeometrySample,
     split_spec: dict[str, Sequence[int]],
-    pts: np.ndarray,
     tol: float = 1e-10,
 ) -> dict[str, CheckResult]:
     """Verify Delta x_g = mu_g x_g per component group of complex coordinates.
@@ -346,15 +350,12 @@ def coordinate_laplacian_eigencheck(
     ``split_spec`` maps group names to complex coordinate indices.  The fitted
     eigenvalue is reported in ``extra['eigenvalue']``.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    require_flat_chart(F, pts)
-    X = F.jets(pts, 2)
-    xval = X.value
+    xval = sample.values
     lap = np.zeros_like(xval)
-    for i in range(F.m):
-        lap -= X.deriv(i).deriv(i).value
+    for i, t in enumerate(sample.tangent_jets):
+        lap -= t.deriv(i).value
 
-    half = F.n + 1
+    half = sample.immersion.n + 1
     out = {}
     for name, idxs in split_spec.items():
         comp = [j for j in idxs] + [j + half for j in idxs]

@@ -10,6 +10,7 @@ plain text.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -103,9 +104,7 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, check: imm.CheckResult, tol_override: float | None = None):
-        if tol_override is not None:
-            check = imm.CheckResult(check.name, check.residual, tol_override, extra=check.extra)
+    def add(self, check: imm.CheckResult):
         self.checks.append(check)
 
     def to_dict(self) -> dict:
@@ -144,12 +143,40 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+class UsageError(KeyError):
+    """A verify request names no registered example or asks for an empty grid."""
+
+
+def parse_example(name: str) -> tuple[str, float | None]:
+    """Split an example name into its family and parameter (index or helix kappa1).
+
+    Raises UsageError with a one-line message for anything not registered.
+    """
+    if name.startswith("legendre-helix:"):
+        text = name.split(":", 1)[1]
+        try:
+            kappa1 = float(text)
+        except ValueError:
+            kappa1 = math.nan
+        if not 0.0 < kappa1 < 1.0:
+            raise UsageError(f"legendre-helix needs a curvature in (0, 1), got {text!r}")
+        return "legendre-helix", kappa1
+    family, _, text = name.rpartition("-")
+    if family in ("minus4", "cylinder-minus4"):
+        if text not in ("1", "2", "3"):
+            raise UsageError(f"{family} needs an index 1, 2 or 3, got {text!r}")
+        return family, int(text)
+    if name in EXAMPLE_NAMES:
+        return name, None
+    raise UsageError(f"unknown example {name!r}; registered: {', '.join(EXAMPLE_NAMES)}")
+
+
 def _curve_grid(curve: imm.ParametricImmersion, per_axis: int) -> np.ndarray:
     box = (curve.sample_box or (2.0 * math.pi,))[0]
     return (np.arange(per_axis) + 0.5) / per_axis * box
 
 
-def _frenet_check(report, F, axis, base, want, per_axis, tol, label):
+def _frenet_check(report, F, axis, base, want, per_axis, label):
     curve = catalog.coordinate_curve(F, axis, base)
     app = frenet(curve, _curve_grid(curve, max(per_axis, 5)))
     got = app.curvature_values
@@ -157,64 +184,89 @@ def _frenet_check(report, F, axis, base, want, per_axis, tol, label):
         res = float("inf")
     else:
         res = max(abs(g - w) for g, w in zip(got, want))
-    chk = imm.CheckResult(f"frenet_{label}", res, 1e-8 if tol is None else tol)
+    chk = imm.CheckResult(f"frenet_{label}", res, 1e-8)
     chk.extra["order"] = app.order
     report.add(chk)
     spread = float(np.max(app.curvature_spreads)) if len(app.curvature_spreads) else 0.0
-    report.add(imm.CheckResult(f"frenet_{label}_constancy", spread, 1e-8 if tol is None else tol))
+    report.add(imm.CheckResult(f"frenet_{label}_constancy", spread, 1e-8))
     report.computed[f"curvatures_{label}"] = [format_value(v) for v in got]
 
 
-def _mean_curvature_checks(report, F, pts, want=None, tol=None):
-    geo = imm.sample_geometry(F, pts)
-    h = geo.mean_curvature_norm
+def _mean_curvature_checks(report, h, want=None):
+    """Constancy (and value) of |H| over the sampled norms ``h``."""
     report.add(imm.CheckResult("mean_curvature_constant", float(np.var(h)), 1e-16))
     report.computed["mean_curvature"] = format_value(float(np.mean(h)))
     if want is not None:
-        report.add(
-            imm.CheckResult(
-                "mean_curvature_value",
-                float(np.max(np.abs(h - want))),
-                1e-10 if tol is None else tol,
-            )
-        )
-    return geo
+        report.add(imm.CheckResult("mean_curvature_value", float(np.max(np.abs(h - want))), 1e-10))
 
 
-def _trace_bah_check(report, F, pts, factor, tol=None):
-    geo = imm.sample_geometry(F, pts)
+def _trace_bah_check(report, geo, factor):
     B, H = geo.second_fundamental, geo.mean_curvature
     bah = np.einsum("nik,nikd->nd", np.einsum("nikd,nd->nik", B, H), B)
     res = float(np.max(np.abs(bah - factor * H)))
-    report.add(imm.CheckResult("trace_b_ah", res, 1e-8 if tol is None else tol))
+    report.add(imm.CheckResult("trace_b_ah", res, 1e-8))
 
 
-def _decomposition_check(report, F, want_radii, per_axis, tol=None, basis=None, label="decomposition"):
-    tol = 1e-10 if tol is None else tol
+def _integral_submanifold_checks(report, F, pts, geo, want_h=None, mode="biharmonic", bah_factor=None):
+    """The shared suite of the maximum-dimension integral examples."""
+    report.add(imm.check_unit_norm(F, pts, tol=1e-13))
+    report.add(imm.check_integral(geo))
+    cp = imm.check_C_parallel(geo)
+    report.add(cp)
+    report.add(imm.CheckResult("s_symmetry", cp.extra["total_symmetry"], 1e-10))
+    report.add(imm.check_normal_laplacian(geo))
+    _mean_curvature_checks(report, geo.mean_curvature_norm, want_h)
+    report.add(imm.check_bitension(geo, mode=mode))
+    if bah_factor is not None:
+        _trace_bah_check(report, geo, bah_factor)
+
+
+def _flow_cylinder_checks(report, F, per_axis, want_h=None):
+    """The shared opening of the Reeb-flow cylinder suites; returns (pts, geo)."""
+    pts = F.grid(per_axis)
+    geo = imm.sample_geometry(F, pts)
+    base = slice(per_axis**2)  # the first t-slice of the grid
+    report.add(imm.check_unit_norm(F, pts, tol=1e-13))
+    # the cylinder direction is the Reeb flow: eta0(d_t y) = 1 exactly
+    eta_t = np.sum(geo.tangents[base, 0] * (-complex_structure(geo.values[base])), axis=-1)
+    report.add(imm.CheckResult("flow_direction", float(np.max(np.abs(eta_t - 1.0))), 1e-10))
+    _mean_curvature_checks(report, geo.mean_curvature_norm[base], want_h)
+    report.add(imm.check_bitension(geo))
+    return pts, geo
+
+
+def _legendre_curve_checks(report, F, per_axis):
+    """The shared opening of the Legendre curve suites; returns (geo, Frenet apparatus)."""
+    pts = _curve_grid(F, max(per_axis, 5))[:, None]
+    geo = imm.sample_geometry(F, pts)
+    report.add(imm.check_unit_norm(F, pts, tol=1e-13))
+    report.add(imm.check_integral(geo))
+    report.add(imm.check_bitension(geo))
+    return geo, frenet(F, pts.ravel())
+
+
+def _decomposition_check(report, F, want_radii, per_axis, basis=None, label="decomposition"):
     try:
         dec = catalog.circle_decomposition(F, per_axis=max(per_axis, 3), basis=basis)
     except ValueError as ex:
-        chk = imm.CheckResult(label, float("inf"), tol)
+        chk = imm.CheckResult(label, float("inf"), 1e-10)
         chk.extra["error"] = str(ex)
         report.add(chk)
         return
     got = np.sort(dec.radii)
     want = np.sort(np.asarray(want_radii, dtype=float))
     res = float(np.max(np.abs(got - want)))
-    report.add(imm.CheckResult(label, res, tol))
-    report.add(
-        imm.CheckResult(label + "_sum_sq", abs(float(np.sum(dec.radii**2)) - 1.0), 1e-12)
-    )
+    report.add(imm.CheckResult(label, res, 1e-10))
+    report.add(imm.CheckResult(label + "_sum_sq", abs(float(np.sum(dec.radii**2)) - 1.0), 1e-12))
     report.computed[label + "_radii"] = [format_value(v) for v in got]
 
 
-def _eigencheck(report, F, split, want, pts, tol=None):
-    tol = 1e-10 if tol is None else tol
-    res = imm.coordinate_laplacian_eigencheck(F, split, pts, tol=tol)
+def _eigencheck(report, geo, split, want):
+    res = imm.coordinate_laplacian_eigencheck(geo, split)
     for (name, chk), mu_want in zip(sorted(res.items()), [want[k] for k in sorted(want)]):
         mu = chk.extra["eigenvalue"]
         combined = max(chk.residual, abs(mu - mu_want))
-        out = imm.CheckResult(chk.name, combined, tol)
+        out = imm.CheckResult(chk.name, combined, chk.tolerance)
         out.extra["eigenvalue"] = mu
         report.add(out)
         report.computed[chk.name] = format_value(mu)
@@ -235,162 +287,116 @@ COROLLARY_CURVATURES = {
 _CURVE_BASE_FRACTIONS = np.array([0.23, 0.41, 0.67])
 
 
+def _corollary_suite(report, per_axis, _param):
+    F = catalog.corollary_immersion()
+    pts = F.grid(per_axis)
+    geo = imm.sample_geometry(F, pts)
+    base = _CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
+    _integral_submanifold_checks(report, F, pts, geo, want_h=2.0 / 3.0, bah_factor=2.0)
+    for axis, label in ((0, "X1"), (1, "X2"), (2, "X3")):
+        _frenet_check(report, F, axis, base, COROLLARY_CURVATURES[label], per_axis, label)
+    report.add(imm.lattice_check(F, catalog.COROLLARY_LATTICE, pts[: per_axis**2]))
+    _eigencheck(report, geo, {"x1": [3], "x2": [0, 1, 2]}, {"x1": 1.0, "x2": 5.0})
+
+
+def _s5_suite(report, per_axis, _param):
+    F = catalog.s5_surface()
+    pts = F.grid(per_axis)
+    _integral_submanifold_checks(report, F, pts, imm.sample_geometry(F, pts))
+    report.add(imm.lattice_check(F, catalog.S5_LATTICE, pts[: per_axis**2]))
+
+
+def _cylinder_c1_suite(report, per_axis, _param):
+    F = catalog.cylinder(catalog.corollary_immersion())
+    pts, geo = _flow_cylinder_checks(report, F, per_axis, want_h=0.5)
+    _decomposition_check(report, F, (1.0 / SQ2,) + (1.0 / math.sqrt(6.0),) * 3, per_axis)
+    q4 = catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1
+    tilde = catalog.precompose_linear(F, q4.T, name="cylinder-c1-circleform")
+    lattice = imm.lattice_check(tilde, catalog.T4_CYLINDER_LATTICE_TILDE, tilde.grid(3)[:20])
+    report.add(imm.CheckResult("lattice_transformed", lattice.residual, 1e-10))
+    original_gens = [q4.T @ np.asarray(a) for a in catalog.T4_CYLINDER_LATTICE_TILDE]
+    lattice = imm.lattice_check(F, original_gens, pts[:20])
+    report.add(imm.CheckResult("lattice_original", lattice.residual, 1e-10))
+    _eigencheck(report, geo, {"y1": [3], "y2": [0, 1, 2]}, {"y1": 2.0, "y2": 6.0})
+
+
+def _cylinder_s5_suite(report, per_axis, _param):
+    F = catalog.cylinder(catalog.s5_surface())
+    pts, _geo = _flow_cylinder_checks(report, F, per_axis)
+    report.add(imm.lattice_check(F, catalog.S5_CYLINDER_LATTICE, pts[:20]))
+    q3 = catalog.S5_CYL_TRANSFORM_2 @ catalog.S5_CYL_TRANSFORM_1
+    tilde = catalog.precompose_linear(F, q3.T, name="cylinder-s5-circleform")
+    _decomposition_check(report, tilde, (1.0 / SQ2, 0.5, 0.5), per_axis, basis=catalog.S5_CYL_BASIS)
+
+
+def _legendre_circle_suite(report, per_axis, _param):
+    geo, app = _legendre_curve_checks(report, catalog.legendre_curve("circle"), per_axis)
+    res = abs(app.curvature_values[0] - 1.0) if app.order == 2 else float("inf")
+    chk = imm.CheckResult("frenet_circle", res, 1e-8)
+    chk.extra["order"] = app.order
+    report.add(chk)
+    report.add(imm.CheckResult("phi_alignment_zero", abs(phi_alignment(app)), 1e-10))
+    _mean_curvature_checks(report, geo.mean_curvature_norm, want=1.0)
+
+
+def _legendre_helix_suite(report, per_axis, kappa1):
+    geo, app = _legendre_curve_checks(report, catalog.legendre_curve("helix", kappa1=kappa1), per_axis)
+    res = abs(app.curvature_values[0] - kappa1) if app.order == 3 else float("inf")
+    chk = imm.CheckResult("frenet_helix", res, 1e-8)
+    chk.extra["order"] = app.order
+    report.add(chk)
+    report.computed["curvatures"] = [format_value(v) for v in app.curvature_values]
+    B = math.sqrt(1.0 - kappa1)
+    report.add(imm.CheckResult("phi_alignment_magnitude", abs(abs(phi_alignment(app)) - B), 1e-10))
+    _mean_curvature_checks(report, geo.mean_curvature_norm, want=kappa1)
+
+
+def _minus4_suite(report, per_axis, index):
+    F = catalog.minus4_immersion(index)
+    pts = F.grid(per_axis)
+    base = _CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
+    _integral_submanifold_checks(report, F, pts, imm.sample_geometry(F, pts), mode="minus4", bah_factor=6.0)
+    tup = classifier.SolutionTuple(*catalog.MINUS4_TUPLES[index - 1], c=1.0, mode="minus4")
+    tables = classifier.curvature_tables(tup)
+    for axis, label in ((0, "X1"), (1, "X2"), (2, "X3")):
+        _frenet_check(report, F, axis, base, tables[label], per_axis, label)
+
+
+def _cylinder_minus4_suite(report, per_axis, index):
+    F = catalog.cylinder(catalog.minus4_immersion(index))
+    pts = F.grid(per_axis)
+    report.add(imm.check_unit_norm(F, pts, tol=1e-13))
+    _decomposition_check(report, F, MINUS4_RADII[index - 1], per_axis)
+
+
+_SUITES = {
+    "corollary-c1": _corollary_suite,
+    "s5-surface": _s5_suite,
+    "cylinder-c1": _cylinder_c1_suite,
+    "cylinder-s5": _cylinder_s5_suite,
+    "legendre-circle": _legendre_circle_suite,
+    "legendre-helix": _legendre_helix_suite,
+    "minus4": _minus4_suite,
+    "cylinder-minus4": _cylinder_minus4_suite,
+}
+
+
 def build_report(name: str, per_axis: int = 5, tol: float | None = None) -> VerificationReport:
-    """Run the full check suite of a registered example; see EXAMPLE_NAMES."""
+    """Run the full check suite of a registered example; see EXAMPLE_NAMES.
+
+    The name and grid are validated before any geometry runs (UsageError).
+    ``tol``, when given, replaces the tolerance of every check.
+    """
+    family, param = parse_example(name)
+    if per_axis < 1:
+        raise UsageError(f"grid needs at least 1 point per axis, got {per_axis}")
     report = VerificationReport(subject=name)
     report.computed["grid_points_per_axis"] = per_axis
     report.computed["tolerance_override"] = tol
-
-    def T(default):
-        return default if tol is None else tol
-
-    if name == "corollary-c1":
-        F = catalog.corollary_immersion()
-        pts = F.grid(per_axis)
-        base = _CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
-        report.add(imm.check_unit_norm(F, pts, tol=T(1e-13)))
-        report.add(imm.check_integral(F, pts, tol=T(1e-10)))
-        cp = imm.check_C_parallel(F, pts, tol=T(1e-8))
-        report.add(cp)
-        report.add(imm.CheckResult("s_symmetry", cp.extra["total_symmetry"], T(1e-10)))
-        report.add(imm.check_normal_laplacian(F, pts, tol=T(1e-8)))
-        _mean_curvature_checks(report, F, pts, want=2.0 / 3.0, tol=T(1e-10))
-        report.add(imm.check_bitension(F, pts, tol=T(1e-8)))
-        _trace_bah_check(report, F, pts, factor=2.0, tol=T(1e-8))
-        for axis, label in ((0, "X1"), (1, "X2"), (2, "X3")):
-            _frenet_check(report, F, axis, base, COROLLARY_CURVATURES[label], per_axis, tol, label)
-        report.add(imm.lattice_check(F, catalog.COROLLARY_LATTICE, pts[: per_axis**2], tol=T(1e-10)))
-        _eigencheck(report, F, {"x1": [3], "x2": [0, 1, 2]}, {"x1": 1.0, "x2": 5.0}, pts, tol)
-        return report
-
-    if name == "s5-surface":
-        F = catalog.s5_surface()
-        pts = F.grid(per_axis)
-        report.add(imm.check_unit_norm(F, pts, tol=T(1e-13)))
-        report.add(imm.check_integral(F, pts, tol=T(1e-10)))
-        cp = imm.check_C_parallel(F, pts, tol=T(1e-8))
-        report.add(cp)
-        report.add(imm.CheckResult("s_symmetry", cp.extra["total_symmetry"], T(1e-10)))
-        report.add(imm.check_normal_laplacian(F, pts, tol=T(1e-8)))
-        _mean_curvature_checks(report, F, pts)
-        report.add(imm.check_bitension(F, pts, tol=T(1e-8)))
-        report.add(imm.lattice_check(F, catalog.S5_LATTICE, pts[: per_axis**2], tol=T(1e-10)))
-        return report
-
-    if name == "cylinder-c1":
-        F = catalog.cylinder(catalog.corollary_immersion())
-        pts = F.grid(per_axis)
-        report.add(imm.check_unit_norm(F, pts, tol=T(1e-13)))
-        # the cylinder direction is the Reeb flow: eta0(d_t y) = 1 exactly
-        X = F.jets(pts[: per_axis**2], 1)
-        eta_t = np.sum(X.deriv(0).value * (-complex_structure(X.value)), axis=-1)
-        report.add(imm.CheckResult("flow_direction", float(np.max(np.abs(eta_t - 1.0))), T(1e-10)))
-        _mean_curvature_checks(report, F, pts[: per_axis**2], want=0.5, tol=T(1e-10))
-        report.add(imm.check_bitension(F, pts, tol=T(1e-8)))
-        _decomposition_check(
-            report, F, (1.0 / SQ2,) + (1.0 / math.sqrt(6.0),) * 3, per_axis, tol=T(1e-10)
-        )
-        q4 = catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1
-        tilde = catalog.precompose_linear(F, q4.T, name="cylinder-c1-circleform")
-        report.add(
-            imm.CheckResult(
-                "lattice_transformed",
-                imm.lattice_check(tilde, catalog.T4_CYLINDER_LATTICE_TILDE, tilde.grid(3)[:20]).residual,
-                T(1e-10),
-            )
-        )
-        original_gens = [q4.T @ np.asarray(a) for a in catalog.T4_CYLINDER_LATTICE_TILDE]
-        report.add(
-            imm.CheckResult(
-                "lattice_original",
-                imm.lattice_check(F, original_gens, pts[:20]).residual,
-                T(1e-10),
-            )
-        )
-        _eigencheck(report, F, {"y1": [3], "y2": [0, 1, 2]}, {"y1": 2.0, "y2": 6.0}, pts, tol)
-        return report
-
-    if name == "cylinder-s5":
-        F = catalog.cylinder(catalog.s5_surface())
-        pts = F.grid(per_axis)
-        report.add(imm.check_unit_norm(F, pts, tol=T(1e-13)))
-        X = F.jets(pts[: per_axis**2], 1)
-        eta_t = np.sum(X.deriv(0).value * (-complex_structure(X.value)), axis=-1)
-        report.add(imm.CheckResult("flow_direction", float(np.max(np.abs(eta_t - 1.0))), T(1e-10)))
-        _mean_curvature_checks(report, F, pts[: per_axis**2])
-        report.add(imm.check_bitension(F, pts, tol=T(1e-8)))
-        report.add(imm.lattice_check(F, catalog.S5_CYLINDER_LATTICE, pts[:20], tol=T(1e-10)))
-        q3 = catalog.S5_CYL_TRANSFORM_2 @ catalog.S5_CYL_TRANSFORM_1
-        tilde = catalog.precompose_linear(F, q3.T, name="cylinder-s5-circleform")
-        _decomposition_check(
-            report, tilde, (1.0 / SQ2, 0.5, 0.5), per_axis, tol=T(1e-10), basis=catalog.S5_CYL_BASIS
-        )
-        return report
-
-    if name == "legendre-circle":
-        F = catalog.legendre_curve("circle")
-        pts = _curve_grid(F, max(per_axis, 5))[:, None]
-        report.add(imm.check_unit_norm(F, pts, tol=T(1e-13)))
-        report.add(imm.check_integral(F, pts, tol=T(1e-10)))
-        report.add(imm.check_bitension(F, pts, tol=T(1e-8)))
-        app = frenet(F, pts.ravel())
-        res = abs(app.curvature_values[0] - 1.0) if app.order == 2 else float("inf")
-        chk = imm.CheckResult("frenet_circle", res, T(1e-8))
-        chk.extra["order"] = app.order
-        report.add(chk)
-        report.add(imm.CheckResult("phi_alignment_zero", abs(phi_alignment(app)), T(1e-10)))
-        _mean_curvature_checks(report, F, pts, want=1.0, tol=T(1e-10))
-        return report
-
-    if name.startswith("legendre-helix:"):
-        kappa1 = float(name.split(":", 1)[1])
-        F = catalog.legendre_curve("helix", kappa1=kappa1)
-        pts = _curve_grid(F, max(per_axis, 5))[:, None]
-        report.add(imm.check_unit_norm(F, pts, tol=T(1e-13)))
-        report.add(imm.check_integral(F, pts, tol=T(1e-10)))
-        report.add(imm.check_bitension(F, pts, tol=T(1e-8)))
-        app = frenet(F, pts.ravel())
-        res = abs(app.curvature_values[0] - kappa1) if app.order == 3 else float("inf")
-        chk = imm.CheckResult("frenet_helix", res, T(1e-8))
-        chk.extra["order"] = app.order
-        report.add(chk)
-        report.computed["curvatures"] = [format_value(v) for v in app.curvature_values]
-        B = math.sqrt(1.0 - kappa1)
-        report.add(
-            imm.CheckResult("phi_alignment_magnitude", abs(abs(phi_alignment(app)) - B), T(1e-10))
-        )
-        _mean_curvature_checks(report, F, pts, want=kappa1, tol=T(1e-10))
-        return report
-
-    if name.startswith("minus4-"):
-        index = int(name.split("-", 1)[1])
-        F = catalog.minus4_immersion(index)
-        pts = F.grid(per_axis)
-        base = _CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
-        report.add(imm.check_unit_norm(F, pts, tol=T(1e-13)))
-        report.add(imm.check_integral(F, pts, tol=T(1e-10)))
-        cp = imm.check_C_parallel(F, pts, tol=T(1e-8))
-        report.add(cp)
-        report.add(imm.CheckResult("s_symmetry", cp.extra["total_symmetry"], T(1e-10)))
-        report.add(imm.check_normal_laplacian(F, pts, tol=T(1e-8)))
-        _mean_curvature_checks(report, F, pts)
-        report.add(imm.check_bitension(F, pts, mode="minus4", tol=T(1e-8)))
-        _trace_bah_check(report, F, pts, factor=6.0, tol=T(1e-8))
-        tup = classifier.SolutionTuple(*catalog.MINUS4_TUPLES[index - 1], c=1.0, mode="minus4")
-        tables = classifier.curvature_tables(tup)
-        for axis, label in ((0, "X1"), (1, "X2"), (2, "X3")):
-            _frenet_check(report, F, axis, base, tables[label], per_axis, tol, label)
-        return report
-
-    if name.startswith("cylinder-minus4-"):
-        index = int(name.rsplit("-", 1)[1])
-        F = catalog.cylinder(catalog.minus4_immersion(index))
-        pts = F.grid(per_axis)
-        report.add(imm.check_unit_norm(F, pts, tol=T(1e-13)))
-        _decomposition_check(report, F, MINUS4_RADII[index - 1], per_axis, tol=T(1e-10))
-        return report
-
-    raise KeyError(f"unknown example {name!r}; registered: {', '.join(EXAMPLE_NAMES)}")
+    _SUITES[family](report, per_axis, param)
+    if tol is not None:
+        report.checks = [dataclasses.replace(c, tolerance=tol) for c in report.checks]
+    return report
 
 
 def classification_report(

@@ -84,7 +84,7 @@ def test_criterion_04_bitension_and_mean_curvature(corollary, s5):
         cyl_s5 = catalog.cylinder(s5)
         for F in (corollary, s5, cyl_c1, cyl_s5):
             pts = F.grid(5)
-            assert np.max(np.abs(imm.bitension(F, pts))) < 1e-8, F.name
+            assert np.max(np.abs(imm.bitension(imm.sample_geometry(F, pts)))) < 1e-8, F.name
         geo = imm.sample_geometry(corollary, corollary.grid(5))
         assert np.max(np.abs(geo.mean_curvature_norm - 2.0 / 3.0)) < 1e-10
         geo = imm.sample_geometry(cyl_c1, cyl_c1.grid(3))
@@ -95,7 +95,7 @@ def test_criterion_05_minus4_bitension(minus4_immersions):
     with criterion(5, "|tau_2 + 4 tau| < 1e-8 for the three flat (-4)-biharmonic tori"):
         for F in minus4_immersions:
             pts = F.grid(5)
-            assert np.max(np.abs(imm.bitension(F, pts, mode="minus4"))) < 1e-8, F.name
+            assert np.max(np.abs(imm.bitension(imm.sample_geometry(F, pts), mode="minus4"))) < 1e-8, F.name
 
 
 def test_criterion_06_invariant_suites(corollary, s5, minus4_immersions):
@@ -130,8 +130,8 @@ def test_criterion_06_invariant_suites(corollary, s5, minus4_immersions):
         # maximum-dimension integral examples
         for F in [corollary, s5] + minus4_immersions:
             pts = F.grid(4)
-            assert imm.check_C_parallel(F, pts).residual < 1e-8, F.name
-            assert imm.check_normal_laplacian(F, pts).residual < 1e-8, F.name
+            assert imm.check_C_parallel(imm.sample_geometry(F, pts)).residual < 1e-8, F.name
+            assert imm.check_normal_laplacian(imm.sample_geometry(F, pts)).residual < 1e-8, F.name
         # (c) expanded system == eigen criterion at 1000 random draws
         rng = np.random.default_rng(7)
         for _ in range(1000):
@@ -197,13 +197,13 @@ def test_criterion_09_lattices(corollary, s5):
 def test_criterion_10_spectral_eigenvalues(corollary):
     with criterion(10, "coordinate-Laplacian eigenvalues (1, 5) and (2, 6) within 1e-10"):
         pts = corollary.grid(5)
-        res = imm.coordinate_laplacian_eigencheck(corollary, {"x1": [3], "x2": [0, 1, 2]}, pts)
+        res = imm.coordinate_laplacian_eigencheck(imm.sample_geometry(corollary, pts), {"x1": [3], "x2": [0, 1, 2]})
         assert abs(res["x1"].extra["eigenvalue"] - 1.0) < 1e-10
         assert abs(res["x2"].extra["eigenvalue"] - 5.0) < 1e-10
         assert res["x1"].residual < 1e-10 and res["x2"].residual < 1e-10
         cyl = catalog.cylinder(corollary)
         pts = cyl.grid(4)
-        res = imm.coordinate_laplacian_eigencheck(cyl, {"y1": [3], "y2": [0, 1, 2]}, pts)
+        res = imm.coordinate_laplacian_eigencheck(imm.sample_geometry(cyl, pts), {"y1": [3], "y2": [0, 1, 2]})
         assert abs(res["y1"].extra["eigenvalue"] - 2.0) < 1e-10
         assert abs(res["y2"].extra["eigenvalue"] - 6.0) < 1e-10
         assert res["y1"].residual < 1e-10 and res["y2"].residual < 1e-10

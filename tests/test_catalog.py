@@ -86,8 +86,8 @@ def test_basis_independence_of_verdicts():
     F = catalog.corollary_immersion(basis=basis)
     pts = F.grid(4)
     assert imm.check_unit_norm(F, pts).residual < 1e-13
-    assert imm.check_integral(F, pts).passed
-    assert np.max(np.abs(imm.bitension(F, pts))) < 1e-8
+    assert imm.check_integral(imm.sample_geometry(F, pts)).passed
+    assert np.max(np.abs(imm.bitension(imm.sample_geometry(F, pts)))) < 1e-8
     geo = imm.sample_geometry(F, pts[:10])
     assert np.max(np.abs(geo.mean_curvature_norm - 2.0 / 3.0)) < 1e-10
     dec = catalog.circle_decomposition(F)
@@ -106,7 +106,7 @@ def test_cylinder_shifts_frequencies_by_minus_one():
 
 def test_cylinder_of_biharmonic_is_biharmonic():
     Y = catalog.cylinder(catalog.corollary_immersion())
-    assert np.max(np.abs(imm.bitension(Y, Y.grid(3)))) < 1e-8
+    assert np.max(np.abs(imm.bitension(imm.sample_geometry(Y, Y.grid(3))))) < 1e-8
 
 
 def test_cylinder_over_geodesic_circle_stays_minimal():

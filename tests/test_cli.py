@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sasakian import immersion as imm
 from sasakian import report as rep
 from sasakian.cli import main
 
@@ -58,6 +59,26 @@ def test_unknown_example_raises():
         rep.build_report("nope")
 
 
+@pytest.mark.parametrize("name", ["corollary-c1", "cylinder-c1"])
+def test_tol_overrides_every_tolerance(name):
+    report = rep.build_report(name, per_axis=3, tol=1e-3)
+    assert report.checks
+    assert all(c.tolerance == 1e-3 for c in report.checks)
+
+
+def test_report_evaluates_one_jet_of_accuracy_two_or_more(monkeypatch):
+    accuracies = []
+    original = imm.ParametricImmersion.jets
+
+    def counting(self, pts, acc):
+        accuracies.append(acc)
+        return original(self, pts, acc)
+
+    monkeypatch.setattr(imm.ParametricImmersion, "jets", counting)
+    assert rep.build_report("corollary-c1", per_axis=3).passed
+    assert sum(2 <= acc <= 4 for acc in accuracies) == 1
+
+
 def test_json_round_trip_is_byte_identical(corollary_report):
     text = corollary_report.to_json()
     reparsed = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
@@ -100,6 +121,28 @@ def test_cli_unknown_example_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "does-not-exist"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "minus4-7"],
+        ["verify", "legendre-helix:abc"],
+        ["verify", "legendre-helix:1.5"],
+        ["verify", "cylinder-minus4-x"],
+        ["verify", "corollary-c1", "--grid", "0"],
+        ["verify", "minus4"],
+        ["verify", "legendre-helix"],
+        ["verify", "cylinder-minus4"],
+    ],
+)
+def test_cli_bad_verify_input_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("sasakian: error: ")
 
 
 def test_cli_json_format(capsys):

@@ -52,9 +52,9 @@ def test_singular_metric_rejected():
 
 
 def test_integral_check_pass_and_fail(corollary, corollary_grid):
-    assert imm.check_integral(corollary, corollary_grid).passed
+    assert imm.check_integral(imm.sample_geometry(corollary, corollary_grid)).passed
     cyl = catalog.cylinder(corollary)
-    res = imm.check_integral(cyl, cyl.grid(3))
+    res = imm.check_integral(imm.sample_geometry(cyl, cyl.grid(3)))
     assert not res.passed
     assert res.residual == pytest.approx(1.0, abs=1e-10)
 
@@ -62,17 +62,17 @@ def test_integral_check_pass_and_fail(corollary, corollary_grid):
 def test_s5_surface_checks():
     F = catalog.s5_surface()
     pts = F.grid(5)
-    assert imm.check_integral(F, pts).passed
-    cp = imm.check_C_parallel(F, pts)
+    assert imm.check_integral(imm.sample_geometry(F, pts)).passed
+    cp = imm.check_C_parallel(imm.sample_geometry(F, pts))
     assert cp.residual < 1e-8
     assert cp.extra["total_symmetry"] < 1e-10
-    assert imm.check_normal_laplacian(F, pts).residual < 1e-8
+    assert imm.check_normal_laplacian(imm.sample_geometry(F, pts)).residual < 1e-8
 
 
 def test_c_parallel_and_normal_laplacian(corollary, corollary_grid):
-    cp = imm.check_C_parallel(corollary, corollary_grid)
+    cp = imm.check_C_parallel(imm.sample_geometry(corollary, corollary_grid))
     assert cp.residual < 1e-8
-    nl = imm.check_normal_laplacian(corollary, corollary_grid)
+    nl = imm.check_normal_laplacian(imm.sample_geometry(corollary, corollary_grid))
     assert nl.residual < 1e-8
     assert nl.extra["mean_curvature_variance"] < 1e-16
 
@@ -81,16 +81,16 @@ def test_c_parallel_zero_for_totally_geodesic():
     # Legendre great circle: B = 0, so the C-parallel residual is exactly zero
     F = catalog.great_circle()
     pts = np.linspace(0.0, 2 * math.pi, 6)[:, None]
-    cp = imm.check_C_parallel(F, pts)
+    cp = imm.check_C_parallel(imm.sample_geometry(F, pts))
     assert cp.residual < 1e-13
 
 
 def test_bitension_modes(corollary, corollary_grid):
-    assert np.max(np.abs(imm.bitension(corollary, corollary_grid))) < 1e-8
-    m4 = imm.bitension(corollary, corollary_grid, mode="minus4")
+    assert np.max(np.abs(imm.bitension(imm.sample_geometry(corollary, corollary_grid)))) < 1e-8
+    m4 = imm.bitension(imm.sample_geometry(corollary, corollary_grid), mode="minus4")
     assert np.max(np.abs(m4)) > 1.0  # 4 tau does not vanish for this immersion
     with pytest.raises(ValueError, match="mode"):
-        imm.bitension(corollary, corollary_grid, mode="quartic")
+        imm.bitension(imm.sample_geometry(corollary, corollary_grid), mode="quartic")
 
 
 def test_bitension_nonzero_for_non_biharmonic_circle():
@@ -105,7 +105,7 @@ def test_bitension_nonzero_for_non_biharmonic_circle():
     F = catalog.trig_immersion(terms, m=1, n=3, name="off-circle")
     pts = np.linspace(0.0, 2 * math.pi, 6)[:, None]
     assert imm.check_unit_norm(F, pts).passed
-    assert np.max(np.abs(imm.bitension(F, pts))) > 1e-2
+    assert np.max(np.abs(imm.bitension(imm.sample_geometry(F, pts)))) > 1e-2
 
 
 def test_chart_error_for_non_arclength_parametrization():
@@ -115,14 +115,14 @@ def test_chart_error_for_non_arclength_parametrization():
     F = catalog.trig_immersion(terms, m=1, n=3, name="fast-circle")
     pts = np.linspace(0.0, 2.0, 5)[:, None]
     with pytest.raises(imm.ChartError, match="flat-orthonormal"):
-        imm.check_C_parallel(F, pts)
+        imm.check_C_parallel(imm.sample_geometry(F, pts))
     with pytest.raises(imm.ChartError):
-        imm.bitension(F, pts)
+        imm.bitension(imm.sample_geometry(F, pts))
 
 
 def test_eigencheck_values(corollary, corollary_grid):
     res = imm.coordinate_laplacian_eigencheck(
-        corollary, {"x1": [3], "x2": [0, 1, 2]}, corollary_grid
+        imm.sample_geometry(corollary, corollary_grid), {"x1": [3], "x2": [0, 1, 2]}
     )
     assert res["x1"].extra["eigenvalue"] == pytest.approx(1.0, abs=1e-10)
     assert res["x2"].extra["eigenvalue"] == pytest.approx(5.0, abs=1e-10)
@@ -132,14 +132,14 @@ def test_eigencheck_values(corollary, corollary_grid):
 def test_eigencheck_cylinder_values(corollary):
     cyl = catalog.cylinder(corollary)
     pts = cyl.grid(3)
-    res = imm.coordinate_laplacian_eigencheck(cyl, {"y1": [3], "y2": [0, 1, 2]}, pts)
+    res = imm.coordinate_laplacian_eigencheck(imm.sample_geometry(cyl, pts), {"y1": [3], "y2": [0, 1, 2]})
     assert res["y1"].extra["eigenvalue"] == pytest.approx(2.0, abs=1e-10)
     assert res["y2"].extra["eigenvalue"] == pytest.approx(6.0, abs=1e-10)
 
 
 def test_eigencheck_bad_split_reports_failure(corollary, corollary_grid):
     res = imm.coordinate_laplacian_eigencheck(
-        corollary, {"mixed": [0, 3]}, corollary_grid
+        imm.sample_geometry(corollary, corollary_grid), {"mixed": [0, 3]}
     )
     assert not res["mixed"].passed
 
@@ -180,13 +180,13 @@ def test_totally_geodesic_legendre_sphere_has_zero_b():
         np.meshgrid(*[np.linspace(0.4, 1.2, 3)] * 3, indexing="ij"), axis=-1
     ).reshape(-1, 3)
     assert imm.check_unit_norm(F, pts).passed
-    assert imm.check_integral(F, pts).passed
+    assert imm.check_integral(imm.sample_geometry(F, pts)).passed
     geo = imm.sample_geometry(F, pts)
     assert np.max(np.abs(geo.second_fundamental)) < 1e-10
     assert np.max(geo.mean_curvature_norm) < 1e-10
     # the round chart is not flat-orthonormal, so covariant checks refuse it
     with pytest.raises(imm.ChartError):
-        imm.check_C_parallel(F, pts)
+        imm.check_C_parallel(imm.sample_geometry(F, pts))
 
 
 def test_jets_match_finite_differences_on_corollary(corollary):
@@ -223,3 +223,47 @@ def test_adapted_shape_operators_from_geometry(corollary):
     sign = np.sign(A_geo[0, 0, 0, 0])
     ops = sa.AdaptedShapeOperators.case_I(*catalog.COROLLARY_TUPLE, b=1.0)
     assert np.max(np.abs(sign * A_geo - sa.build_matrices(ops))) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        catalog.corollary_immersion,
+        catalog.s5_surface,
+        lambda: catalog.cylinder(catalog.corollary_immersion()),
+        lambda: catalog.cylinder(catalog.s5_surface()),
+        lambda: catalog.minus4_immersion(1),
+        lambda: catalog.minus4_immersion(2),
+        lambda: catalog.minus4_immersion(3),
+        lambda: catalog.cylinder(catalog.minus4_immersion(3)),
+        lambda: catalog.legendre_curve("circle"),
+        lambda: catalog.legendre_curve("helix", kappa1=0.5),
+        catalog.great_circle,
+        lambda: catalog.precompose_linear(
+            catalog.cylinder(catalog.corollary_immersion()),
+            (catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1).T,
+        ),
+        lambda: catalog.coordinate_curve(catalog.corollary_immersion(), 1, np.array([0.3, 0.7, 1.1])),
+    ],
+)
+def test_truncated_accuracy4_jet_is_bit_equal_to_lower_accuracy(build):
+    # the single geometry pass relies on this: one accuracy-4 evaluation
+    # serves every check that needs fewer derivatives
+    F = build()
+    pts = F.grid(3)
+    full = F.jets(pts, 4)
+    for acc in range(4):
+        assert np.array_equal(full.truncate(acc).coef, F.jets(pts, acc).coef)
+
+
+def test_covariant_checks_share_one_flat_chart_check(corollary, corollary_grid, monkeypatch):
+    calls = []
+    original = imm.require_flat_chart
+    monkeypatch.setattr(imm, "require_flat_chart", lambda sample: calls.append(1) or original(sample))
+    geo = imm.sample_geometry(corollary, corollary_grid)
+    assert not calls  # built lazily, on the first covariant check
+    imm.check_C_parallel(geo)
+    imm.check_normal_laplacian(geo)
+    imm.check_bitension(geo)
+    imm.coordinate_laplacian_eigencheck(geo, {"x1": [3]})
+    assert len(calls) == 1
