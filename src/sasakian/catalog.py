@@ -476,17 +476,25 @@ def coordinate_curve(F: ParametricImmersion, axis: int, base_point) -> Parametri
 
 
 def circle_decomposition(
-    F: ParametricImmersion, pts: np.ndarray | None = None, per_axis: int = 5, tol: float = 1e-10, basis=None
+    F: ParametricImmersion,
+    pts: np.ndarray | None = None,
+    per_axis: int = 5,
+    tol: float = 1e-10,
+    basis=None,
+    jet: Jet | None = None,
 ) -> CircleProduct:
     """Read radii and frequency rows off an immersion of circle-product type.
 
     Each complex coordinate in the defining basis must have constant modulus
-    and affine phase over the grid; anything else raises ValueError.
+    and affine phase over the grid; anything else raises ValueError.  ``jet``,
+    a jet of F of accuracy >= 1 the caller already holds, replaces evaluating
+    F at ``pts`` (or its ``per_axis`` grid).
     """
-    if pts is None:
-        pts = F.grid(per_axis)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    X = F.jets(pts, 1)
+    if jet is None:
+        if pts is None:
+            pts = F.grid(per_axis)
+        jet = F.jets(np.atleast_2d(np.asarray(pts, dtype=float)), 1)
+    X = jet.truncate(1)
     half = F.n + 1
     if basis is None:
         basis = F.basis if F.basis is not None else np.eye(half, dtype=complex)

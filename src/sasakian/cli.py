@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 from . import report as rep
@@ -87,13 +88,23 @@ def _classification_text(results: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# every swept c is one classification, about a second with the Newton sweep on
+MAX_SWEEP_POINTS = 1000
+
+
 def _parse_sweep(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError("sweep must be lo:hi:step")
     lo, hi, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError("sweep bounds and step must be finite")
     if step <= 0 or hi < lo:
         raise ValueError("sweep needs step > 0 and hi >= lo")
+    # the sweep has floor(steps) + 1 points; count them before building any list
+    steps = (hi - lo + 1e-12) / step
+    if not steps < MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep asks for about {steps + 1:.0f} points; at most {MAX_SWEEP_POINTS} are allowed")
     out = []
     x = lo
     while x <= hi + 1e-12:
@@ -152,6 +163,8 @@ def main(argv=None) -> int:
                     cs = _parse_sweep(args.c_sweep)
                 except ValueError as ex:
                     parser.error(str(ex))
+            elif not math.isfinite(args.c):
+                parser.error(f"--c must be finite, got {args.c}")
             else:
                 cs = [args.c]
         results = [

@@ -205,10 +205,19 @@ def sample_geometry(F: ParametricImmersion, pts: np.ndarray) -> GeometrySample:
     )
 
 
-def check_unit_norm(F: ParametricImmersion, pts: np.ndarray, tol: float = UNIT_NORM_TOL) -> CheckResult:
-    xval = F.values(pts)
+def _unit_norm(xval: np.ndarray, tol: float) -> CheckResult:
     res = float(np.max(np.abs(_dotv(xval, xval) - 1.0)))
     return CheckResult("unit_norm", res, tol)
+
+
+def check_unit_norm(sample: GeometrySample, tol: float = UNIT_NORM_TOL) -> CheckResult:
+    """Max of ||F|^2 - 1| over the sample's points."""
+    return _unit_norm(sample.values, tol)
+
+
+def check_unit_norm_at(F: ParametricImmersion, pts: np.ndarray, tol: float = UNIT_NORM_TOL) -> CheckResult:
+    """``check_unit_norm`` where no sample exists: evaluates only the values of F."""
+    return _unit_norm(F.values(pts), tol)
 
 
 def check_integral(sample: GeometrySample, tol: float = 1e-10) -> CheckResult:
@@ -374,10 +383,15 @@ def lattice_check(
     vectors: Sequence[Sequence[float]],
     pts: np.ndarray,
     tol: float = 1e-10,
+    base: np.ndarray | None = None,
 ) -> CheckResult:
-    """Max of |F(p + a) - F(p)| over the grid and the given generators."""
+    """Max of |F(p + a) - F(p)| over the grid and the given generators.
+
+    ``base`` holds F's values at ``pts`` when the caller has them already.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    base = F.values(pts)
+    if base is None:
+        base = F.values(pts)
     res = 0.0
     for a in vectors:
         shifted = F.values(pts + np.asarray(a, dtype=float))

@@ -10,6 +10,16 @@ Coefficients are kept in graded order (by total degree, then lexicographic),
 so truncating a jet to a lower degree is a prefix slice.  The coefficient
 array may carry arbitrary leading axes (grid batch, ambient component, ...),
 which numpy broadcasting handles transparently.
+
+Two contracts of the jet-by-jet product keep reports byte-stable:
+
+- Summation order.  Each output coefficient is 0.0 plus its contributions
+  ``a[i] * b[j]`` added one at a time in ``_mul_table`` order, exactly as an
+  ``np.add.at`` scatter over that table sums them.  ``_mul_plan`` regroups
+  the table into layers so that the additions run as contiguous block adds.
+- Layout.  The result's coefficient array is C-contiguous.  Downstream
+  reductions (``einsum``, ``sum``) round differently on other memory layouts,
+  so bit-equal coefficients alone do not keep residuals bit-equal.
 """
 
 from __future__ import annotations
@@ -66,6 +76,43 @@ def _mul_table(nvars: int, acc: int):
             ib.append(j)
             iout.append(pos[tuple(x + y for x, y in zip(ma, mb))])
     return (np.asarray(ia), np.asarray(ib), np.asarray(iout))
+
+
+@lru_cache(maxsize=None)
+def _mul_plan(nvars: int, acc: int):
+    """``_mul_table`` regrouped into layers of contiguous slice additions.
+
+    Layer r holds the r-th contribution (in table order) to every output
+    term.  Output terms get slots in descending order of their contribution
+    count (stable), so layer r touches a prefix ``[:n_r]`` of the slots.  The
+    pairs are sorted layer-major, slot-minor.  Returns the permuted
+    ``(ia, ib)``, the ``(offset, n_r)`` of every layer after the first, and
+    ``slot`` with the slot of each output term.
+    """
+    ia, ib, iout = _mul_table(nvars, acc)
+    count = np.bincount(iout, minlength=_nterms(nvars, acc))
+    # rank of each entry among the entries of its term: a stable sort groups
+    # the terms, and the distance to the group start is the rank
+    rank = np.empty_like(iout)
+    rank[np.argsort(iout, kind="stable")] = np.arange(iout.size) - np.repeat(np.cumsum(count) - count, count)
+    slot = np.empty_like(count)
+    slot[np.argsort(-count, kind="stable")] = np.arange(count.size)
+    order = np.lexsort((slot[iout], rank))
+    widths = np.bincount(rank)
+    offsets = np.concatenate(([0], np.cumsum(widths)[:-1]))
+    layers = tuple(zip(offsets[1:].tolist(), widths[1:].tolist()))
+    return ia[order], ib[order], layers, slot
+
+
+@lru_cache(maxsize=None)
+def _axes(nd: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis orders moving the last of ``nd`` axes to the front, and back."""
+    return (nd - 1,) + tuple(range(nd - 1)), tuple(range(1, nd)) + (0,)
+
+
+def _terms_first(coef: np.ndarray, nd: int) -> np.ndarray:
+    """View of ``coef`` padded to ``nd`` axes, with the term axis first."""
+    return coef.reshape((1,) * (nd - coef.ndim) + coef.shape).transpose(_axes(nd)[0])
 
 
 @lru_cache(maxsize=None)
@@ -185,14 +232,16 @@ class Jet:
             scale = np.asarray(other, dtype=float)[..., None]
             return Jet(self.nvars, self.acc, self.coef * scale)
         a, b = self._coerce(other)
-        ia, ib, iout = _mul_table(a.nvars, a.acc)
-        prod = a.coef[..., ia] * b.coef[..., ib]
-        lead = prod.shape[:-1]
-        out = np.zeros(lead + (_nterms(a.nvars, a.acc),))
-        flat = prod.reshape(-1, prod.shape[-1]).T
-        tgt = out.reshape(-1, out.shape[-1]).T
-        np.add.at(tgt, iout, flat)
-        return Jet(a.nvars, a.acc, out)
+        ia, ib, layers, slot = _mul_plan(a.nvars, a.acc)
+        nd = max(a.coef.ndim, b.coef.ndim)
+        # products with the term axis first, C-contiguous: each layer is one block
+        prod = _terms_first(a.coef, nd).take(ia, 0) * _terms_first(b.coef, nd).take(ib, 0)
+        # "+ 0.0" is the zero start of the sum: it turns -0.0 into +0.0
+        out = prod[: slot.size] + 0.0
+        for off, n in layers:
+            out[:n] += prod[off : off + n]
+        # back to the term axis last, in term order; take returns a C-contiguous array
+        return Jet(a.nvars, a.acc, out.transpose(_axes(nd)[1]).take(slot, -1))
 
     def __rmul__(self, other):
         return self.__mul__(other)

@@ -207,9 +207,9 @@ def _trace_bah_check(report, geo, factor):
     report.add(imm.CheckResult("trace_b_ah", res, 1e-8))
 
 
-def _integral_submanifold_checks(report, F, pts, geo, want_h=None, mode="biharmonic", bah_factor=None):
+def _integral_submanifold_checks(report, geo, want_h=None, mode="biharmonic", bah_factor=None):
     """The shared suite of the maximum-dimension integral examples."""
-    report.add(imm.check_unit_norm(F, pts, tol=1e-13))
+    report.add(imm.check_unit_norm(geo, tol=1e-13))
     report.add(imm.check_integral(geo))
     cp = imm.check_C_parallel(geo)
     report.add(cp)
@@ -222,32 +222,36 @@ def _integral_submanifold_checks(report, F, pts, geo, want_h=None, mode="biharmo
 
 
 def _flow_cylinder_checks(report, F, per_axis, want_h=None):
-    """The shared opening of the Reeb-flow cylinder suites; returns (pts, geo)."""
-    pts = F.grid(per_axis)
-    geo = imm.sample_geometry(F, pts)
+    """The shared opening of the Reeb-flow cylinder suites; returns the sample."""
+    geo = imm.sample_geometry(F, F.grid(per_axis))
     base = slice(per_axis**2)  # the first t-slice of the grid
-    report.add(imm.check_unit_norm(F, pts, tol=1e-13))
+    report.add(imm.check_unit_norm(geo, tol=1e-13))
     # the cylinder direction is the Reeb flow: eta0(d_t y) = 1 exactly
     eta_t = np.sum(geo.tangents[base, 0] * (-complex_structure(geo.values[base])), axis=-1)
     report.add(imm.CheckResult("flow_direction", float(np.max(np.abs(eta_t - 1.0))), 1e-10))
     _mean_curvature_checks(report, geo.mean_curvature_norm[base], want_h)
     report.add(imm.check_bitension(geo))
-    return pts, geo
+    return geo
+
+
+def _sample_lattice_check(geo, vectors, rows):
+    """``lattice_check`` based at the first ``rows`` points of a sample's grid."""
+    return imm.lattice_check(geo.immersion, vectors, geo.points[:rows], base=geo.values[:rows])
 
 
 def _legendre_curve_checks(report, F, per_axis):
     """The shared opening of the Legendre curve suites; returns (geo, Frenet apparatus)."""
     pts = _curve_grid(F, max(per_axis, 5))[:, None]
     geo = imm.sample_geometry(F, pts)
-    report.add(imm.check_unit_norm(F, pts, tol=1e-13))
+    report.add(imm.check_unit_norm(geo, tol=1e-13))
     report.add(imm.check_integral(geo))
     report.add(imm.check_bitension(geo))
     return geo, frenet(F, pts.ravel())
 
 
-def _decomposition_check(report, F, want_radii, per_axis, basis=None, label="decomposition"):
+def _decomposition_check(report, F, want_radii, per_axis, basis=None, label="decomposition", jet=None):
     try:
-        dec = catalog.circle_decomposition(F, per_axis=max(per_axis, 3), basis=basis)
+        dec = catalog.circle_decomposition(F, per_axis=max(per_axis, 3), basis=basis, jet=jet)
     except ValueError as ex:
         chk = imm.CheckResult(label, float("inf"), 1e-10)
         chk.extra["error"] = str(ex)
@@ -289,41 +293,42 @@ _CURVE_BASE_FRACTIONS = np.array([0.23, 0.41, 0.67])
 
 def _corollary_suite(report, per_axis, _param):
     F = catalog.corollary_immersion()
-    pts = F.grid(per_axis)
-    geo = imm.sample_geometry(F, pts)
+    geo = imm.sample_geometry(F, F.grid(per_axis))
     base = _CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
-    _integral_submanifold_checks(report, F, pts, geo, want_h=2.0 / 3.0, bah_factor=2.0)
+    _integral_submanifold_checks(report, geo, want_h=2.0 / 3.0, bah_factor=2.0)
     for axis, label in ((0, "X1"), (1, "X2"), (2, "X3")):
         _frenet_check(report, F, axis, base, COROLLARY_CURVATURES[label], per_axis, label)
-    report.add(imm.lattice_check(F, catalog.COROLLARY_LATTICE, pts[: per_axis**2]))
+    report.add(_sample_lattice_check(geo, catalog.COROLLARY_LATTICE, per_axis**2))
     _eigencheck(report, geo, {"x1": [3], "x2": [0, 1, 2]}, {"x1": 1.0, "x2": 5.0})
 
 
 def _s5_suite(report, per_axis, _param):
     F = catalog.s5_surface()
-    pts = F.grid(per_axis)
-    _integral_submanifold_checks(report, F, pts, imm.sample_geometry(F, pts))
-    report.add(imm.lattice_check(F, catalog.S5_LATTICE, pts[: per_axis**2]))
+    geo = imm.sample_geometry(F, F.grid(per_axis))
+    _integral_submanifold_checks(report, geo)
+    report.add(_sample_lattice_check(geo, catalog.S5_LATTICE, per_axis**2))
 
 
 def _cylinder_c1_suite(report, per_axis, _param):
     F = catalog.cylinder(catalog.corollary_immersion())
-    pts, geo = _flow_cylinder_checks(report, F, per_axis, want_h=0.5)
-    _decomposition_check(report, F, (1.0 / SQ2,) + (1.0 / math.sqrt(6.0),) * 3, per_axis)
+    geo = _flow_cylinder_checks(report, F, per_axis, want_h=0.5)
+    # below 3 points per axis the decomposition samples a grid of its own
+    jet = geo.jet if per_axis >= 3 else None
+    _decomposition_check(report, F, (1.0 / SQ2,) + (1.0 / math.sqrt(6.0),) * 3, per_axis, jet=jet)
     q4 = catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1
     tilde = catalog.precompose_linear(F, q4.T, name="cylinder-c1-circleform")
     lattice = imm.lattice_check(tilde, catalog.T4_CYLINDER_LATTICE_TILDE, tilde.grid(3)[:20])
     report.add(imm.CheckResult("lattice_transformed", lattice.residual, 1e-10))
     original_gens = [q4.T @ np.asarray(a) for a in catalog.T4_CYLINDER_LATTICE_TILDE]
-    lattice = imm.lattice_check(F, original_gens, pts[:20])
+    lattice = _sample_lattice_check(geo, original_gens, 20)
     report.add(imm.CheckResult("lattice_original", lattice.residual, 1e-10))
     _eigencheck(report, geo, {"y1": [3], "y2": [0, 1, 2]}, {"y1": 2.0, "y2": 6.0})
 
 
 def _cylinder_s5_suite(report, per_axis, _param):
     F = catalog.cylinder(catalog.s5_surface())
-    pts, _geo = _flow_cylinder_checks(report, F, per_axis)
-    report.add(imm.lattice_check(F, catalog.S5_CYLINDER_LATTICE, pts[:20]))
+    geo = _flow_cylinder_checks(report, F, per_axis)
+    report.add(_sample_lattice_check(geo, catalog.S5_CYLINDER_LATTICE, 20))
     q3 = catalog.S5_CYL_TRANSFORM_2 @ catalog.S5_CYL_TRANSFORM_1
     tilde = catalog.precompose_linear(F, q3.T, name="cylinder-s5-circleform")
     _decomposition_check(report, tilde, (1.0 / SQ2, 0.5, 0.5), per_axis, basis=catalog.S5_CYL_BASIS)
@@ -353,9 +358,9 @@ def _legendre_helix_suite(report, per_axis, kappa1):
 
 def _minus4_suite(report, per_axis, index):
     F = catalog.minus4_immersion(index)
-    pts = F.grid(per_axis)
     base = _CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
-    _integral_submanifold_checks(report, F, pts, imm.sample_geometry(F, pts), mode="minus4", bah_factor=6.0)
+    geo = imm.sample_geometry(F, F.grid(per_axis))
+    _integral_submanifold_checks(report, geo, mode="minus4", bah_factor=6.0)
     tup = classifier.SolutionTuple(*catalog.MINUS4_TUPLES[index - 1], c=1.0, mode="minus4")
     tables = classifier.curvature_tables(tup)
     for axis, label in ((0, "X1"), (1, "X2"), (2, "X3")):
@@ -364,8 +369,7 @@ def _minus4_suite(report, per_axis, index):
 
 def _cylinder_minus4_suite(report, per_axis, index):
     F = catalog.cylinder(catalog.minus4_immersion(index))
-    pts = F.grid(per_axis)
-    report.add(imm.check_unit_norm(F, pts, tol=1e-13))
+    report.add(imm.check_unit_norm_at(F, F.grid(per_axis), tol=1e-13))
     _decomposition_check(report, F, MINUS4_RADII[index - 1], per_axis)
 
 

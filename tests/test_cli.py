@@ -1,10 +1,12 @@
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from sasakian import immersion as imm
 from sasakian import report as rep
-from sasakian.cli import main
+from sasakian.cli import MAX_SWEEP_POINTS, _parse_sweep, main
 
 FAST_EXAMPLES = [
     "s5-surface",
@@ -77,6 +79,24 @@ def test_report_evaluates_one_jet_of_accuracy_two_or_more(monkeypatch):
     monkeypatch.setattr(imm.ParametricImmersion, "jets", counting)
     assert rep.build_report("corollary-c1", per_axis=3).passed
     assert sum(2 <= acc <= 4 for acc in accuracies) == 1
+
+
+@pytest.mark.parametrize("name", ["corollary-c1", "s5-surface", "cylinder-c1", "cylinder-s5"])
+def test_report_evaluates_no_jet_on_sampled_points(name, monkeypatch):
+    calls = []
+    original = imm.ParametricImmersion.jets
+
+    def recording(self, pts, acc):
+        calls.append((self, acc, np.atleast_2d(np.asarray(pts, dtype=float))))
+        return original(self, pts, acc)
+
+    monkeypatch.setattr(imm.ParametricImmersion, "jets", recording)
+    assert rep.build_report(name, per_axis=3).passed
+    ((F, _, sampled),) = [c for c in calls if c[1] == 4]
+    rows = {tuple(p) for p in sampled}
+    for G, acc, pts in calls:
+        if G is F and acc != 4:
+            assert not rows.issuperset(map(tuple, pts)), acc
 
 
 def test_json_round_trip_is_byte_identical(corollary_report):
@@ -206,6 +226,44 @@ def test_cli_classify_invalid_sweep():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--c-sweep", "1:0:-1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--c", "nan"],
+        ["classify", "--c", "inf"],
+        ["classify", "--c=-inf"],
+        ["classify", "--c-sweep", "0:nan:0.1"],
+        ["classify", "--c-sweep", "nan:1:0.1"],
+        ["classify", "--c-sweep", "0:1:nan"],
+        ["classify", "--c-sweep", "0:inf:1"],
+        ["classify", "--c-sweep", "0:1:1e-7"],
+        ["classify", "--c-sweep=-1e308:1e308:1"],
+    ],
+)
+def test_cli_bad_classify_input_exits_2(argv, capsys, monkeypatch):
+    def refuse(**kwargs):
+        raise AssertionError("a rejected input must not reach the classifier")
+
+    monkeypatch.setattr(rep, "classification_report", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.strip().splitlines()[-1].startswith("sasakian: error: ")
+
+
+def test_sweep_point_cap_is_arithmetic():
+    assert len(_parse_sweep("0:999:1")) == MAX_SWEEP_POINTS
+    with pytest.raises(ValueError, match="1001 points"):
+        _parse_sweep("0:1000:1")
+    with pytest.raises(ValueError, match="at most"):
+        _parse_sweep("0:1:1e-300")
 
 
 def test_cli_classify_sweep_and_csv(capsys):

@@ -4,8 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sasakian.jets import Jet, lift, partial
+from sasakian import report as rep
+from sasakian.jets import MAX_ORDER, MAX_VARS, Jet, _mul_table, _nterms, lift, partial
+
+
+def _add_at_product(a: Jet, b: Jet) -> Jet:
+    """Reference jet product: an np.add.at scatter over _mul_table."""
+    a, b = a._coerce(b)
+    ia, ib, iout = _mul_table(a.nvars, a.acc)
+    prod = a.coef[..., ia] * b.coef[..., ib]
+    out = np.zeros(prod.shape[:-1] + (_nterms(a.nvars, a.acc),))
+    np.add.at(out.reshape(-1, out.shape[-1]).T, iout, prod.reshape(-1, prod.shape[-1]).T)
+    return Jet(a.nvars, a.acc, out)
+
+
+def _assert_bit_equal(got: np.ndarray, want: np.ndarray):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_lift_value_component():
@@ -136,3 +154,51 @@ def test_finite_difference_cross_check_second_derivative():
     )
     assert np.max(np.abs(partial(j, (1,)) - d1_fd)) < 1e-6
     assert np.max(np.abs(partial(j, (2,)) - d2_fd)) < 1e-6
+
+
+# finite values with signed zeros and subnormals; products of the tiny ones
+# underflow to signed zeros
+_COEF = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-160]),
+    st.floats(-1e3, 1e3, allow_subnormal=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nvars=st.integers(1, MAX_VARS),
+    acc=st.integers(0, MAX_ORDER),
+    shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
+    data=st.data(),
+)
+def test_product_is_bit_equal_to_add_at_scatter(nvars, acc, shapes, data):
+    nterms = _nterms(nvars, acc)
+    lead_a, lead_b = shapes.input_shapes
+    a = Jet(nvars, acc, data.draw(hnp.arrays(np.float64, lead_a + (nterms,), elements=_COEF)))
+    b = Jet(nvars, acc, data.draw(hnp.arrays(np.float64, lead_b + (nterms,), elements=_COEF)))
+    got = a * b
+    assert got.coef.shape == shapes.result_shape + (nterms,)
+    assert got.coef.flags.c_contiguous
+    _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
+
+
+def test_product_sum_starts_from_positive_zero():
+    a = Jet(2, 3, np.full((4, _nterms(2, 3)), -0.0))
+    b = Jet(2, 3, np.ones((1, _nterms(2, 3))))
+    got = (a * b).coef
+    assert not np.any(np.signbit(got))
+    _assert_bit_equal(got, _add_at_product(a, b).coef)
+
+
+@pytest.mark.parametrize("name", ["corollary-c1", "cylinder-c1", "s5-surface", "legendre-helix:0.5"])
+def test_report_json_is_identical_under_the_add_at_product(name, monkeypatch):
+    layered = rep.build_report(name, per_axis=3).to_json()
+    default_mul = Jet.__mul__
+
+    def reference_mul(self, other):
+        if not isinstance(other, Jet):
+            return default_mul(self, other)
+        return _add_at_product(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", reference_mul)
+    assert rep.build_report(name, per_axis=3).to_json() == layered
