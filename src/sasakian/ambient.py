@@ -76,19 +76,19 @@ class SasakianSphere:
 
     # -- input validation ------------------------------------------------
 
-    def check_point(self, z: np.ndarray, tol: float = POINT_TOL) -> np.ndarray:
+    def check_point(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         if z.shape[-1] != self.ambient_dim:
             raise ValueError(f"expected ambient dimension {self.ambient_dim}, got {z.shape[-1]}")
         err = np.abs(_dot(z, z) - 1.0)
-        if np.any(err > tol):
+        if np.any(err > POINT_TOL):
             raise ValueError(f"point is off the unit sphere by {float(np.max(err)):.3e}")
         return z
 
-    def check_tangent(self, z: np.ndarray, v: np.ndarray, tol: float = TANGENT_TOL) -> np.ndarray:
+    def check_tangent(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         err = np.abs(_dot(v, z))
-        if np.any(err > tol):
+        if np.any(err > TANGENT_TOL):
             raise ValueError(f"vector is not tangent to the sphere: <v,z> = {float(np.max(err)):.3e}")
         return v
 

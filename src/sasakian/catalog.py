@@ -22,6 +22,9 @@ SQ5 = math.sqrt(5.0)
 SQ10 = math.sqrt(10.0)
 SQ13 = math.sqrt(13.0)
 
+UNITARY_TOL = 1e-14
+CIRCLE_MODULUS_TOL = 1e-10
+
 # (lambda, alpha, gamma, delta) of the unique proper-biharmonic flat solution at c = 1
 COROLLARY_TUPLE = (-1.0 / SQ5, 3.0 * SQ3 / SQ10, -SQ3 / SQ10, SQ2)
 
@@ -105,11 +108,11 @@ class CircleProduct:
             raise ValueError(f"circle radii must satisfy sum r^2 = 1, got {total!r}")
 
 
-def validate_unitary(basis: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+def validate_unitary(basis: np.ndarray) -> np.ndarray:
     basis = np.asarray(basis, dtype=complex)
     gram = basis @ basis.conj().T
     dev = float(np.max(np.abs(gram - np.eye(basis.shape[0]))))
-    if dev > tol:
+    if dev > UNITARY_TOL:
         raise ValueError(f"basis rows are not Hermitian-orthonormal (|Gram - I| = {dev:.3e})")
     return basis
 
@@ -479,7 +482,6 @@ def circle_decomposition(
     F: ParametricImmersion,
     pts: np.ndarray | None = None,
     per_axis: int = 5,
-    tol: float = 1e-10,
     basis=None,
     jet: Jet | None = None,
 ) -> CircleProduct:
@@ -504,7 +506,7 @@ def circle_decomposition(
     z = (xval[:, :half] + 1j * xval[:, half:]) @ basis.conj().T
     moduli = np.abs(z)
     spread = np.max(moduli, axis=0) - np.min(moduli, axis=0)
-    if np.max(spread) > tol:
+    if np.max(spread) > CIRCLE_MODULUS_TOL:
         raise ValueError(
             f"complex coordinate modulus is not constant (spread {float(np.max(spread)):.3e}); "
             "not a torus of circle-product form in this basis"

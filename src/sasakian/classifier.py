@@ -1,9 +1,11 @@
 """Solvers for the flat and curve-times-sphere classification systems.
 
 The four-equation flat system in (lam, alpha, gamma, delta) is reduced by the
-substitution alpha = omega * gamma to a univariate polynomial in omega of
-degree at most six, whose real roots are isolated deterministically
-(sign-change bisection on a bracketing grid, Newton polish).  The sub-family
+substitution alpha = omega * gamma to a univariate polynomial p in omega of
+degree at most six.  One deterministic pass isolates its real roots: sign
+changes on a 4096-point grid over the Cauchy bound, bisection, modified-Newton
+polish; roots of p' where p nearly vanishes without a sign change (the double
+root omega = 2) are reported as unresolved near-roots.  The sub-family
 alpha = -gamma, where that substitution degenerates, is solved in closed form.
 Every candidate is filtered through the admissibility constraints and
 re-validated against the expanded scalar system; rejected roots keep the
@@ -28,6 +30,7 @@ CONSTRAINT_TOL = 1e-12
 # candidates this close to a degenerate locus are boundary artifacts, not solutions
 MULTIPLE_ROOT_TOL = 1e-4
 CASE_II_LOWER = (-7.0 + 8.0 * math.sqrt(3.0)) / 13.0
+SWEEP_STARTS = 10000
 
 
 @dataclass(frozen=True)
@@ -96,14 +99,45 @@ class RootIsolationError(RuntimeError):
 # deterministic real-root isolation for low-degree polynomials
 # ----------------------------------------------------------------------
 
-def isolate_real_roots(coeffs, grid_size: int = 4096, width: float = 1e-14):
-    """All real roots of a low-degree polynomial, plus unresolved near-roots.
+def _modified_newton(x, c):
+    """Newton on p/p' from x, which converges quadratically even at multiple roots."""
+    dc = npp.polyder(c)
+    ddc = npp.polyder(dc)
+    for _ in range(80):
+        fx = npp.polyval(x, c)
+        dfx = npp.polyval(x, dc)
+        denom = dfx * dfx - fx * npp.polyval(x, ddc)
+        if denom == 0.0:
+            break
+        step = fx * dfx / denom
+        if not np.isfinite(step):
+            break
+        x -= step
+        if abs(step) < 1e-16 * max(1.0, abs(x)):
+            break
+    return x
 
-    Sign-change bisection on a bracketing grid over the Cauchy bound, then
-    Newton polish.  Stationary points where the polynomial nearly vanishes
-    but no sign change exists (even-multiplicity candidates) are returned
-    separately so the caller can report rather than drop them.
-    """
+
+def _bisect(c, lo, hi):
+    """Midpoint of a sign-change bracket of c, shrunk to relative width 1e-14."""
+    flo = npp.polyval(lo, c)
+    for _ in range(200):
+        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
+            break
+        mid = 0.5 * (lo + hi)
+        fmid = npp.polyval(mid, c)
+        if fmid == 0.0:
+            lo = hi = mid
+            break
+        if (flo < 0) != (fmid < 0):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def _sign_change_roots(coeffs, grid_size: int):
+    """Sorted roots of p from sign changes on a Cauchy-bound grid, and p scaled and trimmed."""
     c = np.asarray(coeffs, dtype=float)
     scale = float(np.max(np.abs(c))) if c.size else 0.0
     if scale == 0.0:
@@ -111,74 +145,48 @@ def isolate_real_roots(coeffs, grid_size: int = 4096, width: float = 1e-14):
     c = c / scale
     while c.size > 1 and abs(c[-1]) < 1e-13:
         c = c[:-1]
-    deg = c.size - 1
-    if deg == 0:
-        return [], []
+    if c.size == 1:
+        return [], c
 
-    bound = 1.0 + float(np.max(np.abs(c[:-1] / c[-1]))) if deg >= 1 else 1.0
+    bound = 1.0 + float(np.max(np.abs(c[:-1] / c[-1])))
     xs = np.linspace(-bound, bound, grid_size)
     vals = npp.polyval(xs, c)
-    dc = npp.polyder(c)
-    ddc = npp.polyder(dc)
-
-    def modified_newton(x):
-        # Newton on p/p' converges quadratically even at multiple roots
-        for _ in range(80):
-            fx = npp.polyval(x, c)
-            dfx = npp.polyval(x, dc)
-            denom = dfx * dfx - fx * npp.polyval(x, ddc)
-            if denom == 0.0:
-                break
-            step = fx * dfx / denom
-            if not np.isfinite(step):
-                break
-            x -= step
-            if abs(step) < 1e-16 * max(1.0, abs(x)):
-                break
-        return x
-
-    def polish(lo, hi):
-        flo = npp.polyval(lo, c)
-        for _ in range(200):
-            if hi - lo <= width * max(1.0, abs(lo), abs(hi)):
-                break
-            mid = 0.5 * (lo + hi)
-            fmid = npp.polyval(mid, c)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if (flo < 0) != (fmid < 0):
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        return modified_newton(0.5 * (lo + hi))
-
+    a, b = vals[:-1], vals[1:]
     roots = []
-    for i in range(grid_size - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(modified_newton(xs[i])))
-        elif (a < 0) != (b < 0) and b != 0.0:
-            roots.append(float(polish(xs[i], xs[i + 1])))
+    # a grid point on a root, or a sign change into a nonzero value
+    for i in np.flatnonzero((a == 0.0) | (((a < 0) != (b < 0)) & (b != 0.0))):
+        x = xs[i] if a[i] == 0.0 else _bisect(c, xs[i], xs[i + 1])
+        roots.append(float(_modified_newton(x, c)))
     if vals[-1] == 0.0:
-        roots.append(float(modified_newton(xs[-1])))
+        roots.append(float(_modified_newton(xs[-1], c)))
 
-    roots = sorted(roots)
     deduped: list[float] = []
-    for r in roots:
+    for r in sorted(roots):
         if not deduped or abs(r - deduped[-1]) > 1e-6 * max(1.0, abs(r)):
             deduped.append(r)
+    return deduped, c
 
-    # even-multiplicity / unresolved candidates: near-zeros at stationary points
+
+def isolate_real_roots(coeffs):
+    """All real roots of a low-degree polynomial, plus unresolved near-roots.
+
+    Sign-change bisection on a bracketing grid over the Cauchy bound, then
+    modified-Newton polish.  Stationary points (roots of p') where p nearly
+    vanishes but no sign change exists (even-multiplicity candidates) are
+    returned separately so the caller can report rather than drop them.
+    """
+    roots, c = _sign_change_roots(coeffs, 4096)
+    deg = c.size - 1
     near = []
     if deg >= 2:
-        stat, _ = isolate_real_roots(dc, grid_size=grid_size // 2) if np.max(np.abs(dc)) > 0 else ([], [])
+        dc = npp.polyder(c)
+        stat = _sign_change_roots(dc, 2048)[0] if np.max(np.abs(dc)) > 0 else []
         for s in stat:
-            if any(abs(s - r) <= 1e-9 * max(1.0, abs(s)) for r in deduped):
+            if any(abs(s - r) <= 1e-9 * max(1.0, abs(s)) for r in roots):
                 continue
             if abs(npp.polyval(s, c)) < 1e-12 * max(1.0, abs(s)) ** deg:
                 near.append(float(s))
-    return deduped, near
+    return roots, near
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +306,15 @@ def _try_tuple(branch, w, b, k, c, mode):
     return sol, None
 
 
+def _neg_gamma_lam2_roots(b, k):
+    """Roots lam^2 of the quartic factor 3 L^2 - (2b + k) L + b^2 of equation 1 at omega = -1."""
+    disc = (2.0 * b + k) ** 2 - 12.0 * b * b
+    if disc >= 0.0:
+        root = math.sqrt(disc)
+        return [((2.0 * b + k) - root) / 6.0, ((2.0 * b + k) + root) / 6.0]
+    return []
+
+
 def _alpha_eq_neg_gamma_family(b, k, c, mode):
     """The alpha = -gamma sub-family (omega = -1), solved in closed form.
 
@@ -305,13 +322,8 @@ def _alpha_eq_neg_gamma_family(b, k, c, mode):
     equation 1 factors into the minimal locus and a quartic in lam^2.
     """
     accepted, rejected = [], []
-    disc = (2.0 * b + k) ** 2 - 12.0 * b * b
-    lam2_candidates = []
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        lam2_candidates = [((2.0 * b + k) - root) / 6.0, ((2.0 * b + k) + root) / 6.0]
     rejected.append(RejectedRoot(-1.0, "lambda^2 = (c+3)/12 root is the minimal locus, excluded"))
-    for lam2 in lam2_candidates:
+    for lam2 in _neg_gamma_lam2_roots(b, k):
         if lam2 <= 0.0:
             rejected.append(RejectedRoot(-1.0, f"quartic root lambda^2 = {lam2:.6g} nonpositive"))
             continue
@@ -424,11 +436,7 @@ def _canonicalize_sweep_row(row, b, k, c, mode):
     if branch == "delta_zero" and abs(w + 1.0) < 1e-3:
         # alpha = -gamma family: snap lambda^2 to the nearest closed-form root
         L = lam * lam
-        candidates = [b / 3.0]
-        disc = (2.0 * b + k) ** 2 - 12.0 * b * b
-        if disc >= 0.0:
-            root = math.sqrt(disc)
-            candidates += [((2.0 * b + k) - root) / 6.0, ((2.0 * b + k) + root) / 6.0]
+        candidates = [b / 3.0] + _neg_gamma_lam2_roots(b, k)
         near = min(candidates, key=lambda t: abs(t - L))
         if abs(near - L) > 1e-3 * max(1.0, b):
             return raw
@@ -442,19 +450,7 @@ def _canonicalize_sweep_row(row, b, k, c, mode):
         return SolutionTuple(lam_e, -gamma_e, gamma_e, 0.0, case="FlatI", c=c, mode=mode,
                              omega=-1.0, source="alpha_eq_neg_gamma", flags=tuple(boundary))
     poly = _branch_polynomial(branch, b, k)
-    dpoly = npp.polyder(poly)
-    ddpoly = npp.polyder(dpoly)
-    x = w
-    for _ in range(80):
-        fx = npp.polyval(x, poly)
-        dfx = npp.polyval(x, dpoly)
-        denom = dfx * dfx - fx * npp.polyval(x, ddpoly)
-        if denom == 0.0 or not np.isfinite(denom):
-            break
-        step = fx * dfx / denom
-        x -= step
-        if abs(step) < 1e-16 * max(1.0, abs(x)):
-            break
+    x = _modified_newton(w, poly)
     scale = float(np.max(np.abs(poly)))
     if abs(x - w) < 1e-2 * max(1.0, abs(w)) and abs(npp.polyval(x, poly)) < 1e-9 * scale:
         if x >= -1e-12 or abs(x + 1.0) < MULTIPLE_ROOT_TOL:
@@ -464,7 +460,7 @@ def _canonicalize_sweep_row(row, b, k, c, mode):
     return raw
 
 
-def _solve_flat_system(c_or_mode, fallback_sweep, sweep_starts, sweep_seed):
+def _solve_flat_system(c_or_mode, fallback_sweep, sweep_seed):
     b, k = _system_constants(c_or_mode)
     mode = "minus4" if isinstance(c_or_mode, str) else "biharmonic"
     c = 1.0 if mode == "minus4" else float(c_or_mode)
@@ -517,7 +513,7 @@ def _solve_flat_system(c_or_mode, fallback_sweep, sweep_starts, sweep_seed):
         )
 
     if fallback_sweep:
-        for row in _newton_sweep(b, k, c, mode, sweep_starts, sweep_seed):
+        for row in _newton_sweep(b, k, c, mode, SWEEP_STARTS, sweep_seed):
             cand = _canonicalize_sweep_row(row, b, k, c, mode)
             if cand is None:
                 continue
@@ -531,18 +527,18 @@ def _solve_flat_system(c_or_mode, fallback_sweep, sweep_starts, sweep_seed):
     return solutions, traces
 
 
-def solve_flat(c: float, fallback_sweep: bool = True, sweep_starts: int = 10000, sweep_seed: int = 0):
+def solve_flat(c: float, fallback_sweep: bool = True, sweep_seed: int = 0):
     """All admissible flat proper-biharmonic tuples at phi-sectional curvature c.
 
     Returns (solutions, reduction traces).  Empty for c <= -1/3, where the
     criterion eigenvalue is nonpositive and no non-minimal solution exists.
     """
-    return _solve_flat_system(float(c), fallback_sweep, sweep_starts, sweep_seed)
+    return _solve_flat_system(float(c), fallback_sweep, sweep_seed)
 
 
-def solve_minus4_flat(fallback_sweep: bool = True, sweep_starts: int = 10000, sweep_seed: int = 0):
+def solve_minus4_flat(fallback_sweep: bool = True, sweep_seed: int = 0):
     """All admissible flat (-4)-biharmonic tuples in the unit 7-sphere."""
-    return _solve_flat_system("minus4", fallback_sweep, sweep_starts, sweep_seed)
+    return _solve_flat_system("minus4", fallback_sweep, sweep_seed)
 
 
 def quartic_lambda_residual(lam2: float, c: float) -> float:

@@ -19,6 +19,7 @@ from .jets import Jet
 DEPENDENCE_TOL = 1e-8
 INDETERMINATE_TOL = 1e-6
 UNIT_SPEED_TOL = 1e-10
+MAX_ORDER = 4
 
 
 class FrenetError(ValueError):
@@ -44,15 +45,12 @@ class FrenetApparatus:
         return [float(np.mean(k)) for k in self.curvatures]
 
 
-def frenet(curve: ParametricImmersion, s_grid: np.ndarray, max_order: int = 4) -> FrenetApparatus:
+def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
     """Extract the Frenet frame and curvatures along an arc-length curve."""
     if curve.m != 1:
         raise ValueError("frenet expects a one-parameter immersion")
-    if not 1 <= max_order <= 4:
-        raise ValueError("max_order must be between 1 and 4")
     s = np.asarray(s_grid, dtype=float).reshape(-1, 1)
-    acc = max_order + 1
-    X = curve.jets(s, acc)
+    X = curve.jets(s, MAX_ORDER + 1)
 
     # covariant derivative ladder v_0 = T, v_{j+1} = v_j' + <T, v_j> Gamma
     T = X.deriv(0)
@@ -62,7 +60,7 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray, max_order: int = 4) -
             f"curve is not arc-length parametrized (| |G'| - 1 | up to {float(np.max(np.abs(speed - 1.0))):.3e})"
         )
     ladder = [T]
-    for _ in range(max_order):
+    for _ in range(MAX_ORDER):
         v = ladder[-1]
         a = v.acc - 1
         nxt = v.deriv(0) + _dotj(T.truncate(a), v.truncate(a)) * X.truncate(a)
@@ -97,7 +95,7 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray, max_order: int = 4) -
                 kappa = kappa / kprev
             curvatures.append(kappa)
     if order is None:
-        order = len(values) - 1  # ladder exhausted at max_order; treat as order max_order
+        order = len(values) - 1  # ladder exhausted at MAX_ORDER; treat as order MAX_ORDER
         frame_vals = frame_vals[:order]
         curvatures = curvatures[: order - 1]
 

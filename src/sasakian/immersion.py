@@ -23,7 +23,9 @@ from .ambient import complex_structure
 from .jets import Jet
 
 FLAT_CHART_TOL = 1e-9
-UNIT_NORM_TOL = 1e-12
+UNIT_NORM_TOL = 1e-13
+INTEGRAL_TOL = EIGEN_TOL = LATTICE_TOL = 1e-10
+C_PARALLEL_TOL = NORMAL_LAPLACIAN_TOL = BITENSION_TOL = 1e-8
 
 
 class ChartError(ValueError):
@@ -205,37 +207,28 @@ def sample_geometry(F: ParametricImmersion, pts: np.ndarray) -> GeometrySample:
     )
 
 
-def _unit_norm(xval: np.ndarray, tol: float) -> CheckResult:
-    res = float(np.max(np.abs(_dotv(xval, xval) - 1.0)))
-    return CheckResult("unit_norm", res, tol)
+def check_unit_norm(values: np.ndarray) -> CheckResult:
+    """Max of ||F|^2 - 1| over an (N, dim) array of values of F."""
+    res = float(np.max(np.abs(_dotv(values, values) - 1.0)))
+    return CheckResult("unit_norm", res, UNIT_NORM_TOL)
 
 
-def check_unit_norm(sample: GeometrySample, tol: float = UNIT_NORM_TOL) -> CheckResult:
-    """Max of ||F|^2 - 1| over the sample's points."""
-    return _unit_norm(sample.values, tol)
-
-
-def check_unit_norm_at(F: ParametricImmersion, pts: np.ndarray, tol: float = UNIT_NORM_TOL) -> CheckResult:
-    """``check_unit_norm`` where no sample exists: evaluates only the values of F."""
-    return _unit_norm(F.values(pts), tol)
-
-
-def check_integral(sample: GeometrySample, tol: float = 1e-10) -> CheckResult:
+def check_integral(sample: GeometrySample) -> CheckResult:
     """Max of |eta0(d_i F)| over the grid: zero iff F is an integral submanifold."""
     xi0 = -complex_structure(sample.values)
     res = 0.0
     for i in range(sample.immersion.m):
         res = max(res, float(np.max(np.abs(_dotv(sample.tangents[:, i], xi0)))))
-    return CheckResult("integral", res, tol)
+    return CheckResult("integral", res, INTEGRAL_TOL)
 
 
-def require_flat_chart(sample: GeometrySample, tol: float = FLAT_CHART_TOL) -> None:
+def require_flat_chart(sample: GeometrySample) -> None:
     F = sample.immersion
     dev = float(np.max(np.abs(sample.metric - np.eye(F.m))))
-    if dev > tol:
+    if dev > FLAT_CHART_TOL:
         raise ChartError(
             f"chart of '{F.name or 'immersion'}' is not flat-orthonormal "
-            f"(max |G - I| = {dev:.3e} > {tol:.1e}); covariant checks unsupported"
+            f"(max |G - I| = {dev:.3e} > {FLAT_CHART_TOL:.1e}); covariant checks unsupported"
         )
 
 
@@ -244,7 +237,7 @@ def _normal_project_values(W: np.ndarray, tangents: np.ndarray) -> np.ndarray:
     return W - np.einsum("nkd,nk->nd", tangents, np.einsum("nd,nkd->nk", W, tangents))
 
 
-def check_C_parallel(sample: GeometrySample, tol: float = 1e-8) -> CheckResult:
+def check_C_parallel(sample: GeometrySample) -> CheckResult:
     """Residual of (nabla^perp B)(X_i, X_j, X_k) = g(phi X_i, B(X_j, X_k)) xi.
 
     Also reports the total-symmetry spread of S(X,Y,Z) = g(phi X, B(Y,Z)) in
@@ -280,7 +273,7 @@ def check_C_parallel(sample: GeometrySample, tol: float = 1e-8) -> CheckResult:
             continue
         axes = (0,) + tuple(1 + p for p in perm)
         sym = max(sym, float(np.max(np.abs(S - np.transpose(S, axes)))))
-    out = CheckResult("c_parallel", res, tol)
+    out = CheckResult("c_parallel", res, C_PARALLEL_TOL)
     out.extra["total_symmetry"] = sym
     return out
 
@@ -308,12 +301,12 @@ def _rough_laplacian(sample: GeometrySample, V: Jet, normal: bool) -> np.ndarray
     return lap
 
 
-def check_normal_laplacian(sample: GeometrySample, tol: float = 1e-8) -> CheckResult:
+def check_normal_laplacian(sample: GeometrySample) -> CheckResult:
     """Residual of Delta^perp H = H (geometric sign, Delta = -sum nabla nabla)."""
     H = sample.tension_jet * (1.0 / sample.immersion.m)
     lap = _rough_laplacian(sample, H, normal=True)
     res = float(np.max(np.abs(lap - H.value)))
-    out = CheckResult("normal_laplacian", res, tol)
+    out = CheckResult("normal_laplacian", res, NORMAL_LAPLACIAN_TOL)
     hnorm = np.linalg.norm(H.value, axis=-1)
     out.extra["mean_curvature_norm"] = float(np.mean(hnorm))
     out.extra["mean_curvature_variance"] = float(np.var(hnorm))
@@ -342,16 +335,14 @@ def bitension(sample: GeometrySample, mode: str = "biharmonic") -> np.ndarray:
     return tau2
 
 
-def check_bitension(sample: GeometrySample, mode: str = "biharmonic", tol: float = 1e-8) -> CheckResult:
+def check_bitension(sample: GeometrySample, mode: str = "biharmonic") -> CheckResult:
     t2 = bitension(sample, mode)
     name = "bitension" if mode == "biharmonic" else "bitension_minus4"
-    return CheckResult(name, float(np.max(np.abs(t2))), tol)
+    return CheckResult(name, float(np.max(np.abs(t2))), BITENSION_TOL)
 
 
 def coordinate_laplacian_eigencheck(
-    sample: GeometrySample,
-    split_spec: dict[str, Sequence[int]],
-    tol: float = 1e-10,
+    sample: GeometrySample, split_spec: dict[str, Sequence[int]]
 ) -> dict[str, CheckResult]:
     """Verify Delta x_g = mu_g x_g per component group of complex coordinates.
 
@@ -372,7 +363,7 @@ def coordinate_laplacian_eigencheck(
         lg = lap[:, comp]
         mu = float(np.sum(lg * xg) / np.sum(xg * xg))
         res = float(np.max(np.abs(lg - mu * xg)))
-        r = CheckResult(f"laplacian_eigen_{name}", res, tol)
+        r = CheckResult(f"laplacian_eigen_{name}", res, EIGEN_TOL)
         r.extra["eigenvalue"] = mu
         out[name] = r
     return out
@@ -382,7 +373,6 @@ def lattice_check(
     F: ParametricImmersion,
     vectors: Sequence[Sequence[float]],
     pts: np.ndarray,
-    tol: float = 1e-10,
     base: np.ndarray | None = None,
 ) -> CheckResult:
     """Max of |F(p + a) - F(p)| over the grid and the given generators.
@@ -396,4 +386,4 @@ def lattice_check(
     for a in vectors:
         shifted = F.values(pts + np.asarray(a, dtype=float))
         res = max(res, float(np.max(np.abs(shifted - base))))
-    return CheckResult("lattice", res, tol)
+    return CheckResult("lattice", res, LATTICE_TOL)

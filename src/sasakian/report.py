@@ -209,7 +209,7 @@ def _trace_bah_check(report, geo, factor):
 
 def _integral_submanifold_checks(report, geo, want_h=None, mode="biharmonic", bah_factor=None):
     """The shared suite of the maximum-dimension integral examples."""
-    report.add(imm.check_unit_norm(geo, tol=1e-13))
+    report.add(imm.check_unit_norm(geo.values))
     report.add(imm.check_integral(geo))
     cp = imm.check_C_parallel(geo)
     report.add(cp)
@@ -225,7 +225,7 @@ def _flow_cylinder_checks(report, F, per_axis, want_h=None):
     """The shared opening of the Reeb-flow cylinder suites; returns the sample."""
     geo = imm.sample_geometry(F, F.grid(per_axis))
     base = slice(per_axis**2)  # the first t-slice of the grid
-    report.add(imm.check_unit_norm(geo, tol=1e-13))
+    report.add(imm.check_unit_norm(geo.values))
     # the cylinder direction is the Reeb flow: eta0(d_t y) = 1 exactly
     eta_t = np.sum(geo.tangents[base, 0] * (-complex_structure(geo.values[base])), axis=-1)
     report.add(imm.CheckResult("flow_direction", float(np.max(np.abs(eta_t - 1.0))), 1e-10))
@@ -243,13 +243,16 @@ def _legendre_curve_checks(report, F, per_axis):
     """The shared opening of the Legendre curve suites; returns (geo, Frenet apparatus)."""
     pts = _curve_grid(F, max(per_axis, 5))[:, None]
     geo = imm.sample_geometry(F, pts)
-    report.add(imm.check_unit_norm(geo, tol=1e-13))
+    report.add(imm.check_unit_norm(geo.values))
     report.add(imm.check_integral(geo))
     report.add(imm.check_bitension(geo))
     return geo, frenet(F, pts.ravel())
 
 
 def _decomposition_check(report, F, want_radii, per_axis, basis=None, label="decomposition", jet=None):
+    # ``jet`` is a jet of F on F.grid(per_axis); below 3 points per axis the
+    # decomposition samples a grid of its own
+    jet = jet if per_axis >= 3 else None
     try:
         dec = catalog.circle_decomposition(F, per_axis=max(per_axis, 3), basis=basis, jet=jet)
     except ValueError as ex:
@@ -312,9 +315,7 @@ def _s5_suite(report, per_axis, _param):
 def _cylinder_c1_suite(report, per_axis, _param):
     F = catalog.cylinder(catalog.corollary_immersion())
     geo = _flow_cylinder_checks(report, F, per_axis, want_h=0.5)
-    # below 3 points per axis the decomposition samples a grid of its own
-    jet = geo.jet if per_axis >= 3 else None
-    _decomposition_check(report, F, (1.0 / SQ2,) + (1.0 / math.sqrt(6.0),) * 3, per_axis, jet=jet)
+    _decomposition_check(report, F, (1.0 / SQ2,) + (1.0 / math.sqrt(6.0),) * 3, per_axis, jet=geo.jet)
     q4 = catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1
     tilde = catalog.precompose_linear(F, q4.T, name="cylinder-c1-circleform")
     lattice = imm.lattice_check(tilde, catalog.T4_CYLINDER_LATTICE_TILDE, tilde.grid(3)[:20])
@@ -369,8 +370,9 @@ def _minus4_suite(report, per_axis, index):
 
 def _cylinder_minus4_suite(report, per_axis, index):
     F = catalog.cylinder(catalog.minus4_immersion(index))
-    report.add(imm.check_unit_norm_at(F, F.grid(per_axis), tol=1e-13))
-    _decomposition_check(report, F, MINUS4_RADII[index - 1], per_axis)
+    jet = F.jets(F.grid(per_axis), 1)
+    report.add(imm.check_unit_norm(jet.value))
+    _decomposition_check(report, F, MINUS4_RADII[index - 1], per_axis, jet=jet)
 
 
 _SUITES = {

@@ -1,10 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
 from sasakian import classifier as cl
+from sasakian import report as rep
 from sasakian import shape_algebra as sa
 from sasakian.catalog import COROLLARY_TUPLE, MINUS4_TUPLES
 
@@ -279,3 +283,162 @@ def test_general_c_solutions_are_admissible():
         assert s.alpha >= s.delta >= 0
         assert s.alpha > 2 * s.gamma
         assert abs(s.lam**2 - b / 3.0) > 1e-9
+
+
+# ----------------------------------------------------------------------
+# root isolation against the recursive implementation it replaced
+# ----------------------------------------------------------------------
+
+def _reference_isolate_real_roots(coeffs, grid_size: int = 4096, width: float = 1e-14):
+    """The recursive isolation with a per-cell scan, kept verbatim as the reference."""
+    c = np.asarray(coeffs, dtype=float)
+    scale = float(np.max(np.abs(c))) if c.size else 0.0
+    if scale == 0.0:
+        raise cl.RootIsolationError("zero polynomial")
+    c = c / scale
+    while c.size > 1 and abs(c[-1]) < 1e-13:
+        c = c[:-1]
+    deg = c.size - 1
+    if deg == 0:
+        return [], []
+
+    bound = 1.0 + float(np.max(np.abs(c[:-1] / c[-1]))) if deg >= 1 else 1.0
+    xs = np.linspace(-bound, bound, grid_size)
+    vals = npp.polyval(xs, c)
+    dc = npp.polyder(c)
+    ddc = npp.polyder(dc)
+
+    def modified_newton(x):
+        # Newton on p/p' converges quadratically even at multiple roots
+        for _ in range(80):
+            fx = npp.polyval(x, c)
+            dfx = npp.polyval(x, dc)
+            denom = dfx * dfx - fx * npp.polyval(x, ddc)
+            if denom == 0.0:
+                break
+            step = fx * dfx / denom
+            if not np.isfinite(step):
+                break
+            x -= step
+            if abs(step) < 1e-16 * max(1.0, abs(x)):
+                break
+        return x
+
+    def polish(lo, hi):
+        flo = npp.polyval(lo, c)
+        for _ in range(200):
+            if hi - lo <= width * max(1.0, abs(lo), abs(hi)):
+                break
+            mid = 0.5 * (lo + hi)
+            fmid = npp.polyval(mid, c)
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if (flo < 0) != (fmid < 0):
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        return modified_newton(0.5 * (lo + hi))
+
+    roots = []
+    for i in range(grid_size - 1):
+        a, b = vals[i], vals[i + 1]
+        if a == 0.0:
+            roots.append(float(modified_newton(xs[i])))
+        elif (a < 0) != (b < 0) and b != 0.0:
+            roots.append(float(polish(xs[i], xs[i + 1])))
+    if vals[-1] == 0.0:
+        roots.append(float(modified_newton(xs[-1])))
+
+    roots = sorted(roots)
+    deduped: list[float] = []
+    for r in roots:
+        if not deduped or abs(r - deduped[-1]) > 1e-6 * max(1.0, abs(r)):
+            deduped.append(r)
+
+    # even-multiplicity / unresolved candidates: near-zeros at stationary points
+    near = []
+    if deg >= 2:
+        stat, _ = (
+            _reference_isolate_real_roots(dc, grid_size=grid_size // 2) if np.max(np.abs(dc)) > 0 else ([], [])
+        )
+        for s in stat:
+            if any(abs(s - r) <= 1e-9 * max(1.0, abs(s)) for r in deduped):
+                continue
+            if abs(npp.polyval(s, c)) < 1e-12 * max(1.0, abs(s)) ** deg:
+                near.append(float(s))
+    return deduped, near
+
+
+def _assert_isolation_matches_reference(poly):
+    try:
+        want = _reference_isolate_real_roots(poly)
+    except cl.RootIsolationError:
+        with pytest.raises(cl.RootIsolationError):
+            cl.isolate_real_roots(poly)
+        return
+    assert repr(cl.isolate_real_roots(poly)) == repr(want)
+
+
+# exact zeros and leading coefficients small enough to be trimmed
+_COEF = st.one_of(st.sampled_from([0.0, 1e-15, -1e-14]), st.floats(-1e3, 1e3))
+_ROOT = st.floats(-10.0, 10.0)
+_LEAD = st.sampled_from([1.0, -1.0, 0.01, 250.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(_COEF, min_size=2, max_size=7))
+@example(coeffs=[-17.0 / 256.0, 1.0])  # the root is grid point 2175, where p is exactly 0
+def test_isolation_matches_reference_on_random_coefficients(coeffs):
+    _assert_isolation_matches_reference(coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(simple=st.lists(_ROOT, max_size=4), double=_ROOT, lead=_LEAD)
+def test_isolation_matches_reference_with_a_double_root(simple, double, lead):
+    _assert_isolation_matches_reference(lead * npp.polyfromroots(simple + [double, double]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(low=st.floats(-1.0, 1.0), gap=st.floats(1e-4, 0.1), far=st.floats(-1000.0, -100.0), lead=_LEAD)
+@example(low=0.3, gap=0.01, far=-900.0, lead=1.0)
+def test_isolation_matches_reference_with_two_roots_in_one_cell(low, gap, far, lead):
+    _assert_isolation_matches_reference(lead * npp.polyfromroots([low, low + gap, far]))
+
+
+@pytest.mark.parametrize(
+    "c, sweep",
+    [
+        (-1.0 / 3.0, False),
+        (cl.CASE_II_LOWER, False),
+        (5.0 / 9.0, False),
+        (1.0, False),
+        (2.7, False),
+        ("minus4", False),
+        (1.0, True),
+    ],
+)
+def test_classification_report_is_identical_under_the_reference_isolation(c, sweep, monkeypatch):
+    def report_json():
+        if c == "minus4":
+            payload = rep.classification_report(mode="minus4", sweep=sweep)
+        else:
+            payload = rep.classification_report(c=c, sweep=sweep)
+        return json.dumps(payload, indent=2, sort_keys=True)
+
+    got = report_json()
+    monkeypatch.setattr(cl, "isolate_real_roots", _reference_isolate_real_roots)
+    assert report_json() == got
+
+
+def test_solve_flat_isolates_each_branch_polynomial_once(monkeypatch):
+    calls = []
+    original = cl.isolate_real_roots
+
+    def counting(coeffs):
+        calls.append(coeffs)
+        return original(coeffs)
+
+    monkeypatch.setattr(cl, "isolate_real_roots", counting)
+    cl.solve_flat(2.7, fallback_sweep=False)
+    assert len(calls) == 2

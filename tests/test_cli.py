@@ -258,6 +258,37 @@ def test_cli_bad_classify_input_exits_2(argv, capsys, monkeypatch):
     assert captured.err.strip().splitlines()[-1].startswith("sasakian: error: ")
 
 
+def test_cli_classify_sweep_from_negative_c_needs_no_equals_sign(tmp_path, capsys):
+    spaced, attached = tmp_path / "spaced.json", tmp_path / "attached.json"
+    assert main(["classify", "--c-sweep", "-1:1:0.5", "--no-sweep", "--format", "json", "--out", str(spaced)]) == 0
+    assert main(["classify", "--c-sweep=-1:1:0.5", "--no-sweep", "--format", "json", "--out", str(attached)]) == 0
+    assert spaced.read_text() == attached.read_text()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_classify_negative_exponent_c(capsys):
+    assert main(["classify", "--c", "-1e-3", "--no-sweep", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["c"] == -1e-3
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--c", "-inf"], "sasakian: error: --c must be finite, got -inf"),
+        (["classify", "--c", "--no-sweep"], "argument --c: expected one argument"),
+    ],
+)
+def test_cli_classify_option_like_value_exits_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].endswith(message)
+
+
 def test_sweep_point_cap_is_arithmetic():
     assert len(_parse_sweep("0:999:1")) == MAX_SWEEP_POINTS
     with pytest.raises(ValueError, match="1001 points"):

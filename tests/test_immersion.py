@@ -104,7 +104,7 @@ def test_bitension_nonzero_for_non_biharmonic_circle():
     ]
     F = catalog.trig_immersion(terms, m=1, n=3, name="off-circle")
     pts = np.linspace(0.0, 2 * math.pi, 6)[:, None]
-    assert imm.check_unit_norm_at(F, pts).passed
+    assert imm.check_unit_norm(F.values(pts)).passed
     assert np.max(np.abs(imm.bitension(imm.sample_geometry(F, pts)))) > 1e-2
 
 
@@ -152,13 +152,13 @@ def test_lattice_check_pass_and_fail(corollary, corollary_grid):
 
 
 def test_unit_norm_check(corollary, corollary_grid):
-    chk = imm.check_unit_norm_at(corollary, corollary_grid)
+    chk = imm.check_unit_norm(corollary.values(corollary_grid))
     assert chk.passed and chk.residual < 1e-13
 
 
 def test_sample_checks_equal_direct_evaluation(corollary, corollary_grid):
     geo = imm.sample_geometry(corollary, corollary_grid)
-    assert imm.check_unit_norm(geo) == imm.check_unit_norm_at(corollary, corollary_grid)
+    assert imm.check_unit_norm(geo.values) == imm.check_unit_norm(corollary.values(corollary_grid))
     pts = corollary_grid[:10]
     direct = imm.lattice_check(corollary, catalog.COROLLARY_LATTICE, pts)
     assert imm.lattice_check(corollary, catalog.COROLLARY_LATTICE, pts, base=geo.values[:10]) == direct
@@ -187,7 +187,7 @@ def test_totally_geodesic_legendre_sphere_has_zero_b():
     pts = np.stack(
         np.meshgrid(*[np.linspace(0.4, 1.2, 3)] * 3, indexing="ij"), axis=-1
     ).reshape(-1, 3)
-    assert imm.check_unit_norm_at(F, pts).passed
+    assert imm.check_unit_norm(F.values(pts)).passed
     assert imm.check_integral(imm.sample_geometry(F, pts)).passed
     geo = imm.sample_geometry(F, pts)
     assert np.max(np.abs(geo.second_fundamental)) < 1e-10
