@@ -1,23 +1,36 @@
 """Solvers for the flat and curve-times-sphere classification systems.
 
 The four-equation flat system in (lam, alpha, gamma, delta) is reduced by the
-substitution alpha = omega * gamma to a univariate polynomial p in omega of
-degree at most six.  One deterministic pass isolates its real roots: sign
-changes on a 4096-point grid over the Cauchy bound, bisection, modified-Newton
-polish; roots of p' where p nearly vanishes without a sign change (the double
-root omega = 2) are reported as unresolved near-roots.  The sub-family
-alpha = -gamma, where that substitution degenerates, is solved in closed form.
-Every candidate is filtered through the admissibility constraints and
-re-validated against the expanded scalar system; rejected roots keep the
-violated constraint as a tag.  A seeded multistart Newton sweep over the full
-four-variable system runs as a completeness net: anything it finds beyond the
-reduction branches is reported flagged "fallback", never silently merged.
+substitution alpha = omega * gamma to a polynomial p in omega of degree six on
+each branch, delta = 0 and delta > 0.  With b = (c+3)/4 and k the criterion
+eigenvalue, both factor exactly:
+
+    delta_zero: -(6b+k) (w-2)^2 (b w^2 + k w + 3b - k) (3b w^2 + 2(k-b) w + 3b - 2k)
+    delta_pos:  -(6b+k) (w-2)^2 (b w^2 + (2b+k) w + 3b) (2b w^2 + (2b+k) w + 2b)
+
+so the real roots are the double root omega = 2 and the roots of four
+quadratics.  Their discriminants are d2, 4 d1, d1 and d2 in that order, with
+d1 = k^2 + 4bk - 8b^2 and d2 = (k - 2b)(k + 6b).  The roots, and each tuple
+built from one, are computed from the exact value of the input c in 40-digit
+decimal arithmetic and rounded once to floats.  The sub-family alpha = -gamma
+(omega = -1), where the substitution degenerates, is solved in closed form;
+omega = -1 is a root of p exactly when k = 2b.  Every candidate is filtered
+through the admissibility constraints and re-validated against the expanded
+scalar system; rejected roots keep the violated constraint as a tag.
+
+The reduction is complete.  Equation 4 reads gamma (gamma - alpha) =
+b + lam^2 > 0, so gamma != 0.  gamma > 0 would need gamma > alpha, against
+admissibility (alpha > 2 gamma); so gamma < 0, omega = alpha / gamma exists,
+and alpha > 0 makes omega < 0.  The denominators (w-1), (w-2) and (w-3)
+cleared to form p therefore never vanish at an admissible solution, and every
+admissible solution is the closed-form family or a root of p on its branch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -26,11 +39,9 @@ from . import shape_algebra as sa
 
 FLAT_RESIDUAL_TOL = 1e-10
 CONSTRAINT_TOL = 1e-12
-# a root of multiplicity up to three is only locatable to ~(machine eps)^(1/3);
-# candidates this close to a degenerate locus are boundary artifacts, not solutions
-MULTIPLE_ROOT_TOL = 1e-4
 CASE_II_LOWER = (-7.0 + 8.0 * math.sqrt(3.0)) / 13.0
-SWEEP_STARTS = 10000
+_EXACT = Context(prec=40)
+BRANCHES = ("delta_zero", "delta_pos")
 
 
 @dataclass(frozen=True)
@@ -73,6 +84,8 @@ class RejectedRoot:
 class ReductionTrace:
     omega_branch: str
     polynomial: tuple[float, ...]
+    factors: tuple[tuple[float, float, float], ...] = ()
+    roots: tuple[tuple[float, int], ...] = ()
     accepted: tuple[float, ...] = ()
     rejected: tuple[RejectedRoot, ...] = ()
     notes: tuple[str, ...] = ()
@@ -91,106 +104,8 @@ class CaseIISolution:
     flags: tuple[str, ...] = ()
 
 
-class RootIsolationError(RuntimeError):
-    pass
-
-
 # ----------------------------------------------------------------------
-# deterministic real-root isolation for low-degree polynomials
-# ----------------------------------------------------------------------
-
-def _modified_newton(x, c):
-    """Newton on p/p' from x, which converges quadratically even at multiple roots."""
-    dc = npp.polyder(c)
-    ddc = npp.polyder(dc)
-    for _ in range(80):
-        fx = npp.polyval(x, c)
-        dfx = npp.polyval(x, dc)
-        denom = dfx * dfx - fx * npp.polyval(x, ddc)
-        if denom == 0.0:
-            break
-        step = fx * dfx / denom
-        if not np.isfinite(step):
-            break
-        x -= step
-        if abs(step) < 1e-16 * max(1.0, abs(x)):
-            break
-    return x
-
-
-def _bisect(c, lo, hi):
-    """Midpoint of a sign-change bracket of c, shrunk to relative width 1e-14."""
-    flo = npp.polyval(lo, c)
-    for _ in range(200):
-        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = npp.polyval(mid, c)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (flo < 0) != (fmid < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-def _sign_change_roots(coeffs, grid_size: int):
-    """Sorted roots of p from sign changes on a Cauchy-bound grid, and p scaled and trimmed."""
-    c = np.asarray(coeffs, dtype=float)
-    scale = float(np.max(np.abs(c))) if c.size else 0.0
-    if scale == 0.0:
-        raise RootIsolationError("zero polynomial")
-    c = c / scale
-    while c.size > 1 and abs(c[-1]) < 1e-13:
-        c = c[:-1]
-    if c.size == 1:
-        return [], c
-
-    bound = 1.0 + float(np.max(np.abs(c[:-1] / c[-1])))
-    xs = np.linspace(-bound, bound, grid_size)
-    vals = npp.polyval(xs, c)
-    a, b = vals[:-1], vals[1:]
-    roots = []
-    # a grid point on a root, or a sign change into a nonzero value
-    for i in np.flatnonzero((a == 0.0) | (((a < 0) != (b < 0)) & (b != 0.0))):
-        x = xs[i] if a[i] == 0.0 else _bisect(c, xs[i], xs[i + 1])
-        roots.append(float(_modified_newton(x, c)))
-    if vals[-1] == 0.0:
-        roots.append(float(_modified_newton(xs[-1], c)))
-
-    deduped: list[float] = []
-    for r in sorted(roots):
-        if not deduped or abs(r - deduped[-1]) > 1e-6 * max(1.0, abs(r)):
-            deduped.append(r)
-    return deduped, c
-
-
-def isolate_real_roots(coeffs):
-    """All real roots of a low-degree polynomial, plus unresolved near-roots.
-
-    Sign-change bisection on a bracketing grid over the Cauchy bound, then
-    modified-Newton polish.  Stationary points (roots of p') where p nearly
-    vanishes but no sign change exists (even-multiplicity candidates) are
-    returned separately so the caller can report rather than drop them.
-    """
-    roots, c = _sign_change_roots(coeffs, 4096)
-    deg = c.size - 1
-    near = []
-    if deg >= 2:
-        dc = npp.polyder(c)
-        stat = _sign_change_roots(dc, 2048)[0] if np.max(np.abs(dc)) > 0 else []
-        for s in stat:
-            if any(abs(s - r) <= 1e-9 * max(1.0, abs(s)) for r in roots):
-                continue
-            if abs(npp.polyval(s, c)) < 1e-12 * max(1.0, abs(s)) ** deg:
-                near.append(float(s))
-    return roots, near
-
-
-# ----------------------------------------------------------------------
-# omega-substitution reductions of the flat system
+# the branch polynomials and their exact factorisation
 # ----------------------------------------------------------------------
 
 def _system_constants(c_or_mode):
@@ -203,15 +118,24 @@ def _system_constants(c_or_mode):
     return (c + 3.0) / 4.0, sa.biharmonic_eigenvalue(c)
 
 
-def flat_system_residual(lam, alpha, gamma, delta, b, k) -> np.ndarray:
-    """The four flat-case equations (first one already cleared of 1/lam^3)."""
-    L = lam * lam
-    s = (alpha + gamma) ** 2 + delta**2
-    eq1 = (3.0 * L - b) * (3.0 * L * L - (2.0 * b + k) * L + b * b) + L * L * s
-    eq2 = (alpha + gamma) * (5.0 * L + alpha**2 + gamma**2 - (b + k)) + gamma * delta**2
-    eq3 = delta * (5.0 * L + delta**2 + 3.0 * gamma**2 + alpha * gamma - (b + k))
-    eq4 = b + L + alpha * gamma - gamma**2
-    return np.array([eq1, eq2, eq3, eq4])
+def _exact_system(c_or_mode):
+    """(b, k, d1, d2) in 40-digit decimals, with d1 = k^2 + 4bk - 8b^2 and d2 = (k - 2b)(k + 6b).
+
+    A float c is an exact binary fraction, so these are exact to 40 digits,
+    more than the at most 17 that cancellation costs where a factor
+    coefficient such as 3b - k = (7 - 3c)/4 nearly vanishes.  In biharmonic
+    mode k = (3c+1)/2, so k - 2b = c - 1 and d1 = (13c^2 + 14c - 11)/4.  d1 is
+    set to 0 at c = CASE_II_LOWER, the float that stands for its root
+    (-7 + 8 sqrt 3)/13.
+    """
+    with localcontext(_EXACT):
+        if c_or_mode == "minus4":
+            b, k = Decimal(1), Decimal(sa.MINUS4_EIGENVALUE)
+        else:
+            c = Decimal(float(c_or_mode))
+            b, k = (c + 3) / 4, (3 * c + 1) / 2
+        d1 = Decimal(0) if c_or_mode == CASE_II_LOWER else k * k + 4 * b * k - 8 * b * b
+        return b, k, d1, (k - 2 * b) * (k + 6 * b)
 
 
 def _branch_polynomial(branch: str, b: float, k: float) -> np.ndarray:
@@ -235,19 +159,55 @@ def _branch_polynomial(branch: str, b: float, k: float) -> np.ndarray:
     return npp.polyadd(main, extra)
 
 
-def _branch_squares(branch: str, w: float, b: float, k: float):
-    """(lam^2, gamma^2, delta^2) of the closed-form reduction at omega = w."""
-    m = 6.0 * b + k
+def _branch_factors(branch: str, b, k):
+    """Ascending coefficients of the two quadratic factors of a branch polynomial."""
     if branch == "delta_zero":
-        D = (w - 2.0) * (w - 3.0)
-        gam2 = m / D
-        lam2 = m * (1.0 - w) / D - b
-        del2 = 0.0
-    else:
-        gam2 = m * w / ((w - 1.0) ** 2 * (w - 2.0))
-        lam2 = -m * w / ((w - 1.0) * (w - 2.0)) - b
-        del2 = m * (w + 1.0) ** 2 / (w - 1.0) ** 2
-    return lam2, gam2, del2
+        return (3 * b - k, k, b), (3 * b - 2 * k, 2 * (k - b), 3 * b)
+    if branch == "delta_pos":
+        return (3 * b, 2 * b + k, b), (2 * b, 2 * b + k, 2 * b)
+    raise ValueError(f"unknown branch {branch!r}")
+
+
+def _quadratic_roots(coeffs, disc):
+    """Real roots, with multiplicity, of the decimal c0 + c1 x + c2 x^2 (c2 != 0) of discriminant disc."""
+    c0, c1, c2 = coeffs
+    if disc < 0:
+        return []
+    if disc == 0:
+        return [(-c1 / (2 * c2), 2)]
+    q = -(c1 + disc.sqrt().copy_sign(c1)) / 2
+    return [(q / c2, 1), (c0 / q, 1)]
+
+
+def isolate_real_roots(branch: str, system):
+    """The distinct real roots of a branch polynomial, ascending, as (omega, multiplicity).
+
+    ``system`` is ``_exact_system(c_or_mode)``, and each omega is a 40-digit
+    decimal.  The roots are the double root omega = 2 and those of the two
+    quadratic factors, whose discriminants are d2 and 4 d1 on delta_zero and
+    d1 and d2 on delta_pos.
+    """
+    b, k, d1, d2 = system
+    found = {Decimal(2): 2}
+    with localcontext(_EXACT):
+        discs = (d2, 4 * d1) if branch == "delta_zero" else (d1, d2)
+        for coeffs, disc in zip(_branch_factors(branch, b, k), discs):
+            for w, mult in _quadratic_roots(coeffs, disc):
+                found[w] = found.get(w, 0) + mult
+    return tuple(sorted(found.items()))
+
+
+# ----------------------------------------------------------------------
+# candidates of the reduction and their validation
+# ----------------------------------------------------------------------
+
+def _branch_squares(branch: str, w, b, k):
+    """(lam^2, gamma^2, delta^2) of the closed-form reduction at omega = w."""
+    m = 6 * b + k
+    if branch == "delta_zero":
+        D = (w - 2) * (w - 3)
+        return m * (1 - w) / D - b, m / D, 0
+    return -m * w / ((w - 1) * (w - 2)) - b, m * w / ((w - 1) ** 2 * (w - 2)), m * (w + 1) ** 2 / (w - 1) ** 2
 
 
 def _admissibility(lam, alpha, gamma, delta, b):
@@ -278,60 +238,54 @@ def _admissibility(lam, alpha, gamma, delta, b):
     return bad, boundary
 
 
-def _try_tuple(branch, w, b, k, c, mode):
-    """Build and validate the tuple at omega = w; returns (solution, reason)."""
-    lam2, gam2, del2 = _branch_squares(branch, w, b, k)
-    if not np.isfinite(lam2) or not np.isfinite(gam2):
-        return None, "reduction denominators vanish"
-    if gam2 <= 0.0:
-        return None, "gamma^2 nonpositive in the reduction"
-    if lam2 <= 0.0:
-        return None, "lambda^2 nonpositive in the reduction"
-    if branch == "delta_pos" and del2 <= CONSTRAINT_TOL:
-        return None, "delta not positive"
-    lam = -math.sqrt(lam2)
-    gamma = -math.sqrt(gam2)
-    alpha = w * gamma
-    delta = math.sqrt(del2) if branch == "delta_pos" else 0.0
-    bad, boundary = _admissibility(lam, alpha, gamma, delta, b)
+def _try_tuple(branch, w, system, c, mode):
+    """Build and validate the tuple at the decimal root omega = w < 0; returns (solution, reason).
+
+    Each entry is its 40-digit value rounded once to a float.  The reduction's
+    denominators (w-1), (w-2) and (w-3) do not vanish for w < 0.
+    """
+    b, k, _, _ = system
+    with localcontext(_EXACT):
+        lam2, gam2, del2 = _branch_squares(branch, w, b, k)
+        if gam2 <= 0:
+            return None, "gamma^2 nonpositive in the reduction"
+        if lam2 <= 0:
+            return None, "lambda^2 nonpositive in the reduction"
+        if branch == "delta_pos" and del2 <= CONSTRAINT_TOL:
+            return None, "delta not positive"
+        gamma = -gam2.sqrt()
+        lam, alpha, gamma = float(-lam2.sqrt()), float(w * gamma), float(gamma)
+        delta = float(del2.sqrt()) if branch == "delta_pos" else 0.0
+    bad, boundary = _admissibility(lam, alpha, gamma, delta, float(b))
     if bad:
         return None, bad[0]
     sol = SolutionTuple(
-        lam, alpha, gamma, delta, case="FlatI", c=c, mode=mode, omega=w,
+        lam, alpha, gamma, delta, case="FlatI", c=c, mode=mode, omega=float(w),
         source="omega_reduction", flags=tuple(boundary),
     )
     res = sol.system_residual()
-    if res > FLAT_RESIDUAL_TOL:
+    if not res <= FLAT_RESIDUAL_TOL:  # also rejects a residual that overflowed to nan
         return None, f"re-substitution residual {res:.2e} exceeds {FLAT_RESIDUAL_TOL:g}"
     return sol, None
 
 
-def _neg_gamma_lam2_roots(b, k):
-    """Roots lam^2 of the quartic factor 3 L^2 - (2b + k) L + b^2 of equation 1 at omega = -1."""
-    disc = (2.0 * b + k) ** 2 - 12.0 * b * b
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        return [((2.0 * b + k) - root) / 6.0, ((2.0 * b + k) + root) / 6.0]
-    return []
-
-
-def _alpha_eq_neg_gamma_family(b, k, c, mode):
+def _alpha_eq_neg_gamma_family(system, c, mode):
     """The alpha = -gamma sub-family (omega = -1), solved in closed form.
 
     Equation 2 is automatic there; equation 4 pins gamma^2 = (b + lam^2)/2 and
-    equation 1 factors into the minimal locus and a quartic in lam^2.
+    equation 1 factors into the minimal locus and the quadratic
+    3 L^2 - (2b + k) L + b^2 in L = lam^2, whose discriminant is d1.
     """
+    b, k, d1, _ = system
     accepted, rejected = [], []
     rejected.append(RejectedRoot(-1.0, "lambda^2 = (c+3)/12 root is the minimal locus, excluded"))
-    for lam2 in _neg_gamma_lam2_roots(b, k):
-        if lam2 <= 0.0:
-            rejected.append(RejectedRoot(-1.0, f"quartic root lambda^2 = {lam2:.6g} nonpositive"))
-            continue
-        gam2 = (b + lam2) / 2.0
-        lam = -math.sqrt(lam2)
-        gamma = -math.sqrt(gam2)
+    # both roots are positive: their sum (2b + k)/3 and product b^2/3 are
+    with localcontext(_EXACT):
+        roots = sorted(L for L, _ in _quadratic_roots((b * b, -(2 * b + k), 3), d1))
+        entries = [(float(L), float(-L.sqrt()), float(-((b + L) / 2).sqrt())) for L in roots]
+    for lam2, lam, gamma in entries:
         alpha = -gamma
-        bad, boundary = _admissibility(lam, alpha, gamma, 0.0, b)
+        bad, boundary = _admissibility(lam, alpha, gamma, 0.0, float(b))
         if bad:
             rejected.append(RejectedRoot(-1.0, f"alpha=-gamma root lambda^2 = {lam2:.6g}: {bad[0]}"))
             continue
@@ -340,205 +294,76 @@ def _alpha_eq_neg_gamma_family(b, k, c, mode):
             source="alpha_eq_neg_gamma", flags=tuple(boundary),
         )
         res = sol.system_residual()
-        if res > FLAT_RESIDUAL_TOL:
+        if not res <= FLAT_RESIDUAL_TOL:
             rejected.append(RejectedRoot(-1.0, f"re-substitution residual {res:.2e}"))
             continue
         accepted.append(sol)
     return accepted, rejected
 
 
-def _newton_sweep(b, k, c, mode, starts: int, seed: int):
-    """Multistart Newton on the full four-variable flat system (completeness net)."""
-    rng = np.random.default_rng(seed)
-    sb = math.sqrt(b)
-    x = np.empty((starts, 4))
-    x[:, 0] = rng.uniform(-sb + 1e-6, -1e-6, starts)          # lam
-    x[:, 1] = rng.uniform(1e-6, 3.0 * sb, starts)             # alpha
-    x[:, 2] = rng.uniform(-3.0 * sb, -1e-6, starts)           # gamma
-    x[:, 3] = rng.uniform(0.0, 3.0 * sb, starts)              # delta
-    alive = np.ones(starts, dtype=bool)
-
-    def residual(v):
-        return flat_system_residual(v[:, 0], v[:, 1], v[:, 2], v[:, 3], b, k).T
-
-    def jacobian(v):
-        lam, al, ga, de = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
-        L = lam * lam
-        s = (al + ga) ** 2 + de**2
-        J = np.zeros((v.shape[0], 4, 4))
-        J[:, 0, 0] = 2 * lam * (
-            3 * (3 * L * L - (2 * b + k) * L + b * b)
-            + (3 * L - b) * (6 * L - (2 * b + k))
-            + 2 * L * s
-        )
-        J[:, 0, 1] = 2 * L * L * (al + ga)
-        J[:, 0, 2] = 2 * L * L * (al + ga)
-        J[:, 0, 3] = 2 * L * L * de
-        J[:, 1, 0] = 10 * lam * (al + ga)
-        J[:, 1, 1] = (5 * L + al**2 + ga**2 - (b + k)) + 2 * al * (al + ga)
-        J[:, 1, 2] = (5 * L + al**2 + ga**2 - (b + k)) + 2 * ga * (al + ga) + de**2
-        J[:, 1, 3] = 2 * ga * de
-        J[:, 2, 0] = 10 * lam * de
-        J[:, 2, 1] = de * ga
-        J[:, 2, 2] = de * (6 * ga + al)
-        J[:, 2, 3] = (5 * L + de**2 + 3 * ga**2 + al * ga - (b + k)) + 2 * de**2
-        J[:, 3, 0] = 2 * lam
-        J[:, 3, 1] = ga
-        J[:, 3, 2] = al - 2 * ga
-        J[:, 3, 3] = 0.0
-        return J
-
-    for _ in range(60):
-        if not np.any(alive):
-            break
-        v = x[alive]
-        f = residual(v)
-        J = jacobian(v)
-        det = np.linalg.det(J)
-        ok = (np.abs(det) > 1e-14) & np.all(np.isfinite(f), axis=1)
-        step = np.zeros_like(v)
-        if np.any(ok):
-            step[ok] = np.linalg.solve(J[ok], f[ok][..., None])[..., 0]
-        v = v - step
-        idx = np.flatnonzero(alive)
-        x[idx] = v
-        dead = ~ok | ~np.all(np.isfinite(v), axis=1) | (np.max(np.abs(v), axis=1) > 1e6)
-        alive[idx[dead]] = False
-
-    rows = []
-    fin = x[alive & np.all(np.isfinite(x), axis=1)]
-    if fin.size:
-        fin[:, 3] = np.abs(fin[:, 3])  # the system is even in delta; normalize its sign
-        res = np.linalg.norm(residual(fin), axis=1)
-        fin = fin[res < FLAT_RESIDUAL_TOL]
-        for row in fin:
-            if any(np.max(np.abs(row - r)) < 1e-5 for r in rows):
-                continue
-            rows.append(row.astype(float))
-    return rows
-
-
-def _canonicalize_sweep_row(row, b, k, c, mode):
-    """Identify a sweep candidate with its omega-reduction representative.
-
-    Returns the rebuilt exact SolutionTuple, None when the candidate sits on a
-    root the reduction already rejected (e.g. the excluded minimal locus), or
-    a raw 'fallback' tuple when the candidate lies outside the alpha = omega
-    gamma parametrization entirely.
-    """
-    lam, al, ga, de = (float(t) for t in row)
-    raw = SolutionTuple(lam, al, ga, de, case="FlatI", c=c, mode=mode, source="fallback")
-    if ga >= -1e-9:
-        bad, boundary = _admissibility(lam, al, ga, de, b)
-        return None if bad else replace(raw, flags=tuple(boundary))
-    w = al / ga
-    branch = "delta_pos" if de > 1e-6 else "delta_zero"
-    if branch == "delta_zero" and abs(w + 1.0) < 1e-3:
-        # alpha = -gamma family: snap lambda^2 to the nearest closed-form root
-        L = lam * lam
-        candidates = [b / 3.0] + _neg_gamma_lam2_roots(b, k)
-        near = min(candidates, key=lambda t: abs(t - L))
-        if abs(near - L) > 1e-3 * max(1.0, b):
-            return raw
-        if abs(near - b / 3.0) <= CONSTRAINT_TOL * max(1.0, b):
-            return None  # excluded minimal locus
-        lam_e = -math.sqrt(near)
-        gamma_e = -math.sqrt((b + near) / 2.0)
-        bad, boundary = _admissibility(lam_e, -gamma_e, gamma_e, 0.0, b)
-        if bad:
-            return None
-        return SolutionTuple(lam_e, -gamma_e, gamma_e, 0.0, case="FlatI", c=c, mode=mode,
-                             omega=-1.0, source="alpha_eq_neg_gamma", flags=tuple(boundary))
-    poly = _branch_polynomial(branch, b, k)
-    x = _modified_newton(w, poly)
-    scale = float(np.max(np.abs(poly)))
-    if abs(x - w) < 1e-2 * max(1.0, abs(w)) and abs(npp.polyval(x, poly)) < 1e-9 * scale:
-        if x >= -1e-12 or abs(x + 1.0) < MULTIPLE_ROOT_TOL:
-            return None
-        sol, _reason = _try_tuple(branch, x, b, k, c, mode)
-        return sol  # None when the reduction rejected this root
-    return raw
-
-
-def _solve_flat_system(c_or_mode, fallback_sweep, sweep_seed):
+def _solve_flat_system(c_or_mode):
     b, k = _system_constants(c_or_mode)
     mode = "minus4" if isinstance(c_or_mode, str) else "biharmonic"
     c = 1.0 if mode == "minus4" else float(c_or_mode)
     if k <= 0.0:
         return [], []
 
-    solutions: list[SolutionTuple] = []
+    system = _exact_system(c_or_mode)
+    solutions, fam_rejected = _alpha_eq_neg_gamma_family(system, c, mode)
     traces: list[ReductionTrace] = []
-
-    fam_accepted, fam_rejected = _alpha_eq_neg_gamma_family(b, k, c, mode)
-    solutions.extend(fam_accepted)
-
-    for branch in ("delta_zero", "delta_pos"):
-        poly = _branch_polynomial(branch, b, k)
-        roots, near = isolate_real_roots(poly)
+    for branch in BRANCHES:
+        roots = isolate_real_roots(branch, system)
         accepted, rejected = [], []
         notes = []
         if branch == "delta_zero":
             rejected.extend(fam_rejected)
-            accepted.extend(s.omega for s in fam_accepted)
+            accepted.extend(s.omega for s in solutions)
             notes.append("omega = -1 family solved in closed form (substitution divides by alpha + gamma)")
-        for w in roots:
-            if w >= -1e-12:
-                rejected.append(RejectedRoot(w, "omega must be negative"))
+        for w, _ in roots:
+            if w >= 0:
+                rejected.append(RejectedRoot(float(w), "omega must be negative"))
                 continue
-            if abs(w + 1.0) < MULTIPLE_ROOT_TOL:
-                # omega = -1 is a root of multiplicity three exactly when the
-                # closed-form family applies; it cannot be located more sharply
+            if w == -1 and system[3] == 0:
+                # d2 = 0, so k = 2b (c = 1): omega = -1 is a root of every factor; the family covers it
                 if branch == "delta_zero":
-                    rejected.append(RejectedRoot(w, "omega = -1 excluded from the rational reduction"))
+                    rejected.append(RejectedRoot(-1.0, "omega = -1 excluded from the rational reduction"))
                 else:
-                    rejected.append(RejectedRoot(w, "delta not positive at omega = -1"))
+                    rejected.append(RejectedRoot(-1.0, "delta not positive at omega = -1"))
                 continue
-            sol, reason = _try_tuple(branch, w, b, k, c, mode)
+            sol, reason = _try_tuple(branch, w, system, c, mode)
             if sol is None:
-                rejected.append(RejectedRoot(w, reason))
+                rejected.append(RejectedRoot(float(w), reason))
             else:
                 solutions.append(sol)
-                accepted.append(w)
-        for w in near:
-            rejected.append(RejectedRoot(w, "unresolved near-root (no sign change); reported, not accepted"))
+                accepted.append(sol.omega)
         traces.append(
             ReductionTrace(
                 omega_branch=branch,
-                polynomial=tuple(float(x) for x in poly),
+                polynomial=tuple(float(x) for x in _branch_polynomial(branch, b, k)),
+                factors=_branch_factors(branch, b, k),
+                roots=tuple((float(w), mult) for w, mult in roots),
                 accepted=tuple(accepted),
                 rejected=tuple(rejected),
                 notes=tuple(notes),
             )
         )
 
-    if fallback_sweep:
-        for row in _newton_sweep(b, k, c, mode, SWEEP_STARTS, sweep_seed):
-            cand = _canonicalize_sweep_row(row, b, k, c, mode)
-            if cand is None:
-                continue
-            if any(np.max(np.abs(cand.as_array() - s.as_array())) < 1e-7 for s in solutions):
-                continue
-            if cand.source == "fallback" and cand.system_residual() > FLAT_RESIDUAL_TOL:
-                continue
-            solutions.append(cand)
-
     solutions.sort(key=lambda s: (s.case, s.lam, s.alpha))
     return solutions, traces
 
 
-def solve_flat(c: float, fallback_sweep: bool = True, sweep_seed: int = 0):
+def solve_flat(c: float):
     """All admissible flat proper-biharmonic tuples at phi-sectional curvature c.
 
     Returns (solutions, reduction traces).  Empty for c <= -1/3, where the
     criterion eigenvalue is nonpositive and no non-minimal solution exists.
     """
-    return _solve_flat_system(float(c), fallback_sweep, sweep_seed)
+    return _solve_flat_system(float(c))
 
 
-def solve_minus4_flat(fallback_sweep: bool = True, sweep_seed: int = 0):
+def solve_minus4_flat():
     """All admissible flat (-4)-biharmonic tuples in the unit 7-sphere."""
-    return _solve_flat_system("minus4", fallback_sweep, sweep_seed)
+    return _solve_flat_system("minus4")
 
 
 def quartic_lambda_residual(lam2: float, c: float) -> float:

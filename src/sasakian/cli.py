@@ -88,7 +88,8 @@ def _classification_text(results: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# every swept c is one classification, about a second with the Newton sweep on
+# every swept c is one classification of a few milliseconds; the cap bounds the work
+# and the output of one run
 MAX_SWEEP_POINTS = 1000
 
 
@@ -131,7 +132,11 @@ def main(argv=None) -> int:
     pc.add_argument("--c", type=float, default=None, help="phi-sectional curvature")
     pc.add_argument("--c-sweep", default=None, metavar="LO:HI:STEP", help="sweep over c values")
     pc.add_argument("--mode", choices=("biharmonic", "minus4"), default="biharmonic")
-    pc.add_argument("--no-sweep", action="store_true", help="skip the fallback Newton sweep")
+    pc.add_argument(
+        "--no-sweep",
+        action="store_true",
+        help="accepted and ignored: the closed-form reduction is complete, so no Newton sweep runs",
+    )
     pc.add_argument("--format", choices=("json", "csv", "text"), default="text")
     pc.add_argument("--out", default=None)
 
@@ -175,9 +180,7 @@ def main(argv=None) -> int:
                 parser.error(f"--c must be finite, got {args.c}")
             else:
                 cs = [args.c]
-        results = [
-            rep.classification_report(c=c, mode=args.mode, sweep=not args.no_sweep) for c in cs
-        ]
+        results = [rep.classification_report(c=c, mode=args.mode) for c in cs]
         if args.format == "json":
             payload = results[0] if len(results) == 1 else {"sweep": results}
             _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)

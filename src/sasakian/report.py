@@ -405,17 +405,15 @@ def build_report(name: str, per_axis: int = 5, tol: float | None = None) -> Veri
     return report
 
 
-def classification_report(
-    c: float | None = None, mode: str = "biharmonic", sweep: bool = True
-) -> dict:
+def classification_report(c: float | None = None, mode: str = "biharmonic") -> dict:
     """Classification output (flat tuples, curve-x-sphere data, traces) as a dict."""
     if mode == "minus4":
-        solutions, traces = classifier.solve_minus4_flat(fallback_sweep=sweep)
+        solutions, traces = classifier.solve_minus4_flat()
         case_ii = [classifier.solve_minus4_caseII()]
         c_val = 1.0
     else:
         c_val = float(c)
-        solutions, traces = classifier.solve_flat(c_val, fallback_sweep=sweep)
+        solutions, traces = classifier.solve_flat(c_val)
         case_ii = classifier.solve_caseII(c_val)
 
     def tuple_entry(s):
@@ -456,6 +454,8 @@ def classification_report(
             {
                 "omega_branch": t.omega_branch,
                 "polynomial": list(t.polynomial),
+                "factors": [list(f) for f in t.factors],
+                "roots": [{"omega": w, "multiplicity": m} for w, m in t.roots],
                 "accepted": list(t.accepted),
                 "rejected": [{"omega": r.omega, "reason": r.reason} for r in t.rejected],
                 "notes": list(t.notes),

@@ -47,7 +47,7 @@ def test_coefficient_squares_sum_to_one():
 def test_flat_torus_general_c_unit_norm():
     from sasakian import classifier
 
-    sols, _ = classifier.solve_flat(2.0, fallback_sweep=False)
+    sols, _ = classifier.solve_flat(2.0)
     assert sols
     F = catalog.flat_torus(2.0, sols[0])
     pts = F.grid(4)

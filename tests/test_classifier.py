@@ -1,5 +1,6 @@
-import json
+import functools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -75,14 +76,12 @@ def test_minus4_trace_contents(minus4):
     assert any(abs(w - w_rej) < 1e-6 and "lambda1" in reason for w, reason in reasons.items())
 
 
-def test_every_solution_revalidates(minus4):
-    for c in (1.0, 0.8, 2.0, 5.0):
-        sols, _ = cl.solve_flat(c)
-        for s in sols:
+def test_every_solution_revalidates():
+    for c in (1.0, 0.8, 2.0, 5.0, cl.CASE_II_LOWER, 1.0 + 1e-4):
+        for s in _sweep_solutions(c):
             assert s.system_residual() < 1e-10
             assert sa.biharmonic_verdict(s.operators(), c) == "proper-biharmonic"
-    sols, _ = minus4
-    for s in sols:
+    for s in _sweep_solutions("minus4"):
         assert s.system_residual() < 1e-10
         assert sa.biharmonic_verdict(s.operators(), "minus4") == "proper-biharmonic"
 
@@ -103,22 +102,20 @@ def test_accepted_omegas_reproduce_tuples(minus4):
 
 
 def test_solver_determinism_across_seeds():
-    a = cl.solve_flat(1.0, sweep_seed=0)
-    b = cl.solve_flat(1.0, sweep_seed=987654)
-    assert repr(a[0]) == repr(b[0])
-    a4 = cl.solve_minus4_flat(sweep_seed=0)
-    b4 = cl.solve_minus4_flat(sweep_seed=31415)
-    assert repr(a4[0]) == repr(b4[0])
+    a = _sweep_solutions(1.0, seed=0)
+    b = _sweep_solutions(1.0, seed=987654)
+    assert repr(a) == repr(b)
+    a4 = _sweep_solutions("minus4", seed=0)
+    b4 = _sweep_solutions("minus4", seed=31415)
+    assert repr(a4) == repr(b4)
 
 
 def test_sweep_adds_nothing_beyond_reduction():
-    with_sweep, _ = cl.solve_flat(1.0, fallback_sweep=True)
-    without, _ = cl.solve_flat(1.0, fallback_sweep=False)
-    assert [repr(s) for s in with_sweep] == [repr(s) for s in without]
-    assert all(s.source != "fallback" for s in with_sweep)
-    m_with, _ = cl.solve_minus4_flat(fallback_sweep=True)
-    m_without, _ = cl.solve_minus4_flat(fallback_sweep=False)
-    assert [repr(s) for s in m_with] == [repr(s) for s in m_without]
+    for c in (1.0, "minus4", cl.CASE_II_LOWER, 1.0 + 1e-4):
+        with_sweep = _sweep_solutions(c)
+        without, _ = cl.solve_minus4_flat() if c == "minus4" else cl.solve_flat(c)
+        assert [repr(s) for s in with_sweep] == [repr(s) for s in without]
+        assert all(s.source != "fallback" for s in with_sweep)
 
 
 def test_case_ii_at_5_ninths():
@@ -235,34 +232,49 @@ def test_branch_polynomials_match_displayed_factorizations():
     assert np.max(np.abs(ratio - ratio[0])) < 1e-9
 
 
+def _roots(branch, c_or_mode):
+    return [(float(w), mult) for w, mult in cl.isolate_real_roots(branch, cl._exact_system(c_or_mode))]
+
+
 def test_minus4_delta_pos_roots_match_closed_forms():
-    poly = cl._branch_polynomial("delta_pos", 1.0, 6.0)
-    roots, near = cl.isolate_real_roots(poly)
+    roots = _roots("delta_pos", "minus4")
     want = sorted([-2.0 + SQ3, -2.0 - SQ3, -4.0 + SQ13, -4.0 - SQ13])
-    got = sorted(roots)
+    got = [w for w, _ in roots if w != 2.0]
     assert len(got) == len(want)
-    assert max(abs(g - w) for g, w in zip(got, want)) < 1e-6
-    # the double root at 2 carries no sign change; it must surface somewhere
-    assert any(abs(r - 2.0) < 1e-5 for r in list(roots) + list(near))
+    assert max(abs(g - w) for g, w in zip(got, want)) < 1e-15
+    # the double root at 2 carries no sign change; it is listed once, with multiplicity 2
+    assert (2.0, 2) in roots
 
 
 def test_isolate_real_roots_basic():
-    # (x-1)(x+2)(x-0.5) with ascending coefficients
-    poly = npp.polymul(npp.polymul([-1.0, 1.0], [2.0, 1.0]), [-0.5, 1.0])
-    roots, near = cl.isolate_real_roots(poly)
-    assert np.allclose(sorted(roots), [-2.0, 0.5, 1.0], atol=1e-12)
-    assert near == []
+    # minus4, delta = 0: (w - 2)^2 (w^2 + 6w - 3) (3w^2 + 10w - 9)
+    want = sorted([-3.0 - 2.0 * SQ3, -3.0 + 2.0 * SQ3, (-5.0 - 2.0 * SQ13) / 3.0, (-5.0 + 2.0 * SQ13) / 3.0])
+    roots = _roots("delta_zero", "minus4")
+    assert [w for w, _ in roots] == pytest.approx(want + [2.0], abs=1e-15)
+    assert [m for _, m in roots] == [1, 1, 1, 1, 2]
+    assert roots == sorted(roots)
 
 
 def test_isolate_real_roots_double_root_reported():
-    poly = npp.polymul(npp.polypow([-1.0, 1.0], 2), [1.0, 0.0, 1.0])  # (x-1)^2 (x^2+1)
-    roots, near = cl.isolate_real_roots(poly)
-    assert any(abs(r - 1.0) < 1e-6 for r in roots) or any(abs(r - 1.0) < 1e-6 for r in near)
+    # each distinct root once, with its multiplicity
+    assert _roots("delta_zero", 1.0) == [(-1.0, 3), (1.0 / 3.0, 1), (2.0, 2)]
+    assert _roots("delta_pos", 1.0) == [(-3.0, 1), (-1.0, 3), (2.0, 2)]
+    assert _roots("delta_zero", cl.CASE_II_LOWER) == [(pytest.approx((3.0 - 2.0 * SQ3) / 3.0, abs=1e-15), 2), (2.0, 2)]
+    assert _roots("delta_pos", cl.CASE_II_LOWER) == [(pytest.approx(-SQ3, abs=1e-15), 2), (2.0, 2)]
 
 
-def test_isolate_zero_polynomial_rejected():
-    with pytest.raises(cl.RootIsolationError):
-        cl.isolate_real_roots([0.0, 0.0])
+def test_isolate_zero_polynomial_rejected(monkeypatch):
+    # the branch polynomials vanish identically where 6b + k = 0, at c = -5/3; the
+    # solver rejects such c (k <= 0) before it isolates anything
+    b, k = cl._system_constants(-5.0 / 3.0)
+    for branch in cl.BRANCHES:
+        assert np.max(np.abs(cl._branch_polynomial(branch, b, k))) < 1e-12
+
+    def refuse(*args):
+        raise AssertionError("isolation of a zero polynomial")
+
+    monkeypatch.setattr(cl, "isolate_real_roots", refuse)
+    assert cl.solve_flat(-5.0 / 3.0) == ([], [])
 
 
 def test_all_rejected_roots_carry_reasons(flat_c1, minus4):
@@ -271,6 +283,15 @@ def test_all_rejected_roots_carry_reasons(flat_c1, minus4):
             for rej in trace.rejected:
                 assert rej.reason
                 assert np.isfinite(rej.omega)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_residual_rejects_the_tuple():
+    # at c = 1e308 the closed form still finds roots, but the float re-substitution
+    # overflows to nan, which must reject the tuple rather than pass the tolerance
+    sols, traces = cl.solve_flat(1e308)
+    assert sols == []
+    assert any("residual nan" in r.reason for t in traces for r in t.rejected)
 
 
 def test_general_c_solutions_are_admissible():
@@ -286,15 +307,18 @@ def test_general_c_solutions_are_admissible():
 
 
 # ----------------------------------------------------------------------
-# root isolation against the recursive implementation it replaced
+# closed-form roots against numerical isolation and mpmath
 # ----------------------------------------------------------------------
 
 def _reference_isolate_real_roots(coeffs, grid_size: int = 4096, width: float = 1e-14):
-    """The recursive isolation with a per-cell scan, kept verbatim as the reference."""
+    """The recursive grid-and-bisection isolation the closed form replaced, kept as the reference.
+
+    Returns (roots at a sign change, near-roots at a stationary point).
+    """
     c = np.asarray(coeffs, dtype=float)
     scale = float(np.max(np.abs(c))) if c.size else 0.0
     if scale == 0.0:
-        raise cl.RootIsolationError("zero polynomial")
+        raise ValueError("zero polynomial")
     c = c / scale
     while c.size > 1 and abs(c[-1]) < 1e-13:
         c = c[:-1]
@@ -370,75 +394,342 @@ def _reference_isolate_real_roots(coeffs, grid_size: int = 4096, width: float = 
     return deduped, near
 
 
-def _assert_isolation_matches_reference(poly):
-    try:
-        want = _reference_isolate_real_roots(poly)
-    except cl.RootIsolationError:
-        with pytest.raises(cl.RootIsolationError):
-            cl.isolate_real_roots(poly)
-        return
-    assert repr(cl.isolate_real_roots(poly)) == repr(want)
+def _assert_reference_roots_are_closed_form_roots(c_or_mode):
+    """Every root the reference isolation finds on a branch polynomial is a closed-form root.
+
+    The reference locates a double root to about 1e-8 and the triple root
+    omega = -1 of c = 1, or a cluster next to it, only to about 1e-5.
+    """
+    b, k = cl._system_constants(c_or_mode)
+    for branch in cl.BRANCHES:
+        closed = [w for w, _ in _roots(branch, c_or_mode)]
+        roots, near = _reference_isolate_real_roots(cl._branch_polynomial(branch, b, k))
+        for r in roots + near:
+            tol = 1e-5 if abs(r + 1.0) < 1e-3 else 1e-6
+            assert min(abs(r - w) for w in closed) <= tol * max(1.0, abs(r)), (branch, r, closed)
 
 
-# exact zeros and leading coefficients small enough to be trimmed
-_COEF = st.one_of(st.sampled_from([0.0, 1e-15, -1e-14]), st.floats(-1e3, 1e3))
-_ROOT = st.floats(-10.0, 10.0)
-_LEAD = st.sampled_from([1.0, -1.0, 0.01, 250.0])
+@settings(max_examples=50, deadline=None)
+@given(c=st.floats(-1.0 / 3.0, 10.0, exclude_min=True))
+@example(c=2.7)
+@example(c=1.0)
+def test_isolation_matches_reference_on_random_coefficients(c):
+    # the coefficients of both branch polynomials are drawn through c
+    _assert_reference_roots_are_closed_form_roots(c)
 
 
-@settings(max_examples=150, deadline=None)
-@given(coeffs=st.lists(_COEF, min_size=2, max_size=7))
-@example(coeffs=[-17.0 / 256.0, 1.0])  # the root is grid point 2175, where p is exactly 0
-def test_isolation_matches_reference_on_random_coefficients(coeffs):
-    _assert_isolation_matches_reference(coeffs)
+@settings(max_examples=25, deadline=None)
+@given(offset=st.floats(0.0, 1e-3), near_one=st.booleans())
+@example(offset=0.0, near_one=False)
+@example(offset=0.0, near_one=True)
+def test_isolation_matches_reference_with_a_double_root(offset, near_one):
+    # the double roots of the case II threshold and the triple root -1 at c = 1
+    c = (1.0 if near_one else cl.CASE_II_LOWER) + offset
+    _assert_reference_roots_are_closed_form_roots(c)
+    if offset == 0.0:
+        assert max(mult for branch in cl.BRANCHES for w, mult in _roots(branch, c) if w != 2.0) == (3 if near_one else 2)
 
 
-@settings(max_examples=100, deadline=None)
-@given(simple=st.lists(_ROOT, max_size=4), double=_ROOT, lead=_LEAD)
-def test_isolation_matches_reference_with_a_double_root(simple, double, lead):
-    _assert_isolation_matches_reference(lead * npp.polyfromroots(simple + [double, double]))
+def test_isolation_matches_reference_with_two_roots_in_one_cell():
+    # just above the threshold the two roots of a factor are closer than the
+    # reference's grid spacing; the reference sees at most one, the closed form both
+    c = cl.CASE_II_LOWER + 1e-9
+    b, k = cl._system_constants(c)
+    _assert_reference_roots_are_closed_form_roots(c)
+    poly = cl._branch_polynomial("delta_pos", b, k)
+    scaled = poly / np.max(np.abs(poly))
+    cell = 2.0 * (1.0 + np.max(np.abs(scaled[:-1] / scaled[-1]))) / 4095
+    pair = [w for w, mult in _roots("delta_pos", c) if abs(w + SQ3) < 1e-3]
+    assert len(pair) == 2 and 0.0 < pair[1] - pair[0] < cell
+    found = _reference_isolate_real_roots(poly)[0]
+    assert sum(abs(r + SQ3) < 1e-3 for r in found) < 2
 
 
-@settings(max_examples=60, deadline=None)
-@given(low=st.floats(-1.0, 1.0), gap=st.floats(1e-4, 0.1), far=st.floats(-1000.0, -100.0), lead=_LEAD)
-@example(low=0.3, gap=0.01, far=-900.0, lead=1.0)
-def test_isolation_matches_reference_with_two_roots_in_one_cell(low, gap, far, lead):
-    _assert_isolation_matches_reference(lead * npp.polyfromroots([low, low + gap, far]))
+@pytest.mark.parametrize("c", [-1.0 / 3.0, cl.CASE_II_LOWER, 5.0 / 9.0, 1.0, 2.7, "minus4"])
+def test_classification_matches_the_reference_isolation(c):
+    """The reference's roots, run through the same validation, accept the same omegas.
 
-
-@pytest.mark.parametrize(
-    "c, sweep",
-    [
-        (-1.0 / 3.0, False),
-        (cl.CASE_II_LOWER, False),
-        (5.0 / 9.0, False),
-        (1.0, False),
-        (2.7, False),
-        ("minus4", False),
-        (1.0, True),
-    ],
-)
-def test_classification_report_is_identical_under_the_reference_isolation(c, sweep, monkeypatch):
-    def report_json():
-        if c == "minus4":
-            payload = rep.classification_report(mode="minus4", sweep=sweep)
+    At the case II threshold the reference finds no sign change at either
+    double root, so it accepts nothing where the closed form accepts two.
+    """
+    b, k = cl._system_constants(c)
+    sols, traces = cl.solve_minus4_flat() if c == "minus4" else cl.solve_flat(c)
+    mode, c_val = ("minus4", 1.0) if c == "minus4" else ("biharmonic", c)
+    system = cl._exact_system(c)
+    for trace in traces:
+        roots, _ = _reference_isolate_real_roots(cl._branch_polynomial(trace.omega_branch, b, k))
+        # the reference needs bands: it puts the root 0 of c = 5/9 at -5e-16 and the
+        # triple root -1 of c = 1 within 1e-5 of -1
+        want = [
+            r for r in roots
+            if r < -1e-12 and abs(r + 1.0) > 1e-4
+            and cl._try_tuple(trace.omega_branch, Decimal(r), system, c_val, mode)[0] is not None
+        ]
+        got = [w for w in trace.accepted if w != -1.0]
+        if c == cl.CASE_II_LOWER:
+            assert want == [] and len(got) == 1
         else:
-            payload = rep.classification_report(c=c, sweep=sweep)
-        return json.dumps(payload, indent=2, sort_keys=True)
+            assert len(got) == len(want)
+            assert all(min(abs(w - r) for r in want) < 1e-6 for w in got)
+    if c == cl.CASE_II_LOWER:
+        assert len(sols) == 2
 
-    got = report_json()
-    monkeypatch.setattr(cl, "isolate_real_roots", _reference_isolate_real_roots)
-    assert report_json() == got
+
+def test_sweep_classification_matches_the_reference_isolation_at_c1():
+    """At c = 1 the solver's tuples with the Newton sweep merged in have the omegas the reference accepts."""
+    b, k = cl._system_constants(1.0)
+    system = cl._exact_system(1.0)
+    want = sorted(
+        r
+        for branch in cl.BRANCHES
+        for r in _reference_isolate_real_roots(cl._branch_polynomial(branch, b, k))[0]
+        if r < -1e-12 and abs(r + 1.0) > 1e-4
+        and cl._try_tuple(branch, Decimal(r), system, 1.0, "biharmonic")[0] is not None
+    )
+    with_sweep = _sweep_solutions(1.0)
+    assert all(s.source != "fallback" for s in with_sweep)
+    got = sorted(s.omega for s in with_sweep if s.omega != -1.0)
+    assert got and len(got) == len(want)
+    assert all(abs(g - w) < 1e-6 for g, w in zip(got, want))
 
 
 def test_solve_flat_isolates_each_branch_polynomial_once(monkeypatch):
     calls = []
     original = cl.isolate_real_roots
 
-    def counting(coeffs):
-        calls.append(coeffs)
-        return original(coeffs)
+    def counting(branch, system):
+        calls.append(branch)
+        return original(branch, system)
 
     monkeypatch.setattr(cl, "isolate_real_roots", counting)
-    cl.solve_flat(2.7, fallback_sweep=False)
-    assert len(calls) == 2
+    cl.solve_flat(2.7)
+    assert calls == ["delta_zero", "delta_pos"]
+
+
+# ----------------------------------------------------------------------
+# the exact factorisation
+# ----------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.floats(0.01, 100.0), k=st.floats(0.01, 100.0))
+@example(b=1.0, k=6.0)
+@example(b=1.0, k=2.0)
+def test_factors_multiply_to_branch_polynomial(b, k):
+    for branch in cl.BRANCHES:
+        f1, f2 = cl._branch_factors(branch, b, k)
+        want = cl._branch_polynomial(branch, b, k)
+        got = -(6.0 * b + k) * npp.polymul(npp.polymul([4.0, -4.0, 1.0], f1), f2)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _mpmath_roots(mp, branch, c_or_mode):
+    """Real roots of the branch factors at the exact input, by mpmath at 50 digits."""
+    if c_or_mode == "minus4":
+        b, k = mp.mpf(1), mp.mpf(6)
+    else:
+        b, k = (mp.mpf(c_or_mode) + 3) / 4, (3 * mp.mpf(c_or_mode) + 1) / 2
+    roots = []
+    for c0, c1, c2 in cl._branch_factors(branch, b, k):
+        roots += [r for r in mp.polyroots([c2, c1, c0], maxsteps=200, extraprec=200) if mp.im(r) == 0]
+    return sorted(mp.re(r) for r in roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(-1.0 / 3.0, 10.0, exclude_min=True))
+@example(c=2.7)
+def test_closed_form_roots_match_mpmath(c):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for c_or_mode in (c, "minus4"):
+        for branch in cl.BRANCHES:
+            got = [w for w, _ in _roots(branch, c_or_mode) if w != 2.0]
+            want = _mpmath_roots(mp, branch, c_or_mode)
+            if len(want) != len(got):  # a discriminant below mpmath's resolution
+                continue
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
+
+
+def _flat_tuple_at_exact_threshold(mp):
+    """The two flat tuples at c = (-7 + 8 sqrt 3)/13, where both double roots are accepted."""
+    c = (-7 + 8 * mp.sqrt(3)) / 13
+    b, k = (c + 3) / 4, (3 * c + 1) / 2
+    m = 6 * b + k
+    out = []
+    w = (b - k) / (3 * b)  # the double root of 3b w^2 + 2(k-b) w + 3b - 2k
+    D = (w - 2) * (w - 3)
+    gamma = -mp.sqrt(m / D)
+    out.append((-mp.sqrt(m * (1 - w) / D - b), w * gamma, gamma, mp.mpf(0)))
+    w = -(2 * b + k) / (2 * b)  # the double root of b w^2 + (2b+k) w + 3b
+    gamma = -mp.sqrt(m * w / ((w - 1) ** 2 * (w - 2)))
+    lam = -mp.sqrt(-m * w / ((w - 1) * (w - 2)) - b)
+    out.append((lam, w * gamma, gamma, mp.sqrt(m * (w + 1) ** 2 / (w - 1) ** 2)))
+    return sorted(out)
+
+
+def test_double_root_tuples_at_the_case_ii_threshold():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    sols, traces = cl.solve_flat(cl.CASE_II_LOWER)
+    assert len(sols) == 2
+    for s, want in zip(sols, _flat_tuple_at_exact_threshold(mp)):
+        assert max(abs(g - float(w)) for g, w in zip(s.as_array(), want)) < 1e-12
+    assert {t.omega_branch: t.roots for t in traces} == {
+        "delta_zero": ((pytest.approx((3.0 - 2.0 * SQ3) / 3.0, abs=1e-15), 2), (2.0, 2)),
+        "delta_pos": ((pytest.approx(-SQ3, abs=1e-15), 2), (2.0, 2)),
+    }
+
+
+@pytest.mark.parametrize("offset, count", [(1e-12, 4), (1e-9, 4), (1e-6, 4), (-1e-12, 0)])
+def test_tuple_count_next_to_the_case_ii_threshold(offset, count):
+    sols, _ = cl.solve_flat(cl.CASE_II_LOWER + offset)
+    assert len(sols) == count
+    assert all(s.source == "omega_reduction" for s in sols)
+
+
+@pytest.mark.parametrize("c", [1.0 + 1e-6, 1.0 + 1e-4])
+def test_every_admissible_root_next_to_c1_is_found(c):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    b, k = cl._system_constants(c)
+    system = cl._exact_system(c)
+    _, traces = cl.solve_flat(c)
+    for trace in traces:
+        poly = cl._branch_polynomial(trace.omega_branch, b, k)
+        roots = mp.polyroots([mp.mpf(x) for x in poly[::-1]], maxsteps=500, extraprec=500)
+        want = [
+            float(mp.re(r)) for r in roots
+            if abs(mp.im(r)) < 1e-20 and mp.re(r) < 0
+            and cl._try_tuple(trace.omega_branch, Decimal(float(mp.re(r))), system, c, "biharmonic")[0] is not None
+        ]
+        got = [w for w in trace.accepted if w != -1.0]
+        assert len(got) == len(want) > 0
+        assert all(min(abs(w - r) for r in want) < 1e-6 for w in got)
+
+
+def test_trace_lists_each_root_once_with_exact_omega_minus_one(flat_c1):
+    _, traces = flat_c1
+    for trace in traces:
+        omegas = [w for w, _ in trace.roots]
+        assert len(set(omegas)) == len(omegas)
+        assert (2.0, 2) in trace.roots and (-1.0, 3) in trace.roots
+        rejected = [r.omega for r in trace.rejected if not r.reason.startswith(("lambda^2", "alpha=-gamma"))]
+        assert sorted(rejected) == sorted(w for w in omegas if w not in trace.accepted)
+        assert not any("near-root" in r.reason for r in trace.rejected)
+        assert len(trace.factors) == 2 and all(len(f) == 3 for f in trace.factors)
+    for entry in rep.classification_report(c=1.0)["reduction_traces"]:
+        assert [r for r in entry["roots"] if r["omega"] in (-1.0, 2.0)] == [
+            {"omega": -1.0, "multiplicity": 3},
+            {"omega": 2.0, "multiplicity": 2},
+        ]
+        assert [r["omega"] for r in entry["rejected"]].count(2.0) == 1
+
+
+# ----------------------------------------------------------------------
+# the multistart Newton sweep over the full system, kept as an oracle
+# ----------------------------------------------------------------------
+
+def _flat_system_residual(lam, alpha, gamma, delta, b, k):
+    """The four flat-case equations (first one already cleared of 1/lam^3)."""
+    L = lam * lam
+    s = (alpha + gamma) ** 2 + delta**2
+    eq1 = (3.0 * L - b) * (3.0 * L * L - (2.0 * b + k) * L + b * b) + L * L * s
+    eq2 = (alpha + gamma) * (5.0 * L + alpha**2 + gamma**2 - (b + k)) + gamma * delta**2
+    eq3 = delta * (5.0 * L + delta**2 + 3.0 * gamma**2 + alpha * gamma - (b + k))
+    eq4 = b + L + alpha * gamma - gamma**2
+    return np.array([eq1, eq2, eq3, eq4])
+
+
+def _newton_sweep(b, k, seed, starts=10000):
+    """Converged, deduplicated rows of a seeded multistart Newton on the full flat system."""
+    rng = np.random.default_rng(seed)
+    sb = math.sqrt(b)
+    x = np.empty((starts, 4))
+    x[:, 0] = rng.uniform(-sb + 1e-6, -1e-6, starts)          # lam
+    x[:, 1] = rng.uniform(1e-6, 3.0 * sb, starts)             # alpha
+    x[:, 2] = rng.uniform(-3.0 * sb, -1e-6, starts)           # gamma
+    x[:, 3] = rng.uniform(0.0, 3.0 * sb, starts)              # delta
+    alive = np.ones(starts, dtype=bool)
+
+    def residual(v):
+        return _flat_system_residual(v[:, 0], v[:, 1], v[:, 2], v[:, 3], b, k).T
+
+    def jacobian(v):
+        lam, al, ga, de = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
+        L = lam * lam
+        s = (al + ga) ** 2 + de**2
+        J = np.zeros((v.shape[0], 4, 4))
+        J[:, 0, 0] = 2 * lam * (
+            3 * (3 * L * L - (2 * b + k) * L + b * b)
+            + (3 * L - b) * (6 * L - (2 * b + k))
+            + 2 * L * s
+        )
+        J[:, 0, 1] = 2 * L * L * (al + ga)
+        J[:, 0, 2] = 2 * L * L * (al + ga)
+        J[:, 0, 3] = 2 * L * L * de
+        J[:, 1, 0] = 10 * lam * (al + ga)
+        J[:, 1, 1] = (5 * L + al**2 + ga**2 - (b + k)) + 2 * al * (al + ga)
+        J[:, 1, 2] = (5 * L + al**2 + ga**2 - (b + k)) + 2 * ga * (al + ga) + de**2
+        J[:, 1, 3] = 2 * ga * de
+        J[:, 2, 0] = 10 * lam * de
+        J[:, 2, 1] = de * ga
+        J[:, 2, 2] = de * (6 * ga + al)
+        J[:, 2, 3] = (5 * L + de**2 + 3 * ga**2 + al * ga - (b + k)) + 2 * de**2
+        J[:, 3, 0] = 2 * lam
+        J[:, 3, 1] = ga
+        J[:, 3, 2] = al - 2 * ga
+        J[:, 3, 3] = 0.0
+        return J
+
+    moving = alive.copy()  # rows whose last step was not negligible
+    for _ in range(60):
+        if not np.any(moving):
+            break
+        idx = np.flatnonzero(moving)
+        v = x[idx]
+        f = residual(v)
+        J = jacobian(v)
+        det = np.linalg.det(J)
+        ok = (np.abs(det) > 1e-14) & np.all(np.isfinite(f), axis=1)
+        step = np.zeros_like(v)
+        if np.any(ok):
+            step[ok] = np.linalg.solve(J[ok], f[ok][..., None])[..., 0]
+        v = v - step
+        x[idx] = v
+        dead = ~ok | ~np.all(np.isfinite(v), axis=1) | (np.max(np.abs(v), axis=1) > 1e6)
+        alive[idx[dead]] = False
+        settled = np.max(np.abs(step), axis=1) <= 1e-16 * np.maximum(1.0, np.max(np.abs(v), axis=1))
+        moving[idx[dead | settled]] = False
+
+    rows = []
+    fin = x[alive & np.all(np.isfinite(x), axis=1)]
+    if fin.size:
+        fin[:, 3] = np.abs(fin[:, 3])  # the system is even in delta; normalize its sign
+        res = np.linalg.norm(residual(fin), axis=1)
+        for row in fin[res < cl.FLAT_RESIDUAL_TOL]:
+            if not any(np.max(np.abs(row - r)) < 1e-5 for r in rows):
+                rows.append(row.astype(float))
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_solutions(c_or_mode, seed=0):
+    """The solver's tuples plus every admissible sweep row none of them explains, flagged "fallback".
+
+    A row within 1e-6 of a solver tuple is that tuple: Newton converges only
+    linearly to a double root, so rows there are no sharper.
+    """
+    mode, c = ("minus4", 1.0) if c_or_mode == "minus4" else ("biharmonic", c_or_mode)
+    b, k = cl._system_constants(c_or_mode)
+    solutions, _ = cl.solve_minus4_flat() if mode == "minus4" else cl.solve_flat(c)
+    merged = list(solutions)
+    for row in _newton_sweep(b, k, seed) if k > 0.0 else []:
+        lam, alpha, gamma, delta = (float(t) for t in row)
+        bad, boundary = cl._admissibility(lam, alpha, gamma, delta, b)
+        if bad or any(np.max(np.abs(row - s.as_array())) < 1e-6 for s in merged):
+            continue
+        merged.append(cl.SolutionTuple(
+            lam, alpha, gamma, delta, c=c, mode=mode, source="fallback", flags=tuple(boundary),
+        ))
+    merged.sort(key=lambda s: (s.case, s.lam, s.alpha))
+    return merged
