@@ -376,13 +376,18 @@ def solve_caseII(c: float) -> list[CaseIISolution]:
     """Curve x C-parallel-surface solutions at phi-sectional curvature c.
 
     Subcase II1 exists only at c = 5/9; subcase II2 follows the two-branch
-    square-root rule on [(-7 + 8 sqrt 3)/13, inf) minus c = 1.
+    square-root rule on [(-7 + 8 sqrt 3)/13, inf) minus c = 1.  The
+    thresholds are decided on the exact input, as ``_exact_system`` decides
+    them: c == 5/9 and c == 1 as floats, and c >= ``CASE_II_LOWER``.  The
+    float nearest (-7 + 8 sqrt 3)/13 is ``CASE_II_LOWER``, so the exact
+    discriminant 13c^2 + 14c - 11 is positive at every float above it and is
+    taken as 0 at it.  The reported values use float formulas.
     """
     c = float(c)
     b = (c + 3.0) / 4.0
     out: list[CaseIISolution] = []
 
-    if abs(c - 5.0 / 9.0) <= 1e-12:
+    if c == 5.0 / 9.0:
         out.append(
             CaseIISolution(
                 subcase="II1",
@@ -394,15 +399,13 @@ def solve_caseII(c: float) -> list[CaseIISolution]:
             )
         )
 
-    if abs(c - 1.0) <= 1e-12:
-        return out
-    disc = 13.0 * c * c + 14.0 * c - 11.0
-    if c >= CASE_II_LOWER - 1e-12 and disc >= -1e-12:
+    if c >= CASE_II_LOWER and c != 1.0:
+        disc = 13.0 * c * c + 14.0 * c - 11.0
         root = math.sqrt(max(disc, 0.0))
         candidates = sorted({(4.0 * c + 4.0 - root) / 12.0, (4.0 * c + 4.0 + root) / 12.0})
         for lam2 in candidates:
             flags = []
-            if disc <= 1e-12:
+            if c == CASE_II_LOWER:
                 flags.append("boundary: discriminant vanishes")
             if lam2 <= 0.0 or lam2 >= b - 1e-12:
                 continue

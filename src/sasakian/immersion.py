@@ -119,31 +119,53 @@ class GeometrySample:
         require_flat_chart(self)
         return [self.jet.deriv(i) for i in range(self.immersion.m)]
 
+    def _second_fundamental_jet(self, i: int, j: int, acc: int) -> Jet:
+        """B_ij = (nabla_i d_j F)^perp as a jet of accuracy ``acc`` <= 2.
+
+        Products keep their low-degree coefficients bit-equal at any
+        accuracy (see ``jets``), so this is the truncation of the
+        accuracy-2 jet.
+        """
+        X = self.jet.truncate(acc)
+        T = [t.truncate(acc) for t in self.tangent_jets]
+        nab = self.tangent_jets[i].truncate(acc + 1).deriv(j) + _dotj(T[i], T[j]) * X
+        proj = nab
+        for t in T:
+            proj = proj - _dotj(nab, t) * t
+        return proj
+
+    @cached_property
+    def _diagonal_second_fundamental_jets(self) -> list[Jet]:
+        """B_ii as jets of accuracy 2, the terms of tau."""
+        return [self._second_fundamental_jet(i, i, 2) for i in range(self.immersion.m)]
+
     @cached_property
     def second_fundamental_jets(self) -> dict[tuple[int, int], Jet]:
-        """B_ij as jets of accuracy 2 (flat-orthonormal chart)."""
+        """B_ij as jets of accuracy 1 (flat-orthonormal chart).
+
+        Read by ``check_C_parallel``, which needs the values and first
+        derivatives only.  The diagonal is the truncation of the accuracy-2
+        B_ii that ``tension_jet`` sums.
+        """
         m = self.immersion.m
-        T = self.tangent_jets
-        X2 = self.jet.truncate(2)
-        T2 = [t.truncate(2) for t in T]
         B: dict[tuple[int, int], Jet] = {}
         for i in range(m):
-            for j in range(i, m):
-                nab = T[i].deriv(j) + _dotj(T2[i], T2[j]) * X2
-                proj = nab
-                for k in range(m):
-                    proj = proj - _dotj(nab, T2[k]) * T2[k]
-                B[(i, j)] = proj
-                B[(j, i)] = proj
+            B[(i, i)] = self._diagonal_second_fundamental_jets[i].truncate(1)
+            for j in range(i + 1, m):
+                B[(i, j)] = B[(j, i)] = self._second_fundamental_jet(i, j, 1)
         return B
 
     @cached_property
     def tension_jet(self) -> Jet:
-        """tau = trace B = m H as a jet of accuracy 2."""
-        B = self.second_fundamental_jets
-        tau = B[(0, 0)]
-        for i in range(1, self.immersion.m):
-            tau = tau + B[(i, i)]
+        """tau = trace B = m H as a jet of accuracy 2 (flat-orthonormal chart).
+
+        Read by ``check_normal_laplacian`` and ``bitension``, which take two
+        covariant derivatives of it.  Only the diagonal B_ii are built.
+        """
+        diagonal = self._diagonal_second_fundamental_jets
+        tau = diagonal[0]
+        for b in diagonal[1:]:
+            tau = tau + b
         return tau
 
 

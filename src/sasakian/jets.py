@@ -20,6 +20,24 @@ Two contracts of the jet-by-jet product keep reports byte-stable:
 - Layout.  The result's coefficient array is C-contiguous.  Downstream
   reductions (``einsum``, ``sum``) round differently on other memory layouts,
   so bit-equal coefficients alone do not keep residuals bit-equal.
+
+Because every output coefficient sums its own contributions in table order,
+a product at a lower accuracy is bit-equal to the truncation of the product
+at a higher one, and a batch can be cut into blocks that are multiplied
+apart.  The product relies on the second for its memory contract:
+
+- Memory.  A product gathers the (a[i], b[j]) pairs of all its P table
+  entries for a block of rows of the first lead axis at a time, so it
+  allocates its result plus a working set of a few times ``GATHER_BUDGET``
+  elements (512 KB each), or of one row when a row alone is larger; never
+  P copies of the batch (P = 495 at 4 variables and degree 4).  Small blocks
+  also reuse memory the allocator already holds instead of faulting in
+  fresh pages.
+- Small batches.  When the pairs of the whole batch fit the budget for sure
+  (P * size(a) * size(b) <= GATHER_BUDGET * nterms^2, checked without
+  computing the broadcast shape), the batch is one block: one gather per
+  operand and no block loop.  Every product of a few grid points takes
+  this path.
 """
 
 from __future__ import annotations
@@ -31,6 +49,8 @@ import numpy as np
 
 MAX_ORDER = 5
 MAX_VARS = 4
+# elements of gathered pairs per block of a jet product; see the module docstring
+GATHER_BUDGET = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -57,6 +77,7 @@ def _position(nvars: int, order: int) -> dict[tuple[int, ...], int]:
     return {m: i for i, m in enumerate(_terms(nvars, order))}
 
 
+@lru_cache(maxsize=None)
 def _nterms(nvars: int, order: int) -> int:
     return len(_terms(nvars, order))
 
@@ -112,7 +133,9 @@ def _axes(nd: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _terms_first(coef: np.ndarray, nd: int) -> np.ndarray:
     """View of ``coef`` padded to ``nd`` axes, with the term axis first."""
-    return coef.reshape((1,) * (nd - coef.ndim) + coef.shape).transpose(_axes(nd)[0])
+    if coef.ndim < nd:
+        coef = coef.reshape((1,) * (nd - coef.ndim) + coef.shape)
+    return coef.transpose(_axes(nd)[0])
 
 
 @lru_cache(maxsize=None)
@@ -128,6 +151,25 @@ def _diff_table(nvars: int, acc: int, var: int):
         dst.append(pos_lo[lowered])
         fac.append(float(m[var]))
     return (np.asarray(src), np.asarray(dst), np.asarray(fac))
+
+
+def _layered_product(A: np.ndarray, B: np.ndarray, plan, nd: int) -> np.ndarray:
+    """Coefficients of the product of two term-first coefficient arrays.
+
+    ``plan`` is ``_mul_plan``'s; the result has the term axis last and is
+    C-contiguous.
+    """
+    ia, ib, layers, slot = plan
+    # products with the term axis first, C-contiguous: each layer is one block
+    prod = A.take(ia, 0) * B.take(ib, 0)
+    # "+ 0.0" is the zero start of the sum: it turns -0.0 into +0.0.  The sums
+    # build up in place in the first layer, which no other layer overlaps
+    out = prod[: slot.size]
+    out += 0.0
+    for off, n in layers:
+        out[:n] += prod[off : off + n]
+    # back to the term axis last, in term order; take returns a C-contiguous array
+    return out.transpose(_axes(nd)[1]).take(slot, -1)
 
 
 class Jet:
@@ -232,16 +274,23 @@ class Jet:
             scale = np.asarray(other, dtype=float)[..., None]
             return Jet(self.nvars, self.acc, self.coef * scale)
         a, b = self._coerce(other)
-        ia, ib, layers, slot = _mul_plan(a.nvars, a.acc)
+        plan = _mul_plan(a.nvars, a.acc)
         nd = max(a.coef.ndim, b.coef.ndim)
-        # products with the term axis first, C-contiguous: each layer is one block
-        prod = _terms_first(a.coef, nd).take(ia, 0) * _terms_first(b.coef, nd).take(ib, 0)
-        # "+ 0.0" is the zero start of the sum: it turns -0.0 into +0.0
-        out = prod[: slot.size] + 0.0
-        for off, n in layers:
-            out[:n] += prod[off : off + n]
-        # back to the term axis last, in term order; take returns a C-contiguous array
-        return Jet(a.nvars, a.acc, out.transpose(_axes(nd)[1]).take(slot, -1))
+        A, B = _terms_first(a.coef, nd), _terms_first(b.coef, nd)
+        nt = plan[3].size
+        # the broadcast lead has at most size(a) * size(b) / nt^2 elements
+        if plan[0].size * a.coef.size * b.coef.size <= GATHER_BUDGET * nt * nt:
+            return Jet(a.nvars, a.acc, _layered_product(A, B, plan, nd))
+        # blocks of rows along the first lead axis, each within the budget
+        lead = np.broadcast(A, B).shape[1:]
+        rows = max(1, GATHER_BUDGET * lead[0] // (plan[0].size * math.prod(lead)))
+        coef = np.empty(lead + (nt,))
+        for r in range(0, lead[0], rows):
+            block = slice(r, r + rows)
+            coef[block] = _layered_product(
+                A if A.shape[1] == 1 else A[:, block], B if B.shape[1] == 1 else B[:, block], plan, nd
+            )
+        return Jet(a.nvars, a.acc, coef)
 
     def __rmul__(self, other):
         return self.__mul__(other)

@@ -144,7 +144,7 @@ class VerificationReport:
 
 
 class UsageError(KeyError):
-    """A verify request names no registered example or asks for an empty grid."""
+    """A verify request names no registered example or asks for an empty or oversized grid."""
 
 
 def parse_example(name: str) -> tuple[str, float | None]:
@@ -375,31 +375,42 @@ def _cylinder_minus4_suite(report, per_axis, index):
     _decomposition_check(report, F, MINUS4_RADII[index - 1], per_axis, jet=jet)
 
 
+# family -> (parameter dimension m, suite); a suite samples per_axis ** m points
 _SUITES = {
-    "corollary-c1": _corollary_suite,
-    "s5-surface": _s5_suite,
-    "cylinder-c1": _cylinder_c1_suite,
-    "cylinder-s5": _cylinder_s5_suite,
-    "legendre-circle": _legendre_circle_suite,
-    "legendre-helix": _legendre_helix_suite,
-    "minus4": _minus4_suite,
-    "cylinder-minus4": _cylinder_minus4_suite,
+    "corollary-c1": (3, _corollary_suite),
+    "s5-surface": (2, _s5_suite),
+    "cylinder-c1": (4, _cylinder_c1_suite),
+    "cylinder-s5": (3, _cylinder_s5_suite),
+    "legendre-circle": (1, _legendre_circle_suite),
+    "legendre-helix": (1, _legendre_helix_suite),
+    "minus4": (3, _minus4_suite),
+    "cylinder-minus4": (4, _cylinder_minus4_suite),
 }
+
+# a report holds about 24 KB per grid point at its peak (cylinder-c1 at grid 9,
+# 6561 points: 185 MB), so the cap keeps one report under about 0.5 GB
+MAX_GRID_POINTS = 20000
 
 
 def build_report(name: str, per_axis: int = 5, tol: float | None = None) -> VerificationReport:
     """Run the full check suite of a registered example; see EXAMPLE_NAMES.
 
-    The name and grid are validated before any geometry runs (UsageError).
+    The name and grid are validated before any geometry runs (UsageError):
+    a grid needs 1 to ``MAX_GRID_POINTS`` points in all.
     ``tol``, when given, replaces the tolerance of every check.
     """
     family, param = parse_example(name)
     if per_axis < 1:
         raise UsageError(f"grid needs at least 1 point per axis, got {per_axis}")
+    m, suite = _SUITES[family]
+    if per_axis**m > MAX_GRID_POINTS:
+        raise UsageError(
+            f"grid {per_axis} samples {per_axis}^{m} points; at most {MAX_GRID_POINTS} are allowed"
+        )
     report = VerificationReport(subject=name)
     report.computed["grid_points_per_axis"] = per_axis
     report.computed["tolerance_override"] = tol
-    _SUITES[family](report, per_axis, param)
+    suite(report, per_axis, param)
     if tol is not None:
         report.checks = [dataclasses.replace(c, tolerance=tol) for c in report.checks]
     return report

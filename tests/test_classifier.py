@@ -142,6 +142,25 @@ def test_case_ii_excluded_at_c1():
     assert cl.solve_caseII(1.0) == []
 
 
+@pytest.mark.parametrize("c", [1.0 - 5e-13, 1.0 + 5e-13, math.nextafter(cl.CASE_II_LOWER, 2.0)])
+def test_case_ii2_exists_at_every_float_off_its_thresholds(c):
+    # the thresholds are decided on the exact input: c = 1 alone is excluded,
+    # and the discriminant vanishes at CASE_II_LOWER alone
+    sols = cl.solve_caseII(c)
+    assert sols and all(s.subcase == "II2" and s.flags == () for s in sols)
+    for s in sols:
+        assert abs(cl.quartic_lambda_residual(s.lam**2, c)) < 1e-12
+
+
+def test_case_ii_thresholds_are_exact():
+    assert cl.solve_caseII(math.nextafter(cl.CASE_II_LOWER, 0.0)) == []
+    at = cl.solve_caseII(cl.CASE_II_LOWER)
+    assert [s.flags for s in at] == [("boundary: discriminant vanishes",)]
+    for c in (5.0 / 9.0 - 5e-13, 5.0 / 9.0 + 5e-13):
+        assert [s.subcase for s in cl.solve_caseII(c)] == ["II2", "II2"]
+    assert [s.subcase for s in cl.solve_caseII(5.0 / 9.0)] == ["II1", "II2", "II2"]
+
+
 def test_case_ii_empty_below_interval():
     assert cl.solve_caseII(0.4) == []
     assert [s for s in cl.solve_caseII(0.527) if s.subcase == "II2"] == []

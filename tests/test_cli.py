@@ -165,6 +165,34 @@ def test_cli_bad_verify_input_exits_2(argv, capsys):
     assert err.strip().splitlines()[-1].startswith("sasakian: error: ")
 
 
+@pytest.mark.parametrize("name", ["cylinder-c1", "corollary-c1", "legendre-helix:0.5", "cylinder-minus4-2"])
+def test_cli_grid_over_the_cap_exits_2_before_sampling(name, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-cap grid was sampled")
+
+    monkeypatch.setattr(imm.ParametricImmersion, "grid", refuse)
+    monkeypatch.setattr(imm.ParametricImmersion, "jets", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", name, "--grid", "100000"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("sasakian: error: grid 100000 samples")
+
+
+@pytest.mark.parametrize(
+    "name, grid",
+    [("cylinder-c1", 9), ("corollary-c1", 15), ("cylinder-c1", 6), ("corollary-c1", 10), ("minus4-2", 7)]
+    + [(name, 5) for name in ("cylinder-minus4-1", "cylinder-s5", "s5-surface", "legendre-circle")],
+)
+def test_grid_cap_admits_the_benchmark_and_documented_grids(name, grid, monkeypatch):
+    family, _ = rep.parse_example(name)
+    m, _ = rep._SUITES[family]
+    assert grid**m <= rep.MAX_GRID_POINTS
+    monkeypatch.setitem(rep._SUITES, family, (m, lambda report, per_axis, param: None))
+    assert rep.build_report(name, per_axis=grid).computed["grid_points_per_axis"] == grid
+
+
 def test_cli_json_format(capsys):
     assert main(["verify", "s5-surface", "--grid", "3", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -5,6 +5,7 @@ import pytest
 
 from sasakian import catalog
 from sasakian import immersion as imm
+from sasakian import report as rep
 from sasakian.ambient import complex_structure
 
 
@@ -275,3 +276,65 @@ def test_covariant_checks_share_one_flat_chart_check(corollary, corollary_grid, 
     imm.check_bitension(geo)
     imm.coordinate_laplacian_eigencheck(geo, {"x1": [3]})
     assert len(calls) == 1
+
+
+def _eager_second_fundamental_jets(sample):
+    """Reference: every B_ij as a jet of accuracy 2, built in one eager pass."""
+    m = sample.immersion.m
+    T = sample.tangent_jets
+    X2 = sample.jet.truncate(2)
+    T2 = [t.truncate(2) for t in T]
+    B = {}
+    for i in range(m):
+        for j in range(i, m):
+            nab = T[i].deriv(j) + imm._dotj(T2[i], T2[j]) * X2
+            proj = nab
+            for k in range(m):
+                proj = proj - imm._dotj(nab, T2[k]) * T2[k]
+            B[(i, j)] = B[(j, i)] = proj
+    return B
+
+
+def _eager_tension_jet(sample):
+    B = _eager_second_fundamental_jets(sample)
+    tau = B[(0, 0)]
+    for i in range(1, sample.immersion.m):
+        tau = tau + B[(i, i)]
+    return tau
+
+
+def _assert_bit_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        catalog.corollary_immersion,
+        catalog.s5_surface,
+        lambda: catalog.cylinder(catalog.corollary_immersion()),
+        lambda: catalog.minus4_immersion(1),
+        lambda: catalog.legendre_curve("helix", kappa1=0.5),
+    ],
+)
+def test_b_jets_on_demand_are_truncations_of_the_eager_construction(build):
+    F = build()
+    geo = imm.sample_geometry(F, F.grid(3))
+    eager = _eager_second_fundamental_jets(geo)
+    assert geo.tension_jet.acc == 2
+    _assert_bit_equal(geo.tension_jet.coef, _eager_tension_jet(geo).coef)
+    lean = geo.second_fundamental_jets
+    assert lean.keys() == eager.keys()
+    for key, jet in eager.items():
+        assert lean[key].acc == 1
+        _assert_bit_equal(lean[key].coef, jet.truncate(1).coef)
+
+
+@pytest.mark.parametrize("name", ["corollary-c1", "cylinder-c1", "s5-surface", "minus4-1", "legendre-helix:0.5"])
+def test_report_json_is_identical_under_the_eager_b_jets(name, monkeypatch):
+    lean = rep.build_report(name, per_axis=3).to_json()
+    monkeypatch.setattr(imm.GeometrySample, "second_fundamental_jets", property(_eager_second_fundamental_jets))
+    monkeypatch.setattr(imm.GeometrySample, "tension_jet", property(_eager_tension_jet))
+    assert rep.build_report(name, per_axis=3).to_json() == lean

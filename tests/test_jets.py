@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sasakian import jets
 from sasakian import report as rep
-from sasakian.jets import MAX_ORDER, MAX_VARS, Jet, _mul_table, _nterms, lift, partial
+from sasakian.jets import GATHER_BUDGET, MAX_ORDER, MAX_VARS, Jet, _mul_table, _nterms, lift, partial
 
 
 def _add_at_product(a: Jet, b: Jet) -> Jet:
@@ -180,6 +182,65 @@ def test_product_is_bit_equal_to_add_at_scatter(nvars, acc, shapes, data):
     assert got.coef.shape == shapes.result_shape + (nterms,)
     assert got.coef.flags.c_contiguous
     _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
+
+
+def _count_blocks(monkeypatch) -> list:
+    calls = []
+    original = jets._layered_product
+    monkeypatch.setattr(jets, "_layered_product", lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "nvars, acc, lead_a, lead_b, blocked",
+    [
+        (4, 4, (1296, 4), (1296, 1), True),  # blocks of 33 rows, the last one partial
+        (3, 2, (1000, 1), (1000, 8), True),
+        (4, 2, (1, 8), (600, 8), True),  # the first lead axis broadcast in one operand
+        (2, 2, (64, 8), (64, 8), False),  # past the one-block bound, yet all rows fit one block
+    ],
+)
+def test_product_is_bit_equal_to_add_at_scatter_on_large_leads(nvars, acc, lead_a, lead_b, blocked, monkeypatch):
+    # the blocked side of the size rule, next to the one-block leads drawn above
+    rng = np.random.default_rng(nvars * 10 + acc)
+    nterms = _nterms(nvars, acc)
+
+    def coefficients(lead):
+        coef = rng.uniform(-1e3, 1e3, lead + (nterms,))
+        picks = rng.integers(0, coef.size, coef.size // 8)
+        coef.flat[picks] = rng.choice([0.0, -0.0, 5e-324, -1e-160], picks.size)
+        return coef
+
+    a, b = Jet(nvars, acc, coefficients(lead_a)), Jet(nvars, acc, coefficients(lead_b))
+    blocks = _count_blocks(monkeypatch)
+    got = a * b
+    assert (len(blocks) > 1) == blocked
+    assert got.coef.flags.c_contiguous
+    _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
+
+
+def test_product_of_a_few_points_is_one_block(monkeypatch):
+    a = Jet(1, 5, np.linspace(-1.0, 1.0, 9 * 6).reshape(9, 1, 6))
+    blocks = _count_blocks(monkeypatch)
+    _assert_bit_equal((a * a).coef, _add_at_product(a, a).coef)
+    assert len(blocks) == 1
+
+
+def test_product_temporaries_stay_within_the_gather_budget():
+    # a kernel that materialises all 495 pairs of a degree-4 product in 4
+    # variables allocates about 3 * 495 * 1296 * 4 * 8 B = 62 MB on this lead
+    rng = np.random.default_rng(3)
+    a = Jet(4, 4, rng.standard_normal((1296, 4, _nterms(4, 4))))
+    b = Jet(4, 4, rng.standard_normal((1296, 1, _nterms(4, 4))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = a * b
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak - got.coef.nbytes <= 4 * 8 * GATHER_BUDGET
 
 
 def test_product_sum_starts_from_positive_zero():
