@@ -1,15 +1,17 @@
 """Explicit immersions: flat tori, Legendre curves, surfaces, and cylinders.
 
 Every construction lands in the unit sphere of C^{n+1} in blocked real
-coordinates (Re..., Im...).  Product-of-circles immersions carry their circle
-profile (coefficients, frequency rows, defining unitary basis) so the circle
-decomposition can cross-check the construction from ambient samples alone.
+coordinates (Re..., Im...) and is a table of plane waves (see
+``ParametricImmersion``): the constructors only build or transform the table.
+Product-of-circles immersions also carry their defining unitary basis, so the
+circle decomposition can cross-check the construction from ambient samples
+alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,60 +125,24 @@ def random_unitary(size: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
 
 
-def _stack(jets: list[Jet]) -> Jet:
-    coef = np.concatenate([j.coef for j in jets], axis=-2)
-    return Jet(jets[0].nvars, jets[0].acc, coef)
-
-
 def circle_immersion(
-    coefficients,
-    frequencies,
-    phases=None,
-    basis=None,
-    *,
-    n: int | None = None,
-    name: str = "",
-    sample_box=None,
+    coefficients, frequencies, phases=None, basis=None, *, n: int | None = None, name: str = "", sample_box=None
 ) -> ParametricImmersion:
     """Immersion sum_k coeff_k exp(i(<f_k, p> + theta_k)) E_k in a unitary basis."""
     coeff = np.asarray(coefficients, dtype=float)
     freqs = np.atleast_2d(np.asarray(frequencies, dtype=float))
-    ncirc, m = freqs.shape
-    if phases is None:
-        phases = np.zeros(ncirc)
-    phases = np.asarray(phases, dtype=float)
     if n is None:
-        n = ncirc - 1
-    if basis is None:
-        basis = np.eye(n + 1, dtype=complex)
-    basis = validate_unitary(basis)
-
-    cre = coeff[:, None] * basis.real  # (ncirc, n+1)
-    cim = coeff[:, None] * basis.imag
-
-    def ev(us):
-        phase_jets = []
-        for k in range(ncirc):
-            p = Jet.constant(phases[k], us[0].nvars, us[0].acc, lead_shape=us[0].value.shape)
-            for i in range(m):
-                if freqs[k, i] != 0.0:
-                    p = p + us[i] * freqs[k, i]
-            phase_jets.append(p)
-        ph = _stack(phase_jets)  # (npts, ncirc, T)
-        s, c = ph.sincos()
-        re = np.einsum("...kt,kj->...jt", c.coef, cre) - np.einsum("...kt,kj->...jt", s.coef, cim)
-        im = np.einsum("...kt,kj->...jt", s.coef, cre) + np.einsum("...kt,kj->...jt", c.coef, cim)
-        return Jet(ph.nvars, ph.acc, np.concatenate([re, im], axis=-2))
-
+        n = freqs.shape[0] - 1
+    basis = validate_unitary(np.eye(n + 1) if basis is None else basis)
+    if coeff.shape != (basis.shape[0],):
+        raise ValueError(f"circle coefficients have shape {coeff.shape}, basis has {basis.shape[0]} rows")
     return ParametricImmersion(
-        m=m,
-        n=n,
-        eval_fn=ev,
+        amplitudes=coeff[:, None] * basis,
+        frequencies=freqs,
+        phases=np.zeros(freqs.shape[0]) if phases is None else phases,
         name=name,
         sample_box=sample_box,
         basis=basis,
-        circle_coefficients=coeff,
-        circle_frequencies=freqs,
     )
 
 
@@ -254,46 +220,37 @@ def minus4_immersion(index: int, basis=None) -> ParametricImmersion:
 
 
 def s5_surface() -> ParametricImmersion:
-    """The proper-biharmonic integral surface of the unit 5-sphere."""
+    """The proper-biharmonic integral surface of the unit 5-sphere.
 
-    inv = 1.0 / SQ2
-
-    def ev(us):
-        su, cu = us[0].sincos()
-        sv, cv = (us[1] * SQ2).sincos()
-        re1, im1 = cu * inv, su * inv
-        re2, im2 = su * sv * inv, cu * sv * inv
-        re3, im3 = su * cv * inv, cu * cv * inv
-        return _stack([re1, re2, re3, im1, im2, im3])
-
+    (e^{iu}, i sin(sqrt2 v) e^{-iu}, i cos(sqrt2 v) e^{-iu}) / sqrt2 is the
+    product of circles of radii 1/sqrt2, 1/2, 1/2 along the rows of
+    ``S5_CYL_BASIS``; the chart keeps standard coordinates (no ``basis``).
+    """
     return ParametricImmersion(
-        m=2,
-        n=2,
-        eval_fn=ev,
+        amplitudes=np.array([[1.0 / SQ2], [0.5], [0.5]]) * S5_CYL_BASIS,
+        frequencies=np.array([[1.0, 0.0], [-1.0, SQ2], [-1.0, -SQ2]]),
+        phases=np.zeros(3),
         name="s5-surface",
         sample_box=(2.0 * math.pi, SQ2 * math.pi),
     )
 
 
 def trig_immersion(terms, m: int, n: int, name: str = "", sample_box=None) -> ParametricImmersion:
-    """Immersion sum coeff * cos(<f, p> + theta) * vec for real ambient vectors."""
-    data = [
-        (float(cf), np.asarray(fr, dtype=float), float(th), np.asarray(vec, dtype=float))
-        for cf, fr, th, vec in terms
-    ]
+    """Immersion sum coeff * cos(<f, p> + theta) * vec for real ambient vectors.
 
-    def ev(us):
-        total = None
-        for cf, fr, th, vec in data:
-            p = Jet.constant(th, us[0].nvars, us[0].acc, lead_shape=us[0].value.shape)
-            for i in range(m):
-                if fr[i] != 0.0:
-                    p = p + us[i] * fr[i]
-            term = Jet(p.nvars, p.acc, p.cos().coef * (cf * vec)[:, None])
-            total = term if total is None else total + term
-        return total
-
-    return ParametricImmersion(m=m, n=n, eval_fn=ev, name=name, sample_box=sample_box)
+    Each term is the pair of conjugate waves (coeff vec / 2) e^{+-i(<f, p> + theta)}.
+    """
+    amps, freqs, phases = [], [], []
+    for k, (cf, fr, th, vec) in enumerate(terms):
+        fr, vec = np.asarray(fr, dtype=float), 0.5 * float(cf) * np.asarray(vec, dtype=float)
+        if fr.shape != (m,) or vec.shape != (2 * n + 2,):
+            need = f"need ({m},), ({2 * n + 2},)"
+            raise ValueError(f"term {k}: frequency shape {fr.shape}, vector shape {vec.shape}; {need}")
+        wave = vec[: n + 1] + 1j * vec[n + 1 :]
+        amps += [wave, wave]
+        freqs += [fr, -fr]
+        phases += [float(th), -float(th)]
+    return ParametricImmersion(amplitudes=amps, frequencies=freqs, phases=phases, name=name, sample_box=sample_box)
 
 
 def helix_vectors(kappa1: float, sign: int = 1, alpha_pair=None) -> np.ndarray:
@@ -393,32 +350,12 @@ def great_circle(n: int = 3) -> ParametricImmersion:
 
 def cylinder(F: ParametricImmersion) -> ParametricImmersion:
     """Flow cylinder (t, p) -> exp(-i t) F(p); domain dimension grows by one."""
-    half = F.n + 1
-
-    def ev(us):
-        inner = F.eval_fn(us[1:])
-        st, ct = us[0].sincos()
-        re = Jet(inner.nvars, inner.acc, inner.coef[..., :half, :])
-        im = Jet(inner.nvars, inner.acc, inner.coef[..., half:, :])
-        new_re = re * ct + im * st
-        new_im = im * ct - re * st
-        return Jet(inner.nvars, inner.acc, np.concatenate([new_re.coef, new_im.coef], axis=-2))
-
-    freqs = None
-    if F.circle_frequencies is not None:
-        freqs = np.concatenate(
-            [-np.ones((F.circle_frequencies.shape[0], 1)), F.circle_frequencies], axis=1
-        )
     box = (2.0 * math.pi,) + tuple(F.sample_box or (2.0 * math.pi,) * F.m)
-    return ParametricImmersion(
-        m=F.m + 1,
-        n=F.n,
-        eval_fn=ev,
+    return replace(
+        F,
+        frequencies=np.concatenate([-np.ones((len(F.phases), 1)), F.frequencies], axis=1),
         name=f"cylinder({F.name})" if F.name else "cylinder",
         sample_box=box,
-        basis=F.basis,
-        circle_coefficients=F.circle_coefficients,
-        circle_frequencies=freqs,
     )
 
 
@@ -427,33 +364,11 @@ def precompose_linear(F: ParametricImmersion, A: np.ndarray, name: str = "", sam
     A = np.asarray(A, dtype=float)
     if A.shape != (F.m, F.m):
         raise ValueError("parameter transform has wrong shape")
-
-    def ev(us):
-        new = []
-        for i in range(F.m):
-            acc = None
-            for j in range(F.m):
-                if A[i, j] == 0.0:
-                    continue
-                term = us[j] * A[i, j]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = Jet.constant(0.0, us[0].nvars, us[0].acc, lead_shape=us[0].value.shape)
-            new.append(acc)
-        return F.eval_fn(new)
-
-    freqs = None
-    if F.circle_frequencies is not None:
-        freqs = F.circle_frequencies @ A
-    return ParametricImmersion(
-        m=F.m,
-        n=F.n,
-        eval_fn=ev,
+    return replace(
+        F,
+        frequencies=F.frequencies @ A,
         name=name or f"{F.name}∘A",
         sample_box=sample_box or (2.0 * math.pi,) * F.m,
-        basis=F.basis,
-        circle_coefficients=F.circle_coefficients,
-        circle_frequencies=freqs,
     )
 
 
@@ -462,19 +377,20 @@ def coordinate_curve(F: ParametricImmersion, axis: int, base_point) -> Parametri
     base = np.asarray(base_point, dtype=float)
     if base.shape != (F.m,):
         raise ValueError("base point has wrong dimension")
-
-    def ev(us):
-        params = []
-        for i in range(F.m):
-            if i == axis:
-                params.append(us[0])
-            else:
-                params.append(Jet.constant(base[i], us[0].nvars, us[0].acc, lead_shape=us[0].value.shape))
-        return F.eval_fn(params)
-
+    if not 0 <= axis < F.m:
+        raise ValueError(f"axis {axis} out of range for an immersion with m={F.m}")
+    # the base point folds into the phases, summed in parameter order
+    phases = F.phases
+    for i in range(F.m):
+        if i != axis:
+            phases = phases + base[i] * F.frequencies[:, i]
     box = (F.sample_box or (2.0 * math.pi,) * F.m)[axis]
     return ParametricImmersion(
-        m=1, n=F.n, eval_fn=ev, name=f"{F.name}:curve{axis}", sample_box=(box,)
+        amplitudes=F.amplitudes,
+        frequencies=F.frequencies[:, axis : axis + 1],
+        phases=phases,
+        name=f"{F.name}:curve{axis}",
+        sample_box=(box,),
     )
 
 

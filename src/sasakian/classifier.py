@@ -352,13 +352,21 @@ def _solve_flat_system(c_or_mode):
     return solutions, traces
 
 
+def _finite(c) -> float:
+    c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"phi-sectional curvature must be finite, got {c!r}")
+    return c
+
+
 def solve_flat(c: float):
     """All admissible flat proper-biharmonic tuples at phi-sectional curvature c.
 
     Returns (solutions, reduction traces).  Empty for c <= -1/3, where the
     criterion eigenvalue is nonpositive and no non-minimal solution exists.
+    A non-finite c raises ValueError.
     """
-    return _solve_flat_system(float(c))
+    return _solve_flat_system(_finite(c))
 
 
 def solve_minus4_flat():
@@ -381,9 +389,10 @@ def solve_caseII(c: float) -> list[CaseIISolution]:
     them: c == 5/9 and c == 1 as floats, and c >= ``CASE_II_LOWER``.  The
     float nearest (-7 + 8 sqrt 3)/13 is ``CASE_II_LOWER``, so the exact
     discriminant 13c^2 + 14c - 11 is positive at every float above it and is
-    taken as 0 at it.  The reported values use float formulas.
+    taken as 0 at it.  The reported values use float formulas.  A non-finite
+    c raises ValueError.
     """
-    c = float(c)
+    c = _finite(c)
     b = (c + 3.0) / 4.0
     out: list[CaseIISolution] = []
 

@@ -7,20 +7,23 @@ identity on the sampled grid) before any covariant differentiation; the
 explicit product-of-curves immersions all satisfy this, and anything else
 raises ChartError instead of silently using Christoffel symbols.
 
-Derivatives come from jet evaluation (see ``jets``), so residuals reported
-by the checks are at numerical noise level or genuinely nonzero.
+Every immersion is a finite sum of plane waves, so its Taylor coefficients
+come in closed form, and derived quantities are differentiated by jet
+arithmetic (see ``jets``): residuals reported by the checks are at numerical
+noise level or genuinely nonzero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .ambient import complex_structure
-from .jets import Jet
+from .jets import MAX_ORDER, Jet, _terms
 
 FLAT_CHART_TOL = 1e-9
 UNIT_NORM_TOL = 1e-13
@@ -32,40 +35,99 @@ class ChartError(ValueError):
     """The induced metric of the chart is not flat-orthonormal."""
 
 
+_FACTORIAL = np.array([math.factorial(k) for k in range(MAX_ORDER + 1)], dtype=float)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, each half with at most 26 significant bits (Dekker)."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _phase(theta: np.ndarray, pts: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta + p_0 f_0 + p_1 f_1 + ... as (hi, lo).
+
+    hi is the float sum in exactly that order; lo accumulates the rounding
+    error of every product and sum in it, each found exactly by Dekker's
+    product and Knuth's sum, so hi + lo is the phase to about ulp^2.
+    """
+    hi, lo = theta, 0.0
+    for i in range(f.shape[1]):
+        a, b = pts[:, i : i + 1], f[:, i]
+        prod = a * b
+        total = hi + prod
+        (ah, al), (bh, bl) = _split(a), _split(b)
+        prod_err = ((ah * bh - prod) + ah * bl + al * bh) + al * bl
+        back = total - hi
+        lo = lo + (prod_err + ((hi - (total - back)) + (prod - back)))
+        hi = total
+    return hi, lo
+
+
 @dataclass
 class ParametricImmersion:
-    """A jet-evaluable map from an m-dimensional parameter box into R^{2n+2}.
+    """A finite sum of plane waves sum_k W_k exp(i(<f_k, p> + theta_k)) in C^{n+1}.
 
-    ``eval_fn`` receives one scalar jet per parameter and returns the stacked
-    ambient jet (leading axes: grid batch, ambient component).  ``basis`` is
-    the complex (n+1)x(n+1) unitary matrix whose rows are the defining basis
-    of the construction (identity when built in standard coordinates);
-    ``circle_frequencies``/``circle_coefficients`` are set by constructors of
-    product-of-circles type and feed the circle decomposition.
+    ``amplitudes`` W is complex (K, n+1), ``frequencies`` f is (K, m) and
+    ``phases`` theta is (K,); ambient coordinates are blocked (Re..., Im...)
+    in R^{2n+2}.  ``basis`` is the complex unitary matrix whose rows are the
+    defining basis of the construction (identity, or None, in standard
+    coordinates); the circle decomposition reads it.
     """
 
-    m: int
-    n: int
-    eval_fn: Callable[[Sequence[Jet]], Jet]
+    amplitudes: np.ndarray
+    frequencies: np.ndarray
+    phases: np.ndarray
     name: str = ""
     sample_box: tuple[float, ...] | None = None
     basis: np.ndarray | None = None
-    circle_coefficients: np.ndarray | None = None
-    circle_frequencies: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        self.frequencies = np.asarray(self.frequencies, dtype=float)
+        self.phases = np.asarray(self.phases, dtype=float)
+        K = self.amplitudes.shape[0] if self.amplitudes.ndim == 2 else -1
+        if K < 1 or self.frequencies.ndim != 2 or self.frequencies.shape[0] != K or self.phases.shape != (K,):
+            raise ValueError(
+                f"wave table shapes disagree: amplitudes {self.amplitudes.shape}, "
+                f"frequencies {self.frequencies.shape}, phases {self.phases.shape}; "
+                "expected (K, n+1), (K, m) and (K,)"
+            )
+
+    @property
+    def m(self) -> int:
+        return self.frequencies.shape[1]
+
+    @property
+    def n(self) -> int:
+        return self.amplitudes.shape[1] - 1
 
     @property
     def ambient_dim(self) -> int:
         return 2 * self.n + 2
 
     def jets(self, pts: np.ndarray, acc: int) -> Jet:
+        """Jet of accuracy ``acc`` at each point, every coefficient in closed form.
+
+        The coefficient of the multi-index a is f^a / a! times
+        W exp(i(phi + |a| pi/2)); the quarter turn i^|a| is one of 1, i, -1,
+        -i, so multiplying by it is exact.  The phase phi = hi + lo comes from
+        ``_phase``, and exp(i phi) = exp(i hi) (1 + i lo): lo is a few ulps of
+        phi, so lo^2 is far below an ulp of 1.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[-1] != self.m:
             raise ValueError(f"points have dimension {pts.shape[-1]}, immersion has m={self.m}")
-        params = [Jet.variable(pts[:, i : i + 1], i, self.m, acc) for i in range(self.m)]
-        out = self.eval_fn(params)
-        if out.coef.shape[-2] != self.ambient_dim:
-            raise ValueError("eval_fn returned wrong ambient dimension")
-        return out
+        f = self.frequencies
+        hi, lo = _phase(self.phases, pts, f)
+        c, s = np.cos(hi), np.sin(hi)
+        wave = (c - lo * s) + 1j * (s + lo * c)  # (N, K)
+        exps = np.array(_terms(self.m, acc))  # (T, m) in jet order
+        turn = np.array([1.0, 1j, -1.0, -1j])[exps.sum(axis=1) % 4]  # i^|a|
+        scale = np.prod(f[:, None, :] ** exps / _FACTORIAL[exps], axis=-1) * turn  # (K, T)
+        coef = np.einsum("nk,ktj->njt", wave, scale[:, :, None] * self.amplitudes[:, None, :], order="C")
+        return Jet(self.m, acc, np.concatenate([coef.real, coef.imag], axis=-2))
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         return self.jets(pts, 0).value

@@ -13,7 +13,9 @@ SQ6, SQ10 = math.sqrt(6.0), math.sqrt(10.0)
 def test_corollary_coefficients_and_frequencies():
     F = catalog.corollary_immersion()
     want_coeff = np.array([-1 / SQ6, 1 / SQ6, 1 / SQ6, 1 / SQ2])
-    assert np.max(np.abs(F.circle_coefficients - want_coeff)) < 1e-14
+    # standard basis: one wave per complex coordinate, amplitude = circle coefficient
+    assert np.max(np.abs(F.amplitudes - np.diag(want_coeff))) < 1e-14
+    assert np.all(F.phases == 0.0)
     want_freqs = np.array(
         [
             [-SQ5, 0.0, 0.0],
@@ -22,7 +24,7 @@ def test_corollary_coefficients_and_frequencies():
             [1 / SQ5, SQ3 / SQ10, SQ2 / 2],
         ]
     )
-    assert np.max(np.abs(F.circle_frequencies - want_freqs)) < 1e-14
+    assert np.max(np.abs(F.frequencies - want_freqs)) < 1e-14
 
 
 def test_rho_identities_for_corollary_tuple():
@@ -41,7 +43,7 @@ def test_coefficient_squares_sum_to_one():
         catalog.minus4_immersion(2),
         catalog.minus4_immersion(3),
     ):
-        assert np.sum(build.circle_coefficients**2) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(np.abs(build.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_flat_torus_general_c_unit_norm():
@@ -52,7 +54,7 @@ def test_flat_torus_general_c_unit_norm():
     F = catalog.flat_torus(2.0, sols[0])
     pts = F.grid(4)
     assert imm.check_unit_norm(F.values(pts)).residual < 1e-13
-    assert np.sum(F.circle_coefficients**2) == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(np.abs(F.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_flat_torus_rejects_inadmissible_tuple():
@@ -91,15 +93,15 @@ def test_basis_independence_of_verdicts():
     geo = imm.sample_geometry(F, pts[:10])
     assert np.max(np.abs(geo.mean_curvature_norm - 2.0 / 3.0)) < 1e-10
     dec = catalog.circle_decomposition(F)
-    assert np.max(np.abs(np.sort(dec.radii) - np.sort(np.abs(F.circle_coefficients)))) < 1e-12
+    assert np.max(np.abs(np.sort(dec.radii) - np.sort(np.linalg.norm(F.amplitudes, axis=1)))) < 1e-12
 
 
 def test_cylinder_shifts_frequencies_by_minus_one():
     F = catalog.corollary_immersion()
     Y = catalog.cylinder(F)
     assert Y.m == 4
-    assert np.all(Y.circle_frequencies[:, 0] == -1.0)
-    assert np.max(np.abs(Y.circle_frequencies[:, 1:] - F.circle_frequencies)) < 1e-15
+    assert np.all(Y.frequencies[:, 0] == -1.0)
+    assert np.max(np.abs(Y.frequencies[:, 1:] - F.frequencies)) < 1e-15
     dec = catalog.circle_decomposition(Y, per_axis=3)
     assert np.max(np.abs(dec.frequencies[:, 0] + 1.0)) < 1e-10
 
@@ -231,6 +233,25 @@ def test_coordinate_curve_dimensions():
     assert np.max(np.abs(vals - direct)) < 1e-14
     with pytest.raises(ValueError, match="dimension"):
         catalog.coordinate_curve(F, 0, [0.1, 0.2])
+    for axis in (-1, 3):
+        with pytest.raises(ValueError, match="axis"):
+            catalog.coordinate_curve(F, axis, [0.1, 0.2, 0.3])
+
+
+def test_wave_table_shapes_are_validated():
+    e = np.eye(8)
+    with pytest.raises(ValueError, match="frequency shape \\(2,\\), vector shape \\(8,\\)"):
+        catalog.trig_immersion([(1.0, (1.0, 0.5), 0.0, e[0])], m=1, n=3)
+    with pytest.raises(ValueError, match="vector shape \\(6,\\); need \\(1,\\), \\(8,\\)"):
+        catalog.trig_immersion([(1.0, (1.0,), 0.0, np.eye(6)[0])], m=1, n=3)
+    with pytest.raises(ValueError, match="3 rows"):
+        catalog.circle_immersion([0.5, 0.5], [[1.0], [2.0]], n=2)
+    with pytest.raises(ValueError, match="wave table shapes disagree"):
+        catalog.circle_immersion([0.6, 0.8], [[1.0], [2.0], [3.0]], n=1)
+    with pytest.raises(ValueError, match="wave table shapes disagree"):
+        catalog.circle_immersion([0.6, 0.8], [[1.0], [2.0]], phases=[0.0], n=1)
+    with pytest.raises(ValueError, match="wave table shapes disagree"):
+        imm.ParametricImmersion(amplitudes=np.ones(4), frequencies=np.ones((1, 1)), phases=np.zeros(1))
 
 
 def test_minus4_index_validation():

@@ -161,6 +161,18 @@ def test_case_ii_thresholds_are_exact():
     assert [s.subcase for s in cl.solve_caseII(5.0 / 9.0)] == ["II1", "II2", "II2"]
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "solve",
+    [cl.solve_flat, cl.solve_caseII, lambda c: rep.classification_report(c=c)],
+    ids=["solve_flat", "solve_caseII", "classification_report"],
+)
+def test_non_finite_c_is_refused(solve, c):
+    with pytest.raises(ValueError, match="must be finite") as info:
+        solve(c)
+    assert "\n" not in str(info.value)
+
+
 def test_case_ii_empty_below_interval():
     assert cl.solve_caseII(0.4) == []
     assert [s for s in cl.solve_caseII(0.527) if s.subcase == "II2"] == []

@@ -174,20 +174,30 @@ def test_trace_b_ah_proportionality(corollary, corollary_grid):
 
 def test_totally_geodesic_legendre_sphere_has_zero_b():
     # real great 3-sphere inside the 7-sphere: integral with B identically zero,
-    # so the C-parallel identity holds trivially (both sides vanish)
-    def ev(us):
-        su, cu = us[0].sincos()
-        sv, cv = us[1].sincos()
-        sw, cw = us[2].sincos()
-        zero = 0.0 * cu
-        comps = [cu, su * cv, su * sv * cw, su * sv * sw, zero, zero, zero, zero]
-        coef = np.concatenate([j.coef for j in comps], axis=-2)
-        return type(cu)(cu.nvars, cu.acc, coef)
-
-    F = imm.ParametricImmersion(m=3, n=3, eval_fn=ev, name="great-s3")
+    # so the C-parallel identity holds trivially (both sides vanish).
+    # (cos u, sin u cos v, sin u sin v cos w, sin u sin v sin w) by product-to-sum
+    e = np.eye(8)
+    q = -math.pi / 2.0  # sin x = cos(x - pi/2)
+    terms = [
+        (1.0, (1, 0, 0), 0.0, e[0]),
+        (0.5, (1, 1, 0), q, e[1]),
+        (0.5, (1, -1, 0), q, e[1]),
+        (0.25, (1, -1, 1), 0.0, e[2]),
+        (0.25, (1, -1, -1), 0.0, e[2]),
+        (-0.25, (1, 1, 1), 0.0, e[2]),
+        (-0.25, (1, 1, -1), 0.0, e[2]),
+        (0.25, (1, -1, 1), q, e[3]),
+        (0.25, (-1, 1, 1), q, e[3]),
+        (-0.25, (1, 1, 1), q, e[3]),
+        (-0.25, (-1, -1, 1), q, e[3]),
+    ]
+    F = catalog.trig_immersion(terms, m=3, n=3, name="great-s3")
     pts = np.stack(
         np.meshgrid(*[np.linspace(0.4, 1.2, 3)] * 3, indexing="ij"), axis=-1
     ).reshape(-1, 3)
+    u, v, w = pts.T
+    direct = [np.cos(u), np.sin(u) * np.cos(v), np.sin(u) * np.sin(v) * np.cos(w), np.sin(u) * np.sin(v) * np.sin(w)]
+    assert np.max(np.abs(F.values(pts)[:, :4] - np.stack(direct, axis=-1))) < 1e-15
     assert imm.check_unit_norm(F.values(pts)).passed
     assert imm.check_integral(imm.sample_geometry(F, pts)).passed
     geo = imm.sample_geometry(F, pts)
