@@ -18,12 +18,15 @@ import sys
 from . import report as rep
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
+def _emit(text: str, out: str | None, parser: argparse.ArgumentParser) -> None:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as ex:
+        parser.exit(2, f"{parser.prog}: error: cannot write --out {out}: {ex.strerror or ex}\n")
 
 
 def _classification_csv(results: list[dict]) -> str:
@@ -91,6 +94,9 @@ def _classification_text(results: list[dict]) -> str:
 # every swept c is one classification of a few milliseconds; the cap bounds the work
 # and the output of one run
 MAX_SWEEP_POINTS = 1000
+# past about |c| = 1e102 the reduction polynomials overflow, and JSON has no
+# token for the NaN and infinities that follow
+MAX_ABS_C = 1e100
 
 
 def _parse_sweep(spec: str) -> list[float]:
@@ -100,6 +106,8 @@ def _parse_sweep(spec: str) -> list[float]:
     lo, hi, step = (float(p) for p in parts)
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError("sweep bounds and step must be finite")
+    if max(abs(lo), abs(hi)) > MAX_ABS_C:
+        raise ValueError(f"sweep bounds must satisfy |c| <= {MAX_ABS_C:g}")
     if step <= 0 or hi < lo:
         raise ValueError("sweep needs step > 0 and hi >= lo")
     # the sweep has floor(steps) + 1 points; count them before building any list
@@ -151,16 +159,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(tokens)
 
     if args.command == "verify":
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+            parser.error(f"--tol must be finite and positive, got {args.tol}")
         try:
             report = rep.build_report(args.example, per_axis=args.grid, tol=args.tol)
         except rep.UsageError as ex:
             parser.error(ex.args[0])
         if args.format == "json":
-            _emit(report.to_json(), args.out)
+            _emit(report.to_json(), args.out, parser)
         elif args.format == "csv":
-            _emit(report.to_csv(), args.out)
+            _emit(report.to_csv(), args.out, parser)
         else:
-            _emit(report.to_text(), args.out)
+            _emit(report.to_text(), args.out, parser)
         return 0 if report.passed else 1
 
     if args.command == "classify":
@@ -178,16 +188,18 @@ def main(argv=None) -> int:
                     parser.error(str(ex))
             elif not math.isfinite(args.c):
                 parser.error(f"--c must be finite, got {args.c}")
+            elif abs(args.c) > MAX_ABS_C:
+                parser.error(f"--c must satisfy |c| <= {MAX_ABS_C:g}, got {args.c}")
             else:
                 cs = [args.c]
         results = [rep.classification_report(c=c, mode=args.mode) for c in cs]
         if args.format == "json":
             payload = results[0] if len(results) == 1 else {"sweep": results}
-            _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+            _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out, parser)
         elif args.format == "csv":
-            _emit(_classification_csv(results), args.out)
+            _emit(_classification_csv(results), args.out, parser)
         else:
-            _emit(_classification_text(results), args.out)
+            _emit(_classification_text(results), args.out, parser)
         return 0
 
     parser.error("unknown command")

@@ -126,8 +126,14 @@ class ParametricImmersion:
         exps = np.array(_terms(self.m, acc))  # (T, m) in jet order
         turn = np.array([1.0, 1j, -1.0, -1j])[exps.sum(axis=1) % 4]  # i^|a|
         scale = np.prod(f[:, None, :] ** exps / _FACTORIAL[exps], axis=-1) * turn  # (K, T)
+        # the einsum writes the terms last, its fastest loop; the real and
+        # imaginary halves are copied once into term-first rows
         coef = np.einsum("nk,ktj->njt", wave, scale[:, :, None] * self.amplitudes[:, None, :], order="C")
-        return Jet(self.m, acc, np.concatenate([coef.real, coef.imag], axis=-2))
+        half = coef.shape[1]
+        rows = np.empty((coef.shape[2], coef.shape[0], 2 * half))
+        rows[..., :half] = coef.real.transpose(2, 0, 1)
+        rows[..., half:] = coef.imag.transpose(2, 0, 1)
+        return Jet._of(self.m, acc, rows)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         return self.jets(pts, 0).value

@@ -7,19 +7,23 @@ retained coefficients, so mixed partial derivatives of analytic immersions
 come out at machine precision -- no finite differences anywhere.
 
 Coefficients are kept in graded order (by total degree, then lexicographic),
-so truncating a jet to a lower degree is a prefix slice.  The coefficient
-array may carry arbitrary leading axes (grid batch, ambient component, ...),
-which numpy broadcasting handles transparently.
+so truncating a jet to a lower degree is a prefix slice.  They are stored
+term-first: ``rows`` has shape (T, *lead), one row per Taylor term, and
+``coef`` views it term-last, (*lead, T).  The lead axes (grid batch, ambient
+component, ...) broadcast as numpy does.
 
-Two contracts of the jet-by-jet product keep reports byte-stable:
+Three contracts keep reports byte-stable:
 
-- Summation order.  Each output coefficient is 0.0 plus its contributions
+- Summation order.  Each product coefficient is 0.0 plus its contributions
   ``a[i] * b[j]`` added one at a time in ``_mul_table`` order, exactly as an
   ``np.add.at`` scatter over that table sums them.  ``_mul_plan`` regroups
   the table into layers so that the additions run as contiguous block adds.
-- Layout.  The result's coefficient array is C-contiguous.  Downstream
-  reductions (``einsum``, ``sum``) round differently on other memory layouts,
-  so bit-equal coefficients alone do not keep residuals bit-equal.
+- Component sums.  ``sum`` adds the slices of its axis one at a time from
+  0.0, as numpy reduces the term-last array; ``np.sum`` on ``rows`` would add
+  the innermost component axis pairwise and round differently.
+- Layout.  ``rows`` is C-contiguous.  Downstream reductions (``einsum``,
+  ``sum``) round differently on other memory layouts, so bit-equal
+  coefficients alone do not keep residuals bit-equal.
 
 Because every output coefficient sums its own contributions in table order,
 a product at a lower accuracy is bit-equal to the truncation of the product
@@ -27,9 +31,9 @@ at a higher one, and a batch can be cut into blocks that are multiplied
 apart.  The product relies on the second for its memory contract:
 
 - Memory.  A product gathers the (a[i], b[j]) pairs of all its P table
-  entries for a block of rows of the first lead axis at a time, so it
-  allocates its result plus a working set of a few times ``GATHER_BUDGET``
-  elements (512 KB each), or of one row when a row alone is larger; never
+  entries for a block of the first lead axis at a time, so it allocates its
+  result plus a working set of a few times ``GATHER_BUDGET`` elements
+  (512 KB each), or of one index of that axis when one alone is larger; never
   P copies of the batch (P = 495 at 4 variables and degree 4).  Small blocks
   also reuse memory the allocator already holds instead of faulting in
   fresh pages.
@@ -126,41 +130,28 @@ def _mul_plan(nvars: int, acc: int):
 
 
 @lru_cache(maxsize=None)
-def _axes(nd: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis orders moving the last of ``nd`` axes to the front, and back."""
-    return (nd - 1,) + tuple(range(nd - 1)), tuple(range(1, nd)) + (0,)
-
-
-def _terms_first(coef: np.ndarray, nd: int) -> np.ndarray:
-    """View of ``coef`` padded to ``nd`` axes, with the term axis first."""
-    if coef.ndim < nd:
-        coef = coef.reshape((1,) * (nd - coef.ndim) + coef.shape)
-    return coef.transpose(_axes(nd)[0])
-
-
-@lru_cache(maxsize=None)
 def _diff_table(nvars: int, acc: int, var: int):
-    """(src, dst, factor) arrays mapping degree-<=acc terms to their d/dx_var."""
-    pos_lo = _position(nvars, acc - 1)
-    src, dst, fac = [], [], []
-    for i, m in enumerate(_terms(nvars, acc)):
-        if m[var] == 0:
-            continue
-        lowered = tuple(e - 1 if k == var else e for k, e in enumerate(m))
-        src.append(i)
-        dst.append(pos_lo[lowered])
-        fac.append(float(m[var]))
-    return (np.asarray(src), np.asarray(dst), np.asarray(fac))
+    """(src, factor): term k of d/dx_var is ``factor[k]`` times term ``src[k]``, for every k."""
+    pos, lowered = _position(nvars, acc), _terms(nvars, acc - 1)
+    src = [pos[tuple(e + (k == var) for k, e in enumerate(m))] for m in lowered]
+    return np.asarray(src), np.array([m[var] + 1.0 for m in lowered])
 
 
-def _layered_product(A: np.ndarray, B: np.ndarray, plan, nd: int) -> np.ndarray:
-    """Coefficients of the product of two term-first coefficient arrays.
+def _aligned(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of two term-first arrays, their leads padded to one number of axes."""
+    if A.ndim != B.ndim:
+        nd = max(A.ndim, B.ndim)
+        A, B = (X.reshape(X.shape[:1] + (1,) * (nd - X.ndim) + X.shape[1:]) for X in (A, B))
+    return A, B
 
-    ``plan`` is ``_mul_plan``'s; the result has the term axis last and is
-    C-contiguous.
+
+def _layered_product(A: np.ndarray, B: np.ndarray, plan) -> np.ndarray:
+    """Term-first, C-contiguous coefficients of the product of two term-first arrays.
+
+    ``plan`` is ``_mul_plan``'s; A and B have the same number of axes.
     """
     ia, ib, layers, slot = plan
-    # products with the term axis first, C-contiguous: each layer is one block
+    # each layer of the products is one contiguous block
     prod = A.take(ia, 0) * B.take(ib, 0)
     # "+ 0.0" is the zero start of the sum: it turns -0.0 into +0.0.  The sums
     # build up in place in the first layer, which no other layer overlaps
@@ -168,16 +159,16 @@ def _layered_product(A: np.ndarray, B: np.ndarray, plan, nd: int) -> np.ndarray:
     out += 0.0
     for off, n in layers:
         out[:n] += prod[off : off + n]
-    # back to the term axis last, in term order; take returns a C-contiguous array
-    return out.transpose(_axes(nd)[1]).take(slot, -1)
+    return out.take(slot, 0)
 
 
 class Jet:
     """Taylor coefficients of a function at a point, exact to degree ``acc``."""
 
-    __slots__ = ("nvars", "acc", "coef")
+    __slots__ = ("nvars", "acc", "rows")
 
     def __init__(self, nvars: int, acc: int, coef: np.ndarray):
+        """A jet from term-last coefficients ``coef`` of shape (*lead, T), copied term-first."""
         if not (1 <= nvars <= MAX_VARS):
             raise ValueError(f"nvars must be in [1, {MAX_VARS}], got {nvars}")
         if not (0 <= acc <= MAX_ORDER):
@@ -190,57 +181,76 @@ class Jet:
             )
         self.nvars = nvars
         self.acc = acc
-        self.coef = coef
+        self.rows = np.array(np.moveaxis(coef, -1, 0), order="C")
+
+    @classmethod
+    def _of(cls, nvars: int, acc: int, rows: np.ndarray) -> "Jet":
+        """A jet on the term-first, C-contiguous array ``rows``, taken without a copy."""
+        jet = object.__new__(cls)
+        jet.nvars, jet.acc, jet.rows = nvars, acc, rows
+        return jet
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def constant(value, nvars: int, acc: int, lead_shape=()) -> "Jet":
         value = np.asarray(value, dtype=float)
-        coef = np.zeros(np.broadcast_shapes(value.shape, lead_shape) + (_nterms(nvars, acc),))
-        coef[..., 0] = value
-        return Jet(nvars, acc, coef)
+        rows = np.zeros((_nterms(nvars, acc),) + np.broadcast_shapes(value.shape, lead_shape))
+        rows[0] = value
+        return Jet._of(nvars, acc, rows)
 
     @staticmethod
     def variable(value, index: int, nvars: int, acc: int) -> "Jet":
         """Jet of the coordinate function x_index evaluated at ``value``."""
         if not (0 <= index < nvars):
             raise IndexError(f"variable index {index} out of range for {nvars} vars")
-        value = np.asarray(value, dtype=float)
-        coef = np.zeros(value.shape + (_nterms(nvars, acc),))
-        coef[..., 0] = value
+        rows = Jet.constant(value, nvars, acc).rows
         if acc >= 1:
             unit = tuple(1 if k == index else 0 for k in range(nvars))
-            coef[..., _position(nvars, acc)[unit]] = 1.0
-        return Jet(nvars, acc, coef)
+            rows[_position(nvars, acc)[unit]] = 1.0
+        return Jet._of(nvars, acc, rows)
 
     # -- basic accessors -----------------------------------------------
 
     @property
+    def coef(self) -> np.ndarray:
+        """The coefficients viewed term-last, shape (*lead, T)."""
+        return self.rows.transpose(*range(1, self.rows.ndim), 0)
+
+    @property
     def value(self) -> np.ndarray:
-        return self.coef[..., 0]
+        return self.rows[0]
 
     def truncate(self, acc: int) -> "Jet":
         if acc > self.acc:
             raise ValueError(f"cannot raise accuracy from {self.acc} to {acc}")
         if acc == self.acc:
             return self
-        return Jet(self.nvars, acc, self.coef[..., : _nterms(self.nvars, acc)])
+        return Jet._of(self.nvars, acc, self.rows[: _nterms(self.nvars, acc)])
 
     def deriv(self, var: int) -> "Jet":
         """Jet of the partial derivative along x_var; accuracy drops by one."""
         if self.acc == 0:
             raise ValueError("cannot differentiate an order-0 jet")
-        src, dst, fac = _diff_table(self.nvars, self.acc, var)
-        out = np.zeros(self.coef.shape[:-1] + (_nterms(self.nvars, self.acc - 1),))
-        out[..., dst] = self.coef[..., src] * fac
-        return Jet(self.nvars, self.acc - 1, out)
+        src, fac = _diff_table(self.nvars, self.acc, var)
+        rows = self.rows.take(src, 0)
+        rows *= fac.reshape(fac.shape + (1,) * (rows.ndim - 1))
+        return Jet._of(self.nvars, self.acc - 1, rows)
 
     def sum(self, axis: int) -> "Jet":
-        """Sum over a leading axis (components), keeping it for broadcasting."""
-        if axis in (-1, self.coef.ndim - 1):
-            raise ValueError("cannot sum over the coefficient axis")
-        return Jet(self.nvars, self.acc, self.coef.sum(axis=axis, keepdims=True))
+        """Sum over a lead axis of ``coef`` (components), keeping it for broadcasting."""
+        nd = self.rows.ndim
+        if axis in (-1, nd - 1) or not -nd <= axis < nd:
+            raise ValueError(f"cannot sum over axis {axis} of a jet with {nd - 1} lead axes")
+        ax = axis % nd + 1
+        if self.rows.shape[0] == 1:
+            # one term is laid out as its term-last array, so np.sum adds in that array's order
+            return Jet._of(self.nvars, self.acc, self.rows.sum(axis=ax, keepdims=True))
+        lead = (slice(None),) * ax
+        total = self.rows[lead + (slice(0, 1),)] + 0.0
+        for k in range(1, self.rows.shape[ax]):
+            total += self.rows[lead + (slice(k, k + 1),)]
+        return Jet._of(self.nvars, self.acc, total)
 
     # -- ring operations -----------------------------------------------
 
@@ -254,43 +264,43 @@ class Jet:
 
     def __add__(self, other):
         a, b = self._coerce(other)
-        return Jet(a.nvars, a.acc, a.coef + b.coef)
+        return Jet._of(a.nvars, a.acc, np.add(*_aligned(a.rows, b.rows)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.nvars, self.acc, -self.coef)
+        return Jet._of(self.nvars, self.acc, -self.rows)
 
     def __sub__(self, other):
         a, b = self._coerce(other)
-        return Jet(a.nvars, a.acc, a.coef - b.coef)
+        return Jet._of(a.nvars, a.acc, np.subtract(*_aligned(a.rows, b.rows)))
 
     def __rsub__(self, other):
         a, b = self._coerce(other)
-        return Jet(a.nvars, a.acc, b.coef - a.coef)
+        return Jet._of(a.nvars, a.acc, np.subtract(*_aligned(b.rows, a.rows)))
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            scale = np.asarray(other, dtype=float)[..., None]
-            return Jet(self.nvars, self.acc, self.coef * scale)
+            # the scale is a one-term array, constant along the term axis
+            scale = np.asarray(other, dtype=float)[None]
+            return Jet._of(self.nvars, self.acc, np.multiply(*_aligned(self.rows, scale)))
         a, b = self._coerce(other)
+        A, B = _aligned(a.rows, b.rows)
         plan = _mul_plan(a.nvars, a.acc)
-        nd = max(a.coef.ndim, b.coef.ndim)
-        A, B = _terms_first(a.coef, nd), _terms_first(b.coef, nd)
         nt = plan[3].size
         # the broadcast lead has at most size(a) * size(b) / nt^2 elements
-        if plan[0].size * a.coef.size * b.coef.size <= GATHER_BUDGET * nt * nt:
-            return Jet(a.nvars, a.acc, _layered_product(A, B, plan, nd))
-        # blocks of rows along the first lead axis, each within the budget
-        lead = np.broadcast(A, B).shape[1:]
-        rows = max(1, GATHER_BUDGET * lead[0] // (plan[0].size * math.prod(lead)))
-        coef = np.empty(lead + (nt,))
-        for r in range(0, lead[0], rows):
-            block = slice(r, r + rows)
-            coef[block] = _layered_product(
-                A if A.shape[1] == 1 else A[:, block], B if B.shape[1] == 1 else B[:, block], plan, nd
+        if plan[0].size * A.size * B.size <= GATHER_BUDGET * nt * nt:
+            return Jet._of(a.nvars, a.acc, _layered_product(A, B, plan))
+        # blocks along the first lead axis, each within the budget
+        lead = np.broadcast_shapes(A.shape[1:], B.shape[1:])
+        step = max(1, GATHER_BUDGET * lead[0] // (plan[0].size * math.prod(lead)))
+        rows = np.empty((nt,) + lead)
+        for r in range(0, lead[0], step):
+            block = slice(r, r + step)
+            rows[:, block] = _layered_product(
+                A if A.shape[1] == 1 else A[:, block], B if B.shape[1] == 1 else B[:, block], plan
             )
-        return Jet(a.nvars, a.acc, coef)
+        return Jet._of(a.nvars, a.acc, rows)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -303,9 +313,9 @@ class Jet:
     # -- analytic functions ---------------------------------------------
 
     def _nilpotent(self):
-        tilde = self.coef.copy()
-        tilde[..., 0] = 0.0
-        return Jet(self.nvars, self.acc, tilde)
+        tilde = self.rows.copy()
+        tilde[0] = 0.0
+        return Jet._of(self.nvars, self.acc, tilde)
 
     def _series(self, coeffs) -> "Jet":
         """Evaluate sum_k coeffs[k] * (self - value)^k by Horner."""
@@ -313,9 +323,9 @@ class Jet:
         res = Jet.constant(np.broadcast_to(coeffs[-1], self.value.shape), self.nvars, self.acc)
         for k in range(len(coeffs) - 2, -1, -1):
             res = res * x
-            kc = res.coef.copy()
-            kc[..., 0] += np.broadcast_to(coeffs[k], kc[..., 0].shape)
-            res = Jet(self.nvars, self.acc, kc)
+            kc = res.rows.copy()
+            kc[0] += coeffs[k]
+            res = Jet._of(self.nvars, self.acc, kc)
         return res
 
     def sincos(self) -> tuple["Jet", "Jet"]:
@@ -350,7 +360,7 @@ class Jet:
         return scaled._series(coeffs) * (1.0 / a0)
 
     def __repr__(self):
-        return f"Jet(nvars={self.nvars}, acc={self.acc}, lead_shape={self.coef.shape[:-1]})"
+        return f"Jet(nvars={self.nvars}, acc={self.acc}, lead_shape={self.rows.shape[1:]})"
 
 
 def lift(value, var_index: int, nvars: int, acc: int) -> Jet:
@@ -376,4 +386,4 @@ def partial(jet: Jet, multi_index) -> np.ndarray:
     factorial = 1.0
     for k in multi:
         factorial *= math.factorial(k)
-    return jet.coef[..., _position(jet.nvars, jet.acc)[multi]] * factorial
+    return jet.rows[_position(jet.nvars, jet.acc)[multi]] * factorial

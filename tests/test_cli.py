@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from sasakian import immersion as imm
 from sasakian import report as rep
-from sasakian.cli import MAX_SWEEP_POINTS, _parse_sweep, main
+from sasakian.cli import MAX_ABS_C, MAX_SWEEP_POINTS, _parse_sweep, main
 
 FAST_EXAMPLES = [
     "s5-surface",
@@ -154,6 +155,11 @@ def test_cli_unknown_example_exits_2():
         ["verify", "minus4"],
         ["verify", "legendre-helix"],
         ["verify", "cylinder-minus4"],
+        ["verify", "legendre-circle", "--tol", "nan"],
+        ["verify", "legendre-circle", "--tol", "inf"],
+        ["verify", "legendre-circle", "--tol=-inf"],
+        ["verify", "legendre-circle", "--tol", "0"],
+        ["verify", "legendre-circle", "--tol", "-1"],
     ],
 )
 def test_cli_bad_verify_input_exits_2(argv, capsys):
@@ -214,6 +220,39 @@ def test_cli_out_file(tmp_path, capsys):
     assert payload["subject"] == "legendre-circle"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "legendre-circle", "--grid", "3", "--format", "json"],
+        ["classify", "--c", "1", "--format", "json"],
+    ],
+)
+def test_cli_unwritable_out_exits_2(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [f"sasakian: error: cannot write --out {target}: No such file or directory"]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_cli_classify_json_is_strict_up_to_the_c_bound(sign, capsys):
+    # every decade from the smallest subnormal to the bound itself
+    top = round(math.log10(MAX_ABS_C))
+    assert float(f"1e{top}") == MAX_ABS_C
+    for exponent in range(-323, top + 1):
+        c = sign * float(f"1e{exponent}")
+        assert main(["classify", f"--c={c!r}", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert payload["c"] == c
+
+
 def test_cli_classify_c1(capsys):
     assert main(["classify", "--c", "1", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -268,6 +307,10 @@ def test_cli_classify_invalid_sweep():
         ["classify", "--c-sweep", "0:inf:1"],
         ["classify", "--c-sweep", "0:1:1e-7"],
         ["classify", "--c-sweep=-1e308:1e308:1"],
+        ["classify", "--c", "1e101"],
+        ["classify", "--c=-1e101"],
+        ["classify", "--c-sweep", "0:2e100:1e100"],
+        ["classify", "--c-sweep=-2e100:0:1e100"],
     ],
 )
 def test_cli_bad_classify_input_exits_2(argv, capsys, monkeypatch):

@@ -9,7 +9,19 @@ from hypothesis.extra import numpy as hnp
 
 from sasakian import jets
 from sasakian import report as rep
-from sasakian.jets import GATHER_BUDGET, MAX_ORDER, MAX_VARS, Jet, _mul_table, _nterms, lift, partial
+from sasakian.immersion import _FACTORIAL, ParametricImmersion, _phase
+from sasakian.jets import (
+    GATHER_BUDGET,
+    MAX_ORDER,
+    MAX_VARS,
+    Jet,
+    _mul_table,
+    _nterms,
+    _position,
+    _terms,
+    lift,
+    partial,
+)
 
 
 def _add_at_product(a: Jet, b: Jet) -> Jet:
@@ -20,6 +32,37 @@ def _add_at_product(a: Jet, b: Jet) -> Jet:
     out = np.zeros(prod.shape[:-1] + (_nterms(a.nvars, a.acc),))
     np.add.at(out.reshape(-1, out.shape[-1]).T, iout, prod.reshape(-1, prod.shape[-1]).T)
     return Jet(a.nvars, a.acc, out)
+
+
+def _scatter_deriv(jet: Jet, var: int) -> Jet:
+    """Reference derivative: zero-fill the lower jet, then scatter the lowered terms into it."""
+    lower = _position(jet.nvars, jet.acc - 1)
+    src, dst, fac = [], [], []
+    for i, m in enumerate(_terms(jet.nvars, jet.acc)):
+        if m[var]:
+            src.append(i)
+            dst.append(lower[tuple(e - (k == var) for k, e in enumerate(m))])
+            fac.append(float(m[var]))
+    out = np.zeros(jet.coef.shape[:-1] + (len(lower),))
+    out[..., dst] = jet.coef[..., src] * np.asarray(fac)
+    return Jet(jet.nvars, jet.acc - 1, out)
+
+
+def _reduce_sum(jet: Jet, axis: int) -> Jet:
+    """Reference component sum: numpy's reduction of the C-contiguous term-last array."""
+    return Jet(jet.nvars, jet.acc, np.sum(np.ascontiguousarray(jet.coef), axis=axis, keepdims=True))
+
+
+def _term_last_wave_jets(F: ParametricImmersion, pts: np.ndarray, acc: int) -> np.ndarray:
+    """Reference closed-form coefficients: the term-last einsum "nk,ktj->njt"."""
+    hi, lo = _phase(F.phases, pts, F.frequencies)
+    c, s = np.cos(hi), np.sin(hi)
+    wave = (c - lo * s) + 1j * (s + lo * c)
+    exps = np.array(_terms(F.m, acc))
+    turn = np.array([1.0, 1j, -1.0, -1j])[exps.sum(axis=1) % 4]
+    scale = np.prod(F.frequencies[:, None, :] ** exps / _FACTORIAL[exps], axis=-1) * turn
+    coef = np.einsum("nk,ktj->njt", wave, scale[:, :, None] * F.amplitudes[:, None, :], order="C")
+    return np.concatenate([coef.real, coef.imag], axis=-2)
 
 
 def _assert_bit_equal(got: np.ndarray, want: np.ndarray):
@@ -180,7 +223,7 @@ def test_product_is_bit_equal_to_add_at_scatter(nvars, acc, shapes, data):
     b = Jet(nvars, acc, data.draw(hnp.arrays(np.float64, lead_b + (nterms,), elements=_COEF)))
     got = a * b
     assert got.coef.shape == shapes.result_shape + (nterms,)
-    assert got.coef.flags.c_contiguous
+    assert got.rows.flags.c_contiguous
     _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
 
 
@@ -215,7 +258,7 @@ def test_product_is_bit_equal_to_add_at_scatter_on_large_leads(nvars, acc, lead_
     blocks = _count_blocks(monkeypatch)
     got = a * b
     assert (len(blocks) > 1) == blocked
-    assert got.coef.flags.c_contiguous
+    assert got.rows.flags.c_contiguous
     _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
 
 
@@ -251,9 +294,81 @@ def test_product_sum_starts_from_positive_zero():
     _assert_bit_equal(got, _add_at_product(a, b).coef)
 
 
-@pytest.mark.parametrize("name", ["corollary-c1", "cylinder-c1", "s5-surface", "legendre-helix:0.5"])
+@settings(max_examples=150, deadline=None)
+@given(
+    nvars=st.integers(1, MAX_VARS),
+    acc=st.integers(1, MAX_ORDER),
+    lead=hnp.array_shapes(min_dims=0, max_dims=3, max_side=3),
+    data=st.data(),
+)
+def test_derivative_is_bit_equal_to_the_scatter(nvars, acc, lead, data):
+    var = data.draw(st.integers(0, nvars - 1))
+    jet = Jet(nvars, acc, data.draw(hnp.arrays(np.float64, lead + (_nterms(nvars, acc),), elements=_COEF)))
+    got = jet.deriv(var)
+    assert got.rows.flags.c_contiguous
+    _assert_bit_equal(got.coef, _scatter_deriv(jet, var).coef)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nvars=st.integers(1, MAX_VARS),
+    acc=st.integers(0, MAX_ORDER),
+    # sides up to 9 reach the unrolled block of 8 in numpy's pairwise summation
+    lead=hnp.array_shapes(min_dims=1, max_dims=2, max_side=9),
+    data=st.data(),
+)
+def test_sum_is_bit_equal_to_numpy_on_the_term_last_array(nvars, acc, lead, data):
+    axis = data.draw(st.integers(0, len(lead) - 1))
+    axis = data.draw(st.sampled_from([axis, axis - len(lead) - 1]))
+    jet = Jet(nvars, acc, data.draw(hnp.arrays(np.float64, lead + (_nterms(nvars, acc),), elements=_COEF)))
+    got = jet.sum(axis)
+    assert got.rows.flags.c_contiguous
+    _assert_bit_equal(got.coef, _reduce_sum(jet, axis).coef)
+
+
+@pytest.mark.parametrize("acc", [0, 2])
+@pytest.mark.parametrize("lead, axis", [((20, 8), -2), ((9,), 0), ((3, 9, 1), 1), ((4, 3, 5), 1)])
+def test_sum_is_bit_equal_to_numpy_on_spread_magnitudes(lead, axis, acc):
+    # a one-term array sums an axis with only unit axes after it pairwise,
+    # which orders the additions differently from one at a time
+    rng = np.random.default_rng(5)
+    shape = lead + (_nterms(2, acc),)
+    jet = Jet(2, acc, rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
+    _assert_bit_equal(jet.sum(axis).coef, _reduce_sum(jet, axis).coef)
+
+
+def test_sum_refuses_the_coefficient_axis():
+    jet = Jet(2, 2, np.ones((3, 4, _nterms(2, 2))))
+    for axis in (-1, 2, 3, -4):
+        with pytest.raises(ValueError, match="cannot sum"):
+            jet.sum(axis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nvars=st.integers(1, MAX_VARS),
+    acc=st.integers(0, MAX_ORDER),
+    waves=st.integers(1, 8),
+    components=st.integers(1, 4),
+    npts=st.integers(1, 5),
+    data=st.data(),
+)
+def test_wave_jets_are_bit_equal_to_the_term_last_einsum(nvars, acc, waves, components, npts, data):
+    amplitudes = data.draw(hnp.arrays(np.float64, (2, waves, components), elements=_COEF))
+    F = ParametricImmersion(
+        amplitudes[0] + 1j * amplitudes[1],
+        data.draw(hnp.arrays(np.float64, (waves, nvars), elements=_COEF)),
+        data.draw(hnp.arrays(np.float64, (waves,), elements=_COEF)),
+    )
+    pts = data.draw(hnp.arrays(np.float64, (npts, nvars), elements=st.floats(-10, 10)))
+    got = F.jets(pts, acc)
+    assert got.rows.flags.c_contiguous
+    _assert_bit_equal(got.coef, _term_last_wave_jets(F, pts, acc))
+
+
+@pytest.mark.parametrize("name", [name.replace("<kappa1>", "0.5") for name in rep.EXAMPLE_NAMES])
 def test_report_json_is_identical_under_the_add_at_product(name, monkeypatch):
-    layered = rep.build_report(name, per_axis=3).to_json()
+    fast = rep.build_report(name, per_axis=3).to_json()
     default_mul = Jet.__mul__
 
     def reference_mul(self, other):
@@ -262,4 +377,6 @@ def test_report_json_is_identical_under_the_add_at_product(name, monkeypatch):
         return _add_at_product(self, other)
 
     monkeypatch.setattr(Jet, "__mul__", reference_mul)
-    assert rep.build_report(name, per_axis=3).to_json() == layered
+    monkeypatch.setattr(Jet, "deriv", _scatter_deriv)
+    monkeypatch.setattr(Jet, "sum", _reduce_sum)
+    assert rep.build_report(name, per_axis=3).to_json() == fast

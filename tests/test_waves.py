@@ -191,7 +191,7 @@ def test_closed_form_jets_match_jet_arithmetic(name, F, ev, acc):
     got = F.jets(pts, acc)
     want = _reference_jet(ev, pts, acc)
     assert got.coef.shape == want.coef.shape
-    assert got.coef.flags.c_contiguous
+    assert got.rows.flags.c_contiguous
     assert np.max(np.abs(got.coef - want.coef)) <= TOL
     # lower accuracies are prefixes of the same closed form
     assert np.array_equal(F.jets(pts, acc - 2).coef, got.truncate(acc - 2).coef)
