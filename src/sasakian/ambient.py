@@ -31,16 +31,14 @@ def _dot(u, v):
     return np.sum(u * v, axis=-1)
 
 
-def complex_to_real(z: np.ndarray) -> np.ndarray:
-    """Complex coordinate vector(s) to blocked real form (Re..., Im...)."""
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag], axis=-1)
+def phi0(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """phi v = J v - <J v, z> z at points z, unvalidated.
 
-
-def real_to_complex(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    half = v.shape[-1] // 2
-    return v[..., :half] + 1j * v[..., half:]
+    phi is the same for every deformation parameter a, so this serves the
+    canonical structure and ``SasakianSphere.phi`` alike.
+    """
+    jv = complex_structure(v)
+    return jv - _dot(jv, z)[..., None] * z
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,7 @@ class SasakianSphere:
     def phi(self, z, v) -> np.ndarray:
         z = self.check_point(z)
         v = self.check_tangent(z, v)
-        jv = complex_structure(v)
-        return jv - _dot(jv, z)[..., None] * z
+        return phi0(z, v)
 
     def metric(self, z, u, v) -> np.ndarray:
         z = self.check_point(z)

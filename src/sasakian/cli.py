@@ -148,11 +148,11 @@ def main(argv=None) -> int:
     pc.add_argument("--format", choices=("json", "csv", "text"), default="text")
     pc.add_argument("--out", default=None)
 
-    # argparse reads a value such as -1:1:0.5 or -1e-3 as an option unless it is
-    # attached with "=", so attach the value of --c and --c-sweep unless it is an option
+    # argparse reads a value such as -1:1:0.5, -1e-3 or -inf as an option unless it is attached
+    # with "=", so attach the value of --tol, --c and --c-sweep unless it is "-h" or starts "--"
     tokens: list[str] = []
     for token in sys.argv[1:] if argv is None else argv:
-        if tokens and tokens[-1] in ("--c", "--c-sweep") and token not in pc._option_string_actions:
+        if tokens and tokens[-1] in ("--tol", "--c", "--c-sweep") and not (token == "-h" or token.startswith("--")):
             tokens[-1] += "=" + token
         else:
             tokens.append(token)

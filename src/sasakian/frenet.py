@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import SasakianSphere, complex_structure
-from .immersion import ParametricImmersion, _dotj, _dotv
+from .ambient import phi0
+from .immersion import ParametricImmersion, _connection, _connection_value, _dotj, _dotv
 from .jets import Jet
 
 DEPENDENCE_TOL = 1e-8
@@ -61,10 +61,7 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
         )
     ladder = [T]
     for _ in range(MAX_ORDER):
-        v = ladder[-1]
-        a = v.acc - 1
-        nxt = v.deriv(0) + _dotj(T.truncate(a), v.truncate(a)) * X.truncate(a)
-        ladder.append(nxt)
+        ladder.append(_connection(ladder[-1], 0, T, X))
     values = [v.value for v in ladder]
 
     # pointwise Gram-Schmidt with rank-drop detection
@@ -109,8 +106,7 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
             for e in jet_frame:
                 w = w - _dotj(w, e) * e
             jet_frame.append(w * _dotj(w, w).sqrt().reciprocal())
-        Er = jet_frame[-1]
-        dEr = Er.deriv(0).value + _dotv(T.value, Er.value)[:, None] * X.value
+        dEr = _connection_value(jet_frame[-1], 0, T.value, X.value)
         closure = float(np.max(np.abs(dEr + curvatures[-1][:, None] * frame_vals[-2])))
         gram = np.einsum("nid,njd->nij", np.stack(frame_vals, 1), np.stack(frame_vals, 1))
         ortho = float(np.max(np.abs(gram - np.eye(order))))
@@ -129,19 +125,11 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
     )
 
 
-def phi_alignment(apparatus: FrenetApparatus, space: SasakianSphere | None = None) -> float:
+def phi_alignment(apparatus: FrenetApparatus) -> float:
     """The constant g0(E_2, phi T) along the curve (requires order >= 2)."""
     if apparatus.order < 2:
         raise FrenetError("phi alignment needs osculating order at least 2")
-    pos = apparatus.positions
-    tangent = apparatus.frame[0]
-    e2 = apparatus.frame[1]
-    if space is not None:
-        phi_t = space.phi(pos, tangent)
-    else:
-        jt = complex_structure(tangent)
-        phi_t = jt - _dotv(jt, pos)[:, None] * pos
-    vals = _dotv(e2, phi_t)
+    vals = _dotv(apparatus.frame[1], phi0(apparatus.positions, apparatus.frame[0]))
     spread = float(np.max(vals) - np.min(vals))
     if spread > 1e-8:
         raise FrenetError(f"g0(E_2, phi T) is not constant along the curve (spread {spread:.3e})")

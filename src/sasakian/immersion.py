@@ -7,6 +7,10 @@ identity on the sampled grid) before any covariant differentiation; the
 explicit product-of-curves immersions all satisfy this, and anything else
 raises ChartError instead of silently using Christoffel symbols.
 
+B and H are the values of the jets that the C-parallel, normal-Laplacian and
+bitension checks read (B_ij = (nabla_i d_j F)^perp from ``GeometrySample.nabla``
+and ``normal``, H = tau / m), so they need a flat-orthonormal chart too.
+
 Every immersion is a finite sum of plane waves, so its Taylor coefficients
 come in closed form, and derived quantities are differentiated by jet
 arithmetic (see ``jets``): residuals reported by the checks are at numerical
@@ -22,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ambient import complex_structure
+from .ambient import complex_structure, phi0
 from .jets import MAX_ORDER, Jet, _terms
 
 FLAT_CHART_TOL = 1e-9
@@ -162,9 +166,9 @@ class CheckResult:
 class GeometrySample:
     """Induced geometry of F at a grid of points, from one accuracy-4 jet.
 
-    The eager fields carry the grid as leading axis.  The covariant jets
-    (tangents, B_ij, tau) are built on first use, and only on a
-    flat-orthonormal chart: asking for them on any other raises ChartError.
+    The eager fields carry the grid as leading axis.  Everything covariant
+    (tangent jets, B_ij, tau, B and H) is built on first use, and only on a
+    flat-orthonormal chart: asking for it on any other raises ChartError.
     """
 
     immersion: ParametricImmersion
@@ -172,10 +176,6 @@ class GeometrySample:
     points: np.ndarray                 # (N, m)
     metric: np.ndarray                 # (N, m, m)
     tangents: np.ndarray               # (N, m, dim)
-    second_fundamental: np.ndarray     # (N, m, m, dim)
-    mean_curvature: np.ndarray         # (N, dim)
-    mean_curvature_norm: np.ndarray    # (N,)
-    tangential_residual: float         # max |<nabla_i d_j F, T_k>| before projection
 
     @property
     def values(self) -> np.ndarray:
@@ -187,6 +187,17 @@ class GeometrySample:
         require_flat_chart(self)
         return [self.jet.deriv(i) for i in range(self.immersion.m)]
 
+    def nabla(self, V: Jet, i: int) -> Jet:
+        """nabla_i V along F for a jet V of ambient vectors; accuracy drops by one."""
+        return _connection(V, i, self.tangent_jets[i], self.jet)
+
+    def normal(self, V: Jet) -> Jet:
+        """The normal part of a jet V of ambient vectors (G = I, so a plain Gram sum)."""
+        proj = V
+        for t in self.tangent_jets:
+            proj = proj - _dotj(V, t) * t
+        return proj
+
     def _second_fundamental_jet(self, i: int, j: int, acc: int) -> Jet:
         """B_ij = (nabla_i d_j F)^perp as a jet of accuracy ``acc`` <= 2.
 
@@ -194,13 +205,7 @@ class GeometrySample:
         accuracy (see ``jets``), so this is the truncation of the
         accuracy-2 jet.
         """
-        X = self.jet.truncate(acc)
-        T = [t.truncate(acc) for t in self.tangent_jets]
-        nab = self.tangent_jets[i].truncate(acc + 1).deriv(j) + _dotj(T[i], T[j]) * X
-        proj = nab
-        for t in T:
-            proj = proj - _dotj(nab, t) * t
-        return proj
+        return self.normal(self.nabla(self.tangent_jets[j].truncate(acc + 1), i))
 
     @cached_property
     def _diagonal_second_fundamental_jets(self) -> list[Jet]:
@@ -236,6 +241,21 @@ class GeometrySample:
             tau = tau + b
         return tau
 
+    @cached_property
+    def second_fundamental(self) -> np.ndarray:
+        """B at the points, (N, m, m, dim): the values of the B_ij jets."""
+        B, m = self.second_fundamental_jets, self.immersion.m
+        return np.stack([np.stack([B[(i, j)].value for j in range(m)], axis=1) for i in range(m)], axis=1)
+
+    @cached_property
+    def mean_curvature(self) -> np.ndarray:
+        """H = tau / m at the points, (N, dim)."""
+        return self.tension_jet.value * (1.0 / self.immersion.m)
+
+    @cached_property
+    def mean_curvature_norm(self) -> np.ndarray:
+        return np.linalg.norm(self.mean_curvature, axis=-1)
+
 
 def _dotj(a: Jet, b: Jet) -> Jet:
     """Inner product of two component-stacked jets (sums the component axis)."""
@@ -246,55 +266,31 @@ def _dotv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum(u * v, axis=-1)
 
 
-def sample_geometry(F: ParametricImmersion, pts: np.ndarray) -> GeometrySample:
-    """First and second fundamental data of F at the given points.
+def _connection(V: Jet, i: int, T_i: Jet, X: Jet) -> Jet:
+    """nabla_i V = d_i V + <T_i, V> X for jets of V, T_i = d_i F and X = F; accuracy drops by one."""
+    a = V.acc - 1
+    return V.deriv(i) + _dotj(T_i.truncate(a), V.truncate(a)) * X.truncate(a)
 
-    Evaluates the accuracy-4 jet of F once; every derivative check reads it
-    from the returned sample.  Uses the sphere connection
-    nabla_X Y = D_X Y + <X,Y> F and projects the second derivatives onto the
-    normal space of span{dF} with the actual induced metric (no flatness
-    assumption here).
+
+def _connection_value(V: Jet, i: int, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The value of nabla_i V, from a jet V and the values t of d_i F and x of F."""
+    return V.deriv(i).value + _dotv(t, V.value)[:, None] * x
+
+
+def sample_geometry(F: ParametricImmersion, pts: np.ndarray) -> GeometrySample:
+    """The accuracy-4 jet of F at the points, with its tangents and metric.
+
+    Every check reads the returned sample, so F is evaluated once per report.
+    A metric singular at a sampled point is refused (ValueError).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     jet = F.jets(pts, 4)
-    X = jet.truncate(2)
-    m, dim = F.m, F.ambient_dim
-    xval = X.value
-    npts = xval.shape[0]
-
-    Tj = [X.deriv(i) for i in range(m)]
-    tangents = np.stack([t.value for t in Tj], axis=1)
+    X = jet.truncate(1)
+    tangents = np.stack([X.deriv(i).value for i in range(F.m)], axis=1)
     G = np.einsum("nid,njd->nij", tangents, tangents)
-
-    det = np.linalg.det(G)
-    if np.any(np.abs(det) < 1e-14):
+    if np.any(np.abs(np.linalg.det(G)) < 1e-14):
         raise ValueError("induced metric is singular: not an immersion at a sampled point")
-
-    nabla = np.empty((npts, m, m, dim))
-    for i in range(m):
-        for j in range(i, m):
-            d2 = Tj[i].deriv(j).value
-            nabla[:, i, j] = d2 + G[:, i, j][:, None] * xval
-            nabla[:, j, i] = nabla[:, i, j]
-
-    # tangential part solved against the actual metric
-    rhs = np.einsum("nijd,nkd->nijk", nabla, tangents)
-    coeff = np.linalg.solve(G[:, None, None, :, :], rhs[..., None])[..., 0]
-    B = nabla - np.einsum("nijk,nkd->nijd", coeff, tangents)
-
-    Ginv = np.linalg.inv(G)
-    H = np.einsum("nij,nijd->nd", Ginv, B) / m
-    return GeometrySample(
-        immersion=F,
-        jet=jet,
-        points=pts,
-        metric=G,
-        tangents=tangents,
-        second_fundamental=B,
-        mean_curvature=H,
-        mean_curvature_norm=np.linalg.norm(H, axis=-1),
-        tangential_residual=float(np.max(np.abs(rhs))),
-    )
+    return GeometrySample(immersion=F, jet=jet, points=pts, metric=G, tangents=tangents)
 
 
 def check_unit_norm(values: np.ndarray) -> CheckResult:
@@ -337,11 +333,7 @@ def check_C_parallel(sample: GeometrySample) -> CheckResult:
     m = sample.immersion.m
     xval, tangents = sample.values, sample.tangents
     xi0 = -complex_structure(xval)
-
-    phiT = np.empty_like(tangents)
-    for i in range(m):
-        jt = complex_structure(tangents[:, i])
-        phiT[:, i] = jt - _dotv(jt, xval)[:, None] * xval
+    phiT = phi0(xval[:, None], tangents)
 
     res = 0.0
     S = np.empty((xval.shape[0], m, m, m))
@@ -349,8 +341,7 @@ def check_C_parallel(sample: GeometrySample) -> CheckResult:
         for j in range(m):
             for k in range(j, m):
                 Bjk = B[(j, k)]
-                dB = Bjk.deriv(i).value + _dotv(tangents[:, i], Bjk.value)[:, None] * xval
-                dB_perp = _normal_project_values(dB, tangents)
+                dB_perp = _normal_project_values(_connection_value(Bjk, i, tangents[:, i], xval), tangents)
                 s_val = _dotv(phiT[:, i], Bjk.value)
                 diff = dB_perp - s_val[:, None] * xi0
                 res = max(res, float(np.max(np.abs(diff))))
@@ -376,17 +367,12 @@ def _rough_laplacian(sample: GeometrySample, V: Jet, normal: bool) -> np.ndarray
     connection along the map is used as is.
     """
     xval, tangents = sample.values, sample.tangents
-    X1 = sample.jet.truncate(1)
-    T1 = [t.truncate(1) for t in sample.tangent_jets]
     lap = np.zeros_like(V.value)
     for i in range(sample.immersion.m):
-        dV = V.deriv(i) + _dotj(T1[i], V.truncate(1)) * X1
+        dV = sample.nabla(V, i)
         if normal:
-            proj = dV
-            for t in T1:
-                proj = proj - _dotj(dV, t) * t
-            dV = proj
-        d2 = dV.deriv(i).value + _dotv(tangents[:, i], dV.value)[:, None] * xval
+            dV = sample.normal(dV)
+        d2 = _connection_value(dV, i, tangents[:, i], xval)
         lap -= _normal_project_values(d2, tangents) if normal else d2
     return lap
 
@@ -396,11 +382,7 @@ def check_normal_laplacian(sample: GeometrySample) -> CheckResult:
     H = sample.tension_jet * (1.0 / sample.immersion.m)
     lap = _rough_laplacian(sample, H, normal=True)
     res = float(np.max(np.abs(lap - H.value)))
-    out = CheckResult("normal_laplacian", res, NORMAL_LAPLACIAN_TOL)
-    hnorm = np.linalg.norm(H.value, axis=-1)
-    out.extra["mean_curvature_norm"] = float(np.mean(hnorm))
-    out.extra["mean_curvature_variance"] = float(np.var(hnorm))
-    return out
+    return CheckResult("normal_laplacian", res, NORMAL_LAPLACIAN_TOL)
 
 
 def bitension(sample: GeometrySample, mode: str = "biharmonic") -> np.ndarray:

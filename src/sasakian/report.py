@@ -20,7 +20,7 @@ import numpy as np
 
 from . import catalog, classifier, immersion as imm
 from .ambient import complex_structure
-from .frenet import frenet, phi_alignment
+from .frenet import FrenetError, frenet, phi_alignment
 
 SQ2, SQ3, SQ5, SQ13 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(13.0)
 
@@ -171,22 +171,24 @@ def parse_example(name: str) -> tuple[str, float | None]:
     raise UsageError(f"unknown example {name!r}; registered: {', '.join(EXAMPLE_NAMES)}")
 
 
-def _curve_grid(curve: imm.ParametricImmersion, per_axis: int) -> np.ndarray:
-    box = (curve.sample_box or (2.0 * math.pi,))[0]
-    return (np.arange(per_axis) + 0.5) / per_axis * box
+def _failed_checks(report, checks, ex):
+    """Add every (name, tolerance) of ``checks`` as failed, with residual inf."""
+    for name, tol in checks:
+        chk = imm.CheckResult(name, float("inf"), tol)
+        chk.extra["error"] = str(ex)
+        report.add(chk)
 
 
 def _frenet_check(report, F, axis, base, want, per_axis, label):
     curve = catalog.coordinate_curve(F, axis, base)
-    app = frenet(curve, _curve_grid(curve, max(per_axis, 5)))
+    try:
+        app = frenet(curve, curve.grid(max(per_axis, 5)))
+    except FrenetError as ex:
+        _failed_checks(report, ((f"frenet_{label}", 1e-8), (f"frenet_{label}_constancy", 1e-8)), ex)
+        return
     got = app.curvature_values
-    if app.order != len(want) + 1:
-        res = float("inf")
-    else:
-        res = max(abs(g - w) for g, w in zip(got, want))
-    chk = imm.CheckResult(f"frenet_{label}", res, 1e-8)
-    chk.extra["order"] = app.order
-    report.add(chk)
+    res = max(abs(g - w) for g, w in zip(got, want)) if app.order == len(want) + 1 else float("inf")
+    report.add(imm.CheckResult(f"frenet_{label}", res, 1e-8))
     spread = float(np.max(app.curvature_spreads)) if len(app.curvature_spreads) else 0.0
     report.add(imm.CheckResult(f"frenet_{label}_constancy", spread, 1e-8))
     report.computed[f"curvatures_{label}"] = [format_value(v) for v in got]
@@ -239,14 +241,28 @@ def _sample_lattice_check(geo, vectors, rows):
     return imm.lattice_check(geo.immersion, vectors, geo.points[:rows], base=geo.values[:rows])
 
 
-def _legendre_curve_checks(report, F, per_axis):
-    """The shared opening of the Legendre curve suites; returns (geo, Frenet apparatus)."""
-    pts = _curve_grid(F, max(per_axis, 5))[:, None]
+def _legendre_suite(report, F, per_axis, label, order, kappa1, align_name, align_want):
+    """The shared suite of the Legendre curves; returns the Frenet apparatus, or None.
+
+    A FrenetError fails the Frenet and phi-alignment checks with residual inf.
+    """
+    pts = F.grid(max(per_axis, 5))
     geo = imm.sample_geometry(F, pts)
     report.add(imm.check_unit_norm(geo.values))
     report.add(imm.check_integral(geo))
     report.add(imm.check_bitension(geo))
-    return geo, frenet(F, pts.ravel())
+    try:
+        app = frenet(F, pts.ravel())
+        alignment = abs(abs(phi_alignment(app)) - align_want)
+    except FrenetError as ex:
+        _failed_checks(report, ((f"frenet_{label}", 1e-8), (align_name, 1e-10)), ex)
+        app = None
+    else:
+        res = abs(app.curvature_values[0] - kappa1) if app.order == order else float("inf")
+        report.add(imm.CheckResult(f"frenet_{label}", res, 1e-8))
+        report.add(imm.CheckResult(align_name, alignment, 1e-10))
+    _mean_curvature_checks(report, geo.mean_curvature_norm, want=kappa1)
+    return app
 
 
 def _decomposition_check(report, F, want_radii, per_axis, basis=None, label="decomposition", jet=None):
@@ -336,25 +352,15 @@ def _cylinder_s5_suite(report, per_axis, _param):
 
 
 def _legendre_circle_suite(report, per_axis, _param):
-    geo, app = _legendre_curve_checks(report, catalog.legendre_curve("circle"), per_axis)
-    res = abs(app.curvature_values[0] - 1.0) if app.order == 2 else float("inf")
-    chk = imm.CheckResult("frenet_circle", res, 1e-8)
-    chk.extra["order"] = app.order
-    report.add(chk)
-    report.add(imm.CheckResult("phi_alignment_zero", abs(phi_alignment(app)), 1e-10))
-    _mean_curvature_checks(report, geo.mean_curvature_norm, want=1.0)
+    _legendre_suite(report, catalog.legendre_curve("circle"), per_axis, "circle", 2, 1.0, "phi_alignment_zero", 0.0)
 
 
 def _legendre_helix_suite(report, per_axis, kappa1):
-    geo, app = _legendre_curve_checks(report, catalog.legendre_curve("helix", kappa1=kappa1), per_axis)
-    res = abs(app.curvature_values[0] - kappa1) if app.order == 3 else float("inf")
-    chk = imm.CheckResult("frenet_helix", res, 1e-8)
-    chk.extra["order"] = app.order
-    report.add(chk)
-    report.computed["curvatures"] = [format_value(v) for v in app.curvature_values]
+    F = catalog.legendre_curve("helix", kappa1=kappa1)
     B = math.sqrt(1.0 - kappa1)
-    report.add(imm.CheckResult("phi_alignment_magnitude", abs(abs(phi_alignment(app)) - B), 1e-10))
-    _mean_curvature_checks(report, geo.mean_curvature_norm, want=kappa1)
+    app = _legendre_suite(report, F, per_axis, "helix", 3, kappa1, "phi_alignment_magnitude", B)
+    if app is not None:
+        report.computed["curvatures"] = [format_value(v) for v in app.curvature_values]
 
 
 def _minus4_suite(report, per_axis, index):

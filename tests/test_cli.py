@@ -171,6 +171,49 @@ def test_cli_bad_verify_input_exits_2(argv, capsys):
     assert err.strip().splitlines()[-1].startswith("sasakian: error: ")
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-inf", "-1"])
+def test_cli_negative_tol_names_the_fault(value, capsys):
+    # a value that starts with "-" is still the value of --tol, not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "corollary-c1", "--tol", value])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("sasakian: error: --tol must be finite and positive, got ")
+
+
+def test_cli_option_after_tol_is_not_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "corollary-c1", "--tol", "--grid", "3"])
+    assert exc.value.code == 2
+    assert "argument --tol: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa1", ["1e-9", "1e-7", "0.9999999999999"])
+def test_cli_helix_near_the_ends_of_the_range_fails_its_frenet_checks(kappa1, capsys):
+    # the Frenet extraction cannot settle the osculating order there: the
+    # report still comes out, with the Frenet checks failed at residual inf
+    assert main(["verify", f"legendre-helix:{kappa1}", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    failed = {c["name"]: c["residual"] for c in payload["checks"] if not c["pass"]}
+    assert failed == {"frenet_helix": math.inf, "phi_alignment_magnitude": math.inf}
+
+
+def test_frenet_error_on_a_coordinate_curve_fails_its_checks(monkeypatch):
+    def indeterminate(curve, s_grid):
+        raise rep.FrenetError("osculating order is numerically indeterminate at step 1")
+
+    monkeypatch.setattr(rep, "frenet", indeterminate)
+    report = rep.build_report("corollary-c1", per_axis=3)
+    frenet_checks = [c for c in report.checks if c.name.startswith("frenet_")]
+    assert [c.name for c in frenet_checks] == [
+        f"frenet_{label}{suffix}" for label in ("X1", "X2", "X3") for suffix in ("", "_constancy")
+    ]
+    assert all(c.residual == math.inf and not c.passed for c in frenet_checks)
+    assert all("indeterminate" in c.extra["error"] for c in frenet_checks)
+
+
 @pytest.mark.parametrize("name", ["cylinder-c1", "corollary-c1", "legendre-helix:0.5", "cylinder-minus4-2"])
 def test_cli_grid_over_the_cap_exits_2_before_sampling(name, monkeypatch, capsys):
     def refuse(*args, **kwargs):

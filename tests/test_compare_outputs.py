@@ -1,0 +1,48 @@
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import compare_outputs as co  # noqa: E402
+
+
+def _run(exit_code, payload):
+    return {"exit": exit_code, "stdout": json.dumps(payload), "stderr": ""}
+
+
+def _report(residual, tolerance=1e-8, passed=True, name="trace_b_ah"):
+    return {"checks": [{"name": name, "residual": residual, "tolerance": tolerance, "pass": passed}], "computed": {}}
+
+
+def test_changed_values_are_listed_by_check_name_and_exit_0():
+    before = {"verify x": _run(0, _report(1e-16))}
+    after = {"verify x": _run(0, _report(2e-16))}
+    lines, structural = co.compare(before, after)
+    assert lines == ["verify x | checks[trace_b_ah].residual: 1e-16 -> 2e-16"]
+    assert not structural
+
+
+def test_exit_code_name_tolerance_or_pass_flag_changes_are_structural():
+    base = {"verify x": _run(0, _report(1e-16))}
+    for changed in (
+        _run(1, _report(1e-16)),
+        _run(0, _report(1e-16, name="trace_bah")),
+        _run(0, _report(1e-16, tolerance=1e-6)),
+        _run(0, _report(1e-16, passed=False)),
+    ):
+        assert co.compare(base, {"verify x": changed})[1]
+
+
+def test_output_that_is_not_json_is_compared_line_by_line():
+    before = {"verify x": {"exit": 2, "stdout": "", "stderr": "usage\nerror: a\n"}}
+    after = {"verify x": {"exit": 2, "stdout": "", "stderr": "usage\nerror: b\n"}}
+    assert co.compare(before, after) == (['verify x | stderr[1]: "error: a" -> "error: b"'], False)
+
+
+def test_comparison_set_covers_every_example_and_both_classify_workloads():
+    argvs = co.commands()
+    assert all(argv[-2:] == ["--format", "json"] for argv in argvs)
+    verify = {(argv[1], argv[3]) for argv in argvs if argv[0] == "verify"}
+    assert ("legendre-helix:0.5", "3") in verify and ("cylinder-minus4-3", "5") in verify
+    assert sum(argv[0] == "classify" for argv in argvs) > 60

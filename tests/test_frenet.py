@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sasakian import catalog
-from sasakian.ambient import SasakianSphere
 from sasakian.frenet import FrenetError, frenet, phi_alignment
 
 SQ2, SQ3, SQ5 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)
@@ -78,7 +77,7 @@ def test_helix_phi_alignment_signs(sign, s_grid):
     kappa1 = 0.5
     B = math.sqrt(1 - kappa1)
     app = frenet(catalog.legendre_curve("helix", kappa1=kappa1, sign=sign), s_grid)
-    val = phi_alignment(app, SasakianSphere(n=2))
+    val = phi_alignment(app)
     assert val == pytest.approx(-sign * B, abs=1e-12)
     assert -1.0 < val < 1.0 and val != 0.0
 

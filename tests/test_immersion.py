@@ -19,6 +19,30 @@ def corollary_grid(corollary):
     return corollary.grid(5)
 
 
+def _reference_second_fundamental(F, pts):
+    """Oracle: B, H and max |<nabla_i d_j F, T_k>| before projection, on any chart.
+
+    nabla_i d_j F = d_i d_j F + g_ij F comes from the accuracy-2 jet, its
+    tangential part is solved against the actual induced metric G, and
+    H = g^ij B_ij / m.  No flatness is assumed.
+    """
+    X = F.jets(pts, 2)
+    m, dim = F.m, F.ambient_dim
+    xval = X.value
+    Tj = [X.deriv(i) for i in range(m)]
+    tangents = np.stack([t.value for t in Tj], axis=1)
+    G = np.einsum("nid,njd->nij", tangents, tangents)
+    nabla = np.empty((xval.shape[0], m, m, dim))
+    for i in range(m):
+        for j in range(i, m):
+            nabla[:, i, j] = nabla[:, j, i] = Tj[i].deriv(j).value + G[:, i, j][:, None] * xval
+    rhs = np.einsum("nijd,nkd->nijk", nabla, tangents)
+    coeff = np.linalg.solve(G[:, None, None, :, :], rhs[..., None])[..., 0]
+    B = nabla - np.einsum("nijk,nkd->nijd", coeff, tangents)
+    H = np.einsum("nij,nijd->nd", np.linalg.inv(G), B) / m
+    return B, H, float(np.max(np.abs(rhs)))
+
+
 def test_identity_metric_and_mean_curvature(corollary, corollary_grid):
     geo = imm.sample_geometry(corollary, corollary_grid)
     assert np.max(np.abs(geo.metric - np.eye(3))) < 1e-12
@@ -28,7 +52,7 @@ def test_identity_metric_and_mean_curvature(corollary, corollary_grid):
 def test_gauss_orthogonality_and_xi_component(corollary, corollary_grid):
     geo = imm.sample_geometry(corollary, corollary_grid)
     # tangential part of nabla_i d_j F vanishes on these charts
-    assert geo.tangential_residual < 1e-10
+    assert _reference_second_fundamental(corollary, corollary_grid)[2] < 1e-10
     tang = np.einsum("nijd,nkd->nijk", geo.second_fundamental, geo.tangents)
     assert np.max(np.abs(tang)) < 1e-10
     X = corollary.values(corollary_grid)
@@ -73,9 +97,10 @@ def test_s5_surface_checks():
 def test_c_parallel_and_normal_laplacian(corollary, corollary_grid):
     cp = imm.check_C_parallel(imm.sample_geometry(corollary, corollary_grid))
     assert cp.residual < 1e-8
-    nl = imm.check_normal_laplacian(imm.sample_geometry(corollary, corollary_grid))
+    geo = imm.sample_geometry(corollary, corollary_grid)
+    nl = imm.check_normal_laplacian(geo)
     assert nl.residual < 1e-8
-    assert nl.extra["mean_curvature_variance"] < 1e-16
+    assert np.var(geo.mean_curvature_norm) < 1e-16
 
 
 def test_c_parallel_zero_for_totally_geodesic():
@@ -200,12 +225,14 @@ def test_totally_geodesic_legendre_sphere_has_zero_b():
     assert np.max(np.abs(F.values(pts)[:, :4] - np.stack(direct, axis=-1))) < 1e-15
     assert imm.check_unit_norm(F.values(pts)).passed
     assert imm.check_integral(imm.sample_geometry(F, pts)).passed
-    geo = imm.sample_geometry(F, pts)
-    assert np.max(np.abs(geo.second_fundamental)) < 1e-10
-    assert np.max(geo.mean_curvature_norm) < 1e-10
+    B, H, _ = _reference_second_fundamental(F, pts)
+    assert np.max(np.abs(B)) < 1e-10
+    assert np.max(np.linalg.norm(H, axis=-1)) < 1e-10
     # the round chart is not flat-orthonormal, so covariant checks refuse it
     with pytest.raises(imm.ChartError):
         imm.check_C_parallel(imm.sample_geometry(F, pts))
+    with pytest.raises(imm.ChartError):
+        imm.sample_geometry(F, pts).second_fundamental
 
 
 def test_jets_match_finite_differences_on_corollary(corollary):
@@ -244,27 +271,27 @@ def test_adapted_shape_operators_from_geometry(corollary):
     assert np.max(np.abs(sign * A_geo - sa.build_matrices(ops))) < 1e-10
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        catalog.corollary_immersion,
-        catalog.s5_surface,
-        lambda: catalog.cylinder(catalog.corollary_immersion()),
-        lambda: catalog.cylinder(catalog.s5_surface()),
-        lambda: catalog.minus4_immersion(1),
-        lambda: catalog.minus4_immersion(2),
-        lambda: catalog.minus4_immersion(3),
-        lambda: catalog.cylinder(catalog.minus4_immersion(3)),
-        lambda: catalog.legendre_curve("circle"),
-        lambda: catalog.legendre_curve("helix", kappa1=0.5),
-        catalog.great_circle,
-        lambda: catalog.precompose_linear(
-            catalog.cylinder(catalog.corollary_immersion()),
-            (catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1).T,
-        ),
-        lambda: catalog.coordinate_curve(catalog.corollary_immersion(), 1, np.array([0.3, 0.7, 1.1])),
-    ],
-)
+EXAMPLE_BUILDS = [
+    catalog.corollary_immersion,
+    catalog.s5_surface,
+    lambda: catalog.cylinder(catalog.corollary_immersion()),
+    lambda: catalog.cylinder(catalog.s5_surface()),
+    lambda: catalog.minus4_immersion(1),
+    lambda: catalog.minus4_immersion(2),
+    lambda: catalog.minus4_immersion(3),
+    lambda: catalog.cylinder(catalog.minus4_immersion(3)),
+    lambda: catalog.legendre_curve("circle"),
+    lambda: catalog.legendre_curve("helix", kappa1=0.5),
+    catalog.great_circle,
+    lambda: catalog.precompose_linear(
+        catalog.cylinder(catalog.corollary_immersion()),
+        (catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1).T,
+    ),
+    lambda: catalog.coordinate_curve(catalog.corollary_immersion(), 1, np.array([0.3, 0.7, 1.1])),
+]
+
+
+@pytest.mark.parametrize("build", EXAMPLE_BUILDS)
 def test_truncated_accuracy4_jet_is_bit_equal_to_lower_accuracy(build):
     # the single geometry pass relies on this: one accuracy-4 evaluation
     # serves every check that needs fewer derivatives
@@ -348,3 +375,16 @@ def test_report_json_is_identical_under_the_eager_b_jets(name, monkeypatch):
     monkeypatch.setattr(imm.GeometrySample, "second_fundamental_jets", property(_eager_second_fundamental_jets))
     monkeypatch.setattr(imm.GeometrySample, "tension_jet", property(_eager_tension_jet))
     assert rep.build_report(name, per_axis=3).to_json() == lean
+
+
+@pytest.mark.parametrize("build", EXAMPLE_BUILDS)
+def test_jet_b_and_h_match_the_general_chart_oracle(build):
+    # B and H exist only as jets; on every flat-orthonormal example they agree
+    # with the general-chart linear solve they replace
+    F = build()
+    pts = F.grid(3)
+    geo = imm.sample_geometry(F, pts)
+    B, H, _ = _reference_second_fundamental(F, pts)
+    assert np.max(np.abs(geo.second_fundamental - B)) < 1e-14
+    assert np.max(np.abs(geo.mean_curvature - H)) < 1e-14
+    assert np.max(np.abs(geo.mean_curvature_norm - np.linalg.norm(H, axis=-1))) < 1e-14
