@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from . import shape_algebra as sa
 
@@ -138,25 +137,51 @@ def _exact_system(c_or_mode):
         return b, k, d1, (k - 2 * b) * (k + 6 * b)
 
 
+def _trim(p: np.ndarray) -> np.ndarray:
+    """p without its trailing zero coefficients, but never shorter than one (numpy.polynomial's trimseq)."""
+    n = len(p)
+    while n > 1 and p[n - 1] == 0:
+        n -= 1
+    return p[:n]
+
+
+# numpy.polynomial's polymul and polyadd for float64 series, without the input
+# conversion that takes most of their time; each trims its operands and result.
+# polysub(p, q) is _polyadd(p, -q), bit for bit.
+def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return _trim(np.convolve(_trim(p), _trim(q)))
+
+
+def _polyadd(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    p, q = _trim(p), _trim(q)
+    if len(p) > len(q):
+        p, q = q, p
+    out = q.copy()
+    out[: len(p)] += p
+    return _trim(out)
+
+
 def _branch_polynomial(branch: str, b: float, k: float) -> np.ndarray:
     """Degree-<=6 polynomial in omega obtained by clearing denominators of eq 1."""
     m = 6.0 * b + k
     if branch == "delta_zero":
         D = np.array([6.0, -5.0, 1.0])  # (w-2)(w-3)
-        PL = npp.polyadd(m * np.array([1.0, -1.0]), -b * D)  # m(1-w) - bD
-        extra = m * npp.polymul(npp.polymul(PL, PL), np.array([1.0, 2.0, 1.0]))
+        PL = _polyadd(m * np.array([1.0, -1.0]), -b * D)  # m(1-w) - bD
+        extra_scale = m
     elif branch == "delta_pos":
         D = np.array([2.0, -3.0, 1.0])  # (w-1)(w-2)
-        PL = npp.polyadd(np.array([0.0, -m]), -b * D)  # -m w - bD
-        extra = 2.0 * m * npp.polymul(npp.polymul(PL, PL), np.array([1.0, 2.0, 1.0]))
+        PL = _polyadd(np.array([0.0, -m]), -b * D)  # -m w - bD
+        extra_scale = 2.0 * m
     else:
         raise ValueError(f"unknown branch {branch!r}")
-    quart = npp.polyadd(
-        npp.polysub(3.0 * npp.polymul(PL, PL), (2.0 * b + k) * npp.polymul(PL, D)),
-        b * b * npp.polymul(D, D),
+    PL2 = _polymul(PL, PL)
+    extra = extra_scale * _polymul(PL2, np.array([1.0, 2.0, 1.0]))
+    quart = _polyadd(
+        _polyadd(3.0 * PL2, -((2.0 * b + k) * _polymul(PL, D))),
+        b * b * _polymul(D, D),
     )
-    main = npp.polymul(npp.polysub(3.0 * PL, b * D), quart)
-    return npp.polyadd(main, extra)
+    main = _polymul(_polyadd(3.0 * PL, -(b * D)), quart)
+    return _polyadd(main, extra)
 
 
 def _branch_factors(branch: str, b, k):

@@ -10,6 +10,7 @@ json, csv.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -122,7 +123,10 @@ def _parse_sweep(spec: str) -> list[float]:
     return out
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args returns a fresh Namespace and leaves the parser as it was, so one
+    # parser serves every call of main in a process
     parser = argparse.ArgumentParser(
         prog="sasakian",
         description="verify explicit biharmonic immersions and solve the classification systems",
@@ -147,7 +151,11 @@ def main(argv=None) -> int:
     )
     pc.add_argument("--format", choices=("json", "csv", "text"), default="text")
     pc.add_argument("--out", default=None)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     # argparse reads a value such as -1:1:0.5, -1e-3 or -inf as an option unless it is attached
     # with "=", so attach the value of --tol, --c and --c-sweep unless it is "-h" or starts "--"
     tokens: list[str] = []

@@ -10,6 +10,7 @@ plain text.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import io
 import json
@@ -79,8 +80,16 @@ SYMBOLIC_FORMS: tuple[tuple[float, str], ...] = (
 )
 
 
+# the forms in ascending order of value; neighbours lie further apart than the sum of
+# their match tolerances, so a value matches at most one form, and it is a neighbour
+# of the value's place in this order
+_SORTED_FORMS = sorted(SYMBOLIC_FORMS)
+_SORTED_VALUES = [v for v, _ in _SORTED_FORMS]
+
+
 def symbolize(value: float) -> str | None:
-    for v, s in SYMBOLIC_FORMS:
+    i = bisect.bisect_left(_SORTED_VALUES, value)
+    for v, s in _SORTED_FORMS[max(i - 1, 0) : i + 1]:
         if abs(value - v) <= 1e-12 * max(1.0, abs(v)):
             return s
     return None

@@ -1,6 +1,10 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +247,75 @@ def test_curvature_tables_degenerations():
     tables = cl.curvature_tables(degen)
     assert tables["X2"] == (0.5,)
     assert tables["X3"] == (0.5,)
+
+
+def _branch_polynomial_npp(branch, b, k):
+    """The branch polynomial built with numpy.polynomial, the oracle of the convolution form."""
+    m = 6.0 * b + k
+    if branch == "delta_zero":
+        D = np.array([6.0, -5.0, 1.0])
+        PL = npp.polyadd(m * np.array([1.0, -1.0]), -b * D)
+        extra = m * npp.polymul(npp.polymul(PL, PL), np.array([1.0, 2.0, 1.0]))
+    else:
+        D = np.array([2.0, -3.0, 1.0])
+        PL = npp.polyadd(np.array([0.0, -m]), -b * D)
+        extra = 2.0 * m * npp.polymul(npp.polymul(PL, PL), np.array([1.0, 2.0, 1.0]))
+    quart = npp.polyadd(
+        npp.polysub(3.0 * npp.polymul(PL, PL), (2.0 * b + k) * npp.polymul(PL, D)),
+        b * b * npp.polymul(D, D),
+    )
+    main = npp.polymul(npp.polysub(3.0 * PL, b * D), quart)
+    return npp.polyadd(main, extra)
+
+
+def test_branch_polynomial_is_bit_identical_to_numpy_polynomial():
+    rng = np.random.default_rng(20261018)
+    cs = [*rng.uniform(-1.0 / 3.0, 1e3, 2000), -5.0 / 3.0, cl.CASE_II_LOWER, 5.0 / 9.0, 1.0, 1e15, 1e100]
+    # c = -5/3 gives m = 6b + k = 0, so operands and results trim down to one coefficient
+    b, k = cl._system_constants(-5.0 / 3.0)
+    assert 6.0 * b + k == 0.0
+    # b = 1e-170 underflows the leading coefficient of PL * PL to 0, which the product trims
+    extremes = [(1e-170, 1.0), (1e-170, -1e-170), (0.0, 0.0), (0.0, 1.0)]
+    for b, k in [cl._system_constants(c) for c in cs] + [cl._system_constants("minus4")] + extremes:
+        for branch in ("delta_zero", "delta_pos"):
+            got, want = cl._branch_polynomial(branch, b, k), _branch_polynomial_npp(branch, b, k)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (branch, b, k)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ([1.0, 2.0, 0.0], [3.0, 0.0]),
+        ([0.0, 0.0], [0.0]),
+        ([-0.0, 0.0], [2.0, -0.0, 3.0, 0.0]),
+        # the sum keeps the longer operand's -0 tail, the difference negates its +0
+        ([1.0], [2.0, -0.0, 3.0]),
+        ([1.0], [2.0, 0.0, 3.0]),
+        # a trailing zero that reached the product would make inf * 0 = nan
+        ([math.inf, 1.0], [1.0, 0.0]),
+        ([5.0], [-0.0, 2.0, -0.0, 0.0, 0.0]),
+        # the leading coefficient of the product underflows to 0
+        ([1e-170, 1e-170], [1e-170, 1e-170]),
+    ],
+)
+def test_series_helpers_match_numpy_polynomial(p, q):
+    for a, b in ((p, q), (q, p)):
+        x, y = np.array(a), np.array(b)
+        for got, want in (
+            (cl._polymul(x, y), npp.polymul(a, b)),
+            (cl._polyadd(x, y), npp.polyadd(a, b)),
+            (cl._polyadd(x, -y), npp.polysub(a, b)),
+        ):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (a, b, got, want)
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    src = str(Path(cl.__file__).resolve().parent.parent)
+    code = "import sys; import sasakian.cli; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_branch_polynomials_match_displayed_factorizations():

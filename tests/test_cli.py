@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +125,38 @@ def test_symbolic_decimals(corollary_report):
     entry = corollary_report.computed["mean_curvature"]
     assert entry["symbolic"] == "2/3"
     assert len(entry["decimal"]) >= 17
+
+
+def _symbolize_linear(value):
+    """The linear scan over SYMBOLIC_FORMS, the oracle of rep.symbolize's bisection."""
+    for v, s in rep.SYMBOLIC_FORMS:
+        if abs(value - v) <= 1e-12 * max(1.0, abs(v)):
+            return s
+    return None
+
+
+def test_symbolic_forms_lie_further_apart_than_their_match_tolerances():
+    # the bisection tests only the two forms next to a value; that finds the form the
+    # linear scan finds only while no value lies within tolerance of two forms
+    values = sorted(v for v, _ in rep.SYMBOLIC_FORMS)
+    for a, b in zip(values, values[1:]):
+        assert b - a > 2e-12 * max(1.0, abs(a), abs(b)), (a, b)
+
+
+def test_symbolize_matches_the_linear_scan():
+    inputs = [0.0, -0.0, math.nan, math.inf, -math.inf]
+    for v, s in rep.SYMBOLIC_FORMS:
+        tol = 1e-12 * max(1.0, abs(v))
+        for shift in (-0.5, 0.0, 0.5):
+            assert rep.symbolize(v + shift * tol) == s
+            assert rep.symbolize(np.float64(v + shift * tol)) == s
+        for shift in (-2.0, 2.0):
+            assert rep.symbolize(v + shift * tol) is None
+        inputs += [v + shift * tol for shift in (-2.0, -0.5, 0.5, 2.0)]
+    rng = random.Random(7)
+    inputs += [rng.uniform(-10.0, 10.0) for _ in range(10_000)]
+    for x in inputs:
+        assert rep.symbolize(x) == _symbolize_linear(x), x
 
 
 def test_report_computed_records_grid_and_tolerance(corollary_report):
@@ -416,6 +453,29 @@ def test_cli_classify_sweep_and_csv(capsys):
     out = capsys.readouterr().out
     assert out.startswith("kind,case,c,lam,alpha,gamma,delta,kappa1,kappa2,radius,source\n")
     assert "case_ii" in out
+
+
+def test_cli_parser_reuse_keeps_no_state_between_calls(capsys):
+    args = ["verify", "corollary-c1", "--grid", "3", "--format", "json"]
+    assert main(args + ["--tol", "1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["computed"]["tolerance_override"] == 1e-3
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["computed"]["tolerance_override"] is None
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--format", "json"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert main(["classify", "--c", "1", "--format", "json"]) == 0
+    fresh = subprocess.run(
+        [sys.executable, "-m", "sasakian.cli", "classify", "--c", "1", "--format", "json"],
+        env={**os.environ, "PYTHONPATH": str(Path(rep.__file__).resolve().parent.parent)},
+        capture_output=True,
+        check=True,
+    )
+    assert capsys.readouterr().out.encode() == fresh.stdout
 
 
 def test_cli_classify_json_round_trip(capsys):
