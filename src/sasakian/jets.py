@@ -16,8 +16,7 @@ Three contracts keep reports byte-stable:
 
 - Summation order.  Each product coefficient is 0.0 plus its contributions
   ``a[i] * b[j]`` added one at a time in ``_mul_table`` order, exactly as an
-  ``np.add.at`` scatter over that table sums them.  ``_mul_plan`` regroups
-  the table into layers so that the additions run as contiguous block adds.
+  ``np.add.at`` scatter over that table sums them.
 - Component sums.  ``sum`` adds the slices of its axis one at a time from
   0.0, as numpy reduces the term-last array; ``np.sum`` on ``rows`` would add
   the innermost component axis pairwise and round differently.
@@ -27,21 +26,29 @@ Three contracts keep reports byte-stable:
 
 Because every output coefficient sums its own contributions in table order,
 a product at a lower accuracy is bit-equal to the truncation of the product
-at a higher one, and a batch can be cut into blocks that are multiplied
-apart.  The product relies on the second for its memory contract:
+at a higher one, and any grouping of the pairs that keeps each term's order
+gives the same bits.  A product of P table pairs over a broadcast lead of L
+elements picks one of two kernels by that grouping:
 
-- Memory.  A product gathers the (a[i], b[j]) pairs of all its P table
-  entries for a block of the first lead axis at a time, so it allocates its
-  result plus a working set of a few times ``GATHER_BUDGET`` elements
-  (512 KB each), or of one index of that axis when one alone is larger; never
-  P copies of the batch (P = 495 at 4 variables and degree 4).  Small blocks
-  also reuse memory the allocator already holds instead of faulting in
-  fresh pages.
-- Small batches.  When the pairs of the whole batch fit the budget for sure
-  (P * size(a) * size(b) <= GATHER_BUDGET * nterms^2, checked without
-  computing the broadcast shape), the batch is one block: one gather per
-  operand and no block loop.  Every product of a few grid points takes
-  this path.
+- Small batches.  When P * L <= ``GATHER_BUDGET`` (512 KB of float64),
+  ``_layered_product`` gathers the (a[i], b[j]) pairs of all P entries at
+  once and adds them as ``_mul_plan``'s layers: one numpy call per layer
+  (at most 24), however many pairs.  It wins where a call's fixed cost
+  outweighs its data, on every product of a few grid points.
+- Large batches.  Otherwise ``_streamed_product`` walks the table: the T
+  pairs with a[0], the first contribution to every term, are one broadcast
+  multiply, and each later pair multiplies two rows of the lead into a
+  lead-sized buffer that is added to its output row.  Two or three numpy
+  calls per pair cost more than the gather on small leads, but each call
+  streams whole contiguous rows, which wins once the P gathered pairs
+  outgrow the cache.
+  An operand that broadcasts inside the lead is expanded into the buffer by
+  assignment first, as numpy would multiply it through a buffer of its own,
+  allocated per call, at up to half speed.
+- Memory.  A product allocates its result plus a few times
+  ``GATHER_BUDGET`` elements (gather) or one lead (streamed; when both
+  operands broadcast inside the lead, numpy's buffer of at most 64 KB too);
+  never P copies of a large batch (P = 495 at 4 variables and degree 4).
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ import numpy as np
 
 MAX_ORDER = 5
 MAX_VARS = 4
-# elements of gathered pairs per block of a jet product; see the module docstring
+# most elements of gathered pairs in a jet product; see the module docstring
 GATHER_BUDGET = 1 << 16
 
 
@@ -160,6 +167,44 @@ def _layered_product(A: np.ndarray, B: np.ndarray, plan) -> np.ndarray:
     for off, n in layers:
         out[:n] += prod[off : off + n]
     return out.take(slot, 0)
+
+
+@lru_cache(maxsize=None)
+def _stream_pairs(nvars: int, acc: int) -> tuple[tuple[int, int, int], ...]:
+    """``_mul_table``'s triplets as Python ints, less the first T: those have ia = 0 and ib = iout."""
+    nt = _nterms(nvars, acc)
+    return tuple(zip(*(x[nt:].tolist() for x in _mul_table(nvars, acc))))
+
+
+def _streamed_product(A: np.ndarray, B: np.ndarray, lead: tuple[int, ...], pairs) -> np.ndarray:
+    """``_layered_product``'s result, built pair by pair on whole rows of the broadcast ``lead``.
+
+    ``pairs`` is ``_stream_pairs``'s; A and B have the same number of axes.
+    """
+    out = np.empty(B.shape[:1] + lead)
+    tmp = np.empty(lead)
+    # an operand that broadcasts inside the lead is expanded by assignment
+    # (see the module docstring); x * y and y * x are the same bits
+    narrow_a, narrow_b = A.shape[1:] != lead, B.shape[1:] != lead
+    if narrow_a:
+        tmp[...] = A[0]
+    if narrow_b:
+        out[...] = B
+    # the pairs with a[0], each term's first contribution, in one multiply
+    np.multiply(tmp if narrow_a else A[:1], out if narrow_b else B, out)
+    out += 0.0  # the zero start of every sum: -0.0 becomes +0.0
+    for i, j, k in pairs:
+        if narrow_a:
+            tmp[...] = A[i]
+            np.multiply(tmp, B[j], tmp)
+        elif narrow_b:
+            tmp[...] = B[j]
+            np.multiply(A[i], tmp, tmp)
+        else:
+            np.multiply(A[i], B[j], tmp)
+        row = out[k, ...]  # a view, also where the lead is ()
+        np.add(row, tmp, row)
+    return out
 
 
 class Jet:
@@ -287,20 +332,15 @@ class Jet:
         a, b = self._coerce(other)
         A, B = _aligned(a.rows, b.rows)
         plan = _mul_plan(a.nvars, a.acc)
-        nt = plan[3].size
-        # the broadcast lead has at most size(a) * size(b) / nt^2 elements
-        if plan[0].size * A.size * B.size <= GATHER_BUDGET * nt * nt:
-            return Jet._of(a.nvars, a.acc, _layered_product(A, B, plan))
-        # blocks along the first lead axis, each within the budget
-        lead = np.broadcast_shapes(A.shape[1:], B.shape[1:])
-        step = max(1, GATHER_BUDGET * lead[0] // (plan[0].size * math.prod(lead)))
-        rows = np.empty((nt,) + lead)
-        for r in range(0, lead[0], step):
-            block = slice(r, r + step)
-            rows[:, block] = _layered_product(
-                A if A.shape[1] == 1 else A[:, block], B if B.shape[1] == 1 else B[:, block], plan
-            )
-        return Jet._of(a.nvars, a.acc, rows)
+        pairs, nt = plan[0].size, plan[3].size
+        # the broadcast lead has at most size(a) * size(b) / nt^2 elements, a
+        # bound that spares products of a few points working the lead out
+        if pairs * A.size * B.size > GATHER_BUDGET * nt * nt:
+            # exact for broadcast-compatible leads, a zero-size axis included
+            lead = tuple(n if m == 1 else m for m, n in zip(A.shape[1:], B.shape[1:]))
+            if pairs * math.prod(lead) > GATHER_BUDGET:
+                return Jet._of(a.nvars, a.acc, _streamed_product(A, B, lead, _stream_pairs(a.nvars, a.acc)))
+        return Jet._of(a.nvars, a.acc, _layered_product(A, B, plan))
 
     def __rmul__(self, other):
         return self.__mul__(other)

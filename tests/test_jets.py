@@ -209,14 +209,7 @@ _COEF = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    nvars=st.integers(1, MAX_VARS),
-    acc=st.integers(0, MAX_ORDER),
-    shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
-    data=st.data(),
-)
-def test_product_is_bit_equal_to_add_at_scatter(nvars, acc, shapes, data):
+def _check_product_against_scatter(nvars, acc, shapes, data):
     nterms = _nterms(nvars, acc)
     lead_a, lead_b = shapes.input_shapes
     a = Jet(nvars, acc, data.draw(hnp.arrays(np.float64, lead_a + (nterms,), elements=_COEF)))
@@ -227,54 +220,122 @@ def test_product_is_bit_equal_to_add_at_scatter(nvars, acc, shapes, data):
     _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
 
 
-def _count_blocks(monkeypatch) -> list:
-    calls = []
-    original = jets._layered_product
-    monkeypatch.setattr(jets, "_layered_product", lambda *args: calls.append(1) or original(*args))
-    return calls
+@settings(max_examples=150, deadline=None)
+@given(
+    nvars=st.integers(1, MAX_VARS),
+    acc=st.integers(0, MAX_ORDER),
+    shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
+    data=st.data(),
+)
+def test_product_is_bit_equal_to_add_at_scatter(nvars, acc, shapes, data):
+    _check_product_against_scatter(nvars, acc, shapes, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nvars=st.integers(1, MAX_VARS),
+    acc=st.integers(0, MAX_ORDER),
+    shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, min_side=0, max_side=3),
+    data=st.data(),
+)
+def test_streamed_product_is_bit_equal_to_add_at_scatter(nvars, acc, shapes, data):
+    # below every P * L >= 0, so the streamed kernel sees each drawn shape, zero-size leads too
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "GATHER_BUDGET", -1)
+        kernels = _spy_kernels(mp)
+        _check_product_against_scatter(nvars, acc, shapes, data)
+    assert kernels == ["streamed"]
+
+
+def _spy_kernels(monkeypatch) -> list:
+    """A list that gets "gather" or "streamed" for each product kernel that runs."""
+    kernels = []
+
+    def spy(name, kernel):
+        return lambda *args: kernels.append(name) or kernel(*args)
+
+    monkeypatch.setattr(jets, "_layered_product", spy("gather", jets._layered_product))
+    monkeypatch.setattr(jets, "_streamed_product", spy("streamed", jets._streamed_product))
+    return kernels
+
+
+def _large_coefficients(rng, lead: tuple, nterms: int) -> np.ndarray:
+    """Uniform coefficients with an eighth replaced by signed zeros and subnormals."""
+    coef = rng.uniform(-1e3, 1e3, lead + (nterms,))
+    picks = rng.integers(0, coef.size, coef.size // 8)
+    coef.flat[picks] = rng.choice([0.0, -0.0, 5e-324, -1e-160], picks.size)
+    return coef
 
 
 @pytest.mark.parametrize(
-    "nvars, acc, lead_a, lead_b, blocked",
+    "nvars, acc, lead_a, lead_b, streamed",
     [
-        (4, 4, (1296, 4), (1296, 1), True),  # blocks of 33 rows, the last one partial
+        (4, 4, (1296, 4), (1296, 1), True),  # the trailing lead axis broadcast in one operand
         (3, 2, (1000, 1), (1000, 8), True),
         (4, 2, (1, 8), (600, 8), True),  # the first lead axis broadcast in one operand
-        (2, 2, (64, 8), (64, 8), False),  # past the one-block bound, yet all rows fit one block
+        (2, 2, (64, 8), (64, 8), False),  # P * L = 15 * 512, within the budget
+        (3, 2, (8,), (700, 3, 8), True),  # operands of different rank
+        (3, 1, (1, 8), (2000, 1), True),  # both operands broadcast
+        # the products of cylinder-c1 at grid 6 (1296 points)
+        (4, 2, (1296, 1), (1296, 8), True),
+        (4, 2, (1296, 8), (1296, 8), True),
+        (4, 1, (1296, 1), (1296, 8), True),
+        (4, 1, (1296, 8), (1296, 8), True),
     ],
 )
-def test_product_is_bit_equal_to_add_at_scatter_on_large_leads(nvars, acc, lead_a, lead_b, blocked, monkeypatch):
-    # the blocked side of the size rule, next to the one-block leads drawn above
+def test_product_is_bit_equal_to_add_at_scatter_on_large_leads(nvars, acc, lead_a, lead_b, streamed, monkeypatch):
+    # the streamed side of the size rule, next to the gathered leads drawn above
     rng = np.random.default_rng(nvars * 10 + acc)
     nterms = _nterms(nvars, acc)
-
-    def coefficients(lead):
-        coef = rng.uniform(-1e3, 1e3, lead + (nterms,))
-        picks = rng.integers(0, coef.size, coef.size // 8)
-        coef.flat[picks] = rng.choice([0.0, -0.0, 5e-324, -1e-160], picks.size)
-        return coef
-
-    a, b = Jet(nvars, acc, coefficients(lead_a)), Jet(nvars, acc, coefficients(lead_b))
-    blocks = _count_blocks(monkeypatch)
+    a = Jet(nvars, acc, _large_coefficients(rng, lead_a, nterms))
+    b = Jet(nvars, acc, _large_coefficients(rng, lead_b, nterms))
+    kernels = _spy_kernels(monkeypatch)
     got = a * b
-    assert (len(blocks) > 1) == blocked
+    assert kernels == ["streamed" if streamed else "gather"]
+    assert got.rows.flags.c_contiguous
+    _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
+
+
+@pytest.mark.parametrize("nvars, acc, lead", [(1, 0, GATHER_BUDGET), (4, 2, 600)])
+def test_product_kernel_switches_one_element_past_the_gather_budget(nvars, acc, lead, monkeypatch):
+    # P * L equal to the budget gathers, and one lead element more streams
+    pairs = _mul_table(nvars, acc)[0].size
+    monkeypatch.setattr(jets, "GATHER_BUDGET", pairs * lead)
+    rng = np.random.default_rng(lead)
+    for points, kernel in ((lead, "gather"), (lead + 1, "streamed")):
+        a = Jet(nvars, acc, _large_coefficients(rng, (points,), _nterms(nvars, acc)))
+        # not a broadcast b, whose size would decide the rule before L does
+        b = Jet(nvars, acc, _large_coefficients(rng, (points,), _nterms(nvars, acc)))
+        kernels = _spy_kernels(monkeypatch)
+        got = a * b
+        assert kernels == [kernel]
+        assert got.rows.flags.c_contiguous
+        _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
+
+
+def test_streamed_product_of_a_zero_size_lead(monkeypatch):
+    # P * 0 never exceeds the real budget, so only a negative one streams an empty lead
+    monkeypatch.setattr(jets, "GATHER_BUDGET", -1)
+    a = Jet(3, 2, np.ones((0, 1, _nterms(3, 2))))
+    b = Jet(3, 2, np.ones((1, 8, _nterms(3, 2))))
+    kernels = _spy_kernels(monkeypatch)
+    got = a * b
+    assert kernels == ["streamed"]
+    assert got.coef.shape == (0, 8, _nterms(3, 2))
     assert got.rows.flags.c_contiguous
     _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
 
 
 def test_product_of_a_few_points_is_one_block(monkeypatch):
+    # the gather kernel: one block of all pairs
     a = Jet(1, 5, np.linspace(-1.0, 1.0, 9 * 6).reshape(9, 1, 6))
-    blocks = _count_blocks(monkeypatch)
+    kernels = _spy_kernels(monkeypatch)
     _assert_bit_equal((a * a).coef, _add_at_product(a, a).coef)
-    assert len(blocks) == 1
+    assert kernels == ["gather"]
 
 
-def test_product_temporaries_stay_within_the_gather_budget():
-    # a kernel that materialises all 495 pairs of a degree-4 product in 4
-    # variables allocates about 3 * 495 * 1296 * 4 * 8 B = 62 MB on this lead
-    rng = np.random.default_rng(3)
-    a = Jet(4, 4, rng.standard_normal((1296, 4, _nterms(4, 4))))
-    b = Jet(4, 4, rng.standard_normal((1296, 1, _nterms(4, 4))))
+def _product_temporaries(a: Jet, b: Jet) -> int:
+    """The bytes that ``a * b`` peaks at beyond its result, as tracemalloc sees them."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -283,7 +344,24 @@ def test_product_temporaries_stay_within_the_gather_budget():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak - got.coef.nbytes <= 4 * 8 * GATHER_BUDGET
+    return peak - got.coef.nbytes
+
+
+def test_product_temporaries_stay_within_the_gather_budget(monkeypatch):
+    # a kernel that materialises all 495 pairs of a degree-4 product in 4
+    # variables allocates about 3 * 495 * 1296 * 4 * 8 B = 62 MB on this lead;
+    # the streamed kernel needs one lead of float64 (41 KB) beyond its result
+    rng = np.random.default_rng(3)
+    a = Jet(4, 4, rng.standard_normal((1296, 4, _nterms(4, 4))))
+    b = Jet(4, 4, rng.standard_normal((1296, 1, _nterms(4, 4))))
+    kernels = _spy_kernels(monkeypatch)
+    assert _product_temporaries(a, b) <= 8 * 1296 * 4 + 4096
+    assert kernels == ["streamed"]
+    # the gather kernel, on a lead that just fits the budget, stays within a few budgets
+    a = Jet(4, 4, rng.standard_normal((132, _nterms(4, 4))))
+    b = Jet(4, 4, rng.standard_normal((132, _nterms(4, 4))))
+    assert _product_temporaries(a, b) <= 4 * 8 * GATHER_BUDGET
+    assert kernels == ["streamed", "gather"]
 
 
 def test_product_sum_starts_from_positive_zero():

@@ -8,6 +8,8 @@ one subprocess that imports that tree's ``src``:
 
 - ``verify`` of every registered example at grids 3 and 5, the Legendre
   helix at kappa1 = 0.5;
+- ``verify cylinder-c1 --grid 9`` and ``verify corollary-c1 --grid 15``,
+  the README's grids, whose jet products have the largest leads;
 - the ``verify-dense`` items at seed 1;
 - the items of both classify workloads at seeds 1 to 3;
 
@@ -30,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HELIX_KAPPA1 = "0.5"
 GRIDS = (3, 5)
+LARGE_GRIDS = (("cylinder-c1", 9), ("corollary-c1", 15))
 CLASSIFY_SEEDS = (1, 2, 3)
 
 # run in a fresh interpreter per tree: argv[1] is the tree's src directory,
@@ -65,6 +68,7 @@ def commands() -> list[list[str]]:
     spec.loader.exec_module(workloads)
     names = [n.replace("<kappa1>", HELIX_KAPPA1) for n in EXAMPLE_NAMES]
     out = [["verify", n, "--grid", str(g)] for g in GRIDS for n in names]
+    out += [["verify", n, "--grid", str(g)] for n, g in LARGE_GRIDS]
     out += workloads.items("verify-dense", 1)
     for seed in CLASSIFY_SEEDS:
         out += workloads.items("classify-reduction", seed) + workloads.items("classify-sweep", seed)
