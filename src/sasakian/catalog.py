@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .immersion import ParametricImmersion, lattice_check  # noqa: F401  (re-export)
-from .jets import Jet
+from .immersion import ParametricImmersion, PointGeometry, geometry_pass, lattice_check  # noqa: F401  (re-export)
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -399,26 +398,24 @@ def circle_decomposition(
     pts: np.ndarray | None = None,
     per_axis: int = 5,
     basis=None,
-    jet: Jet | None = None,
+    geometry: PointGeometry | None = None,
 ) -> CircleProduct:
     """Read radii and frequency rows off an immersion of circle-product type.
 
     Each complex coordinate in the defining basis must have constant modulus
-    and affine phase over the grid; anything else raises ValueError.  ``jet``,
-    a jet of F of accuracy >= 1 the caller already holds, replaces evaluating
-    F at ``pts`` (or its ``per_axis`` grid).
+    and affine phase over the grid; anything else raises ValueError.
+    ``geometry``, values and tangents of F the caller already holds (from
+    ``geometry_pass``), replaces evaluating F at ``pts`` (or its ``per_axis``
+    grid).
     """
-    if jet is None:
-        if pts is None:
-            pts = F.grid(per_axis)
-        jet = F.jets(np.atleast_2d(np.asarray(pts, dtype=float)), 1)
-    X = jet.truncate(1)
+    if geometry is None:
+        geometry = geometry_pass(F, F.grid(per_axis) if pts is None else pts)
     half = F.n + 1
     if basis is None:
         basis = F.basis if F.basis is not None else np.eye(half, dtype=complex)
     basis = validate_unitary(np.asarray(basis, dtype=complex))
 
-    xval = X.value
+    xval = geometry.values
     z = (xval[:, :half] + 1j * xval[:, half:]) @ basis.conj().T
     moduli = np.abs(z)
     spread = np.max(moduli, axis=0) - np.min(moduli, axis=0)
@@ -431,7 +428,7 @@ def circle_decomposition(
 
     freqs = np.empty((half, F.m))
     for i in range(F.m):
-        dv = X.deriv(i).value
+        dv = geometry.tangents[:, i]
         dz = (dv[:, :half] + 1j * dv[:, half:]) @ basis.conj().T
         omega = np.imag(np.conj(z) * dz) / moduli**2
         w_spread = np.max(omega, axis=0) - np.min(omega, axis=0)

@@ -11,6 +11,12 @@ B and H are the values of the jets that the C-parallel, normal-Laplacian and
 bitension checks read (B_ij = (nabla_i d_j F)^perp from ``GeometrySample.nabla``
 and ``normal``, H = tau / m), so they need a flat-orthonormal chart too.
 
+Every identity checked here holds point by point, so the checks read
+per-point fields (``PointGeometry``) and reduce them over the grid.
+``geometry_pass`` computes those fields over fixed-size blocks of points, one
+``GeometrySample`` at a time, so a report's jets take memory in proportion to
+``GEOMETRY_BLOCK_POINTS``, not to the grid.
+
 Every immersion is a finite sum of plane waves, so its Taylor coefficients
 come in closed form, and derived quantities are differentiated by jet
 arithmetic (see ``jets``): residuals reported by the checks are at numerical
@@ -27,12 +33,17 @@ from typing import Sequence
 import numpy as np
 
 from .ambient import complex_structure, phi0
-from .jets import MAX_ORDER, Jet, _terms
+from .jets import MAX_ORDER, Jet, _position, _terms
 
 FLAT_CHART_TOL = 1e-9
 UNIT_NORM_TOL = 1e-13
 INTEGRAL_TOL = EIGEN_TOL = LATTICE_TOL = 1e-10
 C_PARALLEL_TOL = NORMAL_LAPLACIAN_TOL = BITENSION_TOL = 1e-8
+# most grid points whose jets ``geometry_pass`` holds at once; a grid of up to
+# 625 points (grid 5 of a four-parameter example) stays one block.  Smaller
+# blocks hold less but pay each jet product's fixed cost more often: three
+# blocks of 432 points of cylinder-c1 take about 16% longer than one of 1296.
+GEOMETRY_BLOCK_POINTS = 640
 
 
 class ChartError(ValueError):
@@ -163,29 +174,56 @@ class CheckResult:
 
 
 @dataclass
-class GeometrySample:
-    """Induced geometry of F at a grid of points, from one accuracy-4 jet.
+class PointGeometry:
+    """Geometry of F at a grid of points, every array with the grid as leading axis.
 
-    The eager fields carry the grid as leading axis.  Everything covariant
-    (tangent jets, B_ij, tau, B and H) is built on first use, and only on a
-    flat-orthonormal chart: asking for it on any other raises ChartError.
+    Besides the first-order fields, the checks read per-point covariant
+    fields, which exist on flat-orthonormal charts only: ``second_fundamental``
+    B (N, m, m, dim), ``tension`` tau = trace B (N, dim), ``phi_b_form``,
+    ``c_parallel_defect``, ``normal_laplacian_defect``, ``tension_laplacian``
+    and ``coordinate_laplacian``.  A ``GeometrySample`` derives them from its jets;
+    ``geometry_pass`` assembles the ones it is asked for over a whole grid.
     """
 
     immersion: ParametricImmersion
-    jet: Jet                           # accuracy-4 jet of F at the points
     points: np.ndarray                 # (N, m)
-    metric: np.ndarray                 # (N, m, m)
+    values: np.ndarray                 # (N, dim)
     tangents: np.ndarray               # (N, m, dim)
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.jet.value
+    @cached_property
+    def metric(self) -> np.ndarray:
+        """The induced metric G_ij = <d_i F, d_j F>, (N, m, m)."""
+        return np.einsum("nid,njd->nij", self.tangents, self.tangents)
+
+    @cached_property
+    def mean_curvature(self) -> np.ndarray:
+        """H = tau / m at the points, (N, dim)."""
+        return self.tension * (1.0 / self.immersion.m)
+
+    @cached_property
+    def mean_curvature_norm(self) -> np.ndarray:
+        return np.linalg.norm(self.mean_curvature, axis=-1)
+
+
+@dataclass
+class GeometrySample(PointGeometry):
+    """Induced geometry of F at one block of points, from its accuracy-4 jet.
+
+    Everything covariant (tangent jets, B_ij, tau and the per-point fields of
+    ``PointGeometry``) is built on first use, and only on a flat-orthonormal
+    chart: asking for it on any other raises ChartError.  Building them peaks
+    at about 18 KB per point (``cylinder-c1``, tracemalloc), some 35 times
+    the per-point fields kept from them, so ``geometry_pass`` holds one block
+    at a time.
+    """
+
+    jet: Jet                           # accuracy-4 jet of F at the points
 
     @cached_property
     def tangent_jets(self) -> list[Jet]:
-        """d_i F as jets of accuracy 3; the chart must be flat-orthonormal."""
+        """d_i F as jets of accuracy 2; the chart must be flat-orthonormal."""
         require_flat_chart(self)
-        return [self.jet.deriv(i) for i in range(self.immersion.m)]
+        return [self.jet.truncate(3).deriv(i) for i in range(self.immersion.m)]
 
     def nabla(self, V: Jet, i: int) -> Jet:
         """nabla_i V along F for a jet V of ambient vectors; accuracy drops by one."""
@@ -201,11 +239,12 @@ class GeometrySample:
     def _second_fundamental_jet(self, i: int, j: int, acc: int) -> Jet:
         """B_ij = (nabla_i d_j F)^perp as a jet of accuracy ``acc`` <= 2.
 
-        Products keep their low-degree coefficients bit-equal at any
-        accuracy (see ``jets``), so this is the truncation of the
-        accuracy-2 jet.
+        At accuracy 2, d_j F is built at accuracy 3 for this B_ij alone.
+        Products keep their low-degree coefficients bit-equal at any accuracy
+        (see ``jets``), so this is the truncation of the accuracy-2 jet.
         """
-        return self.normal(self.nabla(self.tangent_jets[j].truncate(acc + 1), i))
+        V = self.jet.deriv(j) if acc == 2 else self.tangent_jets[j].truncate(acc + 1)
+        return self.normal(self.nabla(V, i))
 
     @cached_property
     def _diagonal_second_fundamental_jets(self) -> list[Jet]:
@@ -216,7 +255,7 @@ class GeometrySample:
     def second_fundamental_jets(self) -> dict[tuple[int, int], Jet]:
         """B_ij as jets of accuracy 1 (flat-orthonormal chart).
 
-        Read by ``check_C_parallel``, which needs the values and first
+        Read by ``c_parallel_defect``, which needs the values and first
         derivatives only.  The diagonal is the truncation of the accuracy-2
         B_ii that ``tension_jet`` sums.
         """
@@ -232,8 +271,8 @@ class GeometrySample:
     def tension_jet(self) -> Jet:
         """tau = trace B = m H as a jet of accuracy 2 (flat-orthonormal chart).
 
-        Read by ``check_normal_laplacian`` and ``bitension``, which take two
-        covariant derivatives of it.  Only the diagonal B_ii are built.
+        Read by ``normal_laplacian_defect`` and ``tension_laplacian``, which
+        take two covariant derivatives of it.  Only the diagonal B_ii are built.
         """
         diagonal = self._diagonal_second_fundamental_jets
         tau = diagonal[0]
@@ -248,18 +287,77 @@ class GeometrySample:
         return np.stack([np.stack([B[(i, j)].value for j in range(m)], axis=1) for i in range(m)], axis=1)
 
     @cached_property
-    def mean_curvature(self) -> np.ndarray:
-        """H = tau / m at the points, (N, dim)."""
-        return self.tension_jet.value * (1.0 / self.immersion.m)
+    def tension(self) -> np.ndarray:
+        """tau at the points, (N, dim)."""
+        return self.tension_jet.value
 
     @cached_property
-    def mean_curvature_norm(self) -> np.ndarray:
-        return np.linalg.norm(self.mean_curvature, axis=-1)
+    def phi_b_form(self) -> np.ndarray:
+        """S(X_i, X_j, X_k) = g(phi X_i, B(X_j, X_k)) at the points, (N, m, m, m)."""
+        B = self.second_fundamental_jets
+        m = self.immersion.m
+        phiT = phi0(self.values[:, None], self.tangents)
+        S = np.empty((len(self.points), m, m, m))
+        for i in range(m):
+            for j in range(m):
+                for k in range(j, m):
+                    S[:, i, j, k] = S[:, i, k, j] = _dotv(phiT[:, i], B[(j, k)].value)
+        return S
+
+    @cached_property
+    def c_parallel_defect(self) -> np.ndarray:
+        """max over components of |(nabla^perp B)(X_i, X_j, X_k) - S(X_i, X_j, X_k) xi|.
+
+        (N, K): one column per (i, j, k) with j <= k, in loop order.
+        """
+        B, S = self.second_fundamental_jets, self.phi_b_form
+        m = self.immersion.m
+        xval, tangents = self.values, self.tangents
+        xi0 = -complex_structure(xval)
+        defect = np.empty((len(self.points), m * m * (m + 1) // 2))
+        column = 0
+        for i in range(m):
+            for j in range(m):
+                for k in range(j, m):
+                    dB_perp = _normal_project_values(_connection_value(B[(j, k)], i, tangents[:, i], xval), tangents)
+                    diff = dB_perp - S[:, i, j, k][:, None] * xi0
+                    _abs_max_per_point(diff, out=defect[:, column])
+                    column += 1
+        return defect
+
+    @cached_property
+    def normal_laplacian_defect(self) -> np.ndarray:
+        """max over components of |Delta^perp H - H| (geometric sign), (N,)."""
+        H = self.tension_jet * (1.0 / self.immersion.m)
+        lap = _rough_laplacian(self, H, normal=True)
+        return _abs_max_per_point(lap - H.value)
+
+    @cached_property
+    def tension_laplacian(self) -> np.ndarray:
+        """Delta tau = -sum_i nabla_i nabla_i tau with the sphere connection along F, (N, dim)."""
+        return _rough_laplacian(self, self.tension_jet, normal=False)
+
+    @cached_property
+    def coordinate_laplacian(self) -> np.ndarray:
+        """-sum_i d_i d_i F on ambient components (flat-orthonormal chart), (N, dim)."""
+        lap = np.zeros_like(self.values)
+        for i, t in enumerate(self.tangent_jets):
+            lap -= _deriv_value(t, i)
+        return lap
 
 
 def _dotj(a: Jet, b: Jet) -> Jet:
     """Inner product of two component-stacked jets (sums the component axis)."""
     return (a * b).sum(axis=-2)
+
+
+def _abs_max_per_point(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max |a| over the components of an (N, dim) array, per point.
+
+    np.max(np.abs(a), axis=-1) runs numpy's loop along each short row, about
+    five times slower than reducing the transposed copy along its rows.
+    """
+    return np.max(np.ascontiguousarray(np.abs(a).T), axis=0, out=out)
 
 
 def _dotv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -272,25 +370,84 @@ def _connection(V: Jet, i: int, T_i: Jet, X: Jet) -> Jet:
     return V.deriv(i) + _dotj(T_i.truncate(a), V.truncate(a)) * X.truncate(a)
 
 
+def _deriv_value(V: Jet, i: int) -> np.ndarray:
+    """The value of d_i V, read off V: its coefficient of x_i (a view)."""
+    return V.rows[_position(V.nvars, 1)[tuple(int(k == i) for k in range(V.nvars))]]
+
+
 def _connection_value(V: Jet, i: int, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The value of nabla_i V, from a jet V and the values t of d_i F and x of F."""
-    return V.deriv(i).value + _dotv(t, V.value)[:, None] * x
+    return _deriv_value(V, i) + _dotv(t, V.value)[:, None] * x
+
+
+def _tangents(X: Jet) -> np.ndarray:
+    """d_i F at the points, (N, m, dim), from a jet X of F of accuracy >= 1."""
+    return np.stack([_deriv_value(X, i) for i in range(X.nvars)], axis=1)
+
+
+def _require_immersion(geo: PointGeometry) -> None:
+    if np.any(np.abs(np.linalg.det(geo.metric)) < 1e-14):
+        raise ValueError("induced metric is singular: not an immersion at a sampled point")
 
 
 def sample_geometry(F: ParametricImmersion, pts: np.ndarray) -> GeometrySample:
-    """The accuracy-4 jet of F at the points, with its tangents and metric.
+    """The accuracy-4 jet of F at one block of points, with its tangents and metric.
 
-    Every check reads the returned sample, so F is evaluated once per report.
     A metric singular at a sampled point is refused (ValueError).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     jet = F.jets(pts, 4)
-    X = jet.truncate(1)
-    tangents = np.stack([X.deriv(i).value for i in range(F.m)], axis=1)
-    G = np.einsum("nid,njd->nij", tangents, tangents)
-    if np.any(np.abs(np.linalg.det(G)) < 1e-14):
-        raise ValueError("induced metric is singular: not an immersion at a sampled point")
-    return GeometrySample(immersion=F, jet=jet, points=pts, metric=G, tangents=tangents)
+    sample = GeometrySample(immersion=F, points=pts, values=jet.value, tangents=_tangents(jet), jet=jet)
+    _require_immersion(sample)
+    return sample
+
+
+def point_blocks(n: int) -> list[slice]:
+    """range(n) in equal consecutive slices (sizes differ by one at most) of at most GEOMETRY_BLOCK_POINTS."""
+    count = max(1, -(-n // GEOMETRY_BLOCK_POINTS))
+    edges = [n * k // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def geometry_pass(F: ParametricImmersion, pts: np.ndarray, fields: Sequence[str] = ()) -> PointGeometry:
+    """F's geometry on a whole grid: values, tangents and the named per-point fields.
+
+    Without ``fields`` this is one accuracy-1 evaluation of F, and the metric
+    is not checked.  Otherwise the grid is cut into ``point_blocks``; each
+    block's ``GeometrySample`` is built, read and dropped before the next, so
+    the jets held at once grow with ``GEOMETRY_BLOCK_POINTS``, not with the
+    grid, and F is evaluated once at each point.  Every field is computed
+    point by point, so no value depends on the block size.  A singular metric
+    raises ValueError, and a block whose chart is not flat-orthonormal raises
+    ChartError before its covariant work, judged on the whole grid as one
+    block would be.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if not fields:
+        X = F.jets(pts, 1)
+        return PointGeometry(F, pts, X.value, _tangents(X))
+    names = ("values", "tangents") + tuple(fields)
+    assembled: dict[str, np.ndarray] = {}
+    for block in point_blocks(len(pts)):
+        sample = sample_geometry(F, pts[block])
+        try:
+            require_flat_chart(sample)
+        except ChartError:
+            # judge the whole grid, as one block would: a singular metric
+            # anywhere first, then the deviation over all points
+            grid = geometry_pass(F, pts)
+            _require_immersion(grid)
+            require_flat_chart(grid)
+            raise
+        for name in names:
+            part = getattr(sample, name)
+            if name not in assembled:
+                assembled[name] = np.empty((len(pts),) + part.shape[1:])
+            assembled[name][block] = part
+        del sample  # its jets go before the next block's are built
+    grid = PointGeometry(F, pts, assembled.pop("values"), assembled.pop("tangents"))
+    vars(grid).update(assembled)
+    return grid
 
 
 def check_unit_norm(values: np.ndarray) -> CheckResult:
@@ -299,7 +456,7 @@ def check_unit_norm(values: np.ndarray) -> CheckResult:
     return CheckResult("unit_norm", res, UNIT_NORM_TOL)
 
 
-def check_integral(sample: GeometrySample) -> CheckResult:
+def check_integral(sample: PointGeometry) -> CheckResult:
     """Max of |eta0(d_i F)| over the grid: zero iff F is an integral submanifold."""
     xi0 = -complex_structure(sample.values)
     res = 0.0
@@ -308,7 +465,7 @@ def check_integral(sample: GeometrySample) -> CheckResult:
     return CheckResult("integral", res, INTEGRAL_TOL)
 
 
-def require_flat_chart(sample: GeometrySample) -> None:
+def require_flat_chart(sample: PointGeometry) -> None:
     F = sample.immersion
     dev = float(np.max(np.abs(sample.metric - np.eye(F.m))))
     if dev > FLAT_CHART_TOL:
@@ -323,31 +480,18 @@ def _normal_project_values(W: np.ndarray, tangents: np.ndarray) -> np.ndarray:
     return W - np.einsum("nkd,nk->nd", tangents, np.einsum("nd,nkd->nk", W, tangents))
 
 
-def check_C_parallel(sample: GeometrySample) -> CheckResult:
+def check_C_parallel(sample: PointGeometry) -> CheckResult:
     """Residual of (nabla^perp B)(X_i, X_j, X_k) = g(phi X_i, B(X_j, X_k)) xi.
 
-    Also reports the total-symmetry spread of S(X,Y,Z) = g(phi X, B(Y,Z)) in
+    Reads ``c_parallel_defect`` and ``phi_b_form``.  Also reports the
+    total-symmetry spread of S(X,Y,Z) = g(phi X, B(Y,Z)) in
     ``extra['total_symmetry']``.
     """
-    B = sample.second_fundamental_jets
-    m = sample.immersion.m
-    xval, tangents = sample.values, sample.tangents
-    xi0 = -complex_structure(xval)
-    phiT = phi0(xval[:, None], tangents)
-
     res = 0.0
-    S = np.empty((xval.shape[0], m, m, m))
-    for i in range(m):
-        for j in range(m):
-            for k in range(j, m):
-                Bjk = B[(j, k)]
-                dB_perp = _normal_project_values(_connection_value(Bjk, i, tangents[:, i], xval), tangents)
-                s_val = _dotv(phiT[:, i], Bjk.value)
-                diff = dB_perp - s_val[:, None] * xi0
-                res = max(res, float(np.max(np.abs(diff))))
-                S[:, i, j, k] = s_val
-                S[:, i, k, j] = s_val
+    for column_max in np.max(sample.c_parallel_defect, axis=0):
+        res = max(res, float(column_max))
 
+    S, m = sample.phi_b_form, sample.immersion.m
     sym = 0.0
     for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
         if max(perm) >= m:
@@ -377,27 +521,24 @@ def _rough_laplacian(sample: GeometrySample, V: Jet, normal: bool) -> np.ndarray
     return lap
 
 
-def check_normal_laplacian(sample: GeometrySample) -> CheckResult:
+def check_normal_laplacian(sample: PointGeometry) -> CheckResult:
     """Residual of Delta^perp H = H (geometric sign, Delta = -sum nabla nabla)."""
-    H = sample.tension_jet * (1.0 / sample.immersion.m)
-    lap = _rough_laplacian(sample, H, normal=True)
-    res = float(np.max(np.abs(lap - H.value)))
+    res = float(np.max(sample.normal_laplacian_defect))
     return CheckResult("normal_laplacian", res, NORMAL_LAPLACIAN_TOL)
 
 
-def bitension(sample: GeometrySample, mode: str = "biharmonic") -> np.ndarray:
+def bitension(sample: PointGeometry, mode: str = "biharmonic") -> np.ndarray:
     """Bitension field tau_2 (mode 'biharmonic') or tau_2 + 4 tau (mode 'minus4').
 
     tau = m H; Delta tau = -sum_i nabla^F_i nabla^F_i tau along the map with
-    the sphere connection; the curvature term is the constant-curvature-one
-    tensor of the canonical structure.
+    the sphere connection (``tension_laplacian``); the curvature term is the
+    constant-curvature-one tensor of the canonical structure.
     """
     if mode not in ("biharmonic", "minus4"):
         raise ValueError(f"unknown bitension mode {mode!r}")
-    tau = sample.tension_jet
-    tau2 = -_rough_laplacian(sample, tau, normal=False)
+    tau2 = -sample.tension_laplacian
     # - trace R^N(dF, tau) dF at c = 1:  R(u,v)w = <w,v>u - <w,u>v
-    tv = tau.value
+    tv = sample.tension
     for i in range(sample.immersion.m):
         ti = sample.tangents[:, i]
         r = _dotv(ti, tv)[:, None] * ti - _dotv(ti, ti)[:, None] * tv
@@ -407,25 +548,23 @@ def bitension(sample: GeometrySample, mode: str = "biharmonic") -> np.ndarray:
     return tau2
 
 
-def check_bitension(sample: GeometrySample, mode: str = "biharmonic") -> CheckResult:
+def check_bitension(sample: PointGeometry, mode: str = "biharmonic") -> CheckResult:
     t2 = bitension(sample, mode)
     name = "bitension" if mode == "biharmonic" else "bitension_minus4"
     return CheckResult(name, float(np.max(np.abs(t2))), BITENSION_TOL)
 
 
 def coordinate_laplacian_eigencheck(
-    sample: GeometrySample, split_spec: dict[str, Sequence[int]]
+    sample: PointGeometry, split_spec: dict[str, Sequence[int]]
 ) -> dict[str, CheckResult]:
     """Verify Delta x_g = mu_g x_g per component group of complex coordinates.
 
-    Delta is -sum_i d_i d_i on ambient components (flat-orthonormal chart);
+    Delta is -sum_i d_i d_i on ambient components (``coordinate_laplacian``);
     ``split_spec`` maps group names to complex coordinate indices.  The fitted
     eigenvalue is reported in ``extra['eigenvalue']``.
     """
     xval = sample.values
-    lap = np.zeros_like(xval)
-    for i, t in enumerate(sample.tangent_jets):
-        lap -= t.deriv(i).value
+    lap = sample.coordinate_laplacian
 
     half = sample.immersion.n + 1
     out = {}

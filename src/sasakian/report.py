@@ -180,6 +180,16 @@ def parse_example(name: str) -> tuple[str, float | None]:
     raise UsageError(f"unknown example {name!r}; registered: {', '.join(EXAMPLE_NAMES)}")
 
 
+# the per-point fields of ``imm.PointGeometry`` that the checks read, which a
+# suite's one ``imm.geometry_pass`` computes: bitension and |H| read tau,
+# C-parallelism and the normal Laplacian the rest of _INTEGRAL_FIELDS, the
+# trace of B(A_H ., .) also B
+_BITENSION_FIELDS = ("tension", "tension_laplacian")
+_INTEGRAL_FIELDS = ("phi_b_form", "c_parallel_defect", "normal_laplacian_defect") + _BITENSION_FIELDS
+_TRACE_BAH_FIELDS = ("second_fundamental",)
+_EIGEN_FIELDS = ("coordinate_laplacian",)
+
+
 def _failed_checks(report, checks, ex):
     """Add every (name, tolerance) of ``checks`` as failed, with residual inf."""
     for name, tol in checks:
@@ -232,9 +242,12 @@ def _integral_submanifold_checks(report, geo, want_h=None, mode="biharmonic", ba
         _trace_bah_check(report, geo, bah_factor)
 
 
-def _flow_cylinder_checks(report, F, per_axis, want_h=None):
-    """The shared opening of the Reeb-flow cylinder suites; returns the sample."""
-    geo = imm.sample_geometry(F, F.grid(per_axis))
+def _flow_cylinder_checks(report, F, per_axis, want_h=None, fields=()):
+    """The shared opening of the Reeb-flow cylinder suites; returns the geometry.
+
+    ``fields`` names what the suite's later checks read besides.
+    """
+    geo = imm.geometry_pass(F, F.grid(per_axis), _BITENSION_FIELDS + fields)
     base = slice(per_axis**2)  # the first t-slice of the grid
     report.add(imm.check_unit_norm(geo.values))
     # the cylinder direction is the Reeb flow: eta0(d_t y) = 1 exactly
@@ -256,7 +269,7 @@ def _legendre_suite(report, F, per_axis, label, order, kappa1, align_name, align
     A FrenetError fails the Frenet and phi-alignment checks with residual inf.
     """
     pts = F.grid(max(per_axis, 5))
-    geo = imm.sample_geometry(F, pts)
+    geo = imm.geometry_pass(F, pts, _BITENSION_FIELDS)
     report.add(imm.check_unit_norm(geo.values))
     report.add(imm.check_integral(geo))
     report.add(imm.check_bitension(geo))
@@ -274,12 +287,12 @@ def _legendre_suite(report, F, per_axis, label, order, kappa1, align_name, align
     return app
 
 
-def _decomposition_check(report, F, want_radii, per_axis, basis=None, label="decomposition", jet=None):
-    # ``jet`` is a jet of F on F.grid(per_axis); below 3 points per axis the
+def _decomposition_check(report, F, want_radii, per_axis, basis=None, label="decomposition", geo=None):
+    # ``geo`` is F's geometry on F.grid(per_axis); below 3 points per axis the
     # decomposition samples a grid of its own
-    jet = jet if per_axis >= 3 else None
+    geo = geo if per_axis >= 3 else None
     try:
-        dec = catalog.circle_decomposition(F, per_axis=max(per_axis, 3), basis=basis, jet=jet)
+        dec = catalog.circle_decomposition(F, per_axis=max(per_axis, 3), basis=basis, geometry=geo)
     except ValueError as ex:
         chk = imm.CheckResult(label, float("inf"), 1e-10)
         chk.extra["error"] = str(ex)
@@ -321,7 +334,7 @@ _CURVE_BASE_FRACTIONS = np.array([0.23, 0.41, 0.67])
 
 def _corollary_suite(report, per_axis, _param):
     F = catalog.corollary_immersion()
-    geo = imm.sample_geometry(F, F.grid(per_axis))
+    geo = imm.geometry_pass(F, F.grid(per_axis), _INTEGRAL_FIELDS + _TRACE_BAH_FIELDS + _EIGEN_FIELDS)
     base = _CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
     _integral_submanifold_checks(report, geo, want_h=2.0 / 3.0, bah_factor=2.0)
     for axis, label in ((0, "X1"), (1, "X2"), (2, "X3")):
@@ -332,15 +345,15 @@ def _corollary_suite(report, per_axis, _param):
 
 def _s5_suite(report, per_axis, _param):
     F = catalog.s5_surface()
-    geo = imm.sample_geometry(F, F.grid(per_axis))
+    geo = imm.geometry_pass(F, F.grid(per_axis), _INTEGRAL_FIELDS)
     _integral_submanifold_checks(report, geo)
     report.add(_sample_lattice_check(geo, catalog.S5_LATTICE, per_axis**2))
 
 
 def _cylinder_c1_suite(report, per_axis, _param):
     F = catalog.cylinder(catalog.corollary_immersion())
-    geo = _flow_cylinder_checks(report, F, per_axis, want_h=0.5)
-    _decomposition_check(report, F, (1.0 / SQ2,) + (1.0 / math.sqrt(6.0),) * 3, per_axis, jet=geo.jet)
+    geo = _flow_cylinder_checks(report, F, per_axis, want_h=0.5, fields=_EIGEN_FIELDS)
+    _decomposition_check(report, F, (1.0 / SQ2,) + (1.0 / math.sqrt(6.0),) * 3, per_axis, geo=geo)
     q4 = catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1
     tilde = catalog.precompose_linear(F, q4.T, name="cylinder-c1-circleform")
     lattice = imm.lattice_check(tilde, catalog.T4_CYLINDER_LATTICE_TILDE, tilde.grid(3)[:20])
@@ -375,7 +388,7 @@ def _legendre_helix_suite(report, per_axis, kappa1):
 def _minus4_suite(report, per_axis, index):
     F = catalog.minus4_immersion(index)
     base = _CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
-    geo = imm.sample_geometry(F, F.grid(per_axis))
+    geo = imm.geometry_pass(F, F.grid(per_axis), _INTEGRAL_FIELDS + _TRACE_BAH_FIELDS)
     _integral_submanifold_checks(report, geo, mode="minus4", bah_factor=6.0)
     tup = classifier.SolutionTuple(*catalog.MINUS4_TUPLES[index - 1], c=1.0, mode="minus4")
     tables = classifier.curvature_tables(tup)
@@ -385,9 +398,9 @@ def _minus4_suite(report, per_axis, index):
 
 def _cylinder_minus4_suite(report, per_axis, index):
     F = catalog.cylinder(catalog.minus4_immersion(index))
-    jet = F.jets(F.grid(per_axis), 1)
-    report.add(imm.check_unit_norm(jet.value))
-    _decomposition_check(report, F, MINUS4_RADII[index - 1], per_axis, jet=jet)
+    geo = imm.geometry_pass(F, F.grid(per_axis))
+    report.add(imm.check_unit_norm(geo.values))
+    _decomposition_check(report, F, MINUS4_RADII[index - 1], per_axis, geo=geo)
 
 
 # family -> (parameter dimension m, suite); a suite samples per_axis ** m points
@@ -402,8 +415,12 @@ _SUITES = {
     "cylinder-minus4": (4, _cylinder_minus4_suite),
 }
 
-# a report holds about 24 KB per grid point at its peak (cylinder-c1 at grid 9,
-# 6561 points: 185 MB), so the cap keeps one report under about 0.5 GB
+# A report holds the jets of one block of imm.GEOMETRY_BLOCK_POINTS points at a
+# time, which peak at about 18 KB per block point (cylinder-c1, tracemalloc),
+# whatever the grid.  The cap bounds what still grows with the grid: run time
+# (in process, about 0.9 s for cylinder-c1 at grid 11, 14,641 points, and for
+# corollary-c1 at grid 27, 19,683 points) and the per-point arrays kept for the
+# whole grid, up to 1.4 KB per point (corollary-c1; 74 MB peak RSS at grid 27).
 MAX_GRID_POINTS = 20000
 
 

@@ -134,11 +134,12 @@ def test_circle_decomposition_radii_cylinder_c1():
     assert np.sum(dec.radii**2) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_circle_decomposition_reads_a_given_jet():
+def test_circle_decomposition_reads_a_given_geometry():
+    # values and tangents assembled from the blocks' accuracy-4 jets
     Y = catalog.cylinder(catalog.corollary_immersion())
     pts = Y.grid(3)
     direct = catalog.circle_decomposition(Y, pts)
-    given = catalog.circle_decomposition(Y, jet=Y.jets(pts, 4))
+    given = catalog.circle_decomposition(Y, geometry=imm.geometry_pass(Y, pts, ("tension",)))
     assert np.array_equal(given.radii, direct.radii)
     assert np.array_equal(given.frequencies, direct.frequencies)
 

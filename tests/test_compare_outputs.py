@@ -2,6 +2,9 @@ import json
 import sys
 from pathlib import Path
 
+from sasakian import immersion as imm
+from sasakian import report as rep
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import compare_outputs as co  # noqa: E402
@@ -47,3 +50,11 @@ def test_comparison_set_covers_every_example_and_both_classify_workloads():
     assert ("legendre-helix:0.5", "3") in verify and ("cylinder-minus4-3", "5") in verify
     assert ("cylinder-c1", "9") in verify and ("corollary-c1", "15") in verify
     assert sum(argv[0] == "classify" for argv in argvs) > 60
+    # reports of more points than one geometry block, with 3 and with 4 parameters
+    multi_block = set()
+    for argv in argvs:
+        if argv[0] == "verify":
+            m = rep._SUITES[rep.parse_example(argv[1])[0]][0]
+            if int(argv[3]) ** m > imm.GEOMETRY_BLOCK_POINTS:
+                multi_block.add(m)
+    assert multi_block >= {3, 4}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,10 +198,11 @@ def test_trace_b_ah_proportionality(corollary, corollary_grid):
     assert np.max(np.abs(bah - 2.0 * H)) < 1e-8
 
 
-def test_totally_geodesic_legendre_sphere_has_zero_b():
-    # real great 3-sphere inside the 7-sphere: integral with B identically zero,
-    # so the C-parallel identity holds trivially (both sides vanish).
-    # (cos u, sin u cos v, sin u sin v cos w, sin u sin v sin w) by product-to-sum
+def _great_s3():
+    """A real great 3-sphere in its round chart, which is not flat-orthonormal, and a grid.
+
+    (cos u, sin u cos v, sin u sin v cos w, sin u sin v sin w) by product-to-sum.
+    """
     e = np.eye(8)
     q = -math.pi / 2.0  # sin x = cos(x - pi/2)
     terms = [
@@ -220,6 +222,13 @@ def test_totally_geodesic_legendre_sphere_has_zero_b():
     pts = np.stack(
         np.meshgrid(*[np.linspace(0.4, 1.2, 3)] * 3, indexing="ij"), axis=-1
     ).reshape(-1, 3)
+    return F, pts
+
+
+def test_totally_geodesic_legendre_sphere_has_zero_b():
+    # real great 3-sphere inside the 7-sphere: integral with B identically zero,
+    # so the C-parallel identity holds trivially (both sides vanish).
+    F, pts = _great_s3()
     u, v, w = pts.T
     direct = [np.cos(u), np.sin(u) * np.cos(v), np.sin(u) * np.sin(v) * np.cos(w), np.sin(u) * np.sin(v) * np.sin(w)]
     assert np.max(np.abs(F.values(pts)[:, :4] - np.stack(direct, axis=-1))) < 1e-15
@@ -318,7 +327,7 @@ def test_covariant_checks_share_one_flat_chart_check(corollary, corollary_grid, 
 def _eager_second_fundamental_jets(sample):
     """Reference: every B_ij as a jet of accuracy 2, built in one eager pass."""
     m = sample.immersion.m
-    T = sample.tangent_jets
+    T = [sample.jet.deriv(i) for i in range(m)]  # d_i F at accuracy 3
     X2 = sample.jet.truncate(2)
     T2 = [t.truncate(2) for t in T]
     B = {}
@@ -360,6 +369,7 @@ def test_b_jets_on_demand_are_truncations_of_the_eager_construction(build):
     F = build()
     geo = imm.sample_geometry(F, F.grid(3))
     eager = _eager_second_fundamental_jets(geo)
+    assert all(t.acc == 2 for t in geo.tangent_jets)
     assert geo.tension_jet.acc == 2
     _assert_bit_equal(geo.tension_jet.coef, _eager_tension_jet(geo).coef)
     lean = geo.second_fundamental_jets
@@ -388,3 +398,54 @@ def test_jet_b_and_h_match_the_general_chart_oracle(build):
     assert np.max(np.abs(geo.second_fundamental - B)) < 1e-14
     assert np.max(np.abs(geo.mean_curvature - H)) < 1e-14
     assert np.max(np.abs(geo.mean_curvature_norm - np.linalg.norm(H, axis=-1))) < 1e-14
+
+
+REGISTERED = [name.replace("<kappa1>", "0.5") for name in rep.EXAMPLE_NAMES]
+# the verify-dense benchmark items: 1296, 1000 and 343 points
+DENSE_REPORTS = [("cylinder-c1", 6), ("corollary-c1", 10), ("minus4-1", 7)]
+
+
+@pytest.mark.parametrize("name, grid", [(n, g) for g in (3, 5) for n in REGISTERED] + DENSE_REPORTS)
+def test_report_json_does_not_depend_on_the_block_size(name, grid, monkeypatch):
+    # one point per block; 7, which leaves blocks of unequal size on most
+    # grids; 100; and the whole grid in one block
+    want = rep.build_report(name, per_axis=grid).to_json()
+    for size in (1, 7, 100, rep.MAX_GRID_POINTS):
+        monkeypatch.setattr(imm, "GEOMETRY_BLOCK_POINTS", size)
+        assert rep.build_report(name, per_axis=grid).to_json() == want, size
+
+
+def test_point_blocks_are_equal_consecutive_slices(monkeypatch):
+    monkeypatch.setattr(imm, "GEOMETRY_BLOCK_POINTS", 640)
+    assert imm.point_blocks(1296) == [slice(0, 432), slice(432, 864), slice(864, 1296)]
+    assert imm.point_blocks(1000) == [slice(0, 500), slice(500, 1000)]
+    assert imm.point_blocks(625) == [slice(0, 625)]
+    monkeypatch.setattr(imm, "GEOMETRY_BLOCK_POINTS", 7)
+    assert [b.stop - b.start for b in imm.point_blocks(27)] == [6, 7, 7, 7]
+
+
+def test_chart_error_reports_the_whole_grid_at_every_block_size(monkeypatch):
+    F, pts = _great_s3()
+    pts = pts[::-1]  # the largest |G - I| lies in the last block
+    with pytest.raises(imm.ChartError) as whole:
+        imm.check_C_parallel(imm.sample_geometry(F, pts))
+    for size in (1, 7, len(pts)):
+        monkeypatch.setattr(imm, "GEOMETRY_BLOCK_POINTS", size)
+        with pytest.raises(imm.ChartError) as blocked:
+            imm.geometry_pass(F, pts, ("tension",))
+        assert str(blocked.value) == str(whole.value)
+
+
+def test_report_memory_does_not_grow_with_the_grid():
+    # cylinder-c1 holds the jets of one block at a time: grid 9 (6561 points,
+    # 11 blocks) peaks within twice grid 5 (625 points, one block)
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            rep.build_report("cylinder-c1", per_axis=grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rep.build_report("cylinder-c1", per_axis=5)  # lazily built tables
+    assert peak(9) <= 2 * peak(5)
