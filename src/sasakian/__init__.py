@@ -1,102 +1,3 @@
 """Numerical toolkit for biharmonic integral C-parallel submanifolds of Sasakian spheres."""
 
-from .ambient import SasakianSphere, complex_structure
-from .catalog import (
-    CircleProduct,
-    circle_decomposition,
-    corollary_immersion,
-    cylinder,
-    flat_torus,
-    legendre_curve,
-    minus4_immersion,
-    s5_surface,
-)
-from .classifier import (
-    CaseIISolution,
-    ReductionTrace,
-    SolutionTuple,
-    curvature_tables,
-    solve_caseII,
-    solve_flat,
-    solve_minus4_caseII,
-    solve_minus4_flat,
-)
-from .frenet import FrenetApparatus, frenet, phi_alignment
-from .immersion import (
-    ChartError,
-    CheckResult,
-    GeometrySample,
-    ParametricImmersion,
-    PointGeometry,
-    bitension,
-    check_C_parallel,
-    check_integral,
-    check_normal_laplacian,
-    coordinate_laplacian_eigencheck,
-    geometry_pass,
-    lattice_check,
-    sample_geometry,
-)
-from .jets import Jet, lift, partial
-from .report import VerificationReport, build_report, classification_report
-from .shape_algebra import (
-    AdaptedShapeOperators,
-    basis_constraints,
-    biharmonic_eigenvalue,
-    build_matrices,
-    eigen_criterion_residual,
-    expanded_system_residual,
-    minus4_criterion_residual,
-)
-
-__all__ = [
-    "AdaptedShapeOperators",
-    "CaseIISolution",
-    "ChartError",
-    "CheckResult",
-    "CircleProduct",
-    "FrenetApparatus",
-    "GeometrySample",
-    "Jet",
-    "ParametricImmersion",
-    "PointGeometry",
-    "ReductionTrace",
-    "SasakianSphere",
-    "SolutionTuple",
-    "VerificationReport",
-    "basis_constraints",
-    "biharmonic_eigenvalue",
-    "bitension",
-    "build_matrices",
-    "build_report",
-    "check_C_parallel",
-    "check_integral",
-    "check_normal_laplacian",
-    "circle_decomposition",
-    "classification_report",
-    "complex_structure",
-    "coordinate_laplacian_eigencheck",
-    "corollary_immersion",
-    "curvature_tables",
-    "cylinder",
-    "eigen_criterion_residual",
-    "expanded_system_residual",
-    "flat_torus",
-    "frenet",
-    "geometry_pass",
-    "lattice_check",
-    "legendre_curve",
-    "lift",
-    "minus4_criterion_residual",
-    "minus4_immersion",
-    "partial",
-    "phi_alignment",
-    "s5_surface",
-    "sample_geometry",
-    "solve_caseII",
-    "solve_flat",
-    "solve_minus4_caseII",
-    "solve_minus4_flat",
-]
-
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .immersion import ParametricImmersion, PointGeometry, geometry_pass, lattice_check  # noqa: F401  (re-export)
+from .immersion import ParametricImmersion, PointGeometry, geometry_pass
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -116,12 +116,6 @@ def validate_unitary(basis: np.ndarray) -> np.ndarray:
     if dev > UNITARY_TOL:
         raise ValueError(f"basis rows are not Hermitian-orthonormal (|Gram - I| = {dev:.3e})")
     return basis
-
-
-def random_unitary(size: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
 
 
 def circle_immersion(
@@ -337,14 +331,6 @@ def legendre_curve(kind: str, kappa1: float | None = None, vectors=None, sign: i
             terms, m=1, n=n, name=f"legendre-helix:{kappa1:g}", sample_box=(2.0 * math.pi,)
         )
     raise ValueError(f"unknown Legendre curve kind {kind!r}")
-
-
-def great_circle(n: int = 3) -> ParametricImmersion:
-    """Legendre great circle (geodesic) for negative controls."""
-    dim = 2 * n + 2
-    e1, e2 = np.eye(dim)[0], np.eye(dim)[1]
-    terms = [(1.0, (1.0,), 0.0, e1), (1.0, (1.0,), -math.pi / 2.0, e2)]
-    return trig_immersion(terms, m=1, n=n, name="great-circle", sample_box=(2.0 * math.pi,))
 
 
 def cylinder(F: ParametricImmersion) -> ParametricImmersion:

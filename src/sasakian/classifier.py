@@ -69,9 +69,6 @@ class SolutionTuple:
         arg = "minus4" if self.mode == "minus4" else self.c
         return float(np.linalg.norm(sa.expanded_system_residual(self.operators(), arg)))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lam, self.alpha, self.gamma, self.delta])
-
 
 @dataclass(frozen=True)
 class RejectedRoot:

@@ -115,12 +115,8 @@ def _parse_sweep(spec: str) -> list[float]:
     steps = (hi - lo + 1e-12) / step
     if not steps < MAX_SWEEP_POINTS:
         raise ValueError(f"sweep asks for about {steps + 1:.0f} points; at most {MAX_SWEEP_POINTS} are allowed")
-    out = []
-    x = lo
-    while x <= hi + 1e-12:
-        out.append(round(x, 12))
-        x += step
-    return out
+    # point i is lo + i * step: accumulating the step drifts, and can drop the last point
+    return [round(lo + i * step, 12) for i in range(math.floor(steps) + 1)]
 
 
 @functools.cache

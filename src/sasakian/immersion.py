@@ -118,10 +118,6 @@ class ParametricImmersion:
     def n(self) -> int:
         return self.amplitudes.shape[1] - 1
 
-    @property
-    def ambient_dim(self) -> int:
-        return 2 * self.n + 2
-
     def jets(self, pts: np.ndarray, acc: int) -> Jet:
         """Jet of accuracy ``acc`` at each point, every coefficient in closed form.
 

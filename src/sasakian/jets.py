@@ -59,7 +59,6 @@ from functools import lru_cache
 import numpy as np
 
 MAX_ORDER = 5
-MAX_VARS = 4
 # most elements of gathered pairs in a jet product; see the module docstring
 GATHER_BUDGET = 1 << 16
 
@@ -212,22 +211,6 @@ class Jet:
 
     __slots__ = ("nvars", "acc", "rows")
 
-    def __init__(self, nvars: int, acc: int, coef: np.ndarray):
-        """A jet from term-last coefficients ``coef`` of shape (*lead, T), copied term-first."""
-        if not (1 <= nvars <= MAX_VARS):
-            raise ValueError(f"nvars must be in [1, {MAX_VARS}], got {nvars}")
-        if not (0 <= acc <= MAX_ORDER):
-            raise ValueError(f"acc must be in [0, {MAX_ORDER}], got {acc}")
-        coef = np.asarray(coef, dtype=float)
-        if coef.shape[-1] != _nterms(nvars, acc):
-            raise ValueError(
-                f"coefficient axis has length {coef.shape[-1]}, "
-                f"expected {_nterms(nvars, acc)} for {nvars} vars at degree {acc}"
-            )
-        self.nvars = nvars
-        self.acc = acc
-        self.rows = np.array(np.moveaxis(coef, -1, 0), order="C")
-
     @classmethod
     def _of(cls, nvars: int, acc: int, rows: np.ndarray) -> "Jet":
         """A jet on the term-first, C-contiguous array ``rows``, taken without a copy."""
@@ -242,17 +225,6 @@ class Jet:
         value = np.asarray(value, dtype=float)
         rows = np.zeros((_nterms(nvars, acc),) + np.broadcast_shapes(value.shape, lead_shape))
         rows[0] = value
-        return Jet._of(nvars, acc, rows)
-
-    @staticmethod
-    def variable(value, index: int, nvars: int, acc: int) -> "Jet":
-        """Jet of the coordinate function x_index evaluated at ``value``."""
-        if not (0 <= index < nvars):
-            raise IndexError(f"variable index {index} out of range for {nvars} vars")
-        rows = Jet.constant(value, nvars, acc).rows
-        if acc >= 1:
-            unit = tuple(1 if k == index else 0 for k in range(nvars))
-            rows[_position(nvars, acc)[unit]] = 1.0
         return Jet._of(nvars, acc, rows)
 
     # -- basic accessors -----------------------------------------------
@@ -311,18 +283,9 @@ class Jet:
         a, b = self._coerce(other)
         return Jet._of(a.nvars, a.acc, np.add(*_aligned(a.rows, b.rows)))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet._of(self.nvars, self.acc, -self.rows)
-
     def __sub__(self, other):
         a, b = self._coerce(other)
         return Jet._of(a.nvars, a.acc, np.subtract(*_aligned(a.rows, b.rows)))
-
-    def __rsub__(self, other):
-        a, b = self._coerce(other)
-        return Jet._of(a.nvars, a.acc, np.subtract(*_aligned(b.rows, a.rows)))
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -341,14 +304,6 @@ class Jet:
             if pairs * math.prod(lead) > GATHER_BUDGET:
                 return Jet._of(a.nvars, a.acc, _streamed_product(A, B, lead, _stream_pairs(a.nvars, a.acc)))
         return Jet._of(a.nvars, a.acc, _layered_product(A, B, plan))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return self * (1.0 / np.asarray(other, dtype=float))
 
     # -- analytic functions ---------------------------------------------
 
@@ -377,12 +332,6 @@ class Jet:
         s0, c0 = np.sin(a0), np.cos(a0)
         return (st * c0 + ct * s0, ct * c0 - st * s0)
 
-    def sin(self) -> "Jet":
-        return self.sincos()[0]
-
-    def cos(self) -> "Jet":
-        return self.sincos()[1]
-
     def sqrt(self) -> "Jet":
         a0 = self.value
         if np.any(a0 <= 0.0):
@@ -398,32 +347,3 @@ class Jet:
         coeffs = [(-1.0) ** k for k in range(self.acc + 1)]
         scaled = self * (1.0 / a0)
         return scaled._series(coeffs) * (1.0 / a0)
-
-    def __repr__(self):
-        return f"Jet(nvars={self.nvars}, acc={self.acc}, lead_shape={self.rows.shape[1:]})"
-
-
-def lift(value, var_index: int, nvars: int, acc: int) -> Jet:
-    """Jet of the coordinate function x_{var_index} at the evaluation point."""
-    return Jet.variable(value, var_index, nvars, acc)
-
-
-def partial(jet: Jet, multi_index) -> np.ndarray:
-    """Mixed partial derivative extracted from a jet.
-
-    ``multi_index`` gives the derivative order per variable; the total order
-    must not exceed the jet accuracy.  Leading axes (batch, components) pass
-    through, so a stacked immersion jet yields the derivative of each
-    component at once.
-    """
-    multi = tuple(int(k) for k in multi_index)
-    if len(multi) != jet.nvars:
-        raise ValueError(f"multi-index length {len(multi)} != nvars {jet.nvars}")
-    if any(k < 0 for k in multi):
-        raise ValueError("multi-index entries must be nonnegative")
-    if sum(multi) > jet.acc:
-        raise ValueError(f"derivative order {sum(multi)} exceeds jet accuracy {jet.acc}")
-    factorial = 1.0
-    for k in multi:
-        factorial *= math.factorial(k)
-    return jet.rows[_position(jet.nvars, jet.acc)[multi]] * factorial

@@ -1,12 +1,12 @@
-"""Adapted-basis shape operators and the biharmonicity eigen-criterion.
+"""Adapted-basis shape operators and the biharmonicity system.
 
 For a 3-dimensional integral C-parallel submanifold of a 7-dimensional
 Sasakian space form, the three shape operators in the adapted orthonormal
 basis are determined by seven constants.  Proper-biharmonicity is the
 eigen-equation (sum A_i^2) t = k t on the trace vector t, with
 k = (c(n+3) + 3n - 7)/4; the (-4)-variant in the unit 7-sphere replaces k
-by 6.  The expanded three-equation scalar system is algebraically identical
-to the matrix form and is kept as an independent evaluation path.
+by 6.  The solvers evaluate it as the expanded three-equation scalar system,
+which is algebraically identical to the matrix form.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RESIDUAL_RTOL = 1e-10
 MINUS4_EIGENVALUE = 6.0
 
 
@@ -36,14 +35,6 @@ class AdaptedShapeOperators:
             raise ValueError("lam must be nonzero in the flat case")
         return cls((lam * lam - b) / lam, lam, lam, alpha, 0.0, gamma, delta)
 
-    def matrices(self) -> np.ndarray:
-        return build_matrices(self)
-
-    def trace_vector(self) -> np.ndarray:
-        return np.array(
-            [self.lambda1 + self.lambda2 + self.lambda3, self.alpha + self.gamma, self.beta + self.delta]
-        )
-
 
 def _fields(params):
     if isinstance(params, AdaptedShapeOperators):
@@ -51,85 +42,9 @@ def _fields(params):
     return AdaptedShapeOperators(*[float(x) for x in params])
 
 
-def build_matrices(params) -> np.ndarray:
-    """The three symmetric 3x3 shape operator matrices, stacked as (3, 3, 3)."""
-    p = _fields(params)
-    l1, l2, l3 = p.lambda1, p.lambda2, p.lambda3
-    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
-    A1 = np.diag([l1, l2, l3])
-    A2 = np.array([[0.0, l2, 0.0], [l2, a, b], [0.0, b, g]])
-    A3 = np.array([[0.0, 0.0, l3], [0.0, b, g], [l3, g, d]])
-    return np.stack([A1, A2, A3])
-
-
-def basis_constraints(params, case: str) -> bool:
-    """Whether the adapted-basis inequality set holds for the declared case."""
-    return not basis_constraint_violations(params, case)
-
-
-def basis_constraint_violations(params, case: str) -> list[str]:
-    p = _fields(params)
-    bad = []
-    if not p.lambda1 > 0:
-        bad.append("lambda1 <= 0")
-    if p.lambda1 < abs(p.alpha):
-        bad.append("lambda1 < |alpha|")
-    if p.lambda1 < abs(p.delta):
-        bad.append("lambda1 < |delta|")
-    if p.lambda1 < 2 * p.lambda2:
-        bad.append("lambda1 < 2 lambda2")
-    if p.lambda1 < 2 * p.lambda3:
-        bad.append("lambda1 < 2 lambda3")
-    if case == "distinct":
-        if p.lambda2 == p.lambda3:
-            bad.append("lambda2 == lambda3 in distinct case")
-        if p.alpha < 0:
-            bad.append("alpha < 0")
-        if p.delta < 0:
-            bad.append("delta < 0")
-        if p.alpha < p.delta:
-            bad.append("alpha < delta")
-    elif case == "equal_zero":
-        if p.lambda2 != p.lambda3:
-            bad.append("lambda2 != lambda3")
-        if any(x != 0.0 for x in (p.alpha, p.beta, p.gamma, p.delta)):
-            bad.append("alpha, beta, gamma, delta not all zero")
-    elif case == "equal_max":
-        if p.lambda2 != p.lambda3:
-            bad.append("lambda2 != lambda3")
-        if not p.alpha > 0:
-            bad.append("alpha <= 0")
-        if p.delta < 0:
-            bad.append("delta < 0")
-        if p.alpha < p.delta:
-            bad.append("alpha < delta")
-        if p.beta != 0.0:
-            bad.append("beta != 0")
-        if p.alpha < 2 * p.gamma:
-            bad.append("alpha < 2 gamma")
-    else:
-        raise ValueError(f"unknown basis case {case!r}")
-    return bad
-
-
 def biharmonic_eigenvalue(c: float, n: int = 3) -> float:
     """k = (c(n+3) + 3n - 7)/4, the trace-vector eigenvalue for biharmonicity."""
     return (c * (n + 3) + 3 * n - 7) / 4.0
-
-
-def eigen_criterion_residual(params, c: float, n: int = 3, k_override: float | None = None):
-    """Residual r = (sum A_i^2) t - k t and the trace vector t."""
-    mats = build_matrices(params)
-    t = _fields(params).trace_vector()
-    k = biharmonic_eigenvalue(c, n) if k_override is None else float(k_override)
-    square_sum = np.einsum("aij,ajk->ik", mats, mats)
-    return square_sum @ t - k * t, t
-
-
-def minus4_criterion_residual(params) -> np.ndarray:
-    """Residual of (sum A_i^2) t = 6 t, the (-4)-biharmonic criterion in S^7(1)."""
-    r, _ = eigen_criterion_residual(params, c=1.0, k_override=MINUS4_EIGENVALUE)
-    return r
 
 
 def expanded_system_residual(params, c_or_mode) -> np.ndarray:
@@ -161,25 +76,3 @@ def expanded_system_residual(params, c_or_mode) -> np.ndarray:
         + (b + d) * (2 * l3 * l3 + d * d + 3 * g * g + b * b + a * g - k)
     )
     return np.array([eq1, eq2, eq3])
-
-
-def biharmonic_verdict(params, c_or_mode, n: int = 3, rtol: float = RESIDUAL_RTOL) -> str:
-    """Classify params as 'minimal', 'proper-biharmonic' or 'not-biharmonic'.
-
-    A proper verdict additionally requires the eigenvalue k to be positive;
-    for k <= 0 no non-minimal solution exists.
-    """
-    if isinstance(c_or_mode, str):
-        k = MINUS4_EIGENVALUE
-        r, t = eigen_criterion_residual(params, c=1.0, k_override=k)
-    else:
-        k = biharmonic_eigenvalue(float(c_or_mode), n)
-        r, t = eigen_criterion_residual(params, float(c_or_mode), n)
-    tnorm = float(np.linalg.norm(t))
-    if tnorm < rtol:
-        return "minimal"
-    if k <= 0.0:
-        return "not-biharmonic"
-    if float(np.linalg.norm(r)) / max(1.0, tnorm) < rtol:
-        return "proper-biharmonic"
-    return "not-biharmonic"

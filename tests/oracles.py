@@ -1,0 +1,222 @@
+"""Oracles and fixtures of the tests: code that no ``sasakian`` command runs.
+
+``SasakianSphere`` (structure tensors and curvature of the deformed sphere),
+the matrix form of the eigen-criterion (the second evaluation path of
+``shape_algebra.expanded_system_residual``), immersion fixtures and jet
+helpers.  The tests import this module as ``import oracles``: pytest puts
+``tests/`` on ``sys.path``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from sasakian.ambient import _dot, complex_structure, phi0
+from sasakian.catalog import trig_immersion
+from sasakian.immersion import ParametricImmersion
+from sasakian.jets import Jet, _position
+from sasakian.shape_algebra import MINUS4_EIGENVALUE, _fields, biharmonic_eigenvalue
+
+POINT_TOL = 1e-12
+TANGENT_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class SasakianSphere:
+    """S^{2n+1} with the (possibly deformed) Sasakian structure.
+
+    ``a`` is the deformation parameter; a = 1 is the canonical structure.
+    The phi-sectional curvature c = 4/a - 3 is always derived from ``a``.
+    """
+
+    n: int
+    a: float = 1.0
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be a positive integer")
+        if not self.a > 0:
+            raise ValueError("deformation parameter a must be positive")
+
+    @classmethod
+    def from_phi_sectional(cls, n: int, c: float) -> "SasakianSphere":
+        if not c > -3:
+            raise ValueError("phi-sectional curvature must exceed -3 on the sphere models")
+        return cls(n=n, a=4.0 / (c + 3.0))
+
+    @property
+    def c(self) -> float:
+        return 4.0 / self.a - 3.0
+
+    @property
+    def ambient_dim(self) -> int:
+        return 2 * self.n + 2
+
+    # -- input validation ------------------------------------------------
+
+    def check_point(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        if z.shape[-1] != self.ambient_dim:
+            raise ValueError(f"expected ambient dimension {self.ambient_dim}, got {z.shape[-1]}")
+        err = np.abs(_dot(z, z) - 1.0)
+        if np.any(err > POINT_TOL):
+            raise ValueError(f"point is off the unit sphere by {float(np.max(err)):.3e}")
+        return z
+
+    def check_tangent(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        err = np.abs(_dot(v, z))
+        if np.any(err > TANGENT_TOL):
+            raise ValueError(f"vector is not tangent to the sphere: <v,z> = {float(np.max(err)):.3e}")
+        return v
+
+    # -- structure tensors -------------------------------------------------
+
+    def eta0(self, z, v) -> np.ndarray:
+        return _dot(v, -complex_structure(z))
+
+    def xi(self, z) -> np.ndarray:
+        z = self.check_point(z)
+        return -complex_structure(z) / self.a
+
+    def eta(self, z, v) -> np.ndarray:
+        z = self.check_point(z)
+        v = self.check_tangent(z, v)
+        return self.a * self.eta0(z, v)
+
+    def phi(self, z, v) -> np.ndarray:
+        z = self.check_point(z)
+        v = self.check_tangent(z, v)
+        return phi0(z, v)
+
+    def metric(self, z, u, v) -> np.ndarray:
+        z = self.check_point(z)
+        u = self.check_tangent(z, u)
+        v = self.check_tangent(z, v)
+        a = self.a
+        return a * _dot(u, v) + a * (a - 1.0) * self.eta0(z, u) * self.eta0(z, v)
+
+    def curvature(self, z, u, v, w) -> np.ndarray:
+        """Curvature tensor R(u,v)w of the space form at constant c."""
+        z = self.check_point(z)
+        u = self.check_tangent(z, u)
+        v = self.check_tangent(z, v)
+        w = self.check_tangent(z, w)
+
+        g = self.metric
+        eta = self.eta
+        xi = self.xi(z)
+        pu, pv, pw = self.phi(z, u), self.phi(z, v), self.phi(z, w)
+        c = self.c
+
+        def sc(s, vec):
+            return s[..., None] * vec
+
+        first = sc(g(z, w, v), u) - sc(g(z, w, u), v)
+        second = (
+            sc(eta(z, w) * eta(z, u), v)
+            - sc(eta(z, w) * eta(z, v), u)
+            + sc(g(z, w, u) * eta(z, v), xi)
+            - sc(g(z, w, v) * eta(z, u), xi)
+            + sc(g(z, w, pv), pu)
+            - sc(g(z, w, pu), pv)
+            + 2.0 * sc(g(z, u, pv), pw)
+        )
+        return (c + 3.0) / 4.0 * first + (c - 1.0) / 4.0 * second
+
+    def sectional_curvature(self, z, u, v) -> np.ndarray:
+        """Sectional curvature of span{u, v} in the deformed metric."""
+        guu = self.metric(z, u, u)
+        gvv = self.metric(z, v, v)
+        guv = self.metric(z, u, v)
+        num = self.metric(z, self.curvature(z, u, v, v), u)
+        return num / (guu * gvv - guv**2)
+
+
+def random_point(space: SasakianSphere, rng: np.random.Generator, size=()) -> np.ndarray:
+    z = rng.standard_normal(size + (space.ambient_dim,))
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def random_tangent(space: SasakianSphere, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    v = rng.standard_normal(z.shape)
+    return v - np.sum(v * z, axis=-1, keepdims=True) * z
+
+
+def trace_vector(params) -> np.ndarray:
+    p = _fields(params)
+    return np.array([p.lambda1 + p.lambda2 + p.lambda3, p.alpha + p.gamma, p.beta + p.delta])
+
+
+def build_matrices(params) -> np.ndarray:
+    """The three symmetric 3x3 shape operator matrices, stacked as (3, 3, 3)."""
+    p = _fields(params)
+    l1, l2, l3 = p.lambda1, p.lambda2, p.lambda3
+    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
+    A1 = np.diag([l1, l2, l3])
+    A2 = np.array([[0.0, l2, 0.0], [l2, a, b], [0.0, b, g]])
+    A3 = np.array([[0.0, 0.0, l3], [0.0, b, g], [l3, g, d]])
+    return np.stack([A1, A2, A3])
+
+
+def eigen_criterion_residual(params, c: float, n: int = 3, k_override: float | None = None):
+    """Residual r = (sum A_i^2) t - k t and the trace vector t."""
+    mats = build_matrices(params)
+    t = trace_vector(params)
+    k = biharmonic_eigenvalue(c, n) if k_override is None else float(k_override)
+    square_sum = np.einsum("aij,ajk->ik", mats, mats)
+    return square_sum @ t - k * t, t
+
+
+def minus4_criterion_residual(params) -> np.ndarray:
+    """Residual of (sum A_i^2) t = 6 t, the (-4)-biharmonic criterion in S^7(1)."""
+    r, _ = eigen_criterion_residual(params, c=1.0, k_override=MINUS4_EIGENVALUE)
+    return r
+
+
+def assert_proper_biharmonic(params, c_or_mode):
+    """(sum A_i^2) t = k t holds to 1e-10 relative to max(1, |t|), with |t| >= 1e-10 and k > 0."""
+    if c_or_mode == "minus4":
+        k, r, t = MINUS4_EIGENVALUE, minus4_criterion_residual(params), trace_vector(params)
+    else:
+        k, (r, t) = biharmonic_eigenvalue(c_or_mode), eigen_criterion_residual(params, c_or_mode)
+    assert np.linalg.norm(r) / max(1.0, np.linalg.norm(t)) < 1e-10
+    assert np.linalg.norm(t) >= 1e-10 and k > 0.0
+
+
+def random_unitary(size: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
+
+
+def great_circle(n: int = 3) -> ParametricImmersion:
+    """Legendre great circle (geodesic) for negative controls."""
+    dim = 2 * n + 2
+    e1, e2 = np.eye(dim)[0], np.eye(dim)[1]
+    terms = [(1.0, (1.0,), 0.0, e1), (1.0, (1.0,), -math.pi / 2.0, e2)]
+    return trig_immersion(terms, m=1, n=n, name="great-circle", sample_box=(2.0 * math.pi,))
+
+
+def jet(nvars: int, acc: int, coef) -> Jet:
+    """A jet from term-last coefficients ``coef`` of shape (*lead, T), copied term-first."""
+    return Jet._of(nvars, acc, np.array(np.moveaxis(np.asarray(coef, dtype=float), -1, 0), order="C"))
+
+
+def variable(value, index: int, nvars: int, acc: int) -> Jet:
+    """Jet of the coordinate function x_index evaluated at ``value``."""
+    x = Jet.constant(value, nvars, acc)
+    if acc >= 1:
+        x.rows[_position(nvars, acc)[tuple(int(k == index) for k in range(nvars))]] = 1.0
+    return x
+
+
+def partial(f: Jet, multi_index) -> np.ndarray:
+    """Mixed partial derivative of order ``multi_index`` (one entry per variable); lead axes pass through."""
+    multi = tuple(multi_index)
+    if sum(multi) > f.acc:
+        raise ValueError(f"derivative order {sum(multi)} exceeds jet accuracy {f.acc}")
+    return f.rows[_position(f.nvars, f.acc)[multi]] * math.prod(map(math.factorial, multi))

