@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +66,9 @@ class SolutionTuple:
     def operators(self) -> sa.AdaptedShapeOperators:
         return sa.AdaptedShapeOperators.case_I(self.lam, self.alpha, self.gamma, self.delta, self.b)
 
+    @cached_property
     def system_residual(self) -> float:
+        """Norm of the expanded system at the tuple; the solver's acceptance test and the report read it once."""
         arg = "minus4" if self.mode == "minus4" else self.c
         return float(np.linalg.norm(sa.expanded_system_residual(self.operators(), arg)))
 
@@ -285,7 +288,7 @@ def _try_tuple(branch, w, system, c, mode):
         lam, alpha, gamma, delta, case="FlatI", c=c, mode=mode, omega=float(w),
         source="omega_reduction", flags=tuple(boundary),
     )
-    res = sol.system_residual()
+    res = sol.system_residual
     if not res <= FLAT_RESIDUAL_TOL:  # also rejects a residual that overflowed to nan
         return None, f"re-substitution residual {res:.2e} exceeds {FLAT_RESIDUAL_TOL:g}"
     return sol, None
@@ -315,7 +318,7 @@ def _alpha_eq_neg_gamma_family(system, c, mode):
             lam, alpha, gamma, 0.0, case="FlatI", c=c, mode=mode, omega=-1.0,
             source="alpha_eq_neg_gamma", flags=tuple(boundary),
         )
-        res = sol.system_residual()
+        res = sol.system_residual
         if not res <= FLAT_RESIDUAL_TOL:
             rejected.append(RejectedRoot(-1.0, f"re-substitution residual {res:.2e}"))
             continue

@@ -8,8 +8,14 @@ explicit product-of-curves immersions all satisfy this, and anything else
 raises ChartError instead of silently using Christoffel symbols.
 
 B and H are the values of the jets that the C-parallel, normal-Laplacian and
-bitension checks read (B_ij = (nabla_i d_j F)^perp from ``GeometrySample.nabla``
-and ``normal``, H = tau / m), so they need a flat-orthonormal chart too.
+bitension checks read (B_ij = (nabla_i d_j F)^perp from ``_connection`` and
+``_normal``, H = tau / m), so they need a flat-orthonormal chart too.  On
+such a chart the Laplacians sum second derivatives along the m coordinate
+directions, so the diagonal B_ii, tau and both Laplacians are computed on
+coordinate-line jets (``Jet.lines``): derivatives of F are taken on its full
+jet and only then restricted, and every product after that runs once over
+all lines, bit-equal to the multivariate product on the terms it keeps (see
+``jets``).
 
 Every identity checked here holds point by point, so the checks read
 per-point fields (``PointGeometry``) and reduce them over the grid.
@@ -33,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .ambient import complex_structure, phi0
-from .jets import MAX_ORDER, Jet, _position, _terms
+from .jets import MAX_ORDER, Jet, _line_terms, _position, _terms
 
 FLAT_CHART_TOL = 1e-9
 UNIT_NORM_TOL = 1e-13
@@ -41,8 +47,9 @@ INTEGRAL_TOL = EIGEN_TOL = LATTICE_TOL = 1e-10
 C_PARALLEL_TOL = NORMAL_LAPLACIAN_TOL = BITENSION_TOL = 1e-8
 # most grid points whose jets ``geometry_pass`` holds at once; a grid of up to
 # 625 points (grid 5 of a four-parameter example) stays one block.  Smaller
-# blocks hold less but pay each jet product's fixed cost more often: three
-# blocks of 432 points of cylinder-c1 take about 16% longer than one of 1296.
+# blocks hold less but pay each jet product's fixed cost more often; with the
+# second-order fields on line jets that cost is small: three blocks of 432
+# points of cylinder-c1 take about 0.83 times the time of one of 1296.
 GEOMETRY_BLOCK_POINTS = 640
 
 
@@ -207,74 +214,75 @@ class GeometrySample(PointGeometry):
 
     Everything covariant (tangent jets, B_ij, tau and the per-point fields of
     ``PointGeometry``) is built on first use, and only on a flat-orthonormal
-    chart: asking for it on any other raises ChartError.  Building them peaks
-    at about 18 KB per point (``cylinder-c1``, tracemalloc), some 35 times
-    the per-point fields kept from them, so ``geometry_pass`` holds one block
-    at a time.
+    chart: asking for it on any other raises ChartError.  Building every
+    field peaks at about 16 KB per point (``cylinder-c1``, one block of 640
+    points, tracemalloc), some 7 times the 2.4 KB per point of fields kept
+    from them, so ``geometry_pass`` holds one block at a time.
+
+    The diagonal B_ii, tau and both Laplacians live on the coordinate lines
+    (see the module docstring).  Restriction to line k does not commute with
+    d_i for i != k, so d_i F and d_i d_i F are taken on the full jet first.
     """
 
     jet: Jet                           # accuracy-4 jet of F at the points
 
     @cached_property
-    def tangent_jets(self) -> list[Jet]:
-        """d_i F as jets of accuracy 2; the chart must be flat-orthonormal."""
-        require_flat_chart(self)
-        return [self.jet.truncate(3).deriv(i) for i in range(self.immersion.m)]
+    def line_jet(self) -> Jet:
+        """F on the coordinate lines at accuracy 2; the chart must be flat-orthonormal.
 
-    def nabla(self, V: Jet, i: int) -> Jet:
-        """nabla_i V along F for a jet V of ambient vectors; accuracy drops by one."""
-        return _connection(V, i, self.tangent_jets[i], self.jet)
-
-    def normal(self, V: Jet) -> Jet:
-        """The normal part of a jet V of ambient vectors (G = I, so a plain Gram sum)."""
-        proj = V
-        for t in self.tangent_jets:
-            proj = proj - _dotj(V, t) * t
-        return proj
-
-    def _second_fundamental_jet(self, i: int, j: int, acc: int) -> Jet:
-        """B_ij = (nabla_i d_j F)^perp as a jet of accuracy ``acc`` <= 2.
-
-        At accuracy 2, d_j F is built at accuracy 3 for this B_ij alone.
-        Products keep their low-degree coefficients bit-equal at any accuracy
-        (see ``jets``), so this is the truncation of the accuracy-2 jet.
+        Every covariant field starts here, so the chart is checked once per sample.
         """
-        V = self.jet.deriv(j) if acc == 2 else self.tangent_jets[j].truncate(acc + 1)
-        return self.normal(self.nabla(V, i))
+        require_flat_chart(self)
+        return self.jet.truncate(2).lines()
+
+    def _tangent_jets(self, acc: int) -> list[Jet]:
+        """d_j F as jets of accuracy ``acc`` <= 3, one per j, taken on the full jet."""
+        return [self.jet.truncate(acc + 1).deriv(j) for j in range(self.immersion.m)]
 
     @cached_property
-    def _diagonal_second_fundamental_jets(self) -> list[Jet]:
-        """B_ii as jets of accuracy 2, the terms of tau."""
-        return [self._second_fundamental_jet(i, i, 2) for i in range(self.immersion.m)]
+    def _diagonal(self) -> tuple[Jet, list[Jet]]:
+        """tau on the coordinate lines at accuracy 2, and the B_ii as (multivariate) jets of accuracy 1.
+
+        B_ii = (d_i d_i F + <d_i F, d_i F> F)^perp on every line at once.  The
+        B_ii of accuracy 1 gather the value and the x_k coefficient of line k.
+        """
+        m, X = self.immersion.m, self.line_jet
+        T = [t.lines() for t in self._tangent_jets(2)]
+        tau, diagonal = None, []
+        for i in range(m):
+            # _connection(d_i F, i, d_i F, F), with d_i d_i F restricted after both derivatives
+            b = _normal(self.jet.deriv(i).deriv(i).lines() + _dotj(T[i], T[i]) * X, T)
+            tau = b if tau is None else tau + b
+            # undo the restriction on the terms of degree <= 1; every line holds the same value
+            rows = np.empty((m + 1,) + b.rows.shape[2:])
+            rows[_line_terms(m, 1)] = b.rows[:2].reshape((2 * m,) + rows.shape[1:])
+            diagonal.append(Jet._of(m, 1, rows))
+        return tau, diagonal
+
+    @property
+    def tension_lines(self) -> Jet:
+        """tau = trace B = m H on the coordinate lines, a line jet of accuracy 2 (flat-orthonormal chart).
+
+        Read by ``normal_laplacian_defect`` and ``tension_laplacian``, which
+        take two covariant derivatives of it along each line.
+        """
+        return self._diagonal[0]
 
     @cached_property
     def second_fundamental_jets(self) -> dict[tuple[int, int], Jet]:
         """B_ij as jets of accuracy 1 (flat-orthonormal chart).
 
         Read by ``c_parallel_defect``, which needs the values and first
-        derivatives only.  The diagonal is the truncation of the accuracy-2
-        B_ii that ``tension_jet`` sums.
+        derivatives only.  The diagonal comes from the line jets of tau's terms.
         """
-        m = self.immersion.m
+        m, diagonal = self.immersion.m, self._diagonal[1]
+        tangents = self._tangent_jets(2)
         B: dict[tuple[int, int], Jet] = {}
         for i in range(m):
-            B[(i, i)] = self._diagonal_second_fundamental_jets[i].truncate(1)
+            B[(i, i)] = diagonal[i]
             for j in range(i + 1, m):
-                B[(i, j)] = B[(j, i)] = self._second_fundamental_jet(i, j, 1)
+                B[(i, j)] = B[(j, i)] = _normal(_connection(tangents[j], i, tangents[i], self.jet), tangents)
         return B
-
-    @cached_property
-    def tension_jet(self) -> Jet:
-        """tau = trace B = m H as a jet of accuracy 2 (flat-orthonormal chart).
-
-        Read by ``normal_laplacian_defect`` and ``tension_laplacian``, which
-        take two covariant derivatives of it.  Only the diagonal B_ii are built.
-        """
-        diagonal = self._diagonal_second_fundamental_jets
-        tau = diagonal[0]
-        for b in diagonal[1:]:
-            tau = tau + b
-        return tau
 
     @cached_property
     def second_fundamental(self) -> np.ndarray:
@@ -285,7 +293,7 @@ class GeometrySample(PointGeometry):
     @cached_property
     def tension(self) -> np.ndarray:
         """tau at the points, (N, dim)."""
-        return self.tension_jet.value
+        return self.tension_lines.rows[0, 0]
 
     @cached_property
     def phi_b_form(self) -> np.ndarray:
@@ -324,21 +332,22 @@ class GeometrySample(PointGeometry):
     @cached_property
     def normal_laplacian_defect(self) -> np.ndarray:
         """max over components of |Delta^perp H - H| (geometric sign), (N,)."""
-        H = self.tension_jet * (1.0 / self.immersion.m)
+        H = self.tension_lines * (1.0 / self.immersion.m)
         lap = _rough_laplacian(self, H, normal=True)
-        return _abs_max_per_point(lap - H.value)
+        return _abs_max_per_point(lap - H.rows[0, 0])
 
     @cached_property
     def tension_laplacian(self) -> np.ndarray:
         """Delta tau = -sum_i nabla_i nabla_i tau with the sphere connection along F, (N, dim)."""
-        return _rough_laplacian(self, self.tension_jet, normal=False)
+        return _rough_laplacian(self, self.tension_lines, normal=False)
 
     @cached_property
     def coordinate_laplacian(self) -> np.ndarray:
         """-sum_i d_i d_i F on ambient components (flat-orthonormal chart), (N, dim)."""
+        second = self.line_jet.deriv(0).rows[1]  # d_i d_i F, read on line i
         lap = np.zeros_like(self.values)
-        for i, t in enumerate(self.tangent_jets):
-            lap -= _deriv_value(t, i)
+        for i in range(self.immersion.m):
+            lap -= second[i]
         return lap
 
 
@@ -364,6 +373,14 @@ def _connection(V: Jet, i: int, T_i: Jet, X: Jet) -> Jet:
     """nabla_i V = d_i V + <T_i, V> X for jets of V, T_i = d_i F and X = F; accuracy drops by one."""
     a = V.acc - 1
     return V.deriv(i) + _dotj(T_i.truncate(a), V.truncate(a)) * X.truncate(a)
+
+
+def _normal(V: Jet, tangents: list[Jet]) -> Jet:
+    """The normal part of a jet V of ambient vectors, given the jets of the d_j F (G = I, so a plain Gram sum)."""
+    proj = V
+    for t in tangents:
+        proj = proj - _dotj(V, t) * t
+    return proj
 
 
 def _deriv_value(V: Jet, i: int) -> np.ndarray:
@@ -500,19 +517,23 @@ def check_C_parallel(sample: PointGeometry) -> CheckResult:
 
 
 def _rough_laplacian(sample: GeometrySample, V: Jet, normal: bool) -> np.ndarray:
-    """-sum_i nabla_i nabla_i V along F for an accuracy-2 jet V of ambient vectors.
+    """-sum_i nabla_i nabla_i V along F for a line jet V of ambient vectors, accuracy 2.
 
-    With ``normal`` every covariant step is projected onto the normal bundle,
-    which gives the normal Laplacian Delta^perp; otherwise the sphere
-    connection along the map is used as is.
+    Line i gives nabla_i nabla_i V at the point.  With ``normal`` every
+    covariant step is projected onto the normal bundle, which gives the
+    normal Laplacian Delta^perp; otherwise the sphere connection along the
+    map is used as is.
     """
     xval, tangents = sample.values, sample.tangents
-    lap = np.zeros_like(V.value)
+    # along line i the derivative d_i is the line's own, and so is the tangent d_i F
+    X = sample.line_jet
+    dV = _connection(V, 0, X.deriv(0), X)
+    if normal:
+        dV = _normal(dV, [t.lines() for t in sample._tangent_jets(1)])
+    lap = np.zeros_like(xval)
     for i in range(sample.immersion.m):
-        dV = sample.nabla(V, i)
-        if normal:
-            dV = sample.normal(dV)
-        d2 = _connection_value(dV, i, tangents[:, i], xval)
+        # _connection_value on line i: its x_i coefficient and its value
+        d2 = dV.rows[1, i] + _dotv(tangents[:, i], dV.rows[0, i])[:, None] * xval
         lap -= _normal_project_values(d2, tangents) if normal else d2
     return lap
 

@@ -24,6 +24,16 @@ Three contracts keep reports byte-stable:
   ``sum``) round differently on other memory layouts, so bit-equal
   coefficients alone do not keep residuals bit-equal.
 
+Restriction to the coordinate lines.  ``Jet.lines`` keeps, for each of the
+``nvars`` coordinate lines through the point, the terms x_k^d as one
+univariate jet whose new leading lead axis runs over the lines.  A product
+coefficient of x_k^d receives only the pairs (x_k^e, x_k^(d-e)), and both
+tables add them in ascending e; ``sum`` adds the same component slices.  So
+restriction commutes bit for bit with products, sums, scaling, ``sum`` and
+truncation, as long as the operands' leads have one number of axes (the line
+axis must meet the line axis).  It does not commute with ``deriv(i)``, which
+reads the mixed terms x_i x_k^d: differentiate first, then restrict.
+
 Because every output coefficient sums its own contributions in table order,
 a product at a lower accuracy is bit-equal to the truncation of the product
 at a higher one, and any grouping of the pairs that keeps each term's order
@@ -136,6 +146,13 @@ def _mul_plan(nvars: int, acc: int):
 
 
 @lru_cache(maxsize=None)
+def _line_terms(nvars: int, acc: int) -> np.ndarray:
+    """Positions of the line terms x_k^d, degree-major: entry d * nvars + k."""
+    pos = _position(nvars, acc)
+    return np.array([pos[tuple(d * (v == k) for v in range(nvars))] for d in range(acc + 1) for k in range(nvars)])
+
+
+@lru_cache(maxsize=None)
 def _diff_table(nvars: int, acc: int, var: int):
     """(src, factor): term k of d/dx_var is ``factor[k]`` times term ``src[k]``, for every k."""
     pos, lowered = _position(nvars, acc), _terms(nvars, acc - 1)
@@ -221,9 +238,9 @@ class Jet:
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def constant(value, nvars: int, acc: int, lead_shape=()) -> "Jet":
+    def constant(value, nvars: int, acc: int) -> "Jet":
         value = np.asarray(value, dtype=float)
-        rows = np.zeros((_nterms(nvars, acc),) + np.broadcast_shapes(value.shape, lead_shape))
+        rows = np.zeros((_nterms(nvars, acc),) + value.shape)
         rows[0] = value
         return Jet._of(nvars, acc, rows)
 
@@ -244,6 +261,16 @@ class Jet:
         if acc == self.acc:
             return self
         return Jet._of(self.nvars, acc, self.rows[: _nterms(self.nvars, acc)])
+
+    def lines(self) -> "Jet":
+        """The restrictions to the ``nvars`` coordinate lines through the point, as one univariate jet.
+
+        A new leading lead axis runs over the lines: row [d, k] holds the
+        coefficient of x_k^d.  See the module docstring for what commutes
+        with this restriction.
+        """
+        rows = self.rows.take(_line_terms(self.nvars, self.acc), 0)
+        return Jet._of(1, self.acc, rows.reshape((self.acc + 1, self.nvars) + self.rows.shape[1:]))
 
     def deriv(self, var: int) -> "Jet":
         """Jet of the partial derivative along x_var; accuracy drops by one."""

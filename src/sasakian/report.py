@@ -470,7 +470,7 @@ def classification_report(c: float | None = None, mode: str = "biharmonic") -> d
             "omega": s.omega,
             "source": s.source,
             "flags": list(s.flags),
-            "system_residual": s.system_residual(),
+            "system_residual": s.system_residual,
             "curvature_tables": {
                 k: [format_value(v) for v in vs] for k, vs in classifier.curvature_tables(s).items()
             },

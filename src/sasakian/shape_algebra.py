@@ -42,9 +42,13 @@ def _fields(params):
     return AdaptedShapeOperators(*[float(x) for x in params])
 
 
-def biharmonic_eigenvalue(c: float, n: int = 3) -> float:
-    """k = (c(n+3) + 3n - 7)/4, the trace-vector eigenvalue for biharmonicity."""
-    return (c * (n + 3) + 3 * n - 7) / 4.0
+def biharmonic_eigenvalue(c: float) -> float:
+    """k = (6c + 2)/4, the trace-vector eigenvalue for biharmonicity in dimension 7.
+
+    The float operations are those of the general form (c(n+3) + 3n - 7)/4 at
+    n = 3, in its order: (c * 6 + 2) rounds differently at some c.
+    """
+    return (c * 6 + 9 - 7) / 4.0
 
 
 def expanded_system_residual(params, c_or_mode) -> np.ndarray:

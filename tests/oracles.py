@@ -18,7 +18,7 @@ from sasakian.ambient import _dot, complex_structure, phi0
 from sasakian.catalog import trig_immersion
 from sasakian.immersion import ParametricImmersion
 from sasakian.jets import Jet, _position
-from sasakian.shape_algebra import MINUS4_EIGENVALUE, _fields, biharmonic_eigenvalue
+from sasakian.shape_algebra import MINUS4_EIGENVALUE, _fields
 
 POINT_TOL = 1e-12
 TANGENT_TOL = 1e-10
@@ -160,6 +160,11 @@ def build_matrices(params) -> np.ndarray:
     A2 = np.array([[0.0, l2, 0.0], [l2, a, b], [0.0, b, g]])
     A3 = np.array([[0.0, 0.0, l3], [0.0, b, g], [l3, g, d]])
     return np.stack([A1, A2, A3])
+
+
+def biharmonic_eigenvalue(c: float, n: int = 3) -> float:
+    """k = (c(n+3) + 3n - 7)/4, the trace-vector eigenvalue for biharmonicity in dimension 2n + 1."""
+    return (c * (n + 3) + 3 * n - 7) / 4.0
 
 
 def eigen_criterion_residual(params, c: float, n: int = 3, k_override: float | None = None):

@@ -88,10 +88,10 @@ def test_minus4_trace_contents(minus4):
 def test_every_solution_revalidates():
     for c in (1.0, 0.8, 2.0, 5.0, cl.CASE_II_LOWER, 1.0 + 1e-4):
         for s in _sweep_solutions(c):
-            assert s.system_residual() < 1e-10
+            assert s.system_residual < 1e-10
             oracles.assert_proper_biharmonic(s.operators(), c)
     for s in _sweep_solutions("minus4"):
-        assert s.system_residual() < 1e-10
+        assert s.system_residual < 1e-10
         oracles.assert_proper_biharmonic(s.operators(), "minus4")
 
 

@@ -9,6 +9,7 @@ from sasakian import catalog
 from sasakian import immersion as imm
 from sasakian import report as rep
 from sasakian.ambient import complex_structure
+from sasakian.jets import _position
 
 
 @pytest.fixture(scope="module")
@@ -367,12 +368,18 @@ def _assert_bit_equal(got, want):
     ],
 )
 def test_b_jets_on_demand_are_truncations_of_the_eager_construction(build):
+    # tau's line jet holds the eager tau's coefficient of x_k^d in row [d, k],
+    # and every B_ij of accuracy 1 the eager B_ij's terms of degree <= 1
     F = build()
     geo = imm.sample_geometry(F, F.grid(3))
     eager = _eager_second_fundamental_jets(geo)
-    assert all(t.acc == 2 for t in geo.tangent_jets)
-    assert geo.tension_jet.acc == 2
-    _assert_bit_equal(geo.tension_jet.coef, _eager_tension_jet(geo).coef)
+    tau, want = geo.tension_lines, _eager_tension_jet(geo)
+    m = F.m
+    assert (tau.nvars, tau.acc) == (1, 2)
+    assert tau.rows.shape == (3, m) + want.value.shape
+    for d in range(3):
+        for k in range(m):
+            _assert_bit_equal(tau.rows[d, k], want.rows[_position(m, 2)[tuple(d * (v == k) for v in range(m))]])
     lean = geo.second_fundamental_jets
     assert lean.keys() == eager.keys()
     for key, jet in eager.items():
@@ -384,7 +391,7 @@ def test_b_jets_on_demand_are_truncations_of_the_eager_construction(build):
 def test_report_json_is_identical_under_the_eager_b_jets(name, monkeypatch):
     lean = rep.build_report(name, per_axis=3).to_json()
     monkeypatch.setattr(imm.GeometrySample, "second_fundamental_jets", property(_eager_second_fundamental_jets))
-    monkeypatch.setattr(imm.GeometrySample, "tension_jet", property(_eager_tension_jet))
+    monkeypatch.setattr(imm.GeometrySample, "tension_lines", property(lambda s: _eager_tension_jet(s).lines()))
     assert rep.build_report(name, per_axis=3).to_json() == lean
 
 

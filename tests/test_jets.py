@@ -366,6 +366,56 @@ def test_product_temporaries_stay_within_the_gather_budget(monkeypatch):
     assert kernels == ["streamed", "gather"]
 
 
+def _draw_coefficients(data, shape: tuple) -> np.ndarray:
+    """Hypothesis draws for small arrays; seeded ``_large_coefficients`` for the large leads."""
+    if math.prod(shape) <= 4096:
+        return data.draw(hnp.arrays(np.float64, shape, elements=_COEF))
+    return _large_coefficients(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), shape[:-1], shape[-1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    nvars=st.integers(1, MAX_VARS),
+    acc=st.integers(0, 4),
+    leads=st.one_of(
+        # padded to one number of axes: the line axis leads both leads
+        hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=1, max_dims=3, max_side=3).map(
+            lambda s: tuple((1,) * (3 - len(lead)) + lead for lead in s.input_shapes)
+        ),
+        # a scalar factor against components, and leads that stream on at least one side
+        st.sampled_from([((n, 1), (n, 8)) for n in (3, 432, 1296)] + [((432, 8), (432, 8)), ((1, 8), (600, 8))]),
+    ),
+    budget=st.sampled_from([GATHER_BUDGET, -1]),
+    data=st.data(),
+)
+def test_restriction_to_the_lines_commutes_with_products_and_sums(nvars, acc, leads, budget, data):
+    # a coefficient of x_k^d receives the pairs (x_k^e, x_k^(d-e)) in ascending
+    # e in both tables, and sum(axis=-2) adds the same component slices, so the
+    # bits agree, sign of zero included; budget -1 streams every product
+    nterms = _nterms(nvars, acc)
+    a = oracles.jet(nvars, acc, _draw_coefficients(data, leads[0] + (nterms,)))
+    b = oracles.jet(nvars, acc, _draw_coefficients(data, leads[1] + (nterms,)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "GATHER_BUDGET", budget)
+        product, line_product = (a * b).lines(), a.lines() * b.lines()
+    assert (product.nvars, product.acc) == (1, acc)
+    assert product.rows.shape == (acc + 1, nvars) + np.broadcast_shapes(leads[0], leads[1])
+    assert product.rows.flags.c_contiguous and line_product.rows.flags.c_contiguous
+    _assert_bit_equal(line_product.rows, product.rows)
+    _assert_bit_equal(a.sum(-2).lines().rows, a.lines().sum(-2).rows)
+
+
+def test_lines_hold_the_line_terms():
+    # row [d, k] is the coefficient of x_k^d; mixed terms are dropped
+    nterms = _nterms(3, 2)
+    jet = oracles.jet(3, 2, np.arange(2 * nterms, dtype=float).reshape(2, nterms))
+    want = np.empty((3, 3, 2))
+    for d in range(3):
+        for k in range(3):
+            want[d, k] = jet.coef[:, _position(3, 2)[tuple(d * (v == k) for v in range(3))]]
+    _assert_bit_equal(jet.lines().rows, want)
+
+
 def test_product_sum_starts_from_positive_zero():
     a = oracles.jet(2, 3, np.full((4, _nterms(2, 3)), -0.0))
     b = oracles.jet(2, 3, np.ones((1, _nterms(2, 3))))

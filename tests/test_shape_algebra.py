@@ -35,8 +35,11 @@ def test_eigenvalue_formula():
     assert sa.biharmonic_eigenvalue(1.0) == pytest.approx(2.0)
     assert sa.biharmonic_eigenvalue(5.0 / 9.0) == pytest.approx(4.0 / 3.0)
     assert sa.biharmonic_eigenvalue(-1.0 / 3.0) == pytest.approx(0.0)
-    # general-n form at n = 2
-    assert sa.biharmonic_eigenvalue(1.0, n=2) == pytest.approx((1 * 5 + 6 - 7) / 4)
+    # general-n form at n = 2, and the runtime n = 3 form bit for bit (at
+    # c = 0.1, (c * 6 + 2) / 4 would round differently)
+    assert oracles.biharmonic_eigenvalue(1.0, n=2) == pytest.approx((1 * 5 + 6 - 7) / 4)
+    for c in (1.0, 5.0 / 9.0, -1.0 / 3.0, 0.1, 2.7, -1e300, 1e-320):
+        assert sa.biharmonic_eigenvalue(c) == oracles.biharmonic_eigenvalue(c)
 
 
 def test_corollary_tuple_is_proper_biharmonic():

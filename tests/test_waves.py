@@ -26,7 +26,7 @@ def _stack(jets):
 
 
 def _constant(value, us):
-    return Jet.constant(value, us[0].nvars, us[0].acc, lead_shape=us[0].value.shape)
+    return Jet.constant(np.broadcast_to(value, us[0].value.shape), us[0].nvars, us[0].acc)
 
 
 def circle_ref(F):
