@@ -13,9 +13,9 @@ bitension checks read (B_ij = (nabla_i d_j F)^perp from ``_connection`` and
 such a chart the Laplacians sum second derivatives along the m coordinate
 directions, so the diagonal B_ii, tau and both Laplacians are computed on
 coordinate-line jets (``Jet.lines``): derivatives of F are taken on its full
-jet and only then restricted, and every product after that runs once over
-all lines, bit-equal to the multivariate product on the terms it keeps (see
-``jets``).
+jet and only then restricted (``Jet.deriv_lines``), and every product after
+that runs once over all lines, bit-equal to the multivariate product on the
+terms it keeps (see ``jets``).
 
 Every identity checked here holds point by point, so the checks read
 per-point fields (``PointGeometry``) and reduce them over the grid.
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ C_PARALLEL_TOL = NORMAL_LAPLACIAN_TOL = BITENSION_TOL = 1e-8
 # 625 points (grid 5 of a four-parameter example) stays one block.  Smaller
 # blocks hold less but pay each jet product's fixed cost more often; with the
 # second-order fields on line jets that cost is small: three blocks of 432
-# points of cylinder-c1 take about 0.83 times the time of one of 1296.
+# points of cylinder-c1 take about 0.87 times the time of one of 1296.
 GEOMETRY_BLOCK_POINTS = 640
 
 
@@ -85,6 +85,90 @@ def _phase(theta: np.ndarray, pts: np.ndarray, f: np.ndarray) -> tuple[np.ndarra
         lo = lo + (prod_err + ((hi - (total - back)) + (prod - back)))
         hi = total
     return hi, lo
+
+
+@lru_cache(maxsize=None)
+def _term_table(m: int, acc: int):
+    """Per term of a jet in m variables: exponents a (T, m), a!, i^|a|, the parity of |a| and the term index (T, 1)."""
+    exps = np.array(_terms(m, acc))  # (T, m) in jet order
+    degree = exps.sum(axis=1)
+    turn = np.array([1.0, 1j, -1.0, -1j])[degree % 4]
+    return exps, _FACTORIAL[exps], turn, degree % 2, np.arange(len(exps))[:, None]
+
+
+@lru_cache(maxsize=256)
+def _wave_layout(amplitudes: bytes, K: int):
+    """Which real products ``ParametricImmersion.jets`` forms for one amplitude table W (K, J).
+
+    Keyed by the table's bytes, so every immersion of one table shares it.
+    On a term of multi-index a, wave k's coefficient x + i y is
+    s W_k with s = f_k^a / a! i^|a|, one complex product; it adds
+    wr x - wi y to a component's real column and wr y + wi x to its
+    imaginary column.  s is real on even terms and s = i t, t real, on odd
+    ones, so up to the sign of zero x = s Re W, y = s Im W on even terms and
+    x = -t Im W, y = t Re W on odd ones: where W is purely real or
+    imaginary, one half is a signed zero on every term of a parity.
+
+    Layer r takes, for each component, its r-th wave with W nonzero
+    (ascending k), or else a wave with W zero, whose halves are signed zeros.
+    Returns ``wave`` (R, 1, J), the layers' waves, and ``columns`` (J,);
+    ``half`` (R, 2, J), per parity 0 where the first product takes x and 1
+    where it takes y (the half that can be nonzero, x where W is complex);
+    ``first`` and ``second`` (R, 2, 2J), per parity and column the part of
+    [wr | wi | -wi] (N, 3K) that multiplies that half and the other one; and
+    ``complex_layer``, per layer whether some W in it is complex, so that the
+    other half is needed.
+    """
+    W = np.frombuffer(amplitudes, dtype=complex).reshape(K, -1)
+    nonzero = W != 0
+    wave = np.argsort(~nonzero, axis=0, kind="stable")[: int(nonzero.sum(axis=0).max(initial=0))]
+    w = np.take_along_axis(W, wave, 0)
+    half = np.stack([w.real == 0, w.imag == 0], axis=1).astype(int)
+    # the part for half h: x by wr in a real column and by wi in an imaginary one, y by -wi and wr
+    offset = np.array([[0, 2 * K], [K, 0]])
+    k = np.concatenate((wave, wave), axis=-1)[:, None, :]
+
+    def parts(h):
+        return np.concatenate((offset[0][h], offset[1][h]), axis=-1) + k
+
+    complex_layer = ((w.real != 0) & (w.imag != 0)).any(axis=1).tolist()
+    return wave[:, None, :], np.arange(W.shape[1]), half, parts(half), parts(1 - half), complex_layer
+
+
+@lru_cache(maxsize=256)
+def _wave_plan(amplitudes: bytes, frequencies: bytes, K: int, m: int, acc: int):
+    """``_wave_layout``'s products with their coefficients, for one wave table and accuracy.
+
+    Keyed by the table's bytes, like the layout.  Returns ``parity`` (T,),
+    each term's degree parity, and per layer one or two products (idx, C):
+    idx (2, 2J) from the layout, and C (T, 2J) the coefficient half that the
+    part multiplies, the same in a component's real and imaginary column.
+    """
+    wave, columns, half, first, second, complex_layer = _wave_layout(amplitudes, K)
+    W = np.frombuffer(amplitudes, dtype=complex).reshape(K, -1)
+    f = np.frombuffer(frequencies, dtype=float).reshape(K, m)
+    exps, factorials, turn, parity, terms = _term_table(m, acc)
+    scale = np.prod(f[:, None, :] ** exps / factorials, axis=-1) * turn  # (K, T)
+    coefficient = scale[:, :, None] * W[:, None, :]  # (K, T, J)
+    halves = coefficient.view(float).reshape(coefficient.shape + (2,))  # x, y
+    h = half[:, parity]  # (R, T, J)
+    C = halves[wave, terms, columns, h]
+    C = np.concatenate((C, C), axis=-1)  # (R, T, 2J)
+    layers = []
+    for r, both in enumerate(complex_layer):
+        if both:
+            other = halves[wave[r], terms, columns, 1 - h[r]]
+            layers.append(((first[r], C[r]), (second[r], np.concatenate((other, other), axis=-1))))
+        else:
+            layers.append(((first[r], C[r]),))
+    return parity, tuple(layers)
+
+
+def _wave_term(parts: np.ndarray, parity: np.ndarray, idx: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The term-first rows (T, N, 2J) of one product (idx, C) of ``_wave_plan``, C-contiguous."""
+    rows = parts.take(idx, axis=1).transpose(1, 0, 2).take(parity, axis=0)
+    rows *= C[:, None, :]
+    return rows
 
 
 @dataclass
@@ -128,29 +212,48 @@ class ParametricImmersion:
     def jets(self, pts: np.ndarray, acc: int) -> Jet:
         """Jet of accuracy ``acc`` at each point, every coefficient in closed form.
 
-        The coefficient of the multi-index a is f^a / a! times
-        W exp(i(phi + |a| pi/2)); the quarter turn i^|a| is one of 1, i, -1,
-        -i, so multiplying by it is exact.  The phase phi = hi + lo comes from
-        ``_phase``, and exp(i phi) = exp(i hi) (1 + i lo): lo is a few ulps of
-        phi, so lo^2 is far below an ulp of 1.
+        The coefficient of the multi-index a is the sum over the waves k of
+        w_k c_k: w_k = exp(i phi_k) = wr + i wi at the point, and
+        c_k = (f_k^a / a!) i^|a| W_k, formed as one complex product.  The
+        quarter turn i^|a| is one of 1, i, -1, -i, so multiplying by it is
+        exact.  The phase phi = hi + lo comes from ``_phase``, and
+        exp(i phi) = exp(i hi) (1 + i lo): lo is a few ulps of phi, so lo^2 is
+        far below an ulp of 1.
+
+        The rows are written term-first by ``_wave_plan``'s layers: real
+        products with the same operands as the complex sum
+        0 + w_0 c_0 + w_1 c_1 + ..., where w c = (wr Re c - wi Im c,
+        wr Im c + wi Re c), added in ascending k, so the bits are the same,
+        sign of zero included.  Where Re c or Im c is zero on every term of a
+        parity (every amplitude entry is purely real or imaginary), a product
+        with it is a signed zero, which leaves any nonzero sum unchanged: a
+        layer skips it, and adds only signed zeros for a component with fewer
+        waves.  Dropping or adding zeros changes at most the sign of a zero
+        total, and the final ``+ 0.0``, the zero start of the sum, turns -0.0
+        into +0.0.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[-1] != self.m:
             raise ValueError(f"points have dimension {pts.shape[-1]}, immersion has m={self.m}")
-        f = self.frequencies
+        f, W = self.frequencies, self.amplitudes
+        parity, layers = _wave_plan(W.tobytes(), f.tobytes(), *f.shape, acc)
         hi, lo = _phase(self.phases, pts, f)
         c, s = np.cos(hi), np.sin(hi)
-        wave = (c - lo * s) + 1j * (s + lo * c)  # (N, K)
-        exps = np.array(_terms(self.m, acc))  # (T, m) in jet order
-        turn = np.array([1.0, 1j, -1.0, -1j])[exps.sum(axis=1) % 4]  # i^|a|
-        scale = np.prod(f[:, None, :] ** exps / _FACTORIAL[exps], axis=-1) * turn  # (K, T)
-        # the einsum writes the terms last, its fastest loop; the real and
-        # imaginary halves are copied once into term-first rows
-        coef = np.einsum("nk,ktj->njt", wave, scale[:, :, None] * self.amplitudes[:, None, :], order="C")
-        half = coef.shape[1]
-        rows = np.empty((coef.shape[2], coef.shape[0], 2 * half))
-        rows[..., :half] = coef.real.transpose(2, 0, 1)
-        rows[..., half:] = coef.imag.transpose(2, 0, 1)
+        wi = s + lo * c
+        parts = np.concatenate((c - lo * s, wi, -wi), axis=1)  # [wr | wi | -wi], (N, 3K)
+        rows = None
+        for products in layers:
+            layer = _wave_term(parts, parity, *products[0])
+            if len(products) > 1:
+                # a complex amplitude: both products, as one rounded sum
+                layer += _wave_term(parts, parity, *products[1])
+            if rows is None:
+                rows = layer
+            else:
+                rows += layer
+        if rows is None:  # every amplitude zero
+            rows = np.zeros((parity.size, len(pts), 2 * W.shape[1]))
+        rows += 0.0
         return Jet._of(self.m, acc, rows)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
@@ -221,7 +324,8 @@ class GeometrySample(PointGeometry):
 
     The diagonal B_ii, tau and both Laplacians live on the coordinate lines
     (see the module docstring).  Restriction to line k does not commute with
-    d_i for i != k, so d_i F and d_i d_i F are taken on the full jet first.
+    d_i for i != k, so d_i F and d_i d_i F are read off the full jet by
+    ``Jet.deriv_lines``, which restricts after the derivatives.
     """
 
     jet: Jet                           # accuracy-4 jet of F at the points
@@ -235,10 +339,6 @@ class GeometrySample(PointGeometry):
         require_flat_chart(self)
         return self.jet.truncate(2).lines()
 
-    def _tangent_jets(self, acc: int) -> list[Jet]:
-        """d_j F as jets of accuracy ``acc`` <= 3, one per j, taken on the full jet."""
-        return [self.jet.truncate(acc + 1).deriv(j) for j in range(self.immersion.m)]
-
     @cached_property
     def _diagonal(self) -> tuple[Jet, list[Jet]]:
         """tau on the coordinate lines at accuracy 2, and the B_ii as (multivariate) jets of accuracy 1.
@@ -247,11 +347,11 @@ class GeometrySample(PointGeometry):
         B_ii of accuracy 1 gather the value and the x_k coefficient of line k.
         """
         m, X = self.immersion.m, self.line_jet
-        T = [t.lines() for t in self._tangent_jets(2)]
+        T = [self.jet.deriv_lines((j,), 2) for j in range(m)]
         tau, diagonal = None, []
         for i in range(m):
             # _connection(d_i F, i, d_i F, F), with d_i d_i F restricted after both derivatives
-            b = _normal(self.jet.deriv(i).deriv(i).lines() + _dotj(T[i], T[i]) * X, T)
+            b = _normal(self.jet.deriv_lines((i, i), 2) + _dotj(T[i], T[i]) * X, T)
             tau = b if tau is None else tau + b
             # undo the restriction on the terms of degree <= 1; every line holds the same value
             rows = np.empty((m + 1,) + b.rows.shape[2:])
@@ -276,7 +376,7 @@ class GeometrySample(PointGeometry):
         derivatives only.  The diagonal comes from the line jets of tau's terms.
         """
         m, diagonal = self.immersion.m, self._diagonal[1]
-        tangents = self._tangent_jets(2)
+        tangents = [self.jet.truncate(3).deriv(j) for j in range(m)]  # d_j F, accuracy 2
         B: dict[tuple[int, int], Jet] = {}
         for i in range(m):
             B[(i, i)] = diagonal[i]
@@ -529,7 +629,7 @@ def _rough_laplacian(sample: GeometrySample, V: Jet, normal: bool) -> np.ndarray
     X = sample.line_jet
     dV = _connection(V, 0, X.deriv(0), X)
     if normal:
-        dV = _normal(dV, [t.lines() for t in sample._tangent_jets(1)])
+        dV = _normal(dV, [sample.jet.deriv_lines((j,), 1) for j in range(sample.immersion.m)])
     lap = np.zeros_like(xval)
     for i in range(sample.immersion.m):
         # _connection_value on line i: its x_i coefficient and its value

@@ -33,6 +33,8 @@ restriction commutes bit for bit with products, sums, scaling, ``sum`` and
 truncation, as long as the operands' leads have one number of axes (the line
 axis must meet the line axis).  It does not commute with ``deriv(i)``, which
 reads the mixed terms x_i x_k^d: differentiate first, then restrict.
+``deriv_lines`` does both in one ``take`` of the line terms' sources,
+without forming the derivative's terms off the lines.
 
 Because every output coefficient sums its own contributions in table order,
 a product at a lower accuracy is bit-equal to the truncation of the product
@@ -40,18 +42,22 @@ at a higher one, and any grouping of the pairs that keeps each term's order
 gives the same bits.  A product of P table pairs over a broadcast lead of L
 elements picks one of two kernels by that grouping:
 
-- Small batches.  When P * L <= ``GATHER_BUDGET`` (512 KB of float64),
-  ``_layered_product`` gathers the (a[i], b[j]) pairs of all P entries at
-  once and adds them as ``_mul_plan``'s layers: one numpy call per layer
-  (at most 24), however many pairs.  It wins where a call's fixed cost
-  outweighs its data, on every product of a few grid points.
+- Small batches.  When P * L <= ``GATHER_BUDGET`` (512 KB of float64) and
+  L < ``GATHER_BUDGET // 8`` (8,192), ``_layered_product`` gathers the
+  (a[i], b[j]) pairs of all P entries at once and adds them as
+  ``_mul_plan``'s layers: one numpy call per layer (at most 24), however
+  many pairs.  It wins where a call's fixed cost outweighs its data, on
+  every product of a few grid points.
 - Large batches.  Otherwise ``_streamed_product`` walks the table: the T
   pairs with a[0], the first contribution to every term, are one broadcast
   multiply, and each later pair multiplies two rows of the lead into a
   lead-sized buffer that is added to its output row.  Two or three numpy
   calls per pair cost more than the gather on small leads, but each call
   streams whole contiguous rows, which wins once the P gathered pairs
-  outgrow the cache.
+  outgrow the cache, and on any lead of 8,192 elements or more, however
+  few the pairs: on the products that rule decides (P <= 8, L from 8,192
+  to 16,384) streaming takes 0.13-0.92 of the gather's time (best of 25,
+  2-vCPU VM).
   An operand that broadcasts inside the lead is expanded into the buffer by
   assignment first, as numpy would multiply it through a buffer of its own,
   allocated per call, at up to half speed.
@@ -158,6 +164,22 @@ def _diff_table(nvars: int, acc: int, var: int):
     pos, lowered = _position(nvars, acc), _terms(nvars, acc - 1)
     src = [pos[tuple(e + (k == var) for k, e in enumerate(m))] for m in lowered]
     return np.asarray(src), np.array([m[var] + 1.0 for m in lowered])
+
+
+@lru_cache(maxsize=None)
+def _deriv_line_table(nvars: int, acc: int, chain: tuple[int, ...]):
+    """(src, factors): the ``_diff_table``s of d_chain[0] d_chain[1] ... composed with ``_line_terms``.
+
+    Row k of the chain's line jet is term ``src[k]`` of a jet of accuracy
+    ``acc + len(chain)`` times ``factors[0][k]``, then ``factors[1][k]``,
+    ..., in the chain's order.
+    """
+    src, factors = _line_terms(nvars, acc), []
+    for depth in range(len(chain) - 1, -1, -1):
+        step, fac = _diff_table(nvars, acc + len(chain) - depth, chain[depth])
+        factors.insert(0, fac[src])
+        src = step[src]
+    return src, tuple(factors)
 
 
 def _aligned(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,6 +294,18 @@ class Jet:
         rows = self.rows.take(_line_terms(self.nvars, self.acc), 0)
         return Jet._of(1, self.acc, rows.reshape((self.acc + 1, self.nvars) + self.rows.shape[1:]))
 
+    def deriv_lines(self, chain: tuple[int, ...], acc: int) -> "Jet":
+        """``truncate(acc + len(chain)).deriv(chain[0]).deriv(chain[1])....lines()``, bit for bit.
+
+        One ``take`` of the line terms' sources, then the chain's factors in
+        its order: no derivative terms off the lines are formed.
+        """
+        src, factors = _deriv_line_table(self.nvars, acc, tuple(chain))
+        rows = self.truncate(acc + len(chain)).rows.take(src, 0)
+        for fac in factors:
+            rows *= fac.reshape(fac.shape + (1,) * (rows.ndim - 1))
+        return Jet._of(1, acc, rows.reshape((acc + 1, self.nvars) + self.rows.shape[1:]))
+
     def deriv(self, var: int) -> "Jet":
         """Jet of the partial derivative along x_var; accuracy drops by one."""
         if self.acc == 0:
@@ -325,10 +359,12 @@ class Jet:
         pairs, nt = plan[0].size, plan[3].size
         # the broadcast lead has at most size(a) * size(b) / nt^2 elements, a
         # bound that spares products of a few points working the lead out
-        if pairs * A.size * B.size > GATHER_BUDGET * nt * nt:
+        bound = A.size * B.size
+        if pairs * bound > GATHER_BUDGET * nt * nt or bound >= GATHER_BUDGET // 8 * nt * nt:
             # exact for broadcast-compatible leads, a zero-size axis included
             lead = tuple(n if m == 1 else m for m, n in zip(A.shape[1:], B.shape[1:]))
-            if pairs * math.prod(lead) > GATHER_BUDGET:
+            L = math.prod(lead)
+            if pairs * L > GATHER_BUDGET or L >= GATHER_BUDGET // 8:
                 return Jet._of(a.nvars, a.acc, _streamed_product(A, B, lead, _stream_pairs(a.nvars, a.acc)))
         return Jet._of(a.nvars, a.acc, _layered_product(A, B, plan))
 

@@ -5,9 +5,12 @@ from pathlib import Path
 from sasakian import immersion as imm
 from sasakian import report as rep
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import compare_outputs as co  # noqa: E402
+import workloads  # noqa: E402
 
 
 def _run(exit_code, payload):
@@ -50,6 +53,9 @@ def test_comparison_set_covers_every_example_and_both_classify_workloads():
     assert ("legendre-helix:0.5", "3") in verify and ("cylinder-minus4-3", "5") in verify
     assert ("cylinder-c1", "9") in verify and ("corollary-c1", "15") in verify
     assert sum(argv[0] == "classify" for argv in argvs) > 60
+    # the benchmark's verify items, among them seeded helices that sum several waves per component
+    coarse = {" ".join(argv) for argv in workloads.items("verify-coarse", 1)}
+    assert coarse <= {" ".join(argv[:-2]) for argv in argvs}
     # reports of more points than one geometry block, with 3 and with 4 parameters
     multi_block = set()
     for argv in argvs:

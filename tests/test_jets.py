@@ -300,11 +300,16 @@ def test_product_is_bit_equal_to_add_at_scatter_on_large_leads(nvars, acc, lead_
 
 @pytest.mark.parametrize("nvars, acc, lead", [(1, 0, GATHER_BUDGET), (4, 2, 600)])
 def test_product_kernel_switches_one_element_past_the_gather_budget(nvars, acc, lead, monkeypatch):
-    # P * L equal to the budget gathers, and one lead element more streams
+    # a product streams once P * L exceeds the budget or L reaches budget // 8,
+    # whichever comes first: with P = 1 the lead edge (8,191 gathers, 8,192
+    # streams), with P = 45 the memory edge (P * L equal to the budget gathers)
     pairs = _mul_table(nvars, acc)[0].size
-    monkeypatch.setattr(jets, "GATHER_BUDGET", pairs * lead)
+    budget = pairs * lead
+    monkeypatch.setattr(jets, "GATHER_BUDGET", budget)
+    last = min(lead, budget // 8 - 1)
+    assert last == (GATHER_BUDGET // 8 - 1 if pairs == 1 else lead)
     rng = np.random.default_rng(lead)
-    for points, kernel in ((lead, "gather"), (lead + 1, "streamed")):
+    for points, kernel in ((last, "gather"), (last + 1, "streamed")):
         a = oracles.jet(nvars, acc, _large_coefficients(rng, (points,), _nterms(nvars, acc)))
         # not a broadcast b, whose size would decide the rule before L does
         b = oracles.jet(nvars, acc, _large_coefficients(rng, (points,), _nterms(nvars, acc)))
@@ -416,6 +421,28 @@ def test_lines_hold_the_line_terms():
     _assert_bit_equal(jet.lines().rows, want)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    nvars=st.integers(1, MAX_VARS),
+    acc=st.integers(0, 2),
+    lead=hnp.array_shapes(min_dims=0, max_dims=2, max_side=3),
+    data=st.data(),
+)
+def test_line_derivatives_are_bit_equal_to_the_chained_form(nvars, acc, lead, data):
+    # one take, then the chain's factors in its order: the same products as
+    # deriv after deriv, and a jet above the chain's accuracy is truncated first
+    chain = data.draw(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=3))
+    top = acc + len(chain) + data.draw(st.integers(0, MAX_ORDER - acc - len(chain)))
+    jet = oracles.jet(nvars, top, _draw_coefficients(data, lead + (_nterms(nvars, top),)))
+    want = jet.truncate(acc + len(chain))
+    for var in chain:
+        want = want.deriv(var)
+    got = jet.deriv_lines(tuple(chain), acc)
+    assert (got.nvars, got.acc) == (1, acc)
+    assert got.rows.flags.c_contiguous
+    _assert_bit_equal(got.rows, want.lines().rows)
+
+
 def test_product_sum_starts_from_positive_zero():
     a = oracles.jet(2, 3, np.full((4, _nterms(2, 3)), -0.0))
     b = oracles.jet(2, 3, np.ones((1, _nterms(2, 3))))
@@ -474,26 +501,64 @@ def test_sum_refuses_the_coefficient_axis():
             jet.sum(axis)
 
 
-@settings(max_examples=80, deadline=None)
+# each amplitude entry purely real, purely imaginary, complex or zero: the
+# first two take one product per half, complex ones both
+_AMPLITUDE_KINDS = st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)])
+
+
+def _wave_table(data, nvars: int, waves: int, components: int) -> ParametricImmersion:
+    """A drawn wave table: entries of every kind, and a third of the frequencies zero."""
+    kinds = np.array(data.draw(st.lists(_AMPLITUDE_KINDS, min_size=waves * components, max_size=waves * components)))
+    re, im = data.draw(hnp.arrays(np.float64, (2, waves * components), elements=_COEF))
+    zero_frequency = st.one_of(st.sampled_from([0.0, -0.0]), _COEF, _COEF)
+    return ParametricImmersion(
+        (re * kinds[:, 0] + 1j * (im * kinds[:, 1])).reshape(waves, components),
+        data.draw(hnp.arrays(np.float64, (waves, nvars), elements=zero_frequency)),
+        data.draw(hnp.arrays(np.float64, (waves,), elements=_COEF)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     nvars=st.integers(1, MAX_VARS),
     acc=st.integers(0, MAX_ORDER),
+    # up to 8 waves over up to 4 components: several waves per component
     waves=st.integers(1, 8),
     components=st.integers(1, 4),
     npts=st.integers(1, 5),
     data=st.data(),
 )
 def test_wave_jets_are_bit_equal_to_the_term_last_einsum(nvars, acc, waves, components, npts, data):
-    amplitudes = data.draw(hnp.arrays(np.float64, (2, waves, components), elements=_COEF))
-    F = ParametricImmersion(
-        amplitudes[0] + 1j * amplitudes[1],
-        data.draw(hnp.arrays(np.float64, (waves, nvars), elements=_COEF)),
-        data.draw(hnp.arrays(np.float64, (waves,), elements=_COEF)),
-    )
+    F = _wave_table(data, nvars, waves, components)
     pts = data.draw(hnp.arrays(np.float64, (npts, nvars), elements=st.floats(-10, 10)))
     got = F.jets(pts, acc)
     assert got.rows.flags.c_contiguous
     _assert_bit_equal(got.coef, _term_last_wave_jets(F, pts, acc))
+
+
+def test_wave_jets_follow_the_table_and_the_accuracy():
+    # layouts are shared by amplitude bytes and plans by table bytes and
+    # accuracy: tables of equal shapes that differ in the amplitudes only or
+    # in the frequencies only, and one table at falling and rising accuracies
+    rng = np.random.default_rng(16)
+    pts = rng.uniform(-4.0, 4.0, (6, 3))
+    pure = np.where(rng.random((5, 4)) < 0.5, 1.0, 1j) * rng.uniform(-2.0, 2.0, (5, 4))
+    f, phases = rng.uniform(-2.0, 2.0, (2, 5, 3)), rng.uniform(-3.0, 3.0, 5)
+    tables = [
+        ParametricImmersion(pure, f[0], phases),
+        ParametricImmersion(pure.imag + 1j * pure.real, f[0], phases),
+        ParametricImmersion(pure, f[1], phases),
+    ]
+    rows = []
+    for F in tables:
+        got = F.jets(pts, 4)
+        _assert_bit_equal(got.coef, _term_last_wave_jets(F, pts, 4))
+        rows.append(got.rows)
+    assert not np.array_equal(rows[0], rows[1]) and not np.array_equal(rows[0], rows[2])
+    for acc in (5, 0, 4):
+        got = tables[0].jets(pts, acc)
+        assert got.acc == acc
+        _assert_bit_equal(got.coef, _term_last_wave_jets(tables[0], pts, acc))
 
 
 @pytest.mark.parametrize("name", [name.replace("<kappa1>", "0.5") for name in rep.EXAMPLE_NAMES])

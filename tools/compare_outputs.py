@@ -10,7 +10,8 @@ one subprocess that imports that tree's ``src``:
   helix at kappa1 = 0.5;
 - ``verify cylinder-c1 --grid 9`` and ``verify corollary-c1 --grid 15``,
   the README's grids, whose jet products have the largest leads;
-- the ``verify-dense`` items at seed 1;
+- the ``verify-dense`` and ``verify-coarse`` items at seed 1 (the latter
+  add three seeded Legendre helices, whose components sum several waves);
 - the items of both classify workloads at seeds 1 to 3;
 
 all with ``--format json``.  The workload items come from this tree's
@@ -69,7 +70,7 @@ def commands() -> list[list[str]]:
     names = [n.replace("<kappa1>", HELIX_KAPPA1) for n in EXAMPLE_NAMES]
     out = [["verify", n, "--grid", str(g)] for g in GRIDS for n in names]
     out += [["verify", n, "--grid", str(g)] for n, g in LARGE_GRIDS]
-    out += workloads.items("verify-dense", 1)
+    out += workloads.items("verify-dense", 1) + workloads.items("verify-coarse", 1)
     for seed in CLASSIFY_SEEDS:
         out += workloads.items("classify-reduction", seed) + workloads.items("classify-sweep", seed)
     unique = {" ".join(argv): argv + ["--format", "json"] for argv in out}
