@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import math
 import sys
 
@@ -199,7 +198,7 @@ def main(argv=None) -> int:
         results = [rep.classification_report(c=c, mode=args.mode) for c in cs]
         if args.format == "json":
             payload = results[0] if len(results) == 1 else {"sweep": results}
-            _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out, parser)
+            _emit(rep.json_text(payload), args.out, parser)
         elif args.format == "csv":
             _emit(_classification_csv(results), args.out, parser)
         else:

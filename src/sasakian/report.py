@@ -6,6 +6,21 @@ C-parallelism, normal Laplacian identity, bitension, Frenet data, lattices,
 circle decompositions, coordinate-Laplacian eigenvalues).  Reports serialize
 to JSON (round-trip stable), CSV (``check,residual,tolerance,pass``) and
 plain text.
+
+Every JSON output, verify and classify alike, is written by ``json_text``: a
+recursive writer that appends to one list of strings and joins it once.  Its
+text is ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` byte for byte,
+at about half the cost, because with ``indent`` the stdlib falls back to its
+generator-based pure-Python encoder.  The bytes agree because the writer
+follows that encoder's rules: strings go through the same C escape
+(``json.encoder.encode_basestring_ascii``), floats through
+``float.__repr__`` with ``NaN``/``Infinity``/``-Infinity`` for non-finite
+values, ints through ``int.__repr__`` after ``True``/``False``/``None``,
+lists and tuples as arrays, keys sorted, ``{}``/``[]`` for empty containers,
+each item on its own line indented two spaces per level, items separated by
+``,`` and keys by ``": "``.  Any other value raises ``TypeError``, and so
+does a key that is not a ``str`` (``json.dumps`` would convert it; no report
+has one).
 """
 
 from __future__ import annotations
@@ -13,9 +28,9 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import io
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -103,6 +118,61 @@ def format_value(value: float) -> dict:
     return out
 
 
+# float.__repr__ of the non-finite values, as json.dumps writes them
+_FLOAT_TOKENS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte (see module docstring)."""
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o, out: list[str], newline: str) -> None:
+    # the most frequent types first; True, False and None before int
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif isinstance(o, float):
+        r = float.__repr__(o)
+        out.append(_FLOAT_TOKENS.get(r, r))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _write_json(o[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 @dataclass
 class VerificationReport:
     subject: str
@@ -132,7 +202,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -64,3 +64,24 @@ def test_comparison_set_covers_every_example_and_both_classify_workloads():
             if int(argv[3]) ** m > imm.GEOMETRY_BLOCK_POINTS:
                 multi_block.add(m)
     assert multi_block >= {3, 4}
+
+
+def test_text_that_differs_with_equal_leaves_is_listed_apart_and_exits_0():
+    payload = _report(float("inf"))
+    before = {"verify x": _run(0, payload), "verify y": _run(0, payload)}
+    after = {
+        "verify x": {"exit": 0, "stdout": json.dumps(payload, indent=2), "stderr": ""},
+        "verify y": _run(0, payload),
+    }
+    assert co.compare(before, after) == ([], False)
+    assert co.text_only(before, after) == ["verify x"]
+    # a changed leaf is listed as such, not again as a text difference
+    after["verify x"] = _run(0, _report(1.0))
+    assert co.text_only(before, after) == []
+    assert co.text_only(before, before) == []
+
+
+def test_comparison_set_has_the_largest_sweep_and_the_infinity_token():
+    joined = {" ".join(argv) for argv in co.commands()}
+    assert "classify --c-sweep 0:3:0.01 --format json" in joined
+    assert "verify legendre-helix:1e-9 --grid 3 --format json" in joined

@@ -13,12 +13,18 @@ one subprocess that imports that tree's ``src``:
 - the ``verify-dense`` and ``verify-coarse`` items at seed 1 (the latter
   add three seeded Legendre helices, whose components sum several waves);
 - the items of both classify workloads at seeds 1 to 3;
+- ``classify --c-sweep 0:3:0.01``, the largest JSON output (301 reports),
+  and ``verify legendre-helix:1e-9 --grid 3``, whose infinite residuals
+  print the token ``Infinity``;
 
 all with ``--format json``.  The workload items come from this tree's
 ``benchmarks/workloads.py``.  Every changed JSON leaf is printed as
 ``command | path: before -> after`` (output that is not JSON is compared
-line by line).  The exit status is 1 only if an exit code, a check name, a
-tolerance or a pass flag differs; changed values alone exit 0.
+line by line).  The raw text is compared as well: a command whose stdout
+or stderr differs while all its leaves are equal (a change of layout,
+escaping or number spelling alone) is printed as ``command | text differs,
+leaves equal``.  The exit status is 1 only if an exit code, a check name, a
+tolerance or a pass flag differs; changed values or text alone exit 0.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ HELIX_KAPPA1 = "0.5"
 GRIDS = (3, 5)
 LARGE_GRIDS = (("cylinder-c1", 9), ("corollary-c1", 15))
 CLASSIFY_SEEDS = (1, 2, 3)
+EXTRA_COMMANDS = (["classify", "--c-sweep", "0:3:0.01"], ["verify", "legendre-helix:1e-9", "--grid", "3"])
 
 # run in a fresh interpreter per tree: argv[1] is the tree's src directory,
 # stdin the list of argument lists; prints {command: {exit, stdout, stderr}}
@@ -73,6 +80,7 @@ def commands() -> list[list[str]]:
     out += workloads.items("verify-dense", 1) + workloads.items("verify-coarse", 1)
     for seed in CLASSIFY_SEEDS:
         out += workloads.items("classify-reduction", seed) + workloads.items("classify-sweep", seed)
+    out += EXTRA_COMMANDS
     unique = {" ".join(argv): argv + ["--format", "json"] for argv in out}
     return list(unique.values())
 
@@ -137,6 +145,16 @@ def compare(before: dict, after: dict) -> tuple[list[str], bool]:
     return lines, structural
 
 
+def text_only(before: dict, after: dict) -> list[str]:
+    """The commands whose raw output differs while ``compare`` finds no changed leaf."""
+    return [
+        command
+        for command, old in before.items()
+        if (old["stdout"], old["stderr"]) != (after[command]["stdout"], after[command]["stderr"])
+        and not compare({command: old}, {command: after[command]})[0]
+    ]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/compare_outputs.py BASE_REV", file=sys.stderr)
@@ -151,9 +169,10 @@ def main(argv: list[str]) -> int:
             subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=ROOT, check=False)
     after = run_tree(ROOT, argvs)
     lines, structural = compare(before, after)
-    print("\n".join(lines))
+    texts = text_only(before, after)
+    print("\n".join(lines + [f"{command} | text differs, leaves equal" for command in texts]))
     verdict = "an exit code, check name, tolerance or pass flag differs" if structural else "no structural change"
-    print(f"{len(argvs)} commands, {len(lines)} changed leaves; {verdict}")
+    print(f"{len(argvs)} commands, {len(lines)} changed leaves, {len(texts)} text differences; {verdict}")
     return 1 if structural else 0
 
 
