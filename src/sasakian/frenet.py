@@ -3,18 +3,21 @@
 Covariant derivatives use the sphere connection nabla_T V = V' + <T, V> Gamma
 and come from jets, so helix curvatures of the closed-form curves are exact to
 numerical noise.  Osculating order is detected by Gram-Schmidt rank drop with
-a hard dependence threshold and an explicit indeterminate band.
+a hard dependence threshold and an explicit indeterminate band; the ladder of
+covariant derivatives is built one rung per Gram-Schmidt step and stops at the
+detected order.  The frame is kept as values only: the closure check
+nabla_T E_r = -kappa_{r-1} E_{r-1}, which needs a frame of jets, is a test
+oracle (``tests/oracles.py``, ``frenet_closure``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ambient import phi0
-from .immersion import ParametricImmersion, _connection, _connection_value, _dotj, _dotv
-from .jets import Jet
+from .immersion import ParametricImmersion, _connection, _dotv
 
 DEPENDENCE_TOL = 1e-8
 INDETERMINATE_TOL = 1e-6
@@ -35,9 +38,7 @@ class FrenetApparatus:
     positions: np.ndarray                 # (N, dim)
     curvatures: list[np.ndarray]          # order-1 arrays of samples kappa_1..kappa_{r-1}
     frame: list[np.ndarray]               # E_1..E_r, each (N, dim)
-    curvature_spreads: np.ndarray = field(default=None)
-    frame_orthonormality: float = 0.0
-    closure_residual: float = 0.0         # | nabla_T E_r + kappa_{r-1} E_{r-1} |
+    curvature_spreads: np.ndarray         # max - min of each curvature's samples
     dependence_residual: float = 0.0      # relative rank-drop residual at the detected order
 
     @property
@@ -59,17 +60,17 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
         raise FrenetError(
             f"curve is not arc-length parametrized (| |G'| - 1 | up to {float(np.max(np.abs(speed - 1.0))):.3e})"
         )
-    ladder = [T]
-    for _ in range(MAX_ORDER):
-        ladder.append(_connection(ladder[-1], 0, T, X))
-    values = [v.value for v in ladder]
-
-    # pointwise Gram-Schmidt with rank-drop detection
+    # pointwise Gram-Schmidt with rank-drop detection; rung j of the ladder is
+    # built only when step j reaches it
+    v = T
     frame_vals: list[np.ndarray] = []
     curvatures: list[np.ndarray] = []
     order = None
     dep_res = 0.0
-    for j, vj in enumerate(values):
+    for j in range(MAX_ORDER + 1):
+        if j:
+            v = _connection(v, 0, T, X)
+        vj = v.value
         w = vj.copy()
         for e in frame_vals:
             w -= _dotv(w, e)[:, None] * e
@@ -92,24 +93,9 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
                 kappa = kappa / kprev
             curvatures.append(kappa)
     if order is None:
-        order = len(values) - 1  # ladder exhausted at MAX_ORDER; treat as order MAX_ORDER
+        order = MAX_ORDER  # ladder exhausted at MAX_ORDER; treat as order MAX_ORDER
         frame_vals = frame_vals[:order]
         curvatures = curvatures[: order - 1]
-
-    # frame of jets for the closure residual nabla_T E_r = -kappa_{r-1} E_{r-1}
-    ortho = 0.0
-    closure = 0.0
-    if order >= 2:
-        jet_frame: list[Jet] = []
-        for j in range(order):
-            w = ladder[j].truncate(1)
-            for e in jet_frame:
-                w = w - _dotj(w, e) * e
-            jet_frame.append(w * _dotj(w, w).sqrt().reciprocal())
-        dEr = _connection_value(jet_frame[-1], 0, T.value, X.value)
-        closure = float(np.max(np.abs(dEr + curvatures[-1][:, None] * frame_vals[-2])))
-        gram = np.einsum("nid,njd->nij", np.stack(frame_vals, 1), np.stack(frame_vals, 1))
-        ortho = float(np.max(np.abs(gram - np.eye(order))))
 
     spreads = np.array([float(np.max(k) - np.min(k)) for k in curvatures])
     return FrenetApparatus(
@@ -119,8 +105,6 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
         curvatures=curvatures,
         frame=frame_vals,
         curvature_spreads=spreads,
-        frame_orthonormality=ortho,
-        closure_residual=closure,
         dependence_residual=dep_res,
     )
 

@@ -2,9 +2,9 @@
 
 A jet stores the Taylor coefficients of a smooth function at a point, up to a
 total degree ``acc`` in ``nvars`` variables.  Arithmetic on jets (sums,
-products, sin/cos/sqrt/reciprocal of the underlying functions) is exact on the
-retained coefficients, so mixed partial derivatives of analytic immersions
-come out at machine precision -- no finite differences anywhere.
+products, sin/cos of the underlying functions) is exact on the retained
+coefficients, so mixed partial derivatives of analytic immersions come out at
+machine precision -- no finite differences anywhere.
 
 Coefficients are kept in graded order (by total degree, then lexicographic),
 so truncating a jet to a lower degree is a prefix slice.  They are stored
@@ -257,15 +257,6 @@ class Jet:
         jet.nvars, jet.acc, jet.rows = nvars, acc, rows
         return jet
 
-    # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def constant(value, nvars: int, acc: int) -> "Jet":
-        value = np.asarray(value, dtype=float)
-        rows = np.zeros((_nterms(nvars, acc),) + value.shape)
-        rows[0] = value
-        return Jet._of(nvars, acc, rows)
-
     # -- basic accessors -----------------------------------------------
 
     @property
@@ -338,7 +329,11 @@ class Jet:
                 raise ValueError("jets have different variable counts")
             acc = min(self.acc, other.acc)
             return self.truncate(acc), other.truncate(acc)
-        return self, Jet.constant(other, self.nvars, self.acc)
+        # a constant: its value is the first term, every other term is zero
+        value = np.asarray(other, dtype=float)
+        rows = np.zeros((_nterms(self.nvars, self.acc),) + value.shape)
+        rows[0] = value
+        return self, Jet._of(self.nvars, self.acc, rows)
 
     def __add__(self, other):
         a, b = self._coerce(other)
@@ -370,43 +365,26 @@ class Jet:
 
     # -- analytic functions ---------------------------------------------
 
-    def _nilpotent(self):
-        tilde = self.rows.copy()
-        tilde[0] = 0.0
-        return Jet._of(self.nvars, self.acc, tilde)
-
-    def _series(self, coeffs) -> "Jet":
-        """Evaluate sum_k coeffs[k] * (self - value)^k by Horner."""
-        x = self._nilpotent()
-        res = Jet.constant(np.broadcast_to(coeffs[-1], self.value.shape), self.nvars, self.acc)
-        for k in range(len(coeffs) - 2, -1, -1):
-            res = res * x
-            kc = res.rows.copy()
-            kc[0] += coeffs[k]
-            res = Jet._of(self.nvars, self.acc, kc)
-        return res
-
     def sincos(self) -> tuple["Jet", "Jet"]:
+        """sin and cos of the jet.
+
+        Both Taylor series at 0 are summed by Horner in the jet less its value,
+        then moved to the value by the addition formulas.
+        """
         a0 = self.value
-        sin_t = [0.0, 1.0, 0.0, -1.0 / 6.0, 0.0, 1.0 / 120.0][: self.acc + 1]
-        cos_t = [1.0, 0.0, -0.5, 0.0, 1.0 / 24.0, 0.0][: self.acc + 1]
-        st = self._series(sin_t)
-        ct = self._series(cos_t)
+        nilpotent = self.rows.copy()
+        nilpotent[0] = 0.0
+        x = Jet._of(self.nvars, self.acc, nilpotent)
+        series = []
+        for coeffs in ([0.0, 1.0, 0.0, -1.0 / 6.0, 0.0, 1.0 / 120.0], [1.0, 0.0, -0.5, 0.0, 1.0 / 24.0, 0.0]):
+            rows = np.zeros((_nterms(self.nvars, self.acc),) + a0.shape)
+            rows[0] = coeffs[self.acc]
+            res = Jet._of(self.nvars, self.acc, rows)
+            for k in range(self.acc - 1, -1, -1):
+                # a product is a fresh array, so its first term takes the coefficient in place
+                res = res * x
+                res.rows[0] += coeffs[k]
+            series.append(res)
+        st, ct = series
         s0, c0 = np.sin(a0), np.cos(a0)
         return (st * c0 + ct * s0, ct * c0 - st * s0)
-
-    def sqrt(self) -> "Jet":
-        a0 = self.value
-        if np.any(a0 <= 0.0):
-            raise ValueError("jet sqrt requires a strictly positive value part")
-        coeffs = [math.comb(2 * k, k) * (-1) ** (k + 1) / (4**k * (2 * k - 1)) for k in range(self.acc + 1)]
-        scaled = self * (1.0 / a0)
-        return scaled._series(coeffs) * np.sqrt(a0)
-
-    def reciprocal(self) -> "Jet":
-        a0 = self.value
-        if np.any(a0 == 0.0):
-            raise ValueError("jet reciprocal requires a nonzero value part")
-        coeffs = [(-1.0) ** k for k in range(self.acc + 1)]
-        scaled = self * (1.0 / a0)
-        return scaled._series(coeffs) * (1.0 / a0)

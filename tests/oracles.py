@@ -2,8 +2,9 @@
 
 ``SasakianSphere`` (structure tensors and curvature of the deformed sphere),
 the matrix form of the eigen-criterion (the second evaluation path of
-``shape_algebra.expanded_system_residual``), immersion fixtures and jet
-helpers.  The tests import this module as ``import oracles``: pytest puts
+``shape_algebra.expanded_system_residual``), immersion fixtures, jet
+helpers (constants, sqrt and reciprocal) and the closure check of a curve's
+Frenet frame.  The tests import this module as ``import oracles``: pytest puts
 ``tests/`` on ``sys.path``.
 """
 
@@ -16,8 +17,9 @@ import numpy as np
 
 from sasakian.ambient import _dot, complex_structure, phi0
 from sasakian.catalog import trig_immersion
-from sasakian.immersion import ParametricImmersion
-from sasakian.jets import Jet, _position
+from sasakian.frenet import MAX_ORDER, frenet
+from sasakian.immersion import ParametricImmersion, _connection, _connection_value, _dotj
+from sasakian.jets import Jet, _nterms, _position
 from sasakian.shape_algebra import MINUS4_EIGENVALUE, _fields
 
 POINT_TOL = 1e-12
@@ -211,9 +213,17 @@ def jet(nvars: int, acc: int, coef) -> Jet:
     return Jet._of(nvars, acc, np.array(np.moveaxis(np.asarray(coef, dtype=float), -1, 0), order="C"))
 
 
+def constant(value, nvars: int, acc: int) -> Jet:
+    """Jet of the constant function ``value`` (lead axes from its shape)."""
+    value = np.asarray(value, dtype=float)
+    rows = np.zeros((_nterms(nvars, acc),) + value.shape)
+    rows[0] = value
+    return Jet._of(nvars, acc, rows)
+
+
 def variable(value, index: int, nvars: int, acc: int) -> Jet:
     """Jet of the coordinate function x_index evaluated at ``value``."""
-    x = Jet.constant(value, nvars, acc)
+    x = constant(value, nvars, acc)
     if acc >= 1:
         x.rows[_position(nvars, acc)[tuple(int(k == index) for k in range(nvars))]] = 1.0
     return x
@@ -225,3 +235,65 @@ def partial(f: Jet, multi_index) -> np.ndarray:
     if sum(multi) > f.acc:
         raise ValueError(f"derivative order {sum(multi)} exceeds jet accuracy {f.acc}")
     return f.rows[_position(f.nvars, f.acc)[multi]] * math.prod(map(math.factorial, multi))
+
+
+def _series(x: Jet, coeffs) -> Jet:
+    """sum_k coeffs[k] * (x - value)^k by Horner."""
+    tilde = x.rows.copy()
+    tilde[0] = 0.0
+    nil = Jet._of(x.nvars, x.acc, tilde)
+    res = constant(np.broadcast_to(coeffs[-1], x.value.shape), x.nvars, x.acc)
+    for k in range(len(coeffs) - 2, -1, -1):
+        res = res * nil
+        kc = res.rows.copy()
+        kc[0] += coeffs[k]
+        res = Jet._of(x.nvars, x.acc, kc)
+    return res
+
+
+def jet_sqrt(x: Jet) -> Jet:
+    """Jet of sqrt of the function; its value part must be positive."""
+    a0 = x.value
+    if np.any(a0 <= 0.0):
+        raise ValueError("jet sqrt requires a strictly positive value part")
+    coeffs = [math.comb(2 * k, k) * (-1) ** (k + 1) / (4**k * (2 * k - 1)) for k in range(x.acc + 1)]
+    return _series(x * (1.0 / a0), coeffs) * np.sqrt(a0)
+
+
+def jet_reciprocal(x: Jet) -> Jet:
+    """Jet of 1 / the function; its value part must be nonzero."""
+    a0 = x.value
+    if np.any(a0 == 0.0):
+        raise ValueError("jet reciprocal requires a nonzero value part")
+    coeffs = [(-1.0) ** k for k in range(x.acc + 1)]
+    return _series(x * (1.0 / a0), coeffs) * (1.0 / a0)
+
+
+def frenet_closure(curve: ParametricImmersion, s_grid) -> tuple[float, float]:
+    """(closure residual, frame orthonormality) of the Frenet frame of an arc-length curve.
+
+    The closure residual is max |nabla_T E_r + kappa_{r-1} E_{r-1}| over the
+    grid, at the detected order r.  E_r comes from a frame of jets of
+    accuracy 1 (Gram-Schmidt of the covariant ladder, normalised with
+    ``jet_sqrt`` and ``jet_reciprocal``), the rest from ``frenet``'s value
+    frame; the orthonormality is max |<E_i, E_j> - delta_ij| of that frame.
+    Both are 0.0 below order 2.
+    """
+    app = frenet(curve, s_grid)
+    if app.order < 2:
+        return 0.0, 0.0
+    X = curve.jets(np.asarray(s_grid, dtype=float).reshape(-1, 1), MAX_ORDER + 1)
+    T = X.deriv(0)
+    rung, jet_frame = T, []
+    for j in range(app.order):
+        if j:
+            rung = _connection(rung, 0, T, X)
+        w = rung.truncate(1)
+        for e in jet_frame:
+            w = w - _dotj(w, e) * e
+        jet_frame.append(w * jet_reciprocal(jet_sqrt(_dotj(w, w))))
+    dEr = _connection_value(jet_frame[-1], 0, T.value, X.value)
+    closure = float(np.max(np.abs(dEr + app.curvatures[-1][:, None] * app.frame[-2])))
+    frame = np.stack(app.frame, 1)
+    gram = np.einsum("nid,njd->nij", frame, frame)
+    return closure, float(np.max(np.abs(gram - np.eye(app.order))))

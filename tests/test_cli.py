@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sasakian import immersion as imm
 from sasakian import report as rep
@@ -235,6 +239,17 @@ def test_cli_helix_near_the_ends_of_the_range_fails_its_frenet_checks(kappa1, ca
     payload = json.loads(captured.out)
     failed = {c["name"]: c["residual"] for c in payload["checks"] if not c["pass"]}
     assert failed == {"frenet_helix": math.inf, "phi_alignment_magnitude": math.inf}
+
+
+@settings(max_examples=50, deadline=None)
+@given(kappa1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_helix_report_never_ends_in_a_traceback(kappa1):
+    # wherever the Frenet extraction fails, the report still comes out
+    name = f"legendre-helix:{kappa1!r}"
+    assert isinstance(rep.build_report(name, 3), rep.VerificationReport)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["verify", name, "--grid", "3"]) in (0, 1)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_frenet_error_on_a_coordinate_curve_fails_its_checks(monkeypatch):

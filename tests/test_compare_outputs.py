@@ -84,4 +84,6 @@ def test_text_that_differs_with_equal_leaves_is_listed_apart_and_exits_0():
 def test_comparison_set_has_the_largest_sweep_and_the_infinity_token():
     joined = {" ".join(argv) for argv in co.commands()}
     assert "classify --c-sweep 0:3:0.01 --format json" in joined
-    assert "verify legendre-helix:1e-9 --grid 3 --format json" in joined
+    # the helices whose Frenet extraction fails, residual inf
+    for kappa1 in ("1e-9", "1e-7", "0.9999999999999"):
+        assert f"verify legendre-helix:{kappa1} --grid 3 --format json" in joined

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sasakian import catalog
+from sasakian import catalog, report
 from sasakian.frenet import FrenetError, frenet, phi_alignment
 
 SQ2, SQ3, SQ5 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)
@@ -29,14 +29,16 @@ def s_grid():
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_corollary_coordinate_curves(corollary, s_grid, axis):
     base = np.array([0.3, 0.7, 1.1])
-    app = frenet(catalog.coordinate_curve(corollary, axis, base), s_grid)
+    curve = catalog.coordinate_curve(corollary, axis, base)
+    app = frenet(curve, s_grid)
     want = COROLLARY_WANT[axis]
     assert app.order == len(want) + 1
     got = app.curvature_values
     assert max(abs(g - w) for g, w in zip(got, want)) < 1e-8
     assert np.max(app.curvature_spreads) < 1e-8
-    assert app.frame_orthonormality < 1e-9
-    assert app.closure_residual < 1e-7
+    closure, orthonormality = oracles.frenet_closure(curve, s_grid)
+    assert orthonormality < 1e-9
+    assert closure < 1e-7
 
 
 def test_x2_curve_kappa3_orientation(corollary, s_grid):
@@ -111,3 +113,36 @@ def test_minus4_curves_match_curvature_tables(s_grid):
             want = tables[label]
             assert app.order == len(want) + 1
             assert max(abs(g - w) for g, w in zip(app.curvature_values, want)) < 1e-8
+
+
+# osculating order of X1, X2, X3 of minus4-i; frenet stops its ladder there
+MINUS4_ORDERS = {1: (3, 4, 2), 2: (3, 4, 2), 3: (3, 4, 4)}
+
+
+@pytest.mark.parametrize("grid", [5, 9])
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_minus4_frames_close(index, grid):
+    # the coordinate curves that verify minus4-i runs, at its base point
+    F = catalog.minus4_immersion(index)
+    base = report._CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
+    for axis, want_order in enumerate(MINUS4_ORDERS[index]):
+        curve = catalog.coordinate_curve(F, axis, base)
+        assert frenet(curve, curve.grid(grid)).order == want_order
+        closure, orthonormality = oracles.frenet_closure(curve, curve.grid(grid))
+        assert closure < 1e-12 and orthonormality < 1e-12
+
+
+@pytest.mark.parametrize("grid", [5, 9])
+@pytest.mark.parametrize(
+    "name, kwargs, want_order",
+    [("circle", {}, 2)] + [("helix", {"kappa1": k}, 3) for k in (0.1, 0.5, 0.9, 0.99)],
+)
+def test_legendre_frames_close(name, kwargs, want_order, grid):
+    curve = catalog.legendre_curve(name, **kwargs)
+    assert frenet(curve, curve.grid(grid)).order == want_order
+    closure, orthonormality = oracles.frenet_closure(curve, curve.grid(grid))
+    assert closure < 1e-12 and orthonormality < 1e-12
+
+
+def test_closure_is_zero_below_order_two(s_grid):
+    assert oracles.frenet_closure(oracles.great_circle(), s_grid) == (0.0, 0.0)

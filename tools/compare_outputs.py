@@ -14,8 +14,9 @@ one subprocess that imports that tree's ``src``:
   add three seeded Legendre helices, whose components sum several waves);
 - the items of both classify workloads at seeds 1 to 3;
 - ``classify --c-sweep 0:3:0.01``, the largest JSON output (301 reports),
-  and ``verify legendre-helix:1e-9 --grid 3``, whose infinite residuals
-  print the token ``Infinity``;
+  and ``verify legendre-helix:K --grid 3`` at K = 1e-9, 1e-7 and
+  0.9999999999999, where the Frenet extraction fails and the infinite
+  residuals print the token ``Infinity``;
 
 all with ``--format json``.  The workload items come from this tree's
 ``benchmarks/workloads.py``.  Every changed JSON leaf is printed as
@@ -41,7 +42,9 @@ HELIX_KAPPA1 = "0.5"
 GRIDS = (3, 5)
 LARGE_GRIDS = (("cylinder-c1", 9), ("corollary-c1", 15))
 CLASSIFY_SEEDS = (1, 2, 3)
-EXTRA_COMMANDS = (["classify", "--c-sweep", "0:3:0.01"], ["verify", "legendre-helix:1e-9", "--grid", "3"])
+EXTRA_COMMANDS = (["classify", "--c-sweep", "0:3:0.01"],) + tuple(
+    ["verify", f"legendre-helix:{k}", "--grid", "3"] for k in ("1e-9", "1e-7", "0.9999999999999")
+)
 
 # run in a fresh interpreter per tree: argv[1] is the tree's src directory,
 # stdin the list of argument lists; prints {command: {exit, stdout, stderr}}
