@@ -24,6 +24,21 @@ admissibility (alpha > 2 gamma); so gamma < 0, omega = alpha / gamma exists,
 and alpha > 0 makes omega < 0.  The denominators (w-1), (w-2) and (w-3)
 cleared to form p therefore never vanish at an admissible solution, and every
 admissible solution is the closed-form family or a root of p on its branch.
+
+The per-command arithmetic is on Python floats, except two sums that numpy's
+BLAS dot computes: the products of the reduction polynomials
+(``np.convolve``, printed as ``reduction_traces[].polynomial``) and the norm
+of the re-substituted system (``system_residual``, ``sqrt(v.dot(v))``, which
+is what ``np.linalg.norm`` runs on a real vector).  A dot kernel may fuse
+multiply-adds and order its sum as it likes, so these printed bits are
+stable on one machine but not across BLAS builds: with scipy-openblas
+0.3.31 on an AVX-512 CPU, the norm of 20,000 random 3-vectors equals the
+square root of a left-to-right fused multiply-add chain in every case and
+differs from a plain left-to-right sum of squares in 2,144, and
+``np.convolve`` of random series of 2 to 5 terms differs from a plain
+sequential sum of products in 76,821 of 200,000 draws.  Both stay numpy
+calls, so the bits follow numpy's; only exact arithmetic would make them
+independent of the BLAS.
 """
 
 from __future__ import annotations
@@ -70,7 +85,8 @@ class SolutionTuple:
     def system_residual(self) -> float:
         """Norm of the expanded system at the tuple; the solver's acceptance test and the report read it once."""
         arg = "minus4" if self.mode == "minus4" else self.c
-        return float(np.linalg.norm(sa.expanded_system_residual(self.operators(), arg)))
+        v = sa.expanded_system_residual(self.operators(), arg)
+        return math.sqrt(float(v.dot(v)))
 
 
 @dataclass(frozen=True)
@@ -137,50 +153,53 @@ def _exact_system(c_or_mode):
         return b, k, d1, (k - 2 * b) * (k + 6 * b)
 
 
-def _trim(p: np.ndarray) -> np.ndarray:
+def _trim(p: list[float]) -> list[float]:
     """p without its trailing zero coefficients, but never shorter than one (numpy.polynomial's trimseq)."""
+    if p[-1] != 0:
+        return p
     n = len(p)
     while n > 1 and p[n - 1] == 0:
         n -= 1
     return p[:n]
 
 
-# numpy.polynomial's polymul and polyadd for float64 series, without the input
-# conversion that takes most of their time; each trims its operands and result.
-# polysub(p, q) is _polyadd(p, -q), bit for bit.
-def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return _trim(np.convolve(_trim(p), _trim(q)))
+# numpy.polynomial's polymul and polyadd for float64 series, on lists of floats;
+# each trims its operands and result.  polysub(p, q) is _polyadd(p, -q), bit for
+# bit.  Sums, scalings and negations are the same IEEE operations on floats as on
+# float64 arrays (scaling by s is s * x, negation -x, in numpy's order); a product
+# stays np.convolve (see the module docstring).
+def _polymul(p: list[float], q: list[float]) -> list[float]:
+    return _trim(np.convolve(_trim(p), _trim(q)).tolist())
 
 
-def _polyadd(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _polyadd(p: list[float], q: list[float]) -> list[float]:
     p, q = _trim(p), _trim(q)
     if len(p) > len(q):
         p, q = q, p
-    out = q.copy()
-    out[: len(p)] += p
-    return _trim(out)
+    return _trim([x + y for x, y in zip(q, p)] + q[len(p) :])
 
 
-def _branch_polynomial(branch: str, b: float, k: float) -> np.ndarray:
+def _branch_polynomial(branch: str, b: float, k: float) -> list[float]:
     """Degree-<=6 polynomial in omega obtained by clearing denominators of eq 1."""
     m = 6.0 * b + k
     if branch == "delta_zero":
-        D = np.array([6.0, -5.0, 1.0])  # (w-2)(w-3)
-        PL = _polyadd(m * np.array([1.0, -1.0]), -b * D)  # m(1-w) - bD
+        D = [6.0, -5.0, 1.0]  # (w-2)(w-3)
+        PL = _polyadd([m * 1.0, m * -1.0], [-b * d for d in D])  # m(1-w) - bD
         extra_scale = m
     elif branch == "delta_pos":
-        D = np.array([2.0, -3.0, 1.0])  # (w-1)(w-2)
-        PL = _polyadd(np.array([0.0, -m]), -b * D)  # -m w - bD
+        D = [2.0, -3.0, 1.0]  # (w-1)(w-2)
+        PL = _polyadd([0.0, -m], [-b * d for d in D])  # -m w - bD
         extra_scale = 2.0 * m
     else:
         raise ValueError(f"unknown branch {branch!r}")
     PL2 = _polymul(PL, PL)
-    extra = extra_scale * _polymul(PL2, np.array([1.0, 2.0, 1.0]))
+    extra = [extra_scale * x for x in _polymul(PL2, [1.0, 2.0, 1.0])]
+    s, bb = 2.0 * b + k, b * b
     quart = _polyadd(
-        _polyadd(3.0 * PL2, -((2.0 * b + k) * _polymul(PL, D))),
-        b * b * _polymul(D, D),
+        _polyadd([3.0 * x for x in PL2], [-(s * x) for x in _polymul(PL, D)]),
+        [bb * x for x in _polymul(D, D)],
     )
-    main = _polymul(_polyadd(3.0 * PL, -(b * D)), quart)
+    main = _polymul(_polyadd([3.0 * x for x in PL], [-(b * d) for d in D]), quart)
     return _polyadd(main, extra)
 
 
@@ -364,7 +383,7 @@ def _solve_flat_system(c_or_mode):
         traces.append(
             ReductionTrace(
                 omega_branch=branch,
-                polynomial=tuple(float(x) for x in _branch_polynomial(branch, b, k)),
+                polynomial=tuple(_branch_polynomial(branch, b, k)),
                 factors=_branch_factors(branch, b, k),
                 roots=tuple((float(w), mult) for w, mult in roots),
                 accepted=tuple(accepted),

@@ -34,12 +34,10 @@ class FrenetApparatus:
     """Order, curvature samples, and frame samples of a curve on a grid."""
 
     order: int
-    points: np.ndarray                    # (N,) arc-length samples
     positions: np.ndarray                 # (N, dim)
     curvatures: list[np.ndarray]          # order-1 arrays of samples kappa_1..kappa_{r-1}
     frame: list[np.ndarray]               # E_1..E_r, each (N, dim)
     curvature_spreads: np.ndarray         # max - min of each curvature's samples
-    dependence_residual: float = 0.0      # relative rank-drop residual at the detected order
 
     @property
     def curvature_values(self) -> list[float]:
@@ -66,7 +64,6 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
     frame_vals: list[np.ndarray] = []
     curvatures: list[np.ndarray] = []
     order = None
-    dep_res = 0.0
     for j in range(MAX_ORDER + 1):
         if j:
             v = _connection(v, 0, T, X)
@@ -79,7 +76,6 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
         rel = float(np.max(norm_w)) / scale
         if rel < DEPENDENCE_TOL:
             order = j
-            dep_res = rel
             break
         if rel < INDETERMINATE_TOL:
             raise FrenetError(
@@ -100,12 +96,10 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
     spreads = np.array([float(np.max(k) - np.min(k)) for k in curvatures])
     return FrenetApparatus(
         order=order,
-        points=s.ravel(),
         positions=X.value,
         curvatures=curvatures,
         frame=frame_vals,
         curvature_spreads=spreads,
-        dependence_residual=dep_res,
     )
 
 

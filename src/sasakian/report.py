@@ -20,7 +20,10 @@ lists and tuples as arrays, keys sorted, ``{}``/``[]`` for empty containers,
 each item on its own line indented two spaces per level, items separated by
 ``,`` and keys by ``": "``.  Any other value raises ``TypeError``, and so
 does a key that is not a ``str`` (``json.dumps`` would convert it; no report
-has one).
+has one).  The writer dispatches on the exact type first and writes float and
+str leaves inline in its container loops; subclasses, such as ``np.float64``
+or an ``IntEnum``, take the ``isinstance`` path and are written as their base
+type.  Separators and quoted keys come from tables built once per process.
 """
 
 from __future__ import annotations
@@ -95,18 +98,23 @@ SYMBOLIC_FORMS: tuple[tuple[float, str], ...] = (
 )
 
 
-# the forms in ascending order of value; neighbours lie further apart than the sum of
-# their match tolerances, so a value matches at most one form, and it is a neighbour
-# of the value's place in this order
+# the forms in ascending order of value, with the match tolerance of each;
+# neighbours lie further apart than the sum of their tolerances, so a value
+# matches at most one form, and it is a neighbour of the value's place in this order
 _SORTED_FORMS = sorted(SYMBOLIC_FORMS)
 _SORTED_VALUES = [v for v, _ in _SORTED_FORMS]
+_SORTED_SYMBOLS = [s for _, s in _SORTED_FORMS]
+_MATCH_TOLS = [1e-12 * max(1.0, abs(v)) for v in _SORTED_VALUES]
 
 
 def symbolize(value: float) -> str | None:
+    # every form before i is below value and the form at i is not: |value - v|
+    # is value - v before i and v - value at i, without a call to abs
     i = bisect.bisect_left(_SORTED_VALUES, value)
-    for v, s in _SORTED_FORMS[max(i - 1, 0) : i + 1]:
-        if abs(value - v) <= 1e-12 * max(1.0, abs(v)):
-            return s
+    if i and value - _SORTED_VALUES[i - 1] <= _MATCH_TOLS[i - 1]:
+        return _SORTED_SYMBOLS[i - 1]
+    if i < len(_SORTED_VALUES) and _SORTED_VALUES[i] - value <= _MATCH_TOLS[i]:
+        return _SORTED_SYMBOLS[i]
     return None
 
 
@@ -122,55 +130,105 @@ def format_value(value: float) -> dict:
 _FLOAT_TOKENS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
+def _separators(depth: int) -> tuple[str, str, str, str, str]:
+    """(opening of a dict, opening of a list, between items, closing of a dict,
+    closing of a list) for a container at ``depth``."""
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    return "{" + inner, "[" + inner, "," + inner, outer + "}", outer + "]"
+
+
+# the separators at the depths reports use; deeper containers build theirs
+_LEVELS = tuple(_separators(depth) for depth in range(16))
+# a str key -> its quoted text and ": "; the reports' keys are a fixed set of
+# a few dozen names
+_KEY_PREFIXES: dict[str, str] = {}
+
+
+def _key_prefix(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    prefix = _quote(key) + ": "
+    if type(key) is str:
+        _KEY_PREFIXES[key] = prefix
+    return prefix
+
+
 def json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte (see module docstring)."""
     out: list[str] = []
-    _write_json(obj, out, "\n")
+    _write_json(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(o, out: list[str], newline: str) -> None:
-    # the most frequent types first; True, False and None before int
-    if isinstance(o, str):
-        out.append(_quote(o))
-    elif isinstance(o, float):
-        r = float.__repr__(o)
-        out.append(_FLOAT_TOKENS.get(r, r))
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
+def _write_json(o, out: list[str], depth: int) -> None:
+    # exact dicts, lists, tuples, floats and strs by type; their subclasses and
+    # the other scalars by isinstance, with True, False and None before int
+    t = type(o)
+    if t is not dict and t is not list and t is not tuple:
+        if isinstance(o, str):
+            out.append(_quote(o))
             return
-        inner = newline + "  "
-        sep = "{" + inner
+        if isinstance(o, float):
+            r = float.__repr__(o)
+            out.append(_FLOAT_TOKENS.get(r, r))
+            return
+        if isinstance(o, dict):
+            t = dict
+        elif isinstance(o, (list, tuple)):
+            t = list
+        elif o is None:
+            out.append("null")
+            return
+        elif o is True:
+            out.append("true")
+            return
+        elif o is False:
+            out.append("false")
+            return
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+            return
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not o:
+        out.append("{}" if t is dict else "[]")
+        return
+    opening_dict, opening_list, comma, closing_dict, closing_list = (
+        _LEVELS[depth] if depth < len(_LEVELS) else _separators(depth)
+    )
+    depth += 1
+    if t is dict:
+        sep = opening_dict
         for key in sorted(o):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _quote(key) + ": ")
-            _write_json(o[key], out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in o:
-            out.append(sep)
-            _write_json(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
+            prefix = _KEY_PREFIXES.get(key) or _key_prefix(key)
+            value = o[key]
+            vt = type(value)
+            if vt is float:
+                r = float.__repr__(value)
+                out += (sep, prefix, _FLOAT_TOKENS.get(r, r))
+            elif vt is str:
+                out += (sep, prefix, _quote(value))
+            else:
+                out += (sep, prefix)
+                _write_json(value, out, depth)
+            sep = comma
+        out.append(closing_dict)
     else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        sep = opening_list
+        for item in o:
+            vt = type(item)
+            if vt is float:
+                r = float.__repr__(item)
+                out += (sep, _FLOAT_TOKENS.get(r, r))
+            elif vt is str:
+                out += (sep, _quote(item))
+            else:
+                out.append(sep)
+                _write_json(item, out, depth)
+            sep = comma
+        out.append(closing_list)
 
 
 @dataclass

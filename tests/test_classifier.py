@@ -17,6 +17,11 @@ from sasakian import classifier as cl
 from sasakian import report as rep
 from sasakian import shape_algebra as sa
 from sasakian.catalog import COROLLARY_TUPLE, MINUS4_TUPLES
+from sasakian.cli import MAX_ABS_C
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+import workloads  # noqa: E402
 
 SQ3, SQ13 = math.sqrt(3.0), math.sqrt(13.0)
 
@@ -93,6 +98,54 @@ def test_every_solution_revalidates():
     for s in _sweep_solutions("minus4"):
         assert s.system_residual < 1e-10
         oracles.assert_proper_biharmonic(s.operators(), "minus4")
+
+
+def _workload_cs():
+    """The c values of both classify workloads at seeds 1 to 3."""
+    return sorted(
+        {
+            float(argv[argv.index("--c") + 1])
+            for seed in (1, 2, 3)
+            for workload in ("classify-reduction", "classify-sweep")
+            for argv in workloads.items(workload, seed)
+            if "--c" in argv
+        }
+    )
+
+
+def test_system_residual_is_the_numpy_norm_bit_for_bit(monkeypatch):
+    # every tuple the solver builds, accepted or rejected; np.linalg.norm runs
+    # sqrt(v.dot(v)) on a real 1-D vector, and stays the oracle here
+    built = []
+
+    class Recorded(cl.SolutionTuple):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cl, "SolutionTuple", Recorded)
+    cs = _workload_cs()
+    assert len(cs) > 150
+    for c in cs + [MAX_ABS_C, -MAX_ABS_C, 5e-324]:
+        cl.solve_flat(c)
+    cl.solve_minus4_flat()
+    assert len(built) > 500 and {s.mode for s in built} == {"biharmonic", "minus4"}
+    for s in built:
+        arg = "minus4" if s.mode == "minus4" else s.c
+        want = np.linalg.norm(sa.expanded_system_residual(s.operators(), arg))
+        assert np.float64(s.system_residual).tobytes() == want.tobytes(), s
+
+
+def test_system_residual_is_the_numpy_norm_where_the_summation_order_shows(monkeypatch):
+    # the residuals of solved tuples have many zero entries, and their norms
+    # come out the same under any order of summation; random residual vectors
+    # tell a left-to-right sum of squares from numpy's dot on some BLAS kernels
+    rng = np.random.default_rng(20261019)
+    vectors = rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-12, 3, (2000, 1))
+    for v in vectors:
+        monkeypatch.setattr(sa, "expanded_system_residual", lambda ops, arg, v=v: v.copy())
+        got = cl.SolutionTuple(-0.5, 0.25, -0.125, 0.0).system_residual
+        assert np.float64(got).tobytes() == np.linalg.norm(v).tobytes(), v
 
 
 def test_accepted_omegas_reproduce_tuples(minus4):
@@ -283,7 +336,8 @@ def test_branch_polynomial_is_bit_identical_to_numpy_polynomial():
     extremes = [(1e-170, 1.0), (1e-170, -1e-170), (0.0, 0.0), (0.0, 1.0)]
     for b, k in [cl._system_constants(c) for c in cs] + [cl._system_constants("minus4")] + extremes:
         for branch in ("delta_zero", "delta_pos"):
-            got, want = cl._branch_polynomial(branch, b, k), _branch_polynomial_npp(branch, b, k)
+            got = np.asarray(cl._branch_polynomial(branch, b, k), dtype=float)
+            want = _branch_polynomial_npp(branch, b, k)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (branch, b, k)
 
 
@@ -305,12 +359,12 @@ def test_branch_polynomial_is_bit_identical_to_numpy_polynomial():
 )
 def test_series_helpers_match_numpy_polynomial(p, q):
     for a, b in ((p, q), (q, p)):
-        x, y = np.array(a), np.array(b)
         for got, want in (
-            (cl._polymul(x, y), npp.polymul(a, b)),
-            (cl._polyadd(x, y), npp.polyadd(a, b)),
-            (cl._polyadd(x, -y), npp.polysub(a, b)),
+            (cl._polymul(a, b), npp.polymul(a, b)),
+            (cl._polyadd(a, b), npp.polyadd(a, b)),
+            (cl._polyadd(a, [-y for y in b]), npp.polysub(a, b)),
         ):
+            got = np.asarray(got, dtype=float)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (a, b, got, want)
 
 
@@ -325,17 +379,17 @@ def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
 
 def test_branch_polynomials_match_displayed_factorizations():
     # delta = 0 branch at c = 1: proportional to (w+1)^3 (1-3w) (w-2)^2
-    p = cl._branch_polynomial("delta_zero", 1.0, 2.0)
+    p = np.asarray(cl._branch_polynomial("delta_zero", 1.0, 2.0))
     want = npp.polymul(npp.polymul(npp.polypow([1.0, 1.0], 3), [1.0, -3.0]), npp.polypow([-2.0, 1.0], 2))
     ratio = p[np.abs(want) > 1e-9] / want[np.abs(want) > 1e-9]
     assert np.max(np.abs(ratio - ratio[0])) < 1e-9
     # delta > 0 branch at c = 1: proportional to (w+1)^3 (w+3) (w-2)^2
-    p = cl._branch_polynomial("delta_pos", 1.0, 2.0)
+    p = np.asarray(cl._branch_polynomial("delta_pos", 1.0, 2.0))
     want = npp.polymul(npp.polymul(npp.polypow([1.0, 1.0], 3), [3.0, 1.0]), npp.polypow([-2.0, 1.0], 2))
     ratio = p[np.abs(want) > 1e-9] / want[np.abs(want) > 1e-9]
     assert np.max(np.abs(ratio - ratio[0])) < 1e-9
     # -4 variant, delta = 0 branch: proportional to (w-2)^2 (3w^4+28w^3+42w^2-84w+27)
-    p = cl._branch_polynomial("delta_zero", 1.0, 6.0)
+    p = np.asarray(cl._branch_polynomial("delta_zero", 1.0, 6.0))
     want = npp.polymul(npp.polypow([-2.0, 1.0], 2), [27.0, -84.0, 42.0, 28.0, 3.0])
     ratio = p / want
     assert np.max(np.abs(ratio - ratio[0])) < 1e-9
@@ -545,7 +599,7 @@ def test_isolation_matches_reference_with_two_roots_in_one_cell():
     c = cl.CASE_II_LOWER + 1e-9
     b, k = cl._system_constants(c)
     _assert_reference_roots_are_closed_form_roots(c)
-    poly = cl._branch_polynomial("delta_pos", b, k)
+    poly = np.asarray(cl._branch_polynomial("delta_pos", b, k))
     scaled = poly / np.max(np.abs(poly))
     cell = 2.0 * (1.0 + np.max(np.abs(scaled[:-1] / scaled[-1]))) / 4095
     pair = [w for w, mult in _roots("delta_pos", c) if abs(w + SQ3) < 1e-3]

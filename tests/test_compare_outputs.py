@@ -48,7 +48,7 @@ def test_output_that_is_not_json_is_compared_line_by_line():
 
 def test_comparison_set_covers_every_example_and_both_classify_workloads():
     argvs = co.commands()
-    assert all(argv[-2:] == ["--format", "json"] for argv in argvs)
+    assert all(argv[-2] == "--format" and argv[-1] in ("json", "csv", "text") for argv in argvs)
     verify = {(argv[1], argv[3]) for argv in argvs if argv[0] == "verify"}
     assert ("legendre-helix:0.5", "3") in verify and ("cylinder-minus4-3", "5") in verify
     assert ("cylinder-c1", "9") in verify and ("corollary-c1", "15") in verify
@@ -87,3 +87,11 @@ def test_comparison_set_has_the_largest_sweep_and_the_infinity_token():
     # the helices whose Frenet extraction fails, residual inf
     for kappa1 in ("1e-9", "1e-7", "0.9999999999999"):
         assert f"verify legendre-helix:{kappa1} --grid 3 --format json" in joined
+
+
+def test_comparison_set_has_the_csv_and_text_of_classify_and_of_one_verify():
+    joined = {" ".join(argv) for argv in co.commands()}
+    for fmt in ("csv", "text"):
+        for command in ("classify --c 1", "classify --mode minus4", "classify --c-sweep 0:3:0.5"):
+            assert f"{command} --format {fmt}" in joined
+        assert f"verify corollary-c1 --grid 3 --format {fmt}" in joined

@@ -1,5 +1,6 @@
 """``report.json_text`` writes every JSON output; its text is the stdlib's, byte for byte."""
 
+import collections
 import enum
 import json
 import math
@@ -56,11 +57,31 @@ class _Level(enum.IntEnum):
     LOW = 1
 
 
+class _Row(list):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+def _nested(depth):
+    """Lists and dicts in turn, ``depth`` levels deep, with float and str leaves at every level."""
+    value = [0.5, "leaf"]
+    for i in range(depth - 1):
+        value = {"inner": value, "x": -1.5} if i % 2 else [value, "s", 2.0]
+    return value
+
+
 _EXAMPLES = (
     # empty containers and bare scalars at the top level
     [], {}, (), [[]], {"a": {}}, [(), {"": []}], "", 0, -0.0, math.nan,
     # int and float subclasses are written as their base type
     np.float64(0.1), np.float64(-np.inf), [np.float64(1e16)], {"k": np.float64(-0.0)}, [_Level.LOW],
+    # so are dict, list and str subclasses, as values and as keys
+    collections.OrderedDict([("b", _Row([1.0])), (_Name("a"), _Name("v"))]), [_Row(), collections.OrderedDict()],
+    # deeper than any report, so that no table of indents caps the depth
+    _nested(100),
 )  # fmt: skip
 
 

@@ -18,10 +18,13 @@ one subprocess that imports that tree's ``src``:
   0.9999999999999, where the Frenet extraction fails and the infinite
   residuals print the token ``Infinity``;
 
-all with ``--format json``.  The workload items come from this tree's
-``benchmarks/workloads.py``.  Every changed JSON leaf is printed as
-``command | path: before -> after`` (output that is not JSON is compared
-line by line).  The raw text is compared as well: a command whose stdout
+all with ``--format json``.  The classifier's values also reach the csv and
+text formats, each with its own rounding, so ``classify --c 1``, ``classify
+--mode minus4``, ``classify --c-sweep 0:3:0.5`` and ``verify corollary-c1
+--grid 3`` run with ``--format csv`` and ``--format text`` as well.  The
+workload items come from this tree's ``benchmarks/workloads.py``.  Every
+changed JSON leaf is printed as ``command | path: before -> after``
+(output that is not JSON is compared line by line).  The raw text is compared as well: a command whose stdout
 or stderr differs while all its leaves are equal (a change of layout,
 escaping or number spelling alone) is printed as ``command | text differs,
 leaves equal``.  The exit status is 1 only if an exit code, a check name, a
@@ -44,6 +47,13 @@ LARGE_GRIDS = (("cylinder-c1", 9), ("corollary-c1", 15))
 CLASSIFY_SEEDS = (1, 2, 3)
 EXTRA_COMMANDS = (["classify", "--c-sweep", "0:3:0.01"],) + tuple(
     ["verify", f"legendre-helix:{k}", "--grid", "3"] for k in ("1e-9", "1e-7", "0.9999999999999")
+)
+# also run with --format csv and --format text
+FORMAT_COMMANDS = (
+    ["classify", "--c", "1"],
+    ["classify", "--mode", "minus4"],
+    ["classify", "--c-sweep", "0:3:0.5"],
+    ["verify", "corollary-c1", "--grid", "3"],
 )
 
 # run in a fresh interpreter per tree: argv[1] is the tree's src directory,
@@ -83,8 +93,9 @@ def commands() -> list[list[str]]:
     out += workloads.items("verify-dense", 1) + workloads.items("verify-coarse", 1)
     for seed in CLASSIFY_SEEDS:
         out += workloads.items("classify-reduction", seed) + workloads.items("classify-sweep", seed)
-    out += EXTRA_COMMANDS
-    unique = {" ".join(argv): argv + ["--format", "json"] for argv in out}
+    out = [argv + ["--format", "json"] for argv in out + list(EXTRA_COMMANDS)]
+    out += [argv + ["--format", fmt] for fmt in ("csv", "text") for argv in FORMAT_COMMANDS]
+    unique = {" ".join(argv): argv for argv in out}
     return list(unique.values())
 
 
