@@ -110,8 +110,12 @@ def _parse_sweep(spec: str) -> list[float]:
         raise ValueError(f"sweep bounds must satisfy |c| <= {MAX_ABS_C:g}")
     if step <= 0 or hi < lo:
         raise ValueError("sweep needs step > 0 and hi >= lo")
-    # the sweep has floor(steps) + 1 points; count them before building any list
-    steps = (hi - lo + 1e-12) / step
+    # the sweep has floor(steps) + 1 points; count them before building any list.
+    # The slack absorbs the rounding of hi - lo, which grows with |lo| and |hi|;
+    # above 1e-12 it stays within a thousandth of a step, so no point lands
+    # further past hi than that
+    slack = max(1e-12, min(1e-12 * max(abs(lo), abs(hi)), step / 1000))
+    steps = (hi - lo + slack) / step
     if not steps < MAX_SWEEP_POINTS:
         raise ValueError(f"sweep asks for about {steps + 1:.0f} points; at most {MAX_SWEEP_POINTS} are allowed")
     # point i is lo + i * step: accumulating the step drifts, and can drop the last point

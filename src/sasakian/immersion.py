@@ -47,9 +47,10 @@ INTEGRAL_TOL = EIGEN_TOL = LATTICE_TOL = 1e-10
 C_PARALLEL_TOL = NORMAL_LAPLACIAN_TOL = BITENSION_TOL = 1e-8
 # most grid points whose jets ``geometry_pass`` holds at once; a grid of up to
 # 625 points (grid 5 of a four-parameter example) stays one block.  Smaller
-# blocks hold less but pay each jet product's fixed cost more often; with the
-# second-order fields on line jets that cost is small: three blocks of 432
-# points of cylinder-c1 take about 0.87 times the time of one of 1296.
+# blocks hold less but pay each jet product's fixed cost (a few numpy calls
+# per table pair) more often; with the second-order fields on line jets that
+# cost is small: three blocks of 432 points of cylinder-c1 take about 0.8
+# times the time of one of 1296 (in process, best of 7, 2-vCPU Xeon VM).
 GEOMETRY_BLOCK_POINTS = 640
 
 

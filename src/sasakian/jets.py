@@ -38,45 +38,25 @@ without forming the derivative's terms off the lines.
 
 Because every output coefficient sums its own contributions in table order,
 a product at a lower accuracy is bit-equal to the truncation of the product
-at a higher one, and any grouping of the pairs that keeps each term's order
-gives the same bits.  A product of P table pairs over a broadcast lead of L
-elements picks one of two kernels by that grouping:
-
-- Small batches.  When P * L <= ``GATHER_BUDGET`` (512 KB of float64) and
-  L < ``GATHER_BUDGET // 8`` (8,192), ``_layered_product`` gathers the
-  (a[i], b[j]) pairs of all P entries at once and adds them as
-  ``_mul_plan``'s layers: one numpy call per layer (at most 24), however
-  many pairs.  It wins where a call's fixed cost outweighs its data, on
-  every product of a few grid points.
-- Large batches.  Otherwise ``_streamed_product`` walks the table: the T
-  pairs with a[0], the first contribution to every term, are one broadcast
-  multiply, and each later pair multiplies two rows of the lead into a
-  lead-sized buffer that is added to its output row.  Two or three numpy
-  calls per pair cost more than the gather on small leads, but each call
-  streams whole contiguous rows, which wins once the P gathered pairs
-  outgrow the cache, and on any lead of 8,192 elements or more, however
-  few the pairs: on the products that rule decides (P <= 8, L from 8,192
-  to 16,384) streaming takes 0.13-0.92 of the gather's time (best of 25,
-  2-vCPU VM).
-  An operand that broadcasts inside the lead is expanded into the buffer by
-  assignment first, as numpy would multiply it through a buffer of its own,
-  allocated per call, at up to half speed.
-- Memory.  A product allocates its result plus a few times
-  ``GATHER_BUDGET`` elements (gather) or one lead (streamed; when both
-  operands broadcast inside the lead, numpy's buffer of at most 64 KB too);
-  never P copies of a large batch (P = 495 at 4 variables and degree 4).
+at a higher one.  ``_streamed_product`` walks the table over whole rows of
+the broadcast lead: the T pairs with a[0], the first contribution to every
+term, are one broadcast multiply, and each later pair multiplies two rows
+into a lead-sized buffer that is added to its output row.  An operand that
+broadcasts inside the lead is expanded into the buffer by assignment first,
+as numpy would multiply it through a buffer of its own, allocated per call,
+at up to half speed.  So each coefficient is summed from +0.0 in
+``_mul_table`` order, and a product's memory is its result plus one lead
+(plus numpy's buffer of at most 64 KB when both operands broadcast inside
+the lead), never one copy per table pair (495 at 4 variables and degree 4).
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 MAX_ORDER = 5
-# most elements of gathered pairs in a jet product; see the module docstring
-GATHER_BUDGET = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -126,32 +106,6 @@ def _mul_table(nvars: int, acc: int):
 
 
 @lru_cache(maxsize=None)
-def _mul_plan(nvars: int, acc: int):
-    """``_mul_table`` regrouped into layers of contiguous slice additions.
-
-    Layer r holds the r-th contribution (in table order) to every output
-    term.  Output terms get slots in descending order of their contribution
-    count (stable), so layer r touches a prefix ``[:n_r]`` of the slots.  The
-    pairs are sorted layer-major, slot-minor.  Returns the permuted
-    ``(ia, ib)``, the ``(offset, n_r)`` of every layer after the first, and
-    ``slot`` with the slot of each output term.
-    """
-    ia, ib, iout = _mul_table(nvars, acc)
-    count = np.bincount(iout, minlength=_nterms(nvars, acc))
-    # rank of each entry among the entries of its term: a stable sort groups
-    # the terms, and the distance to the group start is the rank
-    rank = np.empty_like(iout)
-    rank[np.argsort(iout, kind="stable")] = np.arange(iout.size) - np.repeat(np.cumsum(count) - count, count)
-    slot = np.empty_like(count)
-    slot[np.argsort(-count, kind="stable")] = np.arange(count.size)
-    order = np.lexsort((slot[iout], rank))
-    widths = np.bincount(rank)
-    offsets = np.concatenate(([0], np.cumsum(widths)[:-1]))
-    layers = tuple(zip(offsets[1:].tolist(), widths[1:].tolist()))
-    return ia[order], ib[order], layers, slot
-
-
-@lru_cache(maxsize=None)
 def _line_terms(nvars: int, acc: int) -> np.ndarray:
     """Positions of the line terms x_k^d, degree-major: entry d * nvars + k."""
     pos = _position(nvars, acc)
@@ -190,23 +144,6 @@ def _aligned(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def _layered_product(A: np.ndarray, B: np.ndarray, plan) -> np.ndarray:
-    """Term-first, C-contiguous coefficients of the product of two term-first arrays.
-
-    ``plan`` is ``_mul_plan``'s; A and B have the same number of axes.
-    """
-    ia, ib, layers, slot = plan
-    # each layer of the products is one contiguous block
-    prod = A.take(ia, 0) * B.take(ib, 0)
-    # "+ 0.0" is the zero start of the sum: it turns -0.0 into +0.0.  The sums
-    # build up in place in the first layer, which no other layer overlaps
-    out = prod[: slot.size]
-    out += 0.0
-    for off, n in layers:
-        out[:n] += prod[off : off + n]
-    return out.take(slot, 0)
-
-
 @lru_cache(maxsize=None)
 def _stream_pairs(nvars: int, acc: int) -> tuple[tuple[int, int, int], ...]:
     """``_mul_table``'s triplets as Python ints, less the first T: those have ia = 0 and ib = iout."""
@@ -215,9 +152,10 @@ def _stream_pairs(nvars: int, acc: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def _streamed_product(A: np.ndarray, B: np.ndarray, lead: tuple[int, ...], pairs) -> np.ndarray:
-    """``_layered_product``'s result, built pair by pair on whole rows of the broadcast ``lead``.
+    """Term-first, C-contiguous coefficients of the product, built pair by pair on whole rows of ``lead``.
 
-    ``pairs`` is ``_stream_pairs``'s; A and B have the same number of axes.
+    ``lead`` is the operands' broadcast lead and ``pairs`` is ``_stream_pairs``'s;
+    A and B have the same number of axes.
     """
     out = np.empty(B.shape[:1] + lead)
     tmp = np.empty(lead)
@@ -350,18 +288,9 @@ class Jet:
             return Jet._of(self.nvars, self.acc, np.multiply(*_aligned(self.rows, scale)))
         a, b = self._coerce(other)
         A, B = _aligned(a.rows, b.rows)
-        plan = _mul_plan(a.nvars, a.acc)
-        pairs, nt = plan[0].size, plan[3].size
-        # the broadcast lead has at most size(a) * size(b) / nt^2 elements, a
-        # bound that spares products of a few points working the lead out
-        bound = A.size * B.size
-        if pairs * bound > GATHER_BUDGET * nt * nt or bound >= GATHER_BUDGET // 8 * nt * nt:
-            # exact for broadcast-compatible leads, a zero-size axis included
-            lead = tuple(n if m == 1 else m for m, n in zip(A.shape[1:], B.shape[1:]))
-            L = math.prod(lead)
-            if pairs * L > GATHER_BUDGET or L >= GATHER_BUDGET // 8:
-                return Jet._of(a.nvars, a.acc, _streamed_product(A, B, lead, _stream_pairs(a.nvars, a.acc)))
-        return Jet._of(a.nvars, a.acc, _layered_product(A, B, plan))
+        # exact for broadcast-compatible leads, a zero-size axis included
+        lead = tuple(n if m == 1 else m for m, n in zip(A.shape[1:], B.shape[1:]))
+        return Jet._of(a.nvars, a.acc, _streamed_product(A, B, lead, _stream_pairs(a.nvars, a.acc)))
 
     # -- analytic functions ---------------------------------------------
 

@@ -472,6 +472,22 @@ def test_sweep_points_are_placed_by_index(capsys):
     assert cs[-1] == 963.718
 
 
+@pytest.mark.parametrize(
+    "spec, count, last",
+    [
+        ("1e9:1000000000.3:0.1", 4, 1000000000.3),
+        ("-1e9:-999999999.7:0.1", 4, -999999999.7),
+        # a slack of 1e-12 |c| would be 100 steps here; a thousandth of a step is the cap
+        ("1e9:1000000000.0001:0.00001", 11, 1000000000.0001),
+    ],
+)
+def test_sweep_keeps_its_endpoint_at_large_c(spec, count, last):
+    # hi - lo rounds by about 1e-7 at |c| = 1e9, so a fixed slack of 1e-12 lost hi
+    cs = _parse_sweep(spec)
+    assert len(cs) == count
+    assert cs[-1] == last
+
+
 def test_cli_classify_sweep_and_csv(capsys):
     assert main(["classify", "--c-sweep", "0.6:0.8:0.1", "--no-sweep", "--format", "csv"]) == 0
     out = capsys.readouterr().out

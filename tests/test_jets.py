@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from sasakian import jets
 from sasakian import report as rep
 from sasakian.immersion import _FACTORIAL, ParametricImmersion, _phase
 from sasakian.jets import (
-    GATHER_BUDGET,
     MAX_ORDER,
     Jet,
     _mul_table,
@@ -211,7 +209,15 @@ _COEF = st.one_of(
 )
 
 
-def _check_product_against_scatter(nvars, acc, shapes, data):
+@settings(max_examples=150, deadline=None)
+@given(
+    nvars=st.integers(1, MAX_VARS),
+    acc=st.integers(0, MAX_ORDER),
+    shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, min_side=0, max_side=3),
+    data=st.data(),
+)
+def test_product_is_bit_equal_to_add_at_scatter(nvars, acc, shapes, data):
+    # zero-size leads included
     nterms = _nterms(nvars, acc)
     lead_a, lead_b = shapes.input_shapes
     a = oracles.jet(nvars, acc, data.draw(hnp.arrays(np.float64, lead_a + (nterms,), elements=_COEF)))
@@ -222,123 +228,12 @@ def _check_product_against_scatter(nvars, acc, shapes, data):
     _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    nvars=st.integers(1, MAX_VARS),
-    acc=st.integers(0, MAX_ORDER),
-    shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
-    data=st.data(),
-)
-def test_product_is_bit_equal_to_add_at_scatter(nvars, acc, shapes, data):
-    _check_product_against_scatter(nvars, acc, shapes, data)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    nvars=st.integers(1, MAX_VARS),
-    acc=st.integers(0, MAX_ORDER),
-    shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, min_side=0, max_side=3),
-    data=st.data(),
-)
-def test_streamed_product_is_bit_equal_to_add_at_scatter(nvars, acc, shapes, data):
-    # below every P * L >= 0, so the streamed kernel sees each drawn shape, zero-size leads too
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jets, "GATHER_BUDGET", -1)
-        kernels = _spy_kernels(mp)
-        _check_product_against_scatter(nvars, acc, shapes, data)
-    assert kernels == ["streamed"]
-
-
-def _spy_kernels(monkeypatch) -> list:
-    """A list that gets "gather" or "streamed" for each product kernel that runs."""
-    kernels = []
-
-    def spy(name, kernel):
-        return lambda *args: kernels.append(name) or kernel(*args)
-
-    monkeypatch.setattr(jets, "_layered_product", spy("gather", jets._layered_product))
-    monkeypatch.setattr(jets, "_streamed_product", spy("streamed", jets._streamed_product))
-    return kernels
-
-
 def _large_coefficients(rng, lead: tuple, nterms: int) -> np.ndarray:
     """Uniform coefficients with an eighth replaced by signed zeros and subnormals."""
     coef = rng.uniform(-1e3, 1e3, lead + (nterms,))
     picks = rng.integers(0, coef.size, coef.size // 8)
     coef.flat[picks] = rng.choice([0.0, -0.0, 5e-324, -1e-160], picks.size)
     return coef
-
-
-@pytest.mark.parametrize(
-    "nvars, acc, lead_a, lead_b, streamed",
-    [
-        (4, 4, (1296, 4), (1296, 1), True),  # the trailing lead axis broadcast in one operand
-        (3, 2, (1000, 1), (1000, 8), True),
-        (4, 2, (1, 8), (600, 8), True),  # the first lead axis broadcast in one operand
-        (2, 2, (64, 8), (64, 8), False),  # P * L = 15 * 512, within the budget
-        (3, 2, (8,), (700, 3, 8), True),  # operands of different rank
-        (3, 1, (1, 8), (2000, 1), True),  # both operands broadcast
-        # the products of cylinder-c1 at grid 6 (1296 points)
-        (4, 2, (1296, 1), (1296, 8), True),
-        (4, 2, (1296, 8), (1296, 8), True),
-        (4, 1, (1296, 1), (1296, 8), True),
-        (4, 1, (1296, 8), (1296, 8), True),
-    ],
-)
-def test_product_is_bit_equal_to_add_at_scatter_on_large_leads(nvars, acc, lead_a, lead_b, streamed, monkeypatch):
-    # the streamed side of the size rule, next to the gathered leads drawn above
-    rng = np.random.default_rng(nvars * 10 + acc)
-    nterms = _nterms(nvars, acc)
-    a = oracles.jet(nvars, acc, _large_coefficients(rng, lead_a, nterms))
-    b = oracles.jet(nvars, acc, _large_coefficients(rng, lead_b, nterms))
-    kernels = _spy_kernels(monkeypatch)
-    got = a * b
-    assert kernels == ["streamed" if streamed else "gather"]
-    assert got.rows.flags.c_contiguous
-    _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
-
-
-@pytest.mark.parametrize("nvars, acc, lead", [(1, 0, GATHER_BUDGET), (4, 2, 600)])
-def test_product_kernel_switches_one_element_past_the_gather_budget(nvars, acc, lead, monkeypatch):
-    # a product streams once P * L exceeds the budget or L reaches budget // 8,
-    # whichever comes first: with P = 1 the lead edge (8,191 gathers, 8,192
-    # streams), with P = 45 the memory edge (P * L equal to the budget gathers)
-    pairs = _mul_table(nvars, acc)[0].size
-    budget = pairs * lead
-    monkeypatch.setattr(jets, "GATHER_BUDGET", budget)
-    last = min(lead, budget // 8 - 1)
-    assert last == (GATHER_BUDGET // 8 - 1 if pairs == 1 else lead)
-    rng = np.random.default_rng(lead)
-    for points, kernel in ((last, "gather"), (last + 1, "streamed")):
-        a = oracles.jet(nvars, acc, _large_coefficients(rng, (points,), _nterms(nvars, acc)))
-        # not a broadcast b, whose size would decide the rule before L does
-        b = oracles.jet(nvars, acc, _large_coefficients(rng, (points,), _nterms(nvars, acc)))
-        kernels = _spy_kernels(monkeypatch)
-        got = a * b
-        assert kernels == [kernel]
-        assert got.rows.flags.c_contiguous
-        _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
-
-
-def test_streamed_product_of_a_zero_size_lead(monkeypatch):
-    # P * 0 never exceeds the real budget, so only a negative one streams an empty lead
-    monkeypatch.setattr(jets, "GATHER_BUDGET", -1)
-    a = oracles.jet(3, 2, np.ones((0, 1, _nterms(3, 2))))
-    b = oracles.jet(3, 2, np.ones((1, 8, _nterms(3, 2))))
-    kernels = _spy_kernels(monkeypatch)
-    got = a * b
-    assert kernels == ["streamed"]
-    assert got.coef.shape == (0, 8, _nterms(3, 2))
-    assert got.rows.flags.c_contiguous
-    _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
-
-
-def test_product_of_a_few_points_is_one_block(monkeypatch):
-    # the gather kernel: one block of all pairs
-    a = oracles.jet(1, 5, np.linspace(-1.0, 1.0, 9 * 6).reshape(9, 1, 6))
-    kernels = _spy_kernels(monkeypatch)
-    _assert_bit_equal((a * a).coef, _add_at_product(a, a).coef)
-    assert kernels == ["gather"]
 
 
 def _product_temporaries(a: Jet, b: Jet) -> int:
@@ -354,21 +249,47 @@ def _product_temporaries(a: Jet, b: Jet) -> int:
     return peak - got.coef.nbytes
 
 
-def test_product_temporaries_stay_within_the_gather_budget(monkeypatch):
-    # a kernel that materialises all 495 pairs of a degree-4 product in 4
-    # variables allocates about 3 * 495 * 1296 * 4 * 8 B = 62 MB on this lead;
-    # the streamed kernel needs one lead of float64 (41 KB) beyond its result
-    rng = np.random.default_rng(3)
-    a = oracles.jet(4, 4, rng.standard_normal((1296, 4, _nterms(4, 4))))
-    b = oracles.jet(4, 4, rng.standard_normal((1296, 1, _nterms(4, 4))))
-    kernels = _spy_kernels(monkeypatch)
-    assert _product_temporaries(a, b) <= 8 * 1296 * 4 + 4096
-    assert kernels == ["streamed"]
-    # the gather kernel, on a lead that just fits the budget, stays within a few budgets
-    a = oracles.jet(4, 4, rng.standard_normal((132, _nterms(4, 4))))
-    b = oracles.jet(4, 4, rng.standard_normal((132, _nterms(4, 4))))
-    assert _product_temporaries(a, b) <= 4 * 8 * GATHER_BUDGET
-    assert kernels == ["streamed", "gather"]
+@pytest.mark.parametrize(
+    "nvars, acc, lead_a, lead_b, measured",
+    [
+        (4, 4, (1296, 4), (1296, 1), True),  # the trailing lead axis broadcast in one operand
+        (3, 2, (1000, 1), (1000, 8), True),
+        (4, 2, (1, 8), (600, 8), True),  # the first lead axis broadcast in one operand
+        # a lead of 4 KB: numpy's calls on small leads add a few tens of KB that tracemalloc sees
+        (2, 2, (64, 8), (64, 8), False),
+        (3, 2, (8,), (700, 3, 8), True),  # operands of different rank
+        (3, 1, (1, 8), (2000, 1), True),  # both operands broadcast
+        # the products of cylinder-c1 at grid 6 (1296 points)
+        (4, 2, (1296, 1), (1296, 8), True),
+        (4, 2, (1296, 8), (1296, 8), True),
+        (4, 1, (1296, 1), (1296, 8), True),
+        (4, 1, (1296, 8), (1296, 8), True),
+    ],
+)
+def test_product_is_bit_equal_to_add_at_scatter_on_large_leads(nvars, acc, lead_a, lead_b, measured):
+    rng = np.random.default_rng(nvars * 10 + acc)
+    nterms = _nterms(nvars, acc)
+    a = oracles.jet(nvars, acc, _large_coefficients(rng, lead_a, nterms))
+    b = oracles.jet(nvars, acc, _large_coefficients(rng, lead_b, nterms))
+    got = a * b
+    assert got.rows.flags.c_contiguous
+    _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
+    if measured:
+        # a product holds its result plus one lead of float64, and numpy's
+        # 64 KB buffer where both operands broadcast inside the lead; a kernel
+        # that materialised all 495 pairs of the first case would take 62 MB
+        lead = math.prod(np.broadcast_shapes(lead_a, lead_b))
+        buffer = 8 * 8192 if max(math.prod(lead_a), math.prod(lead_b)) < lead else 0
+        assert _product_temporaries(a, b) <= 8 * lead + buffer + 4096
+
+
+def test_streamed_product_of_a_zero_size_lead():
+    a = oracles.jet(3, 2, np.ones((0, 1, _nterms(3, 2))))
+    b = oracles.jet(3, 2, np.ones((1, 8, _nterms(3, 2))))
+    got = a * b
+    assert got.coef.shape == (0, 8, _nterms(3, 2))
+    assert got.rows.flags.c_contiguous
+    _assert_bit_equal(got.coef, _add_at_product(a, b).coef)
 
 
 def _draw_coefficients(data, shape: tuple) -> np.ndarray:
@@ -387,22 +308,19 @@ def _draw_coefficients(data, shape: tuple) -> np.ndarray:
         hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=1, max_dims=3, max_side=3).map(
             lambda s: tuple((1,) * (3 - len(lead)) + lead for lead in s.input_shapes)
         ),
-        # a scalar factor against components, and leads that stream on at least one side
+        # a scalar factor against components, and large leads
         st.sampled_from([((n, 1), (n, 8)) for n in (3, 432, 1296)] + [((432, 8), (432, 8)), ((1, 8), (600, 8))]),
     ),
-    budget=st.sampled_from([GATHER_BUDGET, -1]),
     data=st.data(),
 )
-def test_restriction_to_the_lines_commutes_with_products_and_sums(nvars, acc, leads, budget, data):
+def test_restriction_to_the_lines_commutes_with_products_and_sums(nvars, acc, leads, data):
     # a coefficient of x_k^d receives the pairs (x_k^e, x_k^(d-e)) in ascending
     # e in both tables, and sum(axis=-2) adds the same component slices, so the
-    # bits agree, sign of zero included; budget -1 streams every product
+    # bits agree, sign of zero included
     nterms = _nterms(nvars, acc)
     a = oracles.jet(nvars, acc, _draw_coefficients(data, leads[0] + (nterms,)))
     b = oracles.jet(nvars, acc, _draw_coefficients(data, leads[1] + (nterms,)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jets, "GATHER_BUDGET", budget)
-        product, line_product = (a * b).lines(), a.lines() * b.lines()
+    product, line_product = (a * b).lines(), a.lines() * b.lines()
     assert (product.nvars, product.acc) == (1, acc)
     assert product.rows.shape == (acc + 1, nvars) + np.broadcast_shapes(leads[0], leads[1])
     assert product.rows.flags.c_contiguous and line_product.rows.flags.c_contiguous

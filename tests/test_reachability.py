@@ -36,7 +36,6 @@ COMMANDS = [["verify", n.replace("<kappa1>", "0.5"), "--grid", "3", "--format", 
     ["verify", "corollary-c1", "--grid", "3", "--format", "csv"],
     ["verify", "legendre-helix:0.5", "--grid", "3", "--format", "text"],
     ["verify", "legendre-helix:1e-9", "--grid", "3", "--format", "json"],
-    ["verify", "cylinder-c1", "--grid", "6", "--format", "json"],  # the only item whose products stream
     ["classify", "--c", "1"],
     ["classify", "--c", "2.7", "--format", "json"],
     ["classify", "--c", "-1", "--format", "json"],

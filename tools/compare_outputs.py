@@ -14,9 +14,10 @@ one subprocess that imports that tree's ``src``:
   add three seeded Legendre helices, whose components sum several waves);
 - the items of both classify workloads at seeds 1 to 3;
 - ``classify --c-sweep 0:3:0.01``, the largest JSON output (301 reports),
-  and ``verify legendre-helix:K --grid 3`` at K = 1e-9, 1e-7 and
-  0.9999999999999, where the Frenet extraction fails and the infinite
-  residuals print the token ``Infinity``;
+  ``classify --c-sweep 1e9:1000000000.3:0.1``, whose endpoint hangs on the
+  rounding of hi - lo at large |c|, and ``verify legendre-helix:K --grid 3``
+  at K = 1e-9, 1e-7 and 0.9999999999999, where the Frenet extraction fails
+  and the infinite residuals print the token ``Infinity``;
 
 all with ``--format json``.  The classifier's values also reach the csv and
 text formats, each with its own rounding, so ``classify --c 1``, ``classify
@@ -45,7 +46,7 @@ HELIX_KAPPA1 = "0.5"
 GRIDS = (3, 5)
 LARGE_GRIDS = (("cylinder-c1", 9), ("corollary-c1", 15))
 CLASSIFY_SEEDS = (1, 2, 3)
-EXTRA_COMMANDS = (["classify", "--c-sweep", "0:3:0.01"],) + tuple(
+EXTRA_COMMANDS = (["classify", "--c-sweep", "0:3:0.01"], ["classify", "--c-sweep", "1e9:1000000000.3:0.1"]) + tuple(
     ["verify", f"legendre-helix:{k}", "--grid", "3"] for k in ("1e-9", "1e-7", "0.9999999999999")
 )
 # also run with --format csv and --format text
