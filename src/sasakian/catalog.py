@@ -3,9 +3,11 @@
 Every construction lands in the unit sphere of C^{n+1} in blocked real
 coordinates (Re..., Im...) and is a table of plane waves (see
 ``ParametricImmersion``): the constructors only build or transform the table.
-Product-of-circles immersions also carry their defining unitary basis, so the
-circle decomposition can cross-check the construction from ambient samples
-alone.
+Each family has one construction, with the parameters a command sets.  The
+flat tori are products of circles along the standard basis, one wave per
+complex coordinate, so the circle decomposition reads their radii off ambient
+samples alone; the 5-sphere surface and its cylinder are circle products along
+the rows of ``S5_CYL_BASIS``, which the decomposition is given.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ SQ5 = math.sqrt(5.0)
 SQ10 = math.sqrt(10.0)
 SQ13 = math.sqrt(13.0)
 
-UNITARY_TOL = 1e-14
 CIRCLE_MODULUS_TOL = 1e-10
 
 # (lambda, alpha, gamma, delta) of the unique proper-biharmonic flat solution at c = 1
@@ -109,36 +110,6 @@ class CircleProduct:
             raise ValueError(f"circle radii must satisfy sum r^2 = 1, got {total!r}")
 
 
-def validate_unitary(basis: np.ndarray) -> np.ndarray:
-    basis = np.asarray(basis, dtype=complex)
-    gram = basis @ basis.conj().T
-    dev = float(np.max(np.abs(gram - np.eye(basis.shape[0]))))
-    if dev > UNITARY_TOL:
-        raise ValueError(f"basis rows are not Hermitian-orthonormal (|Gram - I| = {dev:.3e})")
-    return basis
-
-
-def circle_immersion(
-    coefficients, frequencies, phases=None, basis=None, *, n: int | None = None, name: str = "", sample_box=None
-) -> ParametricImmersion:
-    """Immersion sum_k coeff_k exp(i(<f_k, p> + theta_k)) E_k in a unitary basis."""
-    coeff = np.asarray(coefficients, dtype=float)
-    freqs = np.atleast_2d(np.asarray(frequencies, dtype=float))
-    if n is None:
-        n = freqs.shape[0] - 1
-    basis = validate_unitary(np.eye(n + 1) if basis is None else basis)
-    if coeff.shape != (basis.shape[0],):
-        raise ValueError(f"circle coefficients have shape {coeff.shape}, basis has {basis.shape[0]} rows")
-    return ParametricImmersion(
-        amplitudes=coeff[:, None] * basis,
-        frequencies=freqs,
-        phases=np.zeros(freqs.shape[0]) if phases is None else phases,
-        name=name,
-        sample_box=sample_box,
-        basis=basis,
-    )
-
-
 def _params(tup):
     if hasattr(tup, "lam"):
         return float(tup.lam), float(tup.alpha), float(tup.gamma), float(tup.delta)
@@ -146,11 +117,13 @@ def _params(tup):
     return float(lam), float(alpha), float(gamma), float(delta)
 
 
-def flat_torus(c: float, tup, basis=None, name: str = "", sample_box=None) -> ParametricImmersion:
+def flat_torus(c: float, tup, name: str = "", sample_box=None) -> ParametricImmersion:
     """The flat 3-torus immersion attached to an admissible solution tuple.
 
     The four circle coefficients and frequency rows come straight from the
-    closed-form position vector; the Tanno parameter is a = 4/(c+3).
+    closed-form position vector; the Tanno parameter is a = 4/(c+3).  Circle
+    k is the wave coeff_k exp(i <f_k, p>) e_k along the standard basis
+    vector e_k of C^4.
     """
     lam, alpha, gamma, delta = _params(tup)
     if not c > -3.0:
@@ -183,30 +156,28 @@ def flat_torus(c: float, tup, basis=None, name: str = "", sample_box=None) -> Pa
             [-lam, -gamma, rho2],
         ]
     )
-    return circle_immersion(
-        coeff,
-        freqs,
-        basis=basis,
-        n=3,
+    return ParametricImmersion(
+        amplitudes=coeff[:, None] * np.eye(4, dtype=complex),
+        frequencies=freqs,
+        phases=np.zeros(4),
         name=name or f"flat-torus(c={c:g})",
         sample_box=sample_box,
     )
 
 
-def corollary_immersion(basis=None) -> ParametricImmersion:
+def corollary_immersion() -> ParametricImmersion:
     """The unique proper-biharmonic flat 3-torus in the unit 7-sphere."""
     box = (2.0 * math.pi * SQ5, 2.0 * math.pi * SQ10 / SQ3, 2.0 * SQ2 * math.pi)
-    return flat_torus(1.0, COROLLARY_TUPLE, basis=basis, name="corollary-c1", sample_box=box)
+    return flat_torus(1.0, COROLLARY_TUPLE, name="corollary-c1", sample_box=box)
 
 
-def minus4_immersion(index: int, basis=None) -> ParametricImmersion:
+def minus4_immersion(index: int) -> ParametricImmersion:
     """The k-th flat (-4)-biharmonic 3-torus in the unit 7-sphere (k = 1, 2, 3)."""
     if index not in (1, 2, 3):
         raise ValueError("index must be 1, 2 or 3")
     return flat_torus(
         1.0,
         MINUS4_TUPLES[index - 1],
-        basis=basis,
         name=f"minus4-{index}",
         sample_box=(2.0 * math.pi,) * 3,
     )
@@ -217,7 +188,7 @@ def s5_surface() -> ParametricImmersion:
 
     (e^{iu}, i sin(sqrt2 v) e^{-iu}, i cos(sqrt2 v) e^{-iu}) / sqrt2 is the
     product of circles of radii 1/sqrt2, 1/2, 1/2 along the rows of
-    ``S5_CYL_BASIS``; the chart keeps standard coordinates (no ``basis``).
+    ``S5_CYL_BASIS``.
     """
     return ParametricImmersion(
         amplitudes=np.array([[1.0 / SQ2], [0.5], [0.5]]) * S5_CYL_BASIS,
@@ -246,91 +217,47 @@ def trig_immersion(terms, m: int, n: int, name: str = "", sample_box=None) -> Pa
     return ParametricImmersion(amplitudes=amps, frequencies=freqs, phases=phases, name=name, sample_box=sample_box)
 
 
-def helix_vectors(kappa1: float, sign: int = 1, alpha_pair=None) -> np.ndarray:
+def helix_vectors(kappa1: float) -> np.ndarray:
     """Constant vectors e_1..e_4 in R^6 for the proper-biharmonic Legendre helix.
 
-    ``sign`` selects between the two admissible constructions
-    e_2 = -sign (B/A) J e_1 + alpha_1 f + alpha_2 J f,  e_4 = sign J e_3.
+    e_2 = -(B/A) J e_1 + alpha_1 f with alpha_1 = sqrt(1 - B^2/A^2), e_4 = J e_3.
     """
     if not 0.0 < kappa1 < 1.0:
         raise ValueError("helix curvature must lie in (0, 1)")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     A = math.sqrt(1.0 + kappa1)
     B = math.sqrt(1.0 - kappa1)
-    if alpha_pair is None:
-        alpha_pair = (math.sqrt(1.0 - B**2 / A**2), 0.0)
-    a1, a2 = alpha_pair
-    if abs(a1**2 + a2**2 - (1.0 - B**2 / A**2)) > 1e-12:
-        raise ValueError("alpha_1^2 + alpha_2^2 must equal 1 - B^2/A^2")
     e1 = np.array([1.0, 0, 0, 0, 0, 0])
     e3 = np.array([0, 0, 1.0, 0, 0, 0])
-    e2 = np.array([0.0, a1, 0.0, -sign * B / A, a2, 0.0])
-    e4 = np.array([0, 0, 0, 0, 0, float(sign)])
+    e2 = np.array([0.0, math.sqrt(1.0 - B**2 / A**2), 0.0, -B / A, 0.0, 0.0])
+    e4 = np.array([0, 0, 0, 0, 0, 1.0])
     return np.stack([e1, e2, e3, e4])
 
 
-def validate_helix_vectors(vectors: np.ndarray, kappa1: float) -> list[str]:
-    """Orthonormality and J-compatibility conditions; returns violated ones."""
-    from .ambient import complex_structure
+def legendre_circle() -> ParametricImmersion:
+    """The proper-biharmonic Legendre circle, by arc length, on three J-orthonormal directions of C^4."""
+    inv = 1.0 / SQ2
+    e1, e2, e3 = np.eye(8)[:3]
+    terms = [
+        (inv, (SQ2,), 0.0, e1),
+        (inv, (SQ2,), -math.pi / 2.0, e2),
+        (inv, (0.0,), 0.0, e3),
+    ]
+    return trig_immersion(terms, m=1, n=3, name="legendre-circle", sample_box=(SQ2 * math.pi,))
 
+
+def legendre_helix(kappa1: float) -> ParametricImmersion:
+    """The proper-biharmonic Legendre helix of curvature kappa1 in the 5-sphere (order-4 frame)."""
+    vectors = helix_vectors(kappa1)
+    inv = 1.0 / SQ2
     A = math.sqrt(1.0 + kappa1)
     B = math.sqrt(1.0 - kappa1)
-    e = np.asarray(vectors, dtype=float)
-    bad = []
-    gram = e @ e.T
-    if np.max(np.abs(gram - np.eye(4))) > 1e-12:
-        bad.append("e_1..e_4 are not orthonormal")
-    J = complex_structure
-    for i, j in [(0, 2), (0, 3), (1, 2), (1, 3)]:
-        if abs(np.dot(e[i], J(e[j]))) > 1e-12:
-            bad.append(f"<e_{i+1}, J e_{j+1}> != 0")
-    balance = A * np.dot(e[0], J(e[1])) + B * np.dot(e[2], J(e[3]))
-    if abs(balance) > 1e-12:
-        bad.append("A<e_1, J e_2> + B<e_3, J e_4> != 0")
-    return bad
-
-
-def legendre_curve(kind: str, kappa1: float | None = None, vectors=None, sign: int = 1) -> ParametricImmersion:
-    """Proper-biharmonic Legendre curve: arc-length circle or order-4-frame helix.
-
-    The circle lives in the 7-sphere on three J-orthonormal directions; the
-    helix uses the explicit 5-sphere construction (or caller-given vectors,
-    which are validated against the orthogonality conditions).
-    """
-    inv = 1.0 / SQ2
-    if kind == "circle":
-        n = 3
-        dim = 2 * n + 2
-        e1, e2, e3 = np.eye(dim)[0], np.eye(dim)[1], np.eye(dim)[2]
-        terms = [
-            (inv, (SQ2,), 0.0, e1),
-            (inv, (SQ2,), -math.pi / 2.0, e2),
-            (inv, (0.0,), 0.0, e3),
-        ]
-        return trig_immersion(terms, m=1, n=n, name="legendre-circle", sample_box=(SQ2 * math.pi,))
-    if kind == "helix":
-        if kappa1 is None:
-            raise ValueError("helix requires kappa1 in (0, 1)")
-        if vectors is None:
-            vectors = helix_vectors(kappa1, sign=sign)
-        vectors = np.asarray(vectors, dtype=float)
-        bad = validate_helix_vectors(vectors, kappa1)
-        if bad:
-            raise ValueError("helix vector conditions violated: " + "; ".join(bad))
-        A = math.sqrt(1.0 + kappa1)
-        B = math.sqrt(1.0 - kappa1)
-        n = vectors.shape[1] // 2 - 1
-        terms = [
-            (inv, (A,), 0.0, vectors[0]),
-            (inv, (A,), -math.pi / 2.0, vectors[1]),
-            (inv, (B,), 0.0, vectors[2]),
-            (inv, (B,), -math.pi / 2.0, vectors[3]),
-        ]
-        return trig_immersion(
-            terms, m=1, n=n, name=f"legendre-helix:{kappa1:g}", sample_box=(2.0 * math.pi,)
-        )
-    raise ValueError(f"unknown Legendre curve kind {kind!r}")
+    terms = [
+        (inv, (A,), 0.0, vectors[0]),
+        (inv, (A,), -math.pi / 2.0, vectors[1]),
+        (inv, (B,), 0.0, vectors[2]),
+        (inv, (B,), -math.pi / 2.0, vectors[3]),
+    ]
+    return trig_immersion(terms, m=1, n=2, name=f"legendre-helix:{kappa1:g}", sample_box=(2.0 * math.pi,))
 
 
 def cylinder(F: ParametricImmersion) -> ParametricImmersion:
@@ -344,7 +271,7 @@ def cylinder(F: ParametricImmersion) -> ParametricImmersion:
     )
 
 
-def precompose_linear(F: ParametricImmersion, A: np.ndarray, name: str = "", sample_box=None) -> ParametricImmersion:
+def precompose_linear(F: ParametricImmersion, A: np.ndarray, name: str) -> ParametricImmersion:
     """The immersion q -> F(A q) for a linear change of parameters A."""
     A = np.asarray(A, dtype=float)
     if A.shape != (F.m, F.m):
@@ -352,8 +279,8 @@ def precompose_linear(F: ParametricImmersion, A: np.ndarray, name: str = "", sam
     return replace(
         F,
         frequencies=F.frequencies @ A,
-        name=name or f"{F.name}∘A",
-        sample_box=sample_box or (2.0 * math.pi,) * F.m,
+        name=name,
+        sample_box=(2.0 * math.pi,) * F.m,
     )
 
 
@@ -380,26 +307,21 @@ def coordinate_curve(F: ParametricImmersion, axis: int, base_point) -> Parametri
 
 
 def circle_decomposition(
-    F: ParametricImmersion,
-    pts: np.ndarray | None = None,
-    per_axis: int = 5,
-    basis=None,
-    geometry: PointGeometry | None = None,
+    F: ParametricImmersion, per_axis: int = 5, basis=None, geometry: PointGeometry | None = None
 ) -> CircleProduct:
     """Read radii and frequency rows off an immersion of circle-product type.
 
-    Each complex coordinate in the defining basis must have constant modulus
-    and affine phase over the grid; anything else raises ValueError.
-    ``geometry``, values and tangents of F the caller already holds (from
-    ``geometry_pass``), replaces evaluating F at ``pts`` (or its ``per_axis``
-    grid).
+    Each complex coordinate in the unitary ``basis`` (rows; the standard
+    basis when None) must have constant modulus and affine phase over the
+    grid; anything else raises ValueError.  ``geometry``, values and tangents
+    of F the caller already holds (from ``geometry_pass``), replaces
+    evaluating F on its ``per_axis`` grid.
     """
     if geometry is None:
-        geometry = geometry_pass(F, F.grid(per_axis) if pts is None else pts)
+        geometry = geometry_pass(F, F.grid(per_axis))
     half = F.n + 1
     if basis is None:
-        basis = F.basis if F.basis is not None else np.eye(half, dtype=complex)
-    basis = validate_unitary(np.asarray(basis, dtype=complex))
+        basis = np.eye(half, dtype=complex)
 
     xval = geometry.values
     z = (xval[:, :half] + 1j * xval[:, half:]) @ basis.conj().T

@@ -112,14 +112,18 @@ def _parse_sweep(spec: str) -> list[float]:
         raise ValueError("sweep needs step > 0 and hi >= lo")
     # the sweep has floor(steps) + 1 points; count them before building any list.
     # The slack absorbs the rounding of hi - lo, which grows with |lo| and |hi|;
-    # above 1e-12 it stays within a thousandth of a step, so no point lands
-    # further past hi than that
-    slack = max(1e-12, min(1e-12 * max(abs(lo), abs(hi)), step / 1000))
+    # it is at least 1e-12 and at most a thousandth of a step
+    slack = min(max(1e-12, 1e-12 * max(abs(lo), abs(hi))), step / 1000)
     steps = (hi - lo + slack) / step
     if not steps < MAX_SWEEP_POINTS:
         raise ValueError(f"sweep asks for about {steps + 1:.0f} points; at most {MAX_SWEEP_POINTS} are allowed")
     # point i is lo + i * step: accumulating the step drifts, and can drop the last point
-    return [round(lo + i * step, 12) for i in range(math.floor(steps) + 1)]
+    cs = [round(lo + i * step, 12) for i in range(math.floor(steps) + 1)]
+    # below the resolution of a c (12 decimals, or a float's spacing at large |c|)
+    # neighbours collapse, and rounding can carry the last point past hi
+    if any(a == b for a, b in zip(cs, cs[1:])) or cs[-1] - hi > step / 1000:
+        raise ValueError(f"sweep step {step!r} is below the resolution of c on [{lo!r}, {hi!r}]")
+    return cs
 
 
 @functools.cache

@@ -178,9 +178,7 @@ class ParametricImmersion:
 
     ``amplitudes`` W is complex (K, n+1), ``frequencies`` f is (K, m) and
     ``phases`` theta is (K,); ambient coordinates are blocked (Re..., Im...)
-    in R^{2n+2}.  ``basis`` is the complex unitary matrix whose rows are the
-    defining basis of the construction (identity, or None, in standard
-    coordinates); the circle decomposition reads it.
+    in R^{2n+2}.
     """
 
     amplitudes: np.ndarray
@@ -188,7 +186,6 @@ class ParametricImmersion:
     phases: np.ndarray
     name: str = ""
     sample_box: tuple[float, ...] | None = None
-    basis: np.ndarray | None = None
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)

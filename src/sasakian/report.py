@@ -415,23 +415,23 @@ def _legendre_suite(report, F, per_axis, label, order, kappa1, align_name, align
     return app
 
 
-def _decomposition_check(report, F, want_radii, per_axis, basis=None, label="decomposition", geo=None):
+def _decomposition_check(report, F, want_radii, per_axis, basis=None, geo=None):
     # ``geo`` is F's geometry on F.grid(per_axis); below 3 points per axis the
     # decomposition samples a grid of its own
     geo = geo if per_axis >= 3 else None
     try:
         dec = catalog.circle_decomposition(F, per_axis=max(per_axis, 3), basis=basis, geometry=geo)
     except ValueError as ex:
-        chk = imm.CheckResult(label, float("inf"), 1e-10)
+        chk = imm.CheckResult("decomposition", float("inf"), 1e-10)
         chk.extra["error"] = str(ex)
         report.add(chk)
         return
     got = np.sort(dec.radii)
     want = np.sort(np.asarray(want_radii, dtype=float))
     res = float(np.max(np.abs(got - want)))
-    report.add(imm.CheckResult(label, res, 1e-10))
-    report.add(imm.CheckResult(label + "_sum_sq", abs(float(np.sum(dec.radii**2)) - 1.0), 1e-12))
-    report.computed[label + "_radii"] = [format_value(v) for v in got]
+    report.add(imm.CheckResult("decomposition", res, 1e-10))
+    report.add(imm.CheckResult("decomposition_sum_sq", abs(float(np.sum(dec.radii**2)) - 1.0), 1e-12))
+    report.computed["decomposition_radii"] = [format_value(v) for v in got]
 
 
 def _eigencheck(report, geo, split, want):
@@ -502,11 +502,11 @@ def _cylinder_s5_suite(report, per_axis, _param):
 
 
 def _legendre_circle_suite(report, per_axis, _param):
-    _legendre_suite(report, catalog.legendre_curve("circle"), per_axis, "circle", 2, 1.0, "phi_alignment_zero", 0.0)
+    _legendre_suite(report, catalog.legendre_circle(), per_axis, "circle", 2, 1.0, "phi_alignment_zero", 0.0)
 
 
 def _legendre_helix_suite(report, per_axis, kappa1):
-    F = catalog.legendre_curve("helix", kappa1=kappa1)
+    F = catalog.legendre_helix(kappa1)
     B = math.sqrt(1.0 - kappa1)
     app = _legendre_suite(report, F, per_axis, "helix", 3, kappa1, "phi_alignment_magnitude", B)
     if app is not None:

@@ -2,16 +2,18 @@
 
 ``SasakianSphere`` (structure tensors and curvature of the deformed sphere),
 the matrix form of the eigen-criterion (the second evaluation path of
-``shape_algebra.expanded_system_residual``), immersion fixtures, jet
-helpers (constants, sqrt and reciprocal) and the closure check of a curve's
-Frenet frame.  The tests import this module as ``import oracles``: pytest puts
-``tests/`` on ``sys.path``.
+``shape_algebra.expanded_system_residual``), immersion fixtures (among
+them the constructions the catalog does not build: flat tori rotated into a
+unitary basis, and the Legendre helices of either sign and any alpha pair,
+with the checks of their data), jet helpers (constants, sqrt and reciprocal)
+and the closure check of a curve's Frenet frame.  The tests import this
+module as ``import oracles``: pytest puts ``tests/`` on ``sys.path``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from sasakian.shape_algebra import MINUS4_EIGENVALUE, _fields
 
 POINT_TOL = 1e-12
 TANGENT_TOL = 1e-10
+UNITARY_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -198,6 +201,92 @@ def random_unitary(size: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
+
+
+def validate_unitary(basis: np.ndarray) -> np.ndarray:
+    basis = np.asarray(basis, dtype=complex)
+    gram = basis @ basis.conj().T
+    dev = float(np.max(np.abs(gram - np.eye(basis.shape[0]))))
+    if dev > UNITARY_TOL:
+        raise ValueError(f"basis rows are not Hermitian-orthonormal (|Gram - I| = {dev:.3e})")
+    return basis
+
+
+def rotated_torus(F: ParametricImmersion, basis: np.ndarray) -> ParametricImmersion:
+    """A flat torus of ``catalog.flat_torus`` with circle k along row k of the unitary ``basis``.
+
+    F has one wave per standard basis vector, amplitude the circle
+    coefficient, so its circle decomposition in ``basis`` has F's radii.
+    """
+    coeff = np.diagonal(F.amplitudes).real
+    return replace(F, amplitudes=coeff[:, None] * validate_unitary(basis))
+
+
+def helix_vectors(kappa1: float, sign: int = 1, alpha_pair=None) -> np.ndarray:
+    """Constant vectors e_1..e_4 in R^6 of a proper-biharmonic Legendre helix.
+
+    ``sign`` selects between the two admissible constructions
+    e_2 = -sign (B/A) J e_1 + alpha_1 f + alpha_2 J f,  e_4 = sign J e_3;
+    ``catalog.helix_vectors`` is sign +1 with alpha = (sqrt(1 - B^2/A^2), 0).
+    """
+    if not 0.0 < kappa1 < 1.0:
+        raise ValueError("helix curvature must lie in (0, 1)")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    A = math.sqrt(1.0 + kappa1)
+    B = math.sqrt(1.0 - kappa1)
+    if alpha_pair is None:
+        alpha_pair = (math.sqrt(1.0 - B**2 / A**2), 0.0)
+    a1, a2 = alpha_pair
+    if abs(a1**2 + a2**2 - (1.0 - B**2 / A**2)) > 1e-12:
+        raise ValueError("alpha_1^2 + alpha_2^2 must equal 1 - B^2/A^2")
+    e1 = np.array([1.0, 0, 0, 0, 0, 0])
+    e3 = np.array([0, 0, 1.0, 0, 0, 0])
+    e2 = np.array([0.0, a1, 0.0, -sign * B / A, a2, 0.0])
+    e4 = np.array([0, 0, 0, 0, 0, float(sign)])
+    return np.stack([e1, e2, e3, e4])
+
+
+def validate_helix_vectors(vectors: np.ndarray, kappa1: float) -> list[str]:
+    """Orthonormality and J-compatibility conditions; returns violated ones."""
+    A = math.sqrt(1.0 + kappa1)
+    B = math.sqrt(1.0 - kappa1)
+    e = np.asarray(vectors, dtype=float)
+    bad = []
+    gram = e @ e.T
+    if np.max(np.abs(gram - np.eye(4))) > 1e-12:
+        bad.append("e_1..e_4 are not orthonormal")
+    J = complex_structure
+    for i, j in [(0, 2), (0, 3), (1, 2), (1, 3)]:
+        if abs(np.dot(e[i], J(e[j]))) > 1e-12:
+            bad.append(f"<e_{i+1}, J e_{j+1}> != 0")
+    balance = A * np.dot(e[0], J(e[1])) + B * np.dot(e[2], J(e[3]))
+    if abs(balance) > 1e-12:
+        bad.append("A<e_1, J e_2> + B<e_3, J e_4> != 0")
+    return bad
+
+
+def helix_terms(kappa1: float, vectors) -> list:
+    """``catalog.trig_immersion`` terms of the Legendre helix on the vectors e_1..e_4."""
+    A, B = math.sqrt(1.0 + kappa1), math.sqrt(1.0 - kappa1)
+    inv, q = 1.0 / math.sqrt(2.0), -math.pi / 2.0
+    e1, e2, e3, e4 = vectors
+    return [(inv, (A,), 0.0, e1), (inv, (A,), q, e2), (inv, (B,), 0.0, e3), (inv, (B,), q, e4)]
+
+
+def legendre_helix(kappa1: float, sign: int = 1, alpha_pair=None, vectors=None) -> ParametricImmersion:
+    """``catalog.legendre_helix`` on ``helix_vectors(kappa1, sign, alpha_pair)``.
+
+    Given ``vectors`` replace those; they must satisfy ``validate_helix_vectors``.
+    """
+    vectors = helix_vectors(kappa1, sign, alpha_pair) if vectors is None else np.asarray(vectors, dtype=float)
+    bad = validate_helix_vectors(vectors, kappa1)
+    if bad:
+        raise ValueError("helix vector conditions violated: " + "; ".join(bad))
+    n = vectors.shape[1] // 2 - 1
+    return trig_immersion(
+        helix_terms(kappa1, vectors), m=1, n=n, name=f"legendre-helix:{kappa1:g}", sample_box=(2.0 * math.pi,)
+    )
 
 
 def great_circle(n: int = 3) -> ParametricImmersion:

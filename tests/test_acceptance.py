@@ -157,7 +157,7 @@ def test_criterion_08_circle_decompositions(corollary, s5, minus4_immersions):
         assert abs(np.sum(dec.radii**2) - 1.0) < 1e-12
 
         q3 = catalog.S5_CYL_TRANSFORM_2 @ catalog.S5_CYL_TRANSFORM_1
-        tilde = catalog.precompose_linear(catalog.cylinder(s5), q3.T)
+        tilde = catalog.precompose_linear(catalog.cylinder(s5), q3.T, "cylinder-s5-circleform")
         dec = catalog.circle_decomposition(tilde, basis=catalog.S5_CYL_BASIS)
         assert np.max(np.abs(np.sort(dec.radii) - np.sort([1.0 / SQ2, 0.5, 0.5]))) < 1e-10
         assert abs(np.sum(dec.radii**2) - 1.0) < 1e-12
@@ -182,7 +182,7 @@ def test_criterion_09_lattices(corollary, s5):
         assert imm.lattice_check(cyl_s5, catalog.S5_CYLINDER_LATTICE, cyl_s5.grid(3)).residual < 1e-10
         cyl = catalog.cylinder(corollary)
         q4 = catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1
-        tilde = catalog.precompose_linear(cyl, q4.T)
+        tilde = catalog.precompose_linear(cyl, q4.T, "cylinder-c1-circleform")
         assert (
             imm.lattice_check(tilde, catalog.T4_CYLINDER_LATTICE_TILDE, tilde.grid(2)).residual
             < 1e-10

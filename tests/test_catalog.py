@@ -73,8 +73,8 @@ def test_flat_torus_rejects_inadmissible_tuple():
         lambda: catalog.minus4_immersion(1),
         lambda: catalog.minus4_immersion(2),
         lambda: catalog.minus4_immersion(3),
-        lambda: catalog.legendre_curve("circle"),
-        lambda: catalog.legendre_curve("helix", kappa1=0.5),
+        lambda: catalog.legendre_circle(),
+        lambda: catalog.legendre_helix(0.5),
     ],
 )
 def test_every_generated_immersion_is_unit_norm(build):
@@ -86,14 +86,14 @@ def test_every_generated_immersion_is_unit_norm(build):
 def test_basis_independence_of_verdicts():
     rng = np.random.default_rng(42)
     basis = oracles.random_unitary(4, rng)
-    F = catalog.corollary_immersion(basis=basis)
+    F = oracles.rotated_torus(catalog.corollary_immersion(), basis)
     pts = F.grid(4)
     assert imm.check_unit_norm(F.values(pts)).residual < 1e-13
     assert imm.check_integral(imm.sample_geometry(F, pts)).passed
     assert np.max(np.abs(imm.bitension(imm.sample_geometry(F, pts)))) < 1e-8
     geo = imm.sample_geometry(F, pts[:10])
     assert np.max(np.abs(geo.mean_curvature_norm - 2.0 / 3.0)) < 1e-10
-    dec = catalog.circle_decomposition(F)
+    dec = catalog.circle_decomposition(F, basis=basis)
     assert np.max(np.abs(np.sort(dec.radii) - np.sort(np.linalg.norm(F.amplitudes, axis=1)))) < 1e-12
 
 
@@ -139,7 +139,7 @@ def test_circle_decomposition_reads_a_given_geometry():
     # values and tangents assembled from the blocks' accuracy-4 jets
     Y = catalog.cylinder(catalog.corollary_immersion())
     pts = Y.grid(3)
-    direct = catalog.circle_decomposition(Y, pts)
+    direct = catalog.circle_decomposition(Y, per_axis=3)
     given = catalog.circle_decomposition(Y, geometry=imm.geometry_pass(Y, pts, ("tension",)))
     assert np.array_equal(given.radii, direct.radii)
     assert np.array_equal(given.frequencies, direct.frequencies)
@@ -155,7 +155,7 @@ def test_s5_cylinder_circle_form_radii():
     Y = catalog.cylinder(catalog.s5_surface())
     q3 = catalog.S5_CYL_TRANSFORM_2 @ catalog.S5_CYL_TRANSFORM_1
     assert np.max(np.abs(q3 @ q3.T - np.eye(3))) < 1e-14
-    tilde = catalog.precompose_linear(Y, q3.T)
+    tilde = catalog.precompose_linear(Y, q3.T, "cylinder-s5-circleform")
     dec = catalog.circle_decomposition(tilde, basis=catalog.S5_CYL_BASIS)
     assert np.max(np.abs(np.sort(dec.radii) - np.sort([1 / SQ2, 0.5, 0.5]))) < 1e-10
     # single frequency per circle after the displayed change of variables
@@ -166,7 +166,7 @@ def test_t4_transforms_are_orthogonal_and_diagonalize():
     q4 = catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1
     assert np.max(np.abs(q4 @ q4.T - np.eye(4))) < 1e-14
     Y = catalog.cylinder(catalog.corollary_immersion())
-    tilde = catalog.precompose_linear(Y, q4.T)
+    tilde = catalog.precompose_linear(Y, q4.T, "cylinder-c1-circleform")
     dec = catalog.circle_decomposition(tilde, per_axis=3)
     offdiag = dec.frequencies - np.diag(np.diag(dec.frequencies))
     assert np.max(np.abs(offdiag)) < 1e-10
@@ -180,34 +180,42 @@ def test_circle_product_invariant():
 
 def test_unitary_validation():
     with pytest.raises(ValueError, match="Hermitian-orthonormal"):
-        catalog.validate_unitary(np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex))
+        oracles.validate_unitary(np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex))
+    with pytest.raises(ValueError, match="Hermitian-orthonormal"):
+        oracles.rotated_torus(catalog.corollary_immersion(), 2.0 * np.eye(4))
+
+
+def test_helix_vectors_are_the_sign_plus_one_construction():
+    for kappa1 in (1e-9, 0.25, 0.5, 0.99):
+        assert np.array_equal(catalog.helix_vectors(kappa1), oracles.helix_vectors(kappa1))
+        assert oracles.validate_helix_vectors(catalog.helix_vectors(kappa1), kappa1) == []
+        got, want = catalog.legendre_helix(kappa1), oracles.legendre_helix(kappa1)
+        assert np.array_equal(got.amplitudes, want.amplitudes) and np.array_equal(got.phases, want.phases)
+        assert np.array_equal(got.frequencies, want.frequencies) and got.name == want.name
 
 
 def test_helix_vector_conditions():
-    vecs = catalog.helix_vectors(0.5)
-    assert catalog.validate_helix_vectors(vecs, 0.5) == []
+    vecs = oracles.helix_vectors(0.5)
+    assert oracles.validate_helix_vectors(vecs, 0.5) == []
+    assert oracles.validate_helix_vectors(oracles.helix_vectors(0.5, sign=-1), 0.5) == []
     bad = vecs.copy()
     bad[3] = np.eye(6)[4]  # J e_1 direction: breaks <e_2, J e_4> and the balance
-    msgs = catalog.validate_helix_vectors(bad, 0.5)
+    msgs = oracles.validate_helix_vectors(bad, 0.5)
     assert msgs
     with pytest.raises(ValueError, match="conditions violated"):
-        catalog.legendre_curve("helix", kappa1=0.5, vectors=bad)
+        oracles.legendre_helix(0.5, vectors=bad)
 
 
 def test_helix_vectors_validation_inputs():
-    with pytest.raises(ValueError, match="curvature"):
-        catalog.helix_vectors(1.5)
+    for kappa1 in (1.5, 0.0, 1.0):
+        with pytest.raises(ValueError, match="curvature"):
+            catalog.helix_vectors(kappa1)
+        with pytest.raises(ValueError, match="curvature"):
+            oracles.helix_vectors(kappa1)
     with pytest.raises(ValueError, match="alpha_1"):
-        catalog.helix_vectors(0.5, alpha_pair=(1.0, 1.0))
+        oracles.helix_vectors(0.5, alpha_pair=(1.0, 1.0))
     with pytest.raises(ValueError, match="sign"):
-        catalog.helix_vectors(0.5, sign=2)
-
-
-def test_legendre_curve_kind_errors():
-    with pytest.raises(ValueError, match="kappa1"):
-        catalog.legendre_curve("helix")
-    with pytest.raises(ValueError, match="kind"):
-        catalog.legendre_curve("spiral")
+        oracles.helix_vectors(0.5, sign=2)
 
 
 def test_remark_alpha_constraint():
@@ -215,14 +223,17 @@ def test_remark_alpha_constraint():
     kappa1 = 0.5
     A2 = 1 + kappa1
     a1, a2 = math.sqrt(2 * kappa1 / A2), 0.0
-    vecs = catalog.helix_vectors(kappa1, alpha_pair=(a1, a2))
-    assert catalog.validate_helix_vectors(vecs, kappa1) == []
+    vecs = oracles.helix_vectors(kappa1, alpha_pair=(a1, a2))
+    assert oracles.validate_helix_vectors(vecs, kappa1) == []
+    # any split of the same sum is admissible too
+    vecs = oracles.helix_vectors(kappa1, alpha_pair=(a1 * 0.6, a1 * 0.8))
+    assert oracles.validate_helix_vectors(vecs, kappa1) == []
 
 
 def test_precompose_linear_shape_check():
     F = catalog.s5_surface()
     with pytest.raises(ValueError, match="shape"):
-        catalog.precompose_linear(F, np.eye(3))
+        catalog.precompose_linear(F, np.eye(3), "s5-surface∘A")
 
 
 def test_coordinate_curve_dimensions():
@@ -246,12 +257,10 @@ def test_wave_table_shapes_are_validated():
         catalog.trig_immersion([(1.0, (1.0, 0.5), 0.0, e[0])], m=1, n=3)
     with pytest.raises(ValueError, match="vector shape \\(6,\\); need \\(1,\\), \\(8,\\)"):
         catalog.trig_immersion([(1.0, (1.0,), 0.0, np.eye(6)[0])], m=1, n=3)
-    with pytest.raises(ValueError, match="3 rows"):
-        catalog.circle_immersion([0.5, 0.5], [[1.0], [2.0]], n=2)
     with pytest.raises(ValueError, match="wave table shapes disagree"):
-        catalog.circle_immersion([0.6, 0.8], [[1.0], [2.0], [3.0]], n=1)
+        imm.ParametricImmersion(amplitudes=np.diag([0.6, 0.8]), frequencies=[[1.0], [2.0], [3.0]], phases=np.zeros(2))
     with pytest.raises(ValueError, match="wave table shapes disagree"):
-        catalog.circle_immersion([0.6, 0.8], [[1.0], [2.0]], phases=[0.0], n=1)
+        imm.ParametricImmersion(amplitudes=np.diag([0.6, 0.8]), frequencies=[[1.0], [2.0]], phases=[0.0])
     with pytest.raises(ValueError, match="wave table shapes disagree"):
         imm.ParametricImmersion(amplitudes=np.ones(4), frequencies=np.ones((1, 1)), phases=np.zeros(1))
 

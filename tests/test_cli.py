@@ -406,6 +406,11 @@ def test_cli_classify_invalid_sweep():
         ["classify", "--c=-1e101"],
         ["classify", "--c-sweep", "0:2e100:1e100"],
         ["classify", "--c-sweep=-2e100:0:1e100"],
+        # steps below the resolution of c: points that repeat at 12 decimals or
+        # at the float spacing near 1e9, or a last point rounded past hi
+        ["classify", "--c-sweep", "0:1e-12:1e-13"],
+        ["classify", "--c-sweep", "1e9:1000000000.00001:1e-7"],
+        ["classify", "--c-sweep", "0:1.6e-12:1.6e-12"],
     ],
 )
 def test_cli_bad_classify_input_exits_2(argv, capsys, monkeypatch):
@@ -485,6 +490,17 @@ def test_sweep_keeps_its_endpoint_at_large_c(spec, count, last):
     # hi - lo rounds by about 1e-7 at |c| = 1e9, so a fixed slack of 1e-12 lost hi
     cs = _parse_sweep(spec)
     assert len(cs) == count
+    assert cs[-1] == last
+
+
+@pytest.mark.parametrize(
+    "spec, count, last",
+    [("0:1e-11:1e-12", 11, 1e-11), ("0:3e-12:1e-12", 4, 3e-12), ("0:0:1e-13", 1, 0.0)],
+)
+def test_sweep_below_the_slack_stops_at_hi(spec, count, last):
+    # a slack of 1e-12 was ten steps past hi here; it is at most a thousandth of a step
+    cs = _parse_sweep(spec)
+    assert len(cs) == len(set(cs)) == count
     assert cs[-1] == last
 
 

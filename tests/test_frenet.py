@@ -59,7 +59,7 @@ def test_great_circle_is_geodesic(s_grid):
 
 
 def test_legendre_circle_frenet(s_grid):
-    app = frenet(catalog.legendre_curve("circle"), s_grid)
+    app = frenet(catalog.legendre_circle(), s_grid)
     assert app.order == 2
     assert app.curvature_values[0] == pytest.approx(1.0, abs=1e-12)
     assert phi_alignment(app) == pytest.approx(0.0, abs=1e-12)
@@ -67,7 +67,7 @@ def test_legendre_circle_frenet(s_grid):
 
 @pytest.mark.parametrize("kappa1", [0.25, 0.5, 0.75])
 def test_legendre_helix_frenet(kappa1, s_grid):
-    app = frenet(catalog.legendre_curve("helix", kappa1=kappa1), s_grid)
+    app = frenet(catalog.legendre_helix(kappa1), s_grid)
     assert app.order == 3
     assert app.curvature_values[0] == pytest.approx(kappa1, abs=1e-10)
     assert app.curvature_values[1] == pytest.approx(math.sqrt(1 - kappa1**2), abs=1e-10)
@@ -79,7 +79,7 @@ def test_helix_phi_alignment_signs(sign, s_grid):
     # opposite sign choice gives +B
     kappa1 = 0.5
     B = math.sqrt(1 - kappa1)
-    app = frenet(catalog.legendre_curve("helix", kappa1=kappa1, sign=sign), s_grid)
+    app = frenet(oracles.legendre_helix(kappa1, sign=sign), s_grid)
     val = phi_alignment(app)
     assert val == pytest.approx(-sign * B, abs=1e-12)
     assert -1.0 < val < 1.0 and val != 0.0
@@ -138,7 +138,7 @@ def test_minus4_frames_close(index, grid):
     [("circle", {}, 2)] + [("helix", {"kappa1": k}, 3) for k in (0.1, 0.5, 0.9, 0.99)],
 )
 def test_legendre_frames_close(name, kwargs, want_order, grid):
-    curve = catalog.legendre_curve(name, **kwargs)
+    curve = getattr(catalog, f"legendre_{name}")(**kwargs)
     assert frenet(curve, curve.grid(grid)).order == want_order
     closure, orthonormality = oracles.frenet_closure(curve, curve.grid(grid))
     assert closure < 1e-12 and orthonormality < 1e-12

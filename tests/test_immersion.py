@@ -291,12 +291,13 @@ EXAMPLE_BUILDS = [
     lambda: catalog.minus4_immersion(2),
     lambda: catalog.minus4_immersion(3),
     lambda: catalog.cylinder(catalog.minus4_immersion(3)),
-    lambda: catalog.legendre_curve("circle"),
-    lambda: catalog.legendre_curve("helix", kappa1=0.5),
+    lambda: catalog.legendre_circle(),
+    lambda: catalog.legendre_helix(0.5),
     oracles.great_circle,
     lambda: catalog.precompose_linear(
         catalog.cylinder(catalog.corollary_immersion()),
         (catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1).T,
+        "cylinder-c1-circleform",
     ),
     lambda: catalog.coordinate_curve(catalog.corollary_immersion(), 1, np.array([0.3, 0.7, 1.1])),
 ]
@@ -364,7 +365,7 @@ def _assert_bit_equal(got, want):
         catalog.s5_surface,
         lambda: catalog.cylinder(catalog.corollary_immersion()),
         lambda: catalog.minus4_immersion(1),
-        lambda: catalog.legendre_curve("helix", kappa1=0.5),
+        lambda: catalog.legendre_helix(0.5),
     ],
 )
 def test_b_jets_on_demand_are_truncations_of_the_eager_construction(build):
@@ -415,12 +416,30 @@ DENSE_REPORTS = [("cylinder-c1", 6), ("corollary-c1", 10), ("minus4-1", 7)]
 
 @pytest.mark.parametrize("name, grid", [(n, g) for g in (3, 5) for n in REGISTERED] + DENSE_REPORTS)
 def test_report_json_does_not_depend_on_the_block_size(name, grid, monkeypatch):
-    # one point per block; 7, which leaves blocks of unequal size on most
-    # grids; 100; and the whole grid in one block
+    # the whole grid in one block gives the report of the default blocks; and
+    # every geometry pass of the report gives the same bits, field by field,
+    # at one point per block, at 7, which leaves blocks of unequal size on most
+    # grids, and at 100
+    passes, geometry_pass = [], imm.geometry_pass
+
+    def recording(F, pts, fields=()):
+        geo = geometry_pass(F, pts, fields)
+        passes.append((F, pts, fields, geo))
+        return geo
+
+    monkeypatch.setattr(imm, "geometry_pass", recording)
     want = rep.build_report(name, per_axis=grid).to_json()
-    for size in (1, 7, 100, rep.MAX_GRID_POINTS):
+    monkeypatch.setattr(imm, "geometry_pass", geometry_pass)
+    assert passes
+    monkeypatch.setattr(imm, "GEOMETRY_BLOCK_POINTS", rep.MAX_GRID_POINTS)
+    assert rep.build_report(name, per_axis=grid).to_json() == want
+    for size in (1, 7, 100):
         monkeypatch.setattr(imm, "GEOMETRY_BLOCK_POINTS", size)
-        assert rep.build_report(name, per_axis=grid).to_json() == want, size
+        for F, pts, fields, geo in passes:
+            got = imm.geometry_pass(F, pts, fields)
+            for field in ("values", "tangents") + tuple(fields):
+                a, b = getattr(got, field), getattr(geo, field)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (size, F.name, field)
 
 
 def test_point_blocks_are_equal_consecutive_slices(monkeypatch):

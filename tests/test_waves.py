@@ -29,9 +29,12 @@ def _constant(value, us):
     return oracles.constant(np.broadcast_to(value, us[0].value.shape), us[0].nvars, us[0].acc)
 
 
-def circle_ref(F):
-    """sum_k coeff_k exp(i(<f_k, p> + theta_k)) E_k, coefficients read off the table."""
-    basis = F.basis if F.basis is not None else np.eye(F.n + 1, dtype=complex)
+def circle_ref(F, basis=None):
+    """sum_k coeff_k exp(i(<f_k, p> + theta_k)) E_k, coefficients read off the table.
+
+    E_k are the rows of ``basis``, the standard basis when None.
+    """
+    basis = np.eye(F.n + 1, dtype=complex) if basis is None else basis
     coeff = np.einsum("kj,kj->k", F.amplitudes, basis.conj()).real
     assert np.max(np.abs(coeff[:, None] * basis - F.amplitudes)) < 1e-15
     freqs, phases = F.frequencies, F.phases
@@ -106,13 +109,6 @@ def curve_ref(inner_ev, axis, base):
     return ev
 
 
-def helix_terms(kappa1, sign):
-    vecs = catalog.helix_vectors(kappa1, sign=sign)
-    A, B = math.sqrt(1.0 + kappa1), math.sqrt(1.0 - kappa1)
-    q = -math.pi / 2.0
-    return [(INV, (A,), 0.0, vecs[0]), (INV, (A,), q, vecs[1]), (INV, (B,), 0.0, vecs[2]), (INV, (B,), q, vecs[3])]
-
-
 E8 = np.eye(8)
 LEGENDRE_CIRCLE_TERMS = [(INV, (SQ2,), 0.0, E8[0]), (INV, (SQ2,), -math.pi / 2.0, E8[1]), (INV, (0.0,), 0.0, E8[2])]
 GREAT_CIRCLE_TERMS = [(1.0, (1.0,), 0.0, E8[0]), (1.0, (1.0,), -math.pi / 2.0, E8[1])]
@@ -124,22 +120,23 @@ BASE = np.array([0.7, 2.1, 4.4])
 def _bases():
     """(id, immersion, reference) for every catalog constructor."""
     cor, s5 = catalog.corollary_immersion(), catalog.s5_surface()
-    rot = catalog.corollary_immersion(basis=oracles.random_unitary(4, np.random.default_rng(3)))
+    basis = oracles.random_unitary(4, np.random.default_rng(3))
+    rot = oracles.rotated_torus(cor, basis)
     flat = catalog.flat_torus(2.0, classifier.solve_flat(2.0)[0][0])
     out = [
         ("corollary", cor, circle_ref(cor)),
-        ("corollary-random-basis", rot, circle_ref(rot)),
+        ("corollary-random-basis", rot, circle_ref(rot, basis)),
         ("flat-torus-c2", flat, circle_ref(flat)),
         ("s5", s5, s5_ref),
-        ("legendre-circle", catalog.legendre_curve("circle"), trig_ref(LEGENDRE_CIRCLE_TERMS)),
+        ("legendre-circle", catalog.legendre_circle(), trig_ref(LEGENDRE_CIRCLE_TERMS)),
         ("great-circle", oracles.great_circle(), trig_ref(GREAT_CIRCLE_TERMS)),
     ]
     for index in (1, 2, 3):
         F = catalog.minus4_immersion(index)
         out.append((f"minus4-{index}", F, circle_ref(F)))
-    for sign in (1, -1):
-        F = catalog.legendre_curve("helix", kappa1=0.5, sign=sign)
-        out.append((f"helix-0.5-sign{sign:+d}", F, trig_ref(helix_terms(0.5, sign))))
+    for sign, F in ((1, catalog.legendre_helix(0.5)), (-1, oracles.legendre_helix(0.5, sign=-1))):
+        ref = trig_ref(oracles.helix_terms(0.5, oracles.helix_vectors(0.5, sign=sign)))
+        out.append((f"helix-0.5-sign{sign:+d}", F, ref))
     return out
 
 
@@ -159,13 +156,14 @@ def _cases():
         cases += [
             (name, F, ev, 5 if F.m == 1 else 4),
             (f"cylinder({name})", catalog.cylinder(F), cylinder_ref(ev, F.n + 1), 4),
-            (f"precompose({name})", catalog.precompose_linear(F, A), precompose_ref(ev, A), 5 if F.m == 1 else 4),
+            (f"precompose({name})", catalog.precompose_linear(F, A, name), precompose_ref(ev, A), 5 if F.m == 1 else 4),
             (f"curve{axis}({name})", catalog.coordinate_curve(F, axis, base), curve_ref(ev, axis, base), 5),
         ]
     for name, Q in (("corollary", Q4), ("s5", Q3)):
         F, ev = bases[name]
         ref = precompose_ref(cylinder_ref(ev, F.n + 1), Q.T)
-        cases.append((f"precompose(cylinder({name}))", catalog.precompose_linear(catalog.cylinder(F), Q.T), ref, 4))
+        tilde = catalog.precompose_linear(catalog.cylinder(F), Q.T, f"cylinder({name})")
+        cases.append((f"precompose(cylinder({name}))", tilde, ref, 4))
     F, ev = bases["corollary"]
     base = np.r_[0.3, BASE]
     ref = curve_ref(cylinder_ref(ev, F.n + 1), 0, base)
