@@ -99,15 +99,10 @@ S5_CYL_BASIS = np.array(
 
 @dataclass(frozen=True)
 class CircleProduct:
-    """Radii and frequency rows of a product-of-circles torus."""
+    """Radii and frequency rows of a product-of-circles torus; a report checks sum r^2 = 1 (``decomposition_sum_sq``)."""
 
     radii: np.ndarray
     frequencies: np.ndarray
-
-    def __post_init__(self):
-        total = float(np.sum(self.radii**2))
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"circle radii must satisfy sum r^2 = 1, got {total!r}")
 
 
 def _params(tup):
@@ -117,7 +112,7 @@ def _params(tup):
     return float(lam), float(alpha), float(gamma), float(delta)
 
 
-def flat_torus(c: float, tup, name: str = "", sample_box=None) -> ParametricImmersion:
+def flat_torus(c: float, tup, name: str, sample_box) -> ParametricImmersion:
     """The flat 3-torus immersion attached to an admissible solution tuple.
 
     The four circle coefficients and frequency rows come straight from the
@@ -160,7 +155,7 @@ def flat_torus(c: float, tup, name: str = "", sample_box=None) -> ParametricImme
         amplitudes=coeff[:, None] * np.eye(4, dtype=complex),
         frequencies=freqs,
         phases=np.zeros(4),
-        name=name or f"flat-torus(c={c:g})",
+        name=name,
         sample_box=sample_box,
     )
 
@@ -199,7 +194,7 @@ def s5_surface() -> ParametricImmersion:
     )
 
 
-def trig_immersion(terms, m: int, n: int, name: str = "", sample_box=None) -> ParametricImmersion:
+def trig_immersion(terms, m: int, n: int, name: str, sample_box) -> ParametricImmersion:
     """Immersion sum coeff * cos(<f, p> + theta) * vec for real ambient vectors.
 
     Each term is the pair of conjugate waves (coeff vec / 2) e^{+-i(<f, p> + theta)}.
@@ -262,11 +257,11 @@ def legendre_helix(kappa1: float) -> ParametricImmersion:
 
 def cylinder(F: ParametricImmersion) -> ParametricImmersion:
     """Flow cylinder (t, p) -> exp(-i t) F(p); domain dimension grows by one."""
-    box = (2.0 * math.pi,) + tuple(F.sample_box or (2.0 * math.pi,) * F.m)
+    box = (2.0 * math.pi,) + tuple(F.sample_box)
     return replace(
         F,
         frequencies=np.concatenate([-np.ones((len(F.phases), 1)), F.frequencies], axis=1),
-        name=f"cylinder({F.name})" if F.name else "cylinder",
+        name=f"cylinder({F.name})",
         sample_box=box,
     )
 
@@ -296,7 +291,7 @@ def coordinate_curve(F: ParametricImmersion, axis: int, base_point) -> Parametri
     for i in range(F.m):
         if i != axis:
             phases = phases + base[i] * F.frequencies[:, i]
-    box = (F.sample_box or (2.0 * math.pi,) * F.m)[axis]
+    box = F.sample_box[axis]
     return ParametricImmersion(
         amplitudes=F.amplitudes,
         frequencies=F.frequencies[:, axis : axis + 1],

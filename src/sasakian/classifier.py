@@ -25,20 +25,10 @@ and alpha > 0 makes omega < 0.  The denominators (w-1), (w-2) and (w-3)
 cleared to form p therefore never vanish at an admissible solution, and every
 admissible solution is the closed-form family or a root of p on its branch.
 
-The per-command arithmetic is on Python floats, except two sums that numpy's
-BLAS dot computes: the products of the reduction polynomials
-(``np.convolve``, printed as ``reduction_traces[].polynomial``) and the norm
-of the re-substituted system (``system_residual``, ``sqrt(v.dot(v))``, which
-is what ``np.linalg.norm`` runs on a real vector).  A dot kernel may fuse
-multiply-adds and order its sum as it likes, so these printed bits are
-stable on one machine but not across BLAS builds: with scipy-openblas
-0.3.31 on an AVX-512 CPU, the norm of 20,000 random 3-vectors equals the
-square root of a left-to-right fused multiply-add chain in every case and
-differs from a plain left-to-right sum of squares in 2,144, and
-``np.convolve`` of random series of 2 to 5 terms differs from a plain
-sequential sum of products in 76,821 of 200,000 draws.  Both stay numpy
-calls, so the bits follow numpy's; only exact arithmetic would make them
-independent of the BLAS.
+The coefficients of a branch polynomial and of its factors are exact
+rationals, built from the integers of the binary fraction c, and each is
+rounded once to a float; each root and tuple entry is its 40-digit value
+rounded once.
 """
 
 from __future__ import annotations
@@ -47,8 +37,6 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import cached_property
-
-import numpy as np
 
 from . import shape_algebra as sa
 
@@ -86,7 +74,10 @@ class SolutionTuple:
         """Norm of the expanded system at the tuple; the solver's acceptance test and the report read it once."""
         arg = "minus4" if self.mode == "minus4" else self.c
         v = sa.expanded_system_residual(self.operators(), arg)
-        return math.sqrt(float(v.dot(v)))
+        try:
+            return math.sqrt(math.fsum(x * x for x in v.tolist()))
+        except OverflowError:  # finite squares whose sum passes the largest float
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -153,56 +144,6 @@ def _exact_system(c_or_mode):
         return b, k, d1, (k - 2 * b) * (k + 6 * b)
 
 
-def _trim(p: list[float]) -> list[float]:
-    """p without its trailing zero coefficients, but never shorter than one (numpy.polynomial's trimseq)."""
-    if p[-1] != 0:
-        return p
-    n = len(p)
-    while n > 1 and p[n - 1] == 0:
-        n -= 1
-    return p[:n]
-
-
-# numpy.polynomial's polymul and polyadd for float64 series, on lists of floats;
-# each trims its operands and result.  polysub(p, q) is _polyadd(p, -q), bit for
-# bit.  Sums, scalings and negations are the same IEEE operations on floats as on
-# float64 arrays (scaling by s is s * x, negation -x, in numpy's order); a product
-# stays np.convolve (see the module docstring).
-def _polymul(p: list[float], q: list[float]) -> list[float]:
-    return _trim(np.convolve(_trim(p), _trim(q)).tolist())
-
-
-def _polyadd(p: list[float], q: list[float]) -> list[float]:
-    p, q = _trim(p), _trim(q)
-    if len(p) > len(q):
-        p, q = q, p
-    return _trim([x + y for x, y in zip(q, p)] + q[len(p) :])
-
-
-def _branch_polynomial(branch: str, b: float, k: float) -> list[float]:
-    """Degree-<=6 polynomial in omega obtained by clearing denominators of eq 1."""
-    m = 6.0 * b + k
-    if branch == "delta_zero":
-        D = [6.0, -5.0, 1.0]  # (w-2)(w-3)
-        PL = _polyadd([m * 1.0, m * -1.0], [-b * d for d in D])  # m(1-w) - bD
-        extra_scale = m
-    elif branch == "delta_pos":
-        D = [2.0, -3.0, 1.0]  # (w-1)(w-2)
-        PL = _polyadd([0.0, -m], [-b * d for d in D])  # -m w - bD
-        extra_scale = 2.0 * m
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    PL2 = _polymul(PL, PL)
-    extra = [extra_scale * x for x in _polymul(PL2, [1.0, 2.0, 1.0])]
-    s, bb = 2.0 * b + k, b * b
-    quart = _polyadd(
-        _polyadd([3.0 * x for x in PL2], [-(s * x) for x in _polymul(PL, D)]),
-        [bb * x for x in _polymul(D, D)],
-    )
-    main = _polymul(_polyadd([3.0 * x for x in PL], [-(b * d) for d in D]), quart)
-    return _polyadd(main, extra)
-
-
 def _branch_factors(branch: str, b, k):
     """Ascending coefficients of the two quadratic factors of a branch polynomial."""
     if branch == "delta_zero":
@@ -210,6 +151,37 @@ def _branch_factors(branch: str, b, k):
     if branch == "delta_pos":
         return (3 * b, 2 * b + k, b), (2 * b, 2 * b + k, 2 * b)
     raise ValueError(f"unknown branch {branch!r}")
+
+
+def _quotient(num: int, den: int) -> float:
+    """num / den rounded once; +-inf where it passes the float range (|c| beyond about 1e102)."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _branch_trace(branch: str, c_or_mode):
+    """(polynomial, factors) of a branch, ascending, every exact coefficient rounded once to a float.
+
+    With b = B/e and k = K/e for integers B, K and e, the factors are q/e and
+    the polynomial -(6b+k) (w-2)^2 q1 q2 is P/e^3 for integer coefficients q
+    and P, which Python's int / int rounds once.
+    """
+    if c_or_mode == "minus4":
+        B, K, e = 1, int(sa.MINUS4_EIGENVALUE), 1
+    else:
+        n, d = float(c_or_mode).as_integer_ratio()
+        B, K, e = n + 3 * d, 6 * n + 2 * d, 4 * d
+    factors = _branch_factors(branch, B, K)
+    p = [-(6 * B + K) * x for x in (4, -4, 1)]
+    for q in factors:
+        out = [0] * (len(p) + 2)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        p = out
+    return tuple(_quotient(x, e**3) for x in p), tuple(tuple(_quotient(x, e) for x in q) for q in factors)
 
 
 def _quadratic_roots(coeffs, disc):
@@ -346,7 +318,7 @@ def _alpha_eq_neg_gamma_family(system, c, mode):
 
 
 def _solve_flat_system(c_or_mode):
-    b, k = _system_constants(c_or_mode)
+    _, k = _system_constants(c_or_mode)
     mode = "minus4" if isinstance(c_or_mode, str) else "biharmonic"
     c = 1.0 if mode == "minus4" else float(c_or_mode)
     if k <= 0.0:
@@ -380,11 +352,12 @@ def _solve_flat_system(c_or_mode):
             else:
                 solutions.append(sol)
                 accepted.append(sol.omega)
+        polynomial, factors = _branch_trace(branch, c_or_mode)
         traces.append(
             ReductionTrace(
                 omega_branch=branch,
-                polynomial=tuple(_branch_polynomial(branch, b, k)),
-                factors=_branch_factors(branch, b, k),
+                polynomial=polynomial,
+                factors=factors,
                 roots=tuple((float(w), mult) for w, mult in roots),
                 accepted=tuple(accepted),
                 rejected=tuple(rejected),

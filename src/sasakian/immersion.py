@@ -184,8 +184,8 @@ class ParametricImmersion:
     amplitudes: np.ndarray
     frequencies: np.ndarray
     phases: np.ndarray
-    name: str = ""
-    sample_box: tuple[float, ...] | None = None
+    name: str
+    sample_box: tuple[float, ...]
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -258,9 +258,8 @@ class ParametricImmersion:
         return self.jets(pts, 0).value
 
     def grid(self, per_axis: int = 5) -> np.ndarray:
-        """Uniform midpoint grid over one period cell (or a 2*pi box)."""
-        box = self.sample_box or (2.0 * np.pi,) * self.m
-        axes = [(np.arange(per_axis) + 0.5) / per_axis * box[i] for i in range(self.m)]
+        """Uniform midpoint grid over ``sample_box``, one period cell or a 2*pi box."""
+        axes = [(np.arange(per_axis) + 0.5) / per_axis * self.sample_box[i] for i in range(self.m)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -581,7 +580,7 @@ def require_flat_chart(sample: PointGeometry) -> None:
     dev = float(np.max(np.abs(sample.metric - np.eye(F.m))))
     if dev > FLAT_CHART_TOL:
         raise ChartError(
-            f"chart of '{F.name or 'immersion'}' is not flat-orthonormal "
+            f"chart of '{F.name}' is not flat-orthonormal "
             f"(max |G - I| = {dev:.3e} > {FLAT_CHART_TOL:.1e}); covariant checks unsupported"
         )
 

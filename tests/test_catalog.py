@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import oracles
 from sasakian import catalog
 from sasakian import immersion as imm
+from sasakian import report as rep
 
 SQ2, SQ3, SQ5 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)
 SQ6, SQ10 = math.sqrt(6.0), math.sqrt(10.0)
@@ -52,7 +54,7 @@ def test_flat_torus_general_c_unit_norm():
 
     sols, _ = classifier.solve_flat(2.0)
     assert sols
-    F = catalog.flat_torus(2.0, sols[0])
+    F = catalog.flat_torus(2.0, sols[0], "flat-torus(c=2)", (2.0 * math.pi,) * 3)
     pts = F.grid(4)
     assert imm.check_unit_norm(F.values(pts)).residual < 1e-13
     assert np.sum(np.abs(F.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -60,7 +62,7 @@ def test_flat_torus_general_c_unit_norm():
 
 def test_flat_torus_rejects_inadmissible_tuple():
     with pytest.raises(ValueError, match="radicand|positive"):
-        catalog.flat_torus(1.0, (-0.5, 1.0, 0.3, 0.0))
+        catalog.flat_torus(1.0, (-0.5, 1.0, 0.3, 0.0), "inadmissible", (2.0 * math.pi,) * 3)
 
 
 @pytest.mark.parametrize(
@@ -173,9 +175,18 @@ def test_t4_transforms_are_orthogonal_and_diagonalize():
     assert np.max(np.abs(np.sort(np.abs(np.diag(dec.frequencies))) - np.sort([SQ6, SQ6, SQ6, SQ2]))) < 1e-10
 
 
-def test_circle_product_invariant():
-    with pytest.raises(ValueError, match="sum r\\^2"):
-        catalog.CircleProduct(radii=np.array([0.5, 0.5]), frequencies=np.zeros((2, 1)))
+def test_radii_off_the_unit_sphere_reach_both_decomposition_checks():
+    # sum r^2 = 1 is the report's decomposition_sum_sq check, under the tolerance
+    # a command may override; the decomposition itself does not refuse such radii
+    F = catalog.corollary_immersion()
+    F = dataclasses.replace(F, amplitudes=0.99 * F.amplitudes)
+    report = rep.VerificationReport(subject=F.name)
+    rep._decomposition_check(report, F, (1 / SQ2,) + (1 / SQ6,) * 3, per_axis=3)
+    checks = {c.name: c for c in report.checks}
+    assert list(checks) == ["decomposition", "decomposition_sum_sq"]
+    assert checks["decomposition"].residual == pytest.approx(0.01 / SQ2, rel=1e-9)
+    assert checks["decomposition_sum_sq"].residual == pytest.approx(1.0 - 0.99**2, rel=1e-9)
+    assert not any(c.passed for c in report.checks)
 
 
 def test_unitary_validation():
@@ -253,16 +264,17 @@ def test_coordinate_curve_dimensions():
 
 def test_wave_table_shapes_are_validated():
     e = np.eye(8)
+    label = {"name": "bad", "sample_box": (2.0 * math.pi,)}
     with pytest.raises(ValueError, match="frequency shape \\(2,\\), vector shape \\(8,\\)"):
-        catalog.trig_immersion([(1.0, (1.0, 0.5), 0.0, e[0])], m=1, n=3)
+        catalog.trig_immersion([(1.0, (1.0, 0.5), 0.0, e[0])], m=1, n=3, **label)
     with pytest.raises(ValueError, match="vector shape \\(6,\\); need \\(1,\\), \\(8,\\)"):
-        catalog.trig_immersion([(1.0, (1.0,), 0.0, np.eye(6)[0])], m=1, n=3)
+        catalog.trig_immersion([(1.0, (1.0,), 0.0, np.eye(6)[0])], m=1, n=3, **label)
     with pytest.raises(ValueError, match="wave table shapes disagree"):
-        imm.ParametricImmersion(amplitudes=np.diag([0.6, 0.8]), frequencies=[[1.0], [2.0], [3.0]], phases=np.zeros(2))
+        imm.ParametricImmersion(amplitudes=np.diag([0.6, 0.8]), frequencies=[[1.0], [2.0], [3.0]], phases=np.zeros(2), **label)
     with pytest.raises(ValueError, match="wave table shapes disagree"):
-        imm.ParametricImmersion(amplitudes=np.diag([0.6, 0.8]), frequencies=[[1.0], [2.0]], phases=[0.0])
+        imm.ParametricImmersion(amplitudes=np.diag([0.6, 0.8]), frequencies=[[1.0], [2.0]], phases=[0.0], **label)
     with pytest.raises(ValueError, match="wave table shapes disagree"):
-        imm.ParametricImmersion(amplitudes=np.ones(4), frequencies=np.ones((1, 1)), phases=np.zeros(1))
+        imm.ParametricImmersion(amplitudes=np.ones(4), frequencies=np.ones((1, 1)), phases=np.zeros(1), **label)
 
 
 def test_minus4_index_validation():

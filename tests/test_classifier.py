@@ -1,9 +1,11 @@
 import functools
 import math
 import os
+import platform
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -113,9 +115,13 @@ def _workload_cs():
     )
 
 
-def test_system_residual_is_the_numpy_norm_bit_for_bit(monkeypatch):
-    # every tuple the solver builds, accepted or rejected; np.linalg.norm runs
-    # sqrt(v.dot(v)) on a real 1-D vector, and stays the oracle here
+def _norm_of_squares(v) -> float:
+    """The square root of the exact sum of the rounded squares x * x, the sum rounded once."""
+    return math.sqrt(float(sum(Fraction(x * x) for x in v.tolist())))
+
+
+def test_system_residual_is_the_norm_of_the_exact_sum_of_squares(monkeypatch):
+    # every tuple the solver builds, accepted or rejected
     built = []
 
     class Recorded(cl.SolutionTuple):
@@ -132,20 +138,22 @@ def test_system_residual_is_the_numpy_norm_bit_for_bit(monkeypatch):
     assert len(built) > 500 and {s.mode for s in built} == {"biharmonic", "minus4"}
     for s in built:
         arg = "minus4" if s.mode == "minus4" else s.c
-        want = np.linalg.norm(sa.expanded_system_residual(s.operators(), arg))
-        assert np.float64(s.system_residual).tobytes() == want.tobytes(), s
+        want = _norm_of_squares(sa.expanded_system_residual(s.operators(), arg))
+        assert np.float64(s.system_residual).tobytes() == np.float64(want).tobytes(), s
 
 
-def test_system_residual_is_the_numpy_norm_where_the_summation_order_shows(monkeypatch):
-    # the residuals of solved tuples have many zero entries, and their norms
-    # come out the same under any order of summation; random residual vectors
-    # tell a left-to-right sum of squares from numpy's dot on some BLAS kernels
+def test_system_residual_is_the_norm_of_the_exact_sum_of_squares_on_random_vectors(monkeypatch):
+    # the residuals of solved tuples have many zero entries, so the order of a
+    # float sum rarely shows there; on random vectors it does
     rng = np.random.default_rng(20261019)
     vectors = rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-12, 3, (2000, 1))
     for v in vectors:
         monkeypatch.setattr(sa, "expanded_system_residual", lambda ops, arg, v=v: v.copy())
         got = cl.SolutionTuple(-0.5, 0.25, -0.125, 0.0).system_residual
-        assert np.float64(got).tobytes() == np.linalg.norm(v).tobytes(), v
+        assert np.float64(got).tobytes() == np.float64(_norm_of_squares(v)).tobytes(), v
+    # finite squares whose sum passes the largest float give an infinite norm
+    monkeypatch.setattr(sa, "expanded_system_residual", lambda ops, arg: np.array([1e154, 1e154, 0.0]))
+    assert cl.SolutionTuple(-0.5, 0.25, -0.125, 0.0).system_residual == math.inf
 
 
 def test_accepted_omegas_reproduce_tuples(minus4):
@@ -308,7 +316,7 @@ def test_curvature_tables_degenerations():
 
 
 def _branch_polynomial_npp(branch, b, k):
-    """The branch polynomial built with numpy.polynomial, the oracle of the convolution form."""
+    """Equation 1 with its denominators cleared, in floats with numpy.polynomial: the input of the reference isolations."""
     m = 6.0 * b + k
     if branch == "delta_zero":
         D = np.array([6.0, -5.0, 1.0])
@@ -326,48 +334,6 @@ def _branch_polynomial_npp(branch, b, k):
     return npp.polyadd(main, extra)
 
 
-def test_branch_polynomial_is_bit_identical_to_numpy_polynomial():
-    rng = np.random.default_rng(20261018)
-    cs = [*rng.uniform(-1.0 / 3.0, 1e3, 2000), -5.0 / 3.0, cl.CASE_II_LOWER, 5.0 / 9.0, 1.0, 1e15, 1e100]
-    # c = -5/3 gives m = 6b + k = 0, so operands and results trim down to one coefficient
-    b, k = cl._system_constants(-5.0 / 3.0)
-    assert 6.0 * b + k == 0.0
-    # b = 1e-170 underflows the leading coefficient of PL * PL to 0, which the product trims
-    extremes = [(1e-170, 1.0), (1e-170, -1e-170), (0.0, 0.0), (0.0, 1.0)]
-    for b, k in [cl._system_constants(c) for c in cs] + [cl._system_constants("minus4")] + extremes:
-        for branch in ("delta_zero", "delta_pos"):
-            got = np.asarray(cl._branch_polynomial(branch, b, k), dtype=float)
-            want = _branch_polynomial_npp(branch, b, k)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (branch, b, k)
-
-
-@pytest.mark.parametrize(
-    "p, q",
-    [
-        ([1.0, 2.0, 0.0], [3.0, 0.0]),
-        ([0.0, 0.0], [0.0]),
-        ([-0.0, 0.0], [2.0, -0.0, 3.0, 0.0]),
-        # the sum keeps the longer operand's -0 tail, the difference negates its +0
-        ([1.0], [2.0, -0.0, 3.0]),
-        ([1.0], [2.0, 0.0, 3.0]),
-        # a trailing zero that reached the product would make inf * 0 = nan
-        ([math.inf, 1.0], [1.0, 0.0]),
-        ([5.0], [-0.0, 2.0, -0.0, 0.0, 0.0]),
-        # the leading coefficient of the product underflows to 0
-        ([1e-170, 1e-170], [1e-170, 1e-170]),
-    ],
-)
-def test_series_helpers_match_numpy_polynomial(p, q):
-    for a, b in ((p, q), (q, p)):
-        for got, want in (
-            (cl._polymul(a, b), npp.polymul(a, b)),
-            (cl._polyadd(a, b), npp.polyadd(a, b)),
-            (cl._polyadd(a, [-y for y in b]), npp.polysub(a, b)),
-        ):
-            got = np.asarray(got, dtype=float)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (a, b, got, want)
-
-
 def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
     src = str(Path(cl.__file__).resolve().parent.parent)
     code = "import sys; import sasakian.cli; print('numpy.polynomial' in sys.modules)"
@@ -377,19 +343,24 @@ def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_branch_polynomials_match_displayed_factorizations():
+def test_branch_polynomials_match_displayed_factorizations(flat_c1, minus4):
+    printed = {
+        (c, t.omega_branch): np.asarray(t.polynomial)
+        for c, (_, traces) in ((1.0, flat_c1), ("minus4", minus4))
+        for t in traces
+    }
     # delta = 0 branch at c = 1: proportional to (w+1)^3 (1-3w) (w-2)^2
-    p = np.asarray(cl._branch_polynomial("delta_zero", 1.0, 2.0))
+    p = printed[1.0, "delta_zero"]
     want = npp.polymul(npp.polymul(npp.polypow([1.0, 1.0], 3), [1.0, -3.0]), npp.polypow([-2.0, 1.0], 2))
     ratio = p[np.abs(want) > 1e-9] / want[np.abs(want) > 1e-9]
     assert np.max(np.abs(ratio - ratio[0])) < 1e-9
     # delta > 0 branch at c = 1: proportional to (w+1)^3 (w+3) (w-2)^2
-    p = np.asarray(cl._branch_polynomial("delta_pos", 1.0, 2.0))
+    p = printed[1.0, "delta_pos"]
     want = npp.polymul(npp.polymul(npp.polypow([1.0, 1.0], 3), [3.0, 1.0]), npp.polypow([-2.0, 1.0], 2))
     ratio = p[np.abs(want) > 1e-9] / want[np.abs(want) > 1e-9]
     assert np.max(np.abs(ratio - ratio[0])) < 1e-9
     # -4 variant, delta = 0 branch: proportional to (w-2)^2 (3w^4+28w^3+42w^2-84w+27)
-    p = np.asarray(cl._branch_polynomial("delta_zero", 1.0, 6.0))
+    p = printed["minus4", "delta_zero"]
     want = npp.polymul(npp.polypow([-2.0, 1.0], 2), [27.0, -84.0, 42.0, 28.0, 3.0])
     ratio = p / want
     assert np.max(np.abs(ratio - ratio[0])) < 1e-9
@@ -431,7 +402,7 @@ def test_isolate_zero_polynomial_rejected(monkeypatch):
     # solver rejects such c (k <= 0) before it isolates anything
     b, k = cl._system_constants(-5.0 / 3.0)
     for branch in cl.BRANCHES:
-        assert np.max(np.abs(cl._branch_polynomial(branch, b, k))) < 1e-12
+        assert np.max(np.abs(_branch_polynomial_npp(branch, b, k))) < 1e-12
 
     def refuse(*args):
         raise AssertionError("isolation of a zero polynomial")
@@ -566,7 +537,7 @@ def _assert_reference_roots_are_closed_form_roots(c_or_mode):
     b, k = cl._system_constants(c_or_mode)
     for branch in cl.BRANCHES:
         closed = [w for w, _ in _roots(branch, c_or_mode)]
-        roots, near = _reference_isolate_real_roots(cl._branch_polynomial(branch, b, k))
+        roots, near = _reference_isolate_real_roots(_branch_polynomial_npp(branch, b, k))
         for r in roots + near:
             tol = 1e-5 if abs(r + 1.0) < 1e-3 else 1e-6
             assert min(abs(r - w) for w in closed) <= tol * max(1.0, abs(r)), (branch, r, closed)
@@ -599,7 +570,7 @@ def test_isolation_matches_reference_with_two_roots_in_one_cell():
     c = cl.CASE_II_LOWER + 1e-9
     b, k = cl._system_constants(c)
     _assert_reference_roots_are_closed_form_roots(c)
-    poly = np.asarray(cl._branch_polynomial("delta_pos", b, k))
+    poly = _branch_polynomial_npp("delta_pos", b, k)
     scaled = poly / np.max(np.abs(poly))
     cell = 2.0 * (1.0 + np.max(np.abs(scaled[:-1] / scaled[-1]))) / 4095
     pair = [w for w, mult in _roots("delta_pos", c) if abs(w + SQ3) < 1e-3]
@@ -620,7 +591,7 @@ def test_classification_matches_the_reference_isolation(c):
     mode, c_val = ("minus4", 1.0) if c == "minus4" else ("biharmonic", c)
     system = cl._exact_system(c)
     for trace in traces:
-        roots, _ = _reference_isolate_real_roots(cl._branch_polynomial(trace.omega_branch, b, k))
+        roots, _ = _reference_isolate_real_roots(_branch_polynomial_npp(trace.omega_branch, b, k))
         # the reference needs bands: it puts the root 0 of c = 5/9 at -5e-16 and the
         # triple root -1 of c = 1 within 1e-5 of -1
         want = [
@@ -645,7 +616,7 @@ def test_sweep_classification_matches_the_reference_isolation_at_c1():
     want = sorted(
         r
         for branch in cl.BRANCHES
-        for r in _reference_isolate_real_roots(cl._branch_polynomial(branch, b, k))[0]
+        for r in _reference_isolate_real_roots(_branch_polynomial_npp(branch, b, k))[0]
         if r < -1e-12 and abs(r + 1.0) > 1e-4
         and cl._try_tuple(branch, Decimal(r), system, 1.0, "biharmonic")[0] is not None
     )
@@ -673,16 +644,95 @@ def test_solve_flat_isolates_each_branch_polynomial_once(monkeypatch):
 # the exact factorisation
 # ----------------------------------------------------------------------
 
+def _pmul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _padd(*ps):
+    return [sum(p[i] for p in ps if i < len(p)) for i in range(max(map(len, ps)))]
+
+
+def _scale(s, p):
+    return [s * x for x in p]
+
+
+def _branch_polynomial_exact(branch, b, k):
+    """Equation 1 with its denominators cleared, as ``_branch_polynomial_npp`` builds it, in exact rationals."""
+    m = 6 * b + k
+    if branch == "delta_zero":
+        D = [6, -5, 1]  # (w-2)(w-3)
+        PL, extra_scale = _padd([m, -m], _scale(-b, D)), m  # m(1-w) - bD
+    else:
+        D = [2, -3, 1]  # (w-1)(w-2)
+        PL, extra_scale = _padd([0, -m], _scale(-b, D)), 2 * m  # -m w - bD
+    PL2 = _pmul(PL, PL)
+    quart = _padd(_scale(3, PL2), _scale(-(2 * b + k), _pmul(PL, D)), _scale(b * b, _pmul(D, D)))
+    main = _pmul(_padd(_scale(3, PL), _scale(-b, D)), quart)
+    return _padd(main, _scale(extra_scale, _pmul(PL2, [1, 2, 1])))
+
+
+def _exact_constants(c_or_mode):
+    """(b, k) of the exact input, as fractions."""
+    if c_or_mode == "minus4":
+        return Fraction(1), Fraction(sa.MINUS4_EIGENVALUE)
+    c = Fraction(c_or_mode)
+    return (c + 3) / 4, (3 * c + 1) / 2
+
+
 @settings(max_examples=200, deadline=None)
 @given(b=st.floats(0.01, 100.0), k=st.floats(0.01, 100.0))
 @example(b=1.0, k=6.0)
 @example(b=1.0, k=2.0)
 def test_factors_multiply_to_branch_polynomial(b, k):
+    # -(6b+k) (w-2)^2 q1 q2 is equation 1 with its denominators cleared, exactly
+    b, k = Fraction(b), Fraction(k)
     for branch in cl.BRANCHES:
         f1, f2 = cl._branch_factors(branch, b, k)
-        want = cl._branch_polynomial(branch, b, k)
-        got = -(6.0 * b + k) * npp.polymul(npp.polymul([4.0, -4.0, 1.0], f1), f2)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        got = _scale(-(6 * b + k), _pmul(_pmul([4, -4, 1], f1), f2))
+        assert got == _branch_polynomial_exact(branch, b, k)
+
+
+_RNG = np.random.default_rng(20261019)
+ORACLE_CS = [
+    *workloads.SPECIAL_C, "minus4", 2.3333333333333335, -0.3, 1e9, 1e100,
+    *_RNG.uniform(-1.0 / 3.0, 3.0, 40).tolist(), *(10.0 ** _RNG.uniform(-20.0, 100.0, 20)).tolist(),
+]
+
+
+@pytest.mark.parametrize("c", ORACLE_CS)
+def test_printed_trace_coefficients_are_the_exact_values_rounded_once(c):
+    # at c = 5/9 the constant coefficient of delta_zero is +1.97e-15, and at the
+    # float nearest 7/3 it is -2.13e-14
+    report = rep.classification_report(mode="minus4") if c == "minus4" else rep.classification_report(c=c)
+    traces = report["reduction_traces"]
+    if c == -1.0 / 3.0:  # the float k is 0 here, though the exact k is 2.8e-17
+        assert traces == []
+        return
+    b, k = _exact_constants(c)
+    assert [t["omega_branch"] for t in traces] == list(cl.BRANCHES)
+    for t in traces:
+        want = _branch_polynomial_exact(t["omega_branch"], b, k)
+        assert t["polynomial"] == [float(x) for x in want], t["omega_branch"]
+        exact = cl._branch_factors(t["omega_branch"], b, k)
+        assert t["factors"] == [[float(x) for x in q] for q in exact], t["omega_branch"]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="the core names are x86-64 kernels")
+def test_classify_output_does_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE picks the kernel of numpy's OpenBLAS for one process
+    src = str(Path(cl.__file__).resolve().parent.parent)
+    env = {key: v for key, v in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = src
+    argv = [sys.executable, "-m", "sasakian.cli", "classify", "--c-sweep", "0.1:2.9:0.7", "--format", "json"]
+    default, prescott = (
+        subprocess.run(argv, env={**env, **extra}, capture_output=True, text=True, check=True).stdout
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"})
+    )
+    assert default == prescott
 
 
 def _mpmath_roots(mp, branch, c_or_mode):
@@ -758,7 +808,7 @@ def test_every_admissible_root_next_to_c1_is_found(c):
     system = cl._exact_system(c)
     _, traces = cl.solve_flat(c)
     for trace in traces:
-        poly = cl._branch_polynomial(trace.omega_branch, b, k)
+        poly = _branch_polynomial_npp(trace.omega_branch, b, k)
         roots = mp.polyroots([mp.mpf(x) for x in poly[::-1]], maxsteps=500, extraprec=500)
         want = [
             float(mp.re(r)) for r in roots

@@ -96,6 +96,8 @@ def test_non_unit_speed_rejected(s_grid):
         [(1.0, (2.0,), 0.0, np.eye(8)[0]), (1.0, (2.0,), -math.pi / 2.0, np.eye(8)[1])],
         m=1,
         n=3,
+        name="fast-circle",
+        sample_box=(2.0 * math.pi,),
     )
     with pytest.raises(FrenetError, match="arc-length"):
         frenet(fast, s_grid)

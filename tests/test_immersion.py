@@ -73,7 +73,7 @@ def test_great_circle_geodesic_geometry():
 
 def test_singular_metric_rejected():
     bad = catalog.trig_immersion(
-        [(1.0, (0.0,), 0.0, np.eye(8)[0])], m=1, n=3, name="constant"
+        [(1.0, (0.0,), 0.0, np.eye(8)[0])], m=1, n=3, name="constant", sample_box=(2.0 * math.pi,)
     )
     with pytest.raises(ValueError, match="singular"):
         imm.sample_geometry(bad, np.array([[0.1]]))
@@ -131,7 +131,7 @@ def test_bitension_nonzero_for_non_biharmonic_circle():
         (r, (1.0 / r,), -math.pi / 2.0, dim8[1]),
         (math.sqrt(1 - r * r), (0.0,), 0.0, dim8[2]),
     ]
-    F = catalog.trig_immersion(terms, m=1, n=3, name="off-circle")
+    F = catalog.trig_immersion(terms, m=1, n=3, name="off-circle", sample_box=(2.0 * math.pi,))
     pts = np.linspace(0.0, 2 * math.pi, 6)[:, None]
     assert imm.check_unit_norm(F.values(pts)).passed
     assert np.max(np.abs(imm.bitension(imm.sample_geometry(F, pts)))) > 1e-2
@@ -141,7 +141,7 @@ def test_chart_error_for_non_arclength_parametrization():
     # doubling the parameter speed breaks flat-orthonormality
     dim8 = np.eye(8)
     terms = [(1.0, (2.0,), 0.0, dim8[0]), (1.0, (2.0,), -math.pi / 2.0, dim8[1])]
-    F = catalog.trig_immersion(terms, m=1, n=3, name="fast-circle")
+    F = catalog.trig_immersion(terms, m=1, n=3, name="fast-circle", sample_box=(2.0 * math.pi,))
     pts = np.linspace(0.0, 2.0, 5)[:, None]
     with pytest.raises(imm.ChartError, match="flat-orthonormal"):
         imm.check_C_parallel(imm.sample_geometry(F, pts))
@@ -220,7 +220,7 @@ def _great_s3():
         (-0.25, (1, 1, 1), q, e[3]),
         (-0.25, (-1, -1, 1), q, e[3]),
     ]
-    F = catalog.trig_immersion(terms, m=3, n=3, name="great-s3")
+    F = catalog.trig_immersion(terms, m=3, n=3, name="great-s3", sample_box=(2.0 * math.pi,) * 3)
     pts = np.stack(
         np.meshgrid(*[np.linspace(0.4, 1.2, 3)] * 3, indexing="ij"), axis=-1
     ).reshape(-1, 3)

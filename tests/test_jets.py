@@ -433,6 +433,8 @@ def _wave_table(data, nvars: int, waves: int, components: int) -> ParametricImme
         (re * kinds[:, 0] + 1j * (im * kinds[:, 1])).reshape(waves, components),
         data.draw(hnp.arrays(np.float64, (waves, nvars), elements=zero_frequency)),
         data.draw(hnp.arrays(np.float64, (waves,), elements=_COEF)),
+        "drawn",
+        (2.0 * np.pi,) * nvars,
     )
 
 
@@ -462,10 +464,11 @@ def test_wave_jets_follow_the_table_and_the_accuracy():
     pts = rng.uniform(-4.0, 4.0, (6, 3))
     pure = np.where(rng.random((5, 4)) < 0.5, 1.0, 1j) * rng.uniform(-2.0, 2.0, (5, 4))
     f, phases = rng.uniform(-2.0, 2.0, (2, 5, 3)), rng.uniform(-3.0, 3.0, 5)
+    box = (2.0 * np.pi,) * 3
     tables = [
-        ParametricImmersion(pure, f[0], phases),
-        ParametricImmersion(pure.imag + 1j * pure.real, f[0], phases),
-        ParametricImmersion(pure, f[1], phases),
+        ParametricImmersion(pure, f[0], phases, "pure", box),
+        ParametricImmersion(pure.imag + 1j * pure.real, f[0], phases, "swapped", box),
+        ParametricImmersion(pure, f[1], phases, "refrequenced", box),
     ]
     rows = []
     for F in tables:
