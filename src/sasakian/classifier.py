@@ -13,10 +13,12 @@ quadratics.  Their discriminants are d2, 4 d1, d1 and d2 in that order, with
 d1 = k^2 + 4bk - 8b^2 and d2 = (k - 2b)(k + 6b).  The roots, and each tuple
 built from one, are computed from the exact value of the input c in 40-digit
 decimal arithmetic and rounded once to floats.  The sub-family alpha = -gamma
-(omega = -1), where the substitution degenerates, is solved in closed form;
-omega = -1 is a root of p exactly when k = 2b.  Every candidate is filtered
-through the admissibility constraints and re-validated against the expanded
-scalar system; rejected roots keep the violated constraint as a tag.
+(omega = -1), where the substitution degenerates, is solved from the
+quadratic 3 L^2 - (2b + k) L + b^2 in L = lam^2, of discriminant d1;
+omega = -1 is a root of p exactly when k = 2b.  The curve x sphere solutions
+(Case II) take their lam^2 from the same quadratic.  Every candidate is
+filtered through the admissibility constraints and re-validated against the
+expanded scalar system; rejected roots keep the violated constraint as a tag.
 
 The reduction is complete.  Equation 4 reads gamma (gamma - alpha) =
 b + lam^2 > 0, so gamma != 0.  gamma > 0 would need gamma > alpha, against
@@ -114,34 +116,33 @@ class CaseIISolution:
 # the branch polynomials and their exact factorisation
 # ----------------------------------------------------------------------
 
-def _system_constants(c_or_mode):
-    """(b, k) with b = (c+3)/4 and k the criterion eigenvalue."""
-    if isinstance(c_or_mode, str):
-        if c_or_mode != "minus4":
-            raise ValueError(f"unknown mode {c_or_mode!r}")
-        return 1.0, sa.MINUS4_EIGENVALUE
-    c = float(c_or_mode)
-    return (c + 3.0) / 4.0, sa.biharmonic_eigenvalue(c)
+def _system_integers(c_or_mode):
+    """(B, K, e), integers with b = B/e = (c+3)/4 and k = K/e the criterion eigenvalue.
+
+    A float c is the binary fraction n/d, so b = (n + 3d)/4d and, in
+    biharmonic mode, k = (3c+1)/2 = (6n + 2d)/4d.
+    """
+    if c_or_mode == "minus4":
+        return 1, int(sa.MINUS4_EIGENVALUE), 1
+    n, d = float(c_or_mode).as_integer_ratio()
+    return n + 3 * d, 6 * n + 2 * d, 4 * d
 
 
 def _exact_system(c_or_mode):
     """(b, k, d1, d2) in 40-digit decimals, with d1 = k^2 + 4bk - 8b^2 and d2 = (k - 2b)(k + 6b).
 
-    A float c is an exact binary fraction, so these are exact to 40 digits,
-    more than the at most 17 that cancellation costs where a factor
-    coefficient such as 3b - k = (7 - 3c)/4 nearly vanishes.  In biharmonic
-    mode k = (3c+1)/2, so k - 2b = c - 1 and d1 = (13c^2 + 14c - 11)/4.  d1 is
-    set to 0 at c = CASE_II_LOWER, the float that stands for its root
-    (-7 + 8 sqrt 3)/13.
+    Each is an exact rational of ``_system_integers`` rounded once, so its
+    sign is exact, and 40 digits are more than the at most 17 that
+    cancellation costs where a factor coefficient such as 3b - k = (7 - 3c)/4
+    nearly vanishes.  In biharmonic mode k - 2b = c - 1 and
+    d1 = (13c^2 + 14c - 11)/4.  d1 is set to 0 at c = CASE_II_LOWER, the
+    float that stands for its root (-7 + 8 sqrt 3)/13.
     """
+    B, K, e = _system_integers(c_or_mode)
+    D1 = 0 if c_or_mode == CASE_II_LOWER else K * K + 4 * B * K - 8 * B * B
     with localcontext(_EXACT):
-        if c_or_mode == "minus4":
-            b, k = Decimal(1), Decimal(sa.MINUS4_EIGENVALUE)
-        else:
-            c = Decimal(float(c_or_mode))
-            b, k = (c + 3) / 4, (3 * c + 1) / 2
-        d1 = Decimal(0) if c_or_mode == CASE_II_LOWER else k * k + 4 * b * k - 8 * b * b
-        return b, k, d1, (k - 2 * b) * (k + 6 * b)
+        b, k = Decimal(B) / e, Decimal(K) / e
+        return b, k, Decimal(D1) / (e * e), Decimal((K - 2 * B) * (K + 6 * B)) / (e * e)
 
 
 def _branch_factors(branch: str, b, k):
@@ -164,15 +165,11 @@ def _quotient(num: int, den: int) -> float:
 def _branch_trace(branch: str, c_or_mode):
     """(polynomial, factors) of a branch, ascending, every exact coefficient rounded once to a float.
 
-    With b = B/e and k = K/e for integers B, K and e, the factors are q/e and
+    With b = B/e and k = K/e of ``_system_integers``, the factors are q/e and
     the polynomial -(6b+k) (w-2)^2 q1 q2 is P/e^3 for integer coefficients q
     and P, which Python's int / int rounds once.
     """
-    if c_or_mode == "minus4":
-        B, K, e = 1, int(sa.MINUS4_EIGENVALUE), 1
-    else:
-        n, d = float(c_or_mode).as_integer_ratio()
-        B, K, e = n + 3 * d, 6 * n + 2 * d, 4 * d
+    B, K, e = _system_integers(c_or_mode)
     factors = _branch_factors(branch, B, K)
     p = [-(6 * B + K) * x for x in (4, -4, 1)]
     for q in factors:
@@ -211,6 +208,17 @@ def isolate_real_roots(branch: str, system):
             for w, mult in _quadratic_roots(coeffs, disc):
                 found[w] = found.get(w, 0) + mult
     return tuple(sorted(found.items()))
+
+
+def _lambda_squares(system):
+    """The real roots L = lam^2 of 3 L^2 - (2b + k) L + b^2, ascending, as (L, multiplicity) in decimals.
+
+    The discriminant is d1.  This is the alpha = -gamma family's equation
+    and the Case II quartic 3 lam^4 - 2(c+1) lam^2 + b^2, as 2b + k = 2(c+1).
+    """
+    b, k, d1, _ = system
+    with localcontext(_EXACT):
+        return sorted(_quadratic_roots((b * b, -(2 * b + k), 3), d1))
 
 
 # ----------------------------------------------------------------------
@@ -292,13 +300,12 @@ def _alpha_eq_neg_gamma_family(system, c, mode):
     equation 1 factors into the minimal locus and the quadratic
     3 L^2 - (2b + k) L + b^2 in L = lam^2, whose discriminant is d1.
     """
-    b, k, d1, _ = system
+    b = system[0]
     accepted, rejected = [], []
     rejected.append(RejectedRoot(-1.0, "lambda^2 = (c+3)/12 root is the minimal locus, excluded"))
-    # both roots are positive: their sum (2b + k)/3 and product b^2/3 are
+    # both roots are positive, as k > 0: their sum (2b + k)/3 and product b^2/3 are
     with localcontext(_EXACT):
-        roots = sorted(L for L, _ in _quadratic_roots((b * b, -(2 * b + k), 3), d1))
-        entries = [(float(L), float(-L.sqrt()), float(-((b + L) / 2).sqrt())) for L in roots]
+        entries = [(float(L), float(-L.sqrt()), float(-((b + L) / 2).sqrt())) for L, _ in _lambda_squares(system)]
     for lam2, lam, gamma in entries:
         alpha = -gamma
         bad, boundary = _admissibility(lam, alpha, gamma, 0.0, float(b))
@@ -318,13 +325,12 @@ def _alpha_eq_neg_gamma_family(system, c, mode):
 
 
 def _solve_flat_system(c_or_mode):
-    _, k = _system_constants(c_or_mode)
     mode = "minus4" if isinstance(c_or_mode, str) else "biharmonic"
     c = 1.0 if mode == "minus4" else float(c_or_mode)
-    if k <= 0.0:
+    system = _exact_system(c_or_mode)
+    if system[1] <= 0:
         return [], []
 
-    system = _exact_system(c_or_mode)
     solutions, fam_rejected = _alpha_eq_neg_gamma_family(system, c, mode)
     traces: list[ReductionTrace] = []
     for branch in BRANCHES:
@@ -391,29 +397,25 @@ def solve_minus4_flat():
     return _solve_flat_system("minus4")
 
 
-def quartic_lambda_residual(lam2: float, c: float) -> float:
-    """Residual of 3 lam^4 - 2(c+1) lam^2 + (c+3)^2/16 (Case II validation oracle)."""
-    b = (c + 3.0) / 4.0
-    return 3.0 * lam2 * lam2 - 2.0 * (c + 1.0) * lam2 + b * b
+def solve_caseII(c_or_mode: float | str) -> list[CaseIISolution]:
+    """Curve x C-parallel-surface solutions at phi-sectional curvature c, or of the mode "minus4".
 
-
-def solve_caseII(c: float) -> list[CaseIISolution]:
-    """Curve x C-parallel-surface solutions at phi-sectional curvature c.
-
-    Subcase II1 exists only at c = 5/9; subcase II2 follows the two-branch
-    square-root rule on [(-7 + 8 sqrt 3)/13, inf) minus c = 1.  The
-    thresholds are decided on the exact input, as ``_exact_system`` decides
-    them: c == 5/9 and c == 1 as floats, and c >= ``CASE_II_LOWER``.  The
-    float nearest (-7 + 8 sqrt 3)/13 is ``CASE_II_LOWER``, so the exact
-    discriminant 13c^2 + 14c - 11 is positive at every float above it and is
-    taken as 0 at it.  The reported values use float formulas.  A non-finite
-    c raises ValueError.
+    Subcase II1 exists only at c = 5/9.  Subcase II2 has one solution per
+    root L = lam^2 of ``_lambda_squares`` with 0 < L < b, and none where
+    d2 = 0: at c = 1 the roots are b/3, the minimal locus, and b.  The roots
+    are real from ``CASE_II_LOWER`` on, where they are double and flagged,
+    and negative below c = -1.  lam = -sqrt L, kappa1 = (L - b)/lam and the
+    sphere radius 1/sqrt(L + b) are each their 40-digit value rounded once,
+    with L - b of the root next to b taken from the other root's, as it
+    cancels near c = 1.  A non-finite c raises ValueError.
     """
-    c = _finite(c)
-    b = (c + 3.0) / 4.0
+    if c_or_mode == "minus4":
+        c = 1.0
+    else:
+        c_or_mode = c = _finite(c_or_mode)
     out: list[CaseIISolution] = []
 
-    if c == 5.0 / 9.0:
+    if c_or_mode == 5.0 / 9.0:
         out.append(
             CaseIISolution(
                 subcase="II1",
@@ -425,45 +427,33 @@ def solve_caseII(c: float) -> list[CaseIISolution]:
             )
         )
 
-    if c >= CASE_II_LOWER and c != 1.0:
-        disc = 13.0 * c * c + 14.0 * c - 11.0
-        root = math.sqrt(max(disc, 0.0))
-        candidates = sorted({(4.0 * c + 4.0 - root) / 12.0, (4.0 * c + 4.0 + root) / 12.0})
-        for lam2 in candidates:
-            flags = []
-            if c == CASE_II_LOWER:
-                flags.append("boundary: discriminant vanishes")
-            if lam2 <= 0.0 or lam2 >= b - 1e-12:
+    system = _exact_system(c_or_mode)
+    b, k, _, d2 = system
+    if d2 == 0:
+        return out
+    roots = _lambda_squares(system)
+    with localcontext(_EXACT):
+        gaps = [L - b for L, _ in roots]
+        if len(gaps) == 2:
+            # L - b cancels at the root next to b; (L1 - b)(L2 - b) = b(2b - k)/3 = -b d2/(3(k + 6b))
+            near = 0 if abs(gaps[0]) < abs(gaps[1]) else 1
+            gaps[near] = -b * d2 / (3 * (k + 6 * b) * gaps[1 - near])
+        for (L, mult), gap in zip(roots, gaps):
+            if not (L > 0 and gap < 0):
                 continue
-            if abs(quartic_lambda_residual(lam2, c)) > 1e-10 * max(1.0, b * b):
-                continue
-            lam = -math.sqrt(lam2)
+            lam = -L.sqrt()
             out.append(
                 CaseIISolution(
                     subcase="II2",
                     c=c,
-                    lam=lam,
-                    kappa1=(lam2 - b) / lam,
+                    lam=float(lam),
+                    kappa1=float(gap / lam),
                     kappa2=1.0,
-                    radius=2.0 / math.sqrt(4.0 * lam2 + c + 3.0),
-                    flags=tuple(flags),
+                    radius=float(1 / (L + b).sqrt()),
+                    flags=("boundary: discriminant vanishes",) if mult == 2 else (),
                 )
             )
     return out
-
-
-def solve_minus4_caseII() -> CaseIISolution:
-    """The unique curve x sphere (-4)-biharmonic factor data in the 7-sphere."""
-    lam2 = (4.0 - math.sqrt(13.0)) / 3.0
-    lam = -math.sqrt(lam2)
-    return CaseIISolution(
-        subcase="II2",
-        c=1.0,
-        lam=lam,
-        kappa1=(lam2 - 1.0) / lam,
-        kappa2=1.0,
-        radius=math.sqrt(3.0 / (7.0 - math.sqrt(13.0))),
-    )
 
 
 def curvature_tables(tup: SolutionTuple) -> dict[str, tuple[float, ...]]:

@@ -580,7 +580,7 @@ def classification_report(c: float | None = None, mode: str = "biharmonic") -> d
     """Classification output (flat tuples, curve-x-sphere data, traces) as a dict."""
     if mode == "minus4":
         solutions, traces = classifier.solve_minus4_flat()
-        case_ii = [classifier.solve_minus4_caseII()]
+        case_ii = classifier.solve_caseII("minus4")
         c_val = 1.0
     else:
         c_val = float(c)

@@ -2,7 +2,9 @@
 
 ``SasakianSphere`` (structure tensors and curvature of the deformed sphere),
 the matrix form of the eigen-criterion (the second evaluation path of
-``shape_algebra.expanded_system_residual``), immersion fixtures (among
+``shape_algebra.expanded_system_residual``), the float constants (b, k) of
+the classification systems and the residual of the Case II quartic (the
+float references of the exact classifier), immersion fixtures (among
 them the constructions the catalog does not build: flat tori rotated into a
 unitary basis, and the Legendre helices of either sign and any alpha pair,
 with the checks of their data), jet helpers (constants, sqrt and reciprocal)
@@ -185,6 +187,20 @@ def minus4_criterion_residual(params) -> np.ndarray:
     """Residual of (sum A_i^2) t = 6 t, the (-4)-biharmonic criterion in S^7(1)."""
     r, _ = eigen_criterion_residual(params, c=1.0, k_override=MINUS4_EIGENVALUE)
     return r
+
+
+def system_constants(c_or_mode):
+    """(b, k) in floats, with b = (c+3)/4 and k the criterion eigenvalue."""
+    if c_or_mode == "minus4":
+        return 1.0, MINUS4_EIGENVALUE
+    c = float(c_or_mode)
+    return (c + 3.0) / 4.0, biharmonic_eigenvalue(c)
+
+
+def quartic_lambda_residual(lam2: float, c: float) -> float:
+    """Residual of 3 lam^4 - 2(c+1) lam^2 + (c+3)^2/16, the Case II equation, in floats."""
+    b = (c + 3.0) / 4.0
+    return 3.0 * lam2 * lam2 - 2.0 * (c + 1.0) * lam2 + b * b
 
 
 def assert_proper_biharmonic(params, c_or_mode):

@@ -61,9 +61,14 @@ def test_delta_zero_branch_has_no_solutions_at_c1(flat_c1):
 
 
 def test_nonexistence_below_threshold():
-    for c in (-1.0 / 3.0, -0.5, -2.0):
+    # k <= 0 is decided on the exact c: the float nearest -1/3 and the next one
+    # up lie above -1/3, where k > 0, so both branches are traced there, with
+    # every root rejected, though their float k is 0
+    for c in (-1.0 / 3.0, math.nextafter(-1.0 / 3.0, 0.0), math.nextafter(-1.0 / 3.0, -1.0), -0.5, -2.0):
         sols, traces = cl.solve_flat(c)
-        assert sols == [] and traces == []
+        assert sols == []
+        assert len(traces) == (2 if Fraction(c) > Fraction(-1, 3) else 0), c
+        assert all(t.accepted == () for t in traces)
 
 
 def test_near_threshold_runs_clean():
@@ -209,7 +214,25 @@ def test_case_ii1_params_satisfy_criterion():
 
 
 def test_case_ii_excluded_at_c1():
+    # the roots at c = 1 are b/3, the minimal locus, and b
     assert cl.solve_caseII(1.0) == []
+
+
+def test_case_ii_next_to_c1():
+    # below 1 the root next to b lies under b; above 1 it lies over b
+    below = cl.solve_caseII(math.nextafter(1.0, 0.0))
+    assert [s.subcase for s in below] == ["II2", "II2"]
+    # kappa1 = (lam^2 - b)/lam > 0: lam^2 is 5.6e-17 under b, and lam rounds to -1
+    assert below[1].lam == -1.0 and 0 < below[1].kappa1 < 1e-16
+    assert [s.subcase for s in cl.solve_caseII(math.nextafter(1.0, 2.0))] == ["II2"]
+
+
+@pytest.mark.parametrize("c", [-2.0, -5.0])
+def test_case_ii_has_no_negative_lambda_square(c):
+    # the discriminant d1 is positive here, but both roots L = lam^2 are negative
+    system = cl._exact_system(c)
+    assert system[2] > 0 and all(L < 0 for L, _ in cl._lambda_squares(system))
+    assert cl.solve_caseII(c) == []
 
 
 @pytest.mark.parametrize("c", [1.0 - 5e-13, 1.0 + 5e-13, math.nextafter(cl.CASE_II_LOWER, 2.0)])
@@ -219,7 +242,7 @@ def test_case_ii2_exists_at_every_float_off_its_thresholds(c):
     sols = cl.solve_caseII(c)
     assert sols and all(s.subcase == "II2" and s.flags == () for s in sols)
     for s in sols:
-        assert abs(cl.quartic_lambda_residual(s.lam**2, c)) < 1e-12
+        assert abs(oracles.quartic_lambda_residual(s.lam**2, c)) < 1e-12
 
 
 def test_case_ii_thresholds_are_exact():
@@ -254,7 +277,7 @@ def test_case_ii_at_c2_single_branch():
     lam2 = sols[0].lam ** 2
     # oracle: direct root of 3 lam^4 - 2(c+1) lam^2 + (c+3)^2/16 at c = 2
     assert lam2 == pytest.approx((12.0 - math.sqrt(69.0)) / 12.0, abs=1e-13)
-    assert abs(cl.quartic_lambda_residual(lam2, 2.0)) < 1e-13
+    assert abs(oracles.quartic_lambda_residual(lam2, 2.0)) < 1e-13
     assert sols[0].lam < 0
     assert sols[0].kappa1 == pytest.approx((lam2 - 1.25) / sols[0].lam, abs=1e-13)
     assert sols[0].radius == pytest.approx(2.0 / math.sqrt(4.0 * lam2 + 5.0), abs=1e-13)
@@ -264,7 +287,7 @@ def test_case_ii_both_branches_below_c1():
     sols = [s for s in cl.solve_caseII(0.8) if s.subcase == "II2"]
     assert len(sols) == 2
     for s in sols:
-        assert abs(cl.quartic_lambda_residual(s.lam**2, 0.8)) < 1e-12
+        assert abs(oracles.quartic_lambda_residual(s.lam**2, 0.8)) < 1e-12
         assert s.lam**2 < (0.8 + 3.0) / 4.0
 
 
@@ -281,7 +304,8 @@ def test_case_ii_params_satisfy_criterion():
 
 
 def test_minus4_case_ii_closed_forms():
-    s = cl.solve_minus4_caseII()
+    [s] = cl.solve_caseII("minus4")
+    assert (s.subcase, s.c, s.kappa2, s.flags) == ("II2", 1.0, 1.0, ())
     lam2 = s.lam ** 2
     assert lam2 == pytest.approx((4.0 - SQ13) / 3.0, abs=1e-15)
     assert s.kappa1 == pytest.approx((lam2 - 1.0) / s.lam, abs=1e-12)
@@ -400,7 +424,7 @@ def test_isolate_real_roots_double_root_reported():
 def test_isolate_zero_polynomial_rejected(monkeypatch):
     # the branch polynomials vanish identically where 6b + k = 0, at c = -5/3; the
     # solver rejects such c (k <= 0) before it isolates anything
-    b, k = cl._system_constants(-5.0 / 3.0)
+    b, k = oracles.system_constants(-5.0 / 3.0)
     for branch in cl.BRANCHES:
         assert np.max(np.abs(_branch_polynomial_npp(branch, b, k))) < 1e-12
 
@@ -534,7 +558,7 @@ def _assert_reference_roots_are_closed_form_roots(c_or_mode):
     The reference locates a double root to about 1e-8 and the triple root
     omega = -1 of c = 1, or a cluster next to it, only to about 1e-5.
     """
-    b, k = cl._system_constants(c_or_mode)
+    b, k = oracles.system_constants(c_or_mode)
     for branch in cl.BRANCHES:
         closed = [w for w, _ in _roots(branch, c_or_mode)]
         roots, near = _reference_isolate_real_roots(_branch_polynomial_npp(branch, b, k))
@@ -568,7 +592,7 @@ def test_isolation_matches_reference_with_two_roots_in_one_cell():
     # just above the threshold the two roots of a factor are closer than the
     # reference's grid spacing; the reference sees at most one, the closed form both
     c = cl.CASE_II_LOWER + 1e-9
-    b, k = cl._system_constants(c)
+    b, k = oracles.system_constants(c)
     _assert_reference_roots_are_closed_form_roots(c)
     poly = _branch_polynomial_npp("delta_pos", b, k)
     scaled = poly / np.max(np.abs(poly))
@@ -586,7 +610,7 @@ def test_classification_matches_the_reference_isolation(c):
     At the case II threshold the reference finds no sign change at either
     double root, so it accepts nothing where the closed form accepts two.
     """
-    b, k = cl._system_constants(c)
+    b, k = oracles.system_constants(c)
     sols, traces = cl.solve_minus4_flat() if c == "minus4" else cl.solve_flat(c)
     mode, c_val = ("minus4", 1.0) if c == "minus4" else ("biharmonic", c)
     system = cl._exact_system(c)
@@ -611,7 +635,7 @@ def test_classification_matches_the_reference_isolation(c):
 
 def test_sweep_classification_matches_the_reference_isolation_at_c1():
     """At c = 1 the solver's tuples with the Newton sweep merged in have the omegas the reference accepts."""
-    b, k = cl._system_constants(1.0)
+    b, k = oracles.system_constants(1.0)
     system = cl._exact_system(1.0)
     want = sorted(
         r
@@ -709,9 +733,6 @@ def test_printed_trace_coefficients_are_the_exact_values_rounded_once(c):
     # float nearest 7/3 it is -2.13e-14
     report = rep.classification_report(mode="minus4") if c == "minus4" else rep.classification_report(c=c)
     traces = report["reduction_traces"]
-    if c == -1.0 / 3.0:  # the float k is 0 here, though the exact k is 2.8e-17
-        assert traces == []
-        return
     b, k = _exact_constants(c)
     assert [t["omega_branch"] for t in traces] == list(cl.BRANCHES)
     for t in traces:
@@ -763,6 +784,49 @@ def test_closed_form_roots_match_mpmath(c):
                 assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
 
 
+def _case_ii2_exact(mp, c_or_mode):
+    """(lam, kappa1, radius) of each II2 solution at the exact input, by mpmath, ascending in lam^2.
+
+    At ``CASE_II_LOWER`` the discriminant is taken as 0, as the solver takes it.
+    """
+    if c_or_mode == "minus4":
+        b, k = mp.mpf(1), mp.mpf(6)
+    else:
+        b, k = (mp.mpf(c_or_mode) + 3) / 4, (3 * mp.mpf(c_or_mode) + 1) / 2
+    if k == 2 * b:
+        return []
+    disc = 0 if c_or_mode == cl.CASE_II_LOWER else (2 * b + k) ** 2 - 12 * b * b
+    if disc < 0:
+        return []
+    squares = sorted({(2 * b + k - mp.sqrt(disc)) / 6, (2 * b + k + mp.sqrt(disc)) / 6})
+    return [(-mp.sqrt(L), (L - b) / -mp.sqrt(L), 1 / mp.sqrt(L + b)) for L in squares if 0 < L < b]
+
+
+_CASE_II_RNG = np.random.default_rng(20261020)
+CASE_II_ORACLE_CS = [
+    *workloads.SPECIAL_C, 0.99, 0.9999993484121499, 0.9999999999999947, math.nextafter(1.0, 0.0), 0.9999999999995,
+    2.0, 3.0, 1e6, "minus4", *_CASE_II_RNG.uniform(0.53, 3.0, 200).tolist(),
+]
+
+
+def test_printed_case_ii_values_are_the_exact_values_rounded_once():
+    # the float formulas misrounded kappa1 by 210 ulps at c = 0.99 and by
+    # 42,000 at 0.9999993484121499, through the cancellation in lam^2 - b; the
+    # 40-digit lam^2 - b misrounds it at 0.9999999999999947
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    wrong = []
+    for c in CASE_II_ORACLE_CS:
+        report = rep.classification_report(mode="minus4") if c == "minus4" else rep.classification_report(c=c)
+        got = [
+            tuple(s[key]["value"] for key in ("lam", "kappa1", "radius"))
+            for s in report["case_ii"] if s["subcase"] == "II2"
+        ]
+        if got != [tuple(float(x) for x in entry) for entry in _case_ii2_exact(mp, c)]:
+            wrong.append(c)
+    assert wrong == []
+
+
 def _flat_tuple_at_exact_threshold(mp):
     """The two flat tuples at c = (-7 + 8 sqrt 3)/13, where both double roots are accepted."""
     c = (-7 + 8 * mp.sqrt(3)) / 13
@@ -804,7 +868,7 @@ def test_tuple_count_next_to_the_case_ii_threshold(offset, count):
 def test_every_admissible_root_next_to_c1_is_found(c):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    b, k = cl._system_constants(c)
+    b, k = oracles.system_constants(c)
     system = cl._exact_system(c)
     _, traces = cl.solve_flat(c)
     for trace in traces:
@@ -933,7 +997,7 @@ def _sweep_solutions(c_or_mode, seed=0):
     linearly to a double root, so rows there are no sharper.
     """
     mode, c = ("minus4", 1.0) if c_or_mode == "minus4" else ("biharmonic", c_or_mode)
-    b, k = cl._system_constants(c_or_mode)
+    b, k = oracles.system_constants(c_or_mode)
     solutions, _ = cl.solve_minus4_flat() if mode == "minus4" else cl.solve_flat(c)
     merged = list(solutions)
     for row in _newton_sweep(b, k, seed) if k > 0.0 else []:

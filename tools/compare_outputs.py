@@ -17,8 +17,10 @@ one subprocess that imports that tree's ``src``:
   ``classify --c-sweep 1e9:1000000000.3:0.1``, whose endpoint hangs on the
   rounding of hi - lo at large |c|, ``classify --c 2.3333333333333335``, the
   float nearest 7/3, where the factor coefficient 3b - k = (7 - 3c)/4 nearly
-  cancels, and ``verify legendre-helix:K --grid 3``
-  at K = 1e-9, 1e-7 and 0.9999999999999, where the Frenet extraction fails
+  cancels, ``classify --c 0.9999993484121499``, where the Case II curvature
+  kappa1 = (lam^2 - b)/lam cancels, ``classify --c 0.9999999999995``, whose
+  second Case II root lam^2 lies 2.5e-13 under b, and ``verify
+  legendre-helix:K --grid 3`` at K = 1e-9, 1e-7 and 0.9999999999999, where the Frenet extraction fails
   and the infinite residuals print the token ``Infinity``;
 
 all with ``--format json``.  The classifier's values also reach the csv and
@@ -52,6 +54,8 @@ EXTRA_COMMANDS = (
     ["classify", "--c-sweep", "0:3:0.01"],
     ["classify", "--c-sweep", "1e9:1000000000.3:0.1"],
     ["classify", "--c", "2.3333333333333335"],
+    ["classify", "--c", "0.9999993484121499"],
+    ["classify", "--c", "0.9999999999995"],
 ) + tuple(["verify", f"legendre-helix:{k}", "--grid", "3"] for k in ("1e-9", "1e-7", "0.9999999999999"))
 # also run with --format csv and --format text
 FORMAT_COMMANDS = (
