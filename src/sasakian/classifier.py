@@ -10,15 +10,21 @@ eigenvalue, both factor exactly:
 
 so the real roots are the double root omega = 2 and the roots of four
 quadratics.  Their discriminants are d2, 4 d1, d1 and d2 in that order, with
-d1 = k^2 + 4bk - 8b^2 and d2 = (k - 2b)(k + 6b).  The roots, and each tuple
-built from one, are computed from the exact value of the input c in 40-digit
-decimal arithmetic and rounded once to floats.  The sub-family alpha = -gamma
-(omega = -1), where the substitution degenerates, is solved from the
-quadratic 3 L^2 - (2b + k) L + b^2 in L = lam^2, of discriminant d1;
-omega = -1 is a root of p exactly when k = 2b.  The curve x sphere solutions
-(Case II) take their lam^2 from the same quadratic.  Every candidate is
-filtered through the admissibility constraints and re-validated against the
-expanded scalar system; rejected roots keep the violated constraint as a tag.
+d1 = k^2 + 4bk - 8b^2 and d2 = (k - 2b)(k + 6b).  The sub-family
+alpha = -gamma (omega = -1), where the substitution degenerates, is solved
+from the quadratic 3 L^2 - (2b + k) L + b^2 in L = lam^2, of discriminant
+d1; omega = -1 is a root of p exactly when k = 2b.  The curve x sphere
+solutions (Case II) take their lam^2 from the same quadratic.
+
+Each root is kept exactly, as a root of a quadratic with integer
+coefficients built from the binary fraction c, and each admissibility test
+is the sign of an integer expression: cleared of its positive denominators
+and reduced modulo its factor, a test is the sign of a linear form
+r0 + r1 omega, r0 and r1 in Z[b, k] (``_admissibility_forms``).  No
+tolerance decides a root; a rejected root keeps the test it fails as a tag.
+Conversely each expanded equation, cleared of its denominators, vanishes
+modulo every factor, so every admissible root solves the system, and
+``system_residual`` is a measurement, not a test.
 
 The reduction is complete.  Equation 4 reads gamma (gamma - alpha) =
 b + lam^2 > 0, so gamma != 0.  gamma > 0 would need gamma > alpha, against
@@ -26,11 +32,10 @@ admissibility (alpha > 2 gamma); so gamma < 0, omega = alpha / gamma exists,
 and alpha > 0 makes omega < 0.  The denominators (w-1), (w-2) and (w-3)
 cleared to form p therefore never vanish at an admissible solution, and every
 admissible solution is the closed-form family or a root of p on its branch.
-
-The coefficients of a branch polynomial and of its factors are exact
-rationals, built from the integers of the binary fraction c, and each is
-rounded once to a float; each root and tuple entry is its 40-digit value
-rounded once.
+At a root omega < 0, gamma^2 > 0, alpha > 0, alpha > 2 gamma and delta >= 0
+hold outright, and delta^2 > 0 on delta_pos unless omega = -1 (k = 2b).
+Each coefficient of a branch polynomial or factor is its exact rational, and
+each root and tuple entry its 40-digit value, rounded once to a float.
 """
 
 from __future__ import annotations
@@ -39,11 +44,10 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import cached_property
+from typing import NamedTuple
 
 from . import shape_algebra as sa
 
-FLAT_RESIDUAL_TOL = 1e-10
-CONSTRAINT_TOL = 1e-12
 CASE_II_LOWER = (-7.0 + 8.0 * math.sqrt(3.0)) / 13.0
 _EXACT = Context(prec=40)
 BRANCHES = ("delta_zero", "delta_pos")
@@ -62,7 +66,6 @@ class SolutionTuple:
     mode: str = "biharmonic"
     omega: float | None = None
     source: str = "omega_reduction"
-    flags: tuple[str, ...] = ()
 
     @property
     def b(self) -> float:
@@ -73,7 +76,7 @@ class SolutionTuple:
 
     @cached_property
     def system_residual(self) -> float:
-        """Norm of the expanded system at the tuple; the solver's acceptance test and the report read it once."""
+        """Norm of the expanded system at the rounded tuple: a measurement, which no decision reads."""
         arg = "minus4" if self.mode == "minus4" else self.c
         v = sa.expanded_system_residual(self.operators(), arg)
         try:
@@ -113,37 +116,79 @@ class CaseIISolution:
 
 
 # ----------------------------------------------------------------------
-# the branch polynomials and their exact factorisation
+# the exact system and its roots
 # ----------------------------------------------------------------------
 
-def _system_integers(c_or_mode):
-    """(B, K, e), integers with b = B/e = (c+3)/4 and k = K/e the criterion eigenvalue.
+class System(NamedTuple):
+    """The integers of a system: b = B/e, k = K/e, d1 = D1/e^2 and d2 = D2/e^2."""
+
+    B: int
+    K: int
+    e: int
+    D1: int
+    D2: int
+
+    def decimals(self) -> tuple[Decimal, Decimal]:
+        """(b, k) to 40 digits."""
+        with localcontext(_EXACT):
+            return Decimal(self.B) / self.e, Decimal(self.K) / self.e
+
+
+def _exact_system(c_or_mode) -> System:
+    """The ``System`` of the exact input, with D1 = K^2 + 4BK - 8B^2 and D2 = (K - 2B)(K + 6B).
 
     A float c is the binary fraction n/d, so b = (n + 3d)/4d and, in
-    biharmonic mode, k = (3c+1)/2 = (6n + 2d)/4d.
-    """
-    if c_or_mode == "minus4":
-        return 1, int(sa.MINUS4_EIGENVALUE), 1
-    n, d = float(c_or_mode).as_integer_ratio()
-    return n + 3 * d, 6 * n + 2 * d, 4 * d
-
-
-def _exact_system(c_or_mode):
-    """(b, k, d1, d2) in 40-digit decimals, with d1 = k^2 + 4bk - 8b^2 and d2 = (k - 2b)(k + 6b).
-
-    Each is an exact rational of ``_system_integers`` rounded once, so its
-    sign is exact, and 40 digits are more than the at most 17 that
-    cancellation costs where a factor coefficient such as 3b - k = (7 - 3c)/4
-    nearly vanishes.  In biharmonic mode k - 2b = c - 1 and
-    d1 = (13c^2 + 14c - 11)/4.  d1 is set to 0 at c = CASE_II_LOWER, the
+    biharmonic mode, k = (3c+1)/2 = (6n + 2d)/4d.  Then k - 2b = c - 1 and
+    d1 = (13c^2 + 14c - 11)/4.  D1 is set to 0 at c = CASE_II_LOWER, the
     float that stands for its root (-7 + 8 sqrt 3)/13.
     """
-    B, K, e = _system_integers(c_or_mode)
+    if c_or_mode == "minus4":
+        B, K, e = 1, int(sa.MINUS4_EIGENVALUE), 1
+    else:
+        n, d = float(c_or_mode).as_integer_ratio()
+        B, K, e = n + 3 * d, 6 * n + 2 * d, 4 * d
     D1 = 0 if c_or_mode == CASE_II_LOWER else K * K + 4 * B * K - 8 * B * B
-    with localcontext(_EXACT):
-        b, k = Decimal(B) / e, Decimal(K) / e
-        return b, k, Decimal(D1) / (e * e), Decimal((K - 2 * B) * (K + 6 * B)) / (e * e)
+    return System(B, K, e, D1, (K - 2 * B) * (K + 6 * B))
 
+
+class ExactRoot(NamedTuple):
+    """The root (-q1 + s sqrt D)/(2 q2) of q0 + q1 x + q2 x^2, integers with q2 > 0.
+
+    D is q1^2 - 4 q0 q2, or 0 where the input stands for a root of it
+    (``CASE_II_LOWER``); s is -1 or 1, and 0 where D = 0.
+    """
+
+    q: tuple[int, int, int]
+    D: int
+    s: int
+
+    def sign(self, r0: int, r1: int) -> int:
+        """The sign of r0 + r1 x at the root, that of x0 + x1 sqrt D with x0 = 2 q2 r0 - q1 r1 and x1 = s r1."""
+        x0, x1 = 2 * self.q[2] * r0 - self.q[1] * r1, self.s * r1
+        s0, s1 = (x0 > 0) - (x0 < 0), (x1 > 0) - (x1 < 0)
+        if s0 * s1 >= 0:
+            return s0 or s1
+        t = x0 * x0 - x1 * x1 * self.D
+        return s0 * ((t > 0) - (t < 0))
+
+
+def _quadratic_roots(q, D):
+    """The real roots of the ``ExactRoot`` quadratic q of discriminant D, ascending, as (x, multiplicity, root).
+
+    x is the root to 40 digits; call it in the 40-digit context.
+    """
+    if D < 0:
+        return []
+    if D == 0:
+        return [(Decimal(-q[1]) / (2 * q[2]), 2, ExactRoot(q, 0, 0))]
+    t = -(q[1] + Decimal(D).sqrt().copy_sign(q[1])) / 2
+    lo, hi = sorted((t / q[2], q[0] / t))
+    return [(lo, 1, ExactRoot(q, D, -1)), (hi, 1, ExactRoot(q, D, 1))]
+
+
+# ----------------------------------------------------------------------
+# the branch polynomials and their exact factorisation
+# ----------------------------------------------------------------------
 
 def _branch_factors(branch: str, b, k):
     """Ascending coefficients of the two quadratic factors of a branch polynomial."""
@@ -162,14 +207,13 @@ def _quotient(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _branch_trace(branch: str, c_or_mode):
+def _branch_trace(branch: str, system: System):
     """(polynomial, factors) of a branch, ascending, every exact coefficient rounded once to a float.
 
-    With b = B/e and k = K/e of ``_system_integers``, the factors are q/e and
-    the polynomial -(6b+k) (w-2)^2 q1 q2 is P/e^3 for integer coefficients q
-    and P, which Python's int / int rounds once.
+    The factors are q/e and the polynomial -(6b+k) (w-2)^2 q1 q2 is P/e^3
+    for integer coefficients q and P, which Python's int / int rounds once.
     """
-    B, K, e = _system_integers(c_or_mode)
+    B, K, e = system.B, system.K, system.e
     factors = _branch_factors(branch, B, K)
     p = [-(6 * B + K) * x for x in (4, -4, 1)]
     for q in factors:
@@ -181,48 +225,94 @@ def _branch_trace(branch: str, c_or_mode):
     return tuple(_quotient(x, e**3) for x in p), tuple(tuple(_quotient(x, e) for x in q) for q in factors)
 
 
-def _quadratic_roots(coeffs, disc):
-    """Real roots, with multiplicity, of the decimal c0 + c1 x + c2 x^2 (c2 != 0) of discriminant disc."""
-    c0, c1, c2 = coeffs
-    if disc < 0:
-        return []
-    if disc == 0:
-        return [(-c1 / (2 * c2), 2)]
-    q = -(c1 + disc.sqrt().copy_sign(c1)) / 2
-    return [(q / c2, 1), (c0 / q, 1)]
+def isolate_real_roots(branch: str, system: System):
+    """The distinct real roots of a branch polynomial, ascending, as (omega, multiplicity, ``ExactRoot``).
 
-
-def isolate_real_roots(branch: str, system):
-    """The distinct real roots of a branch polynomial, ascending, as (omega, multiplicity).
-
-    ``system`` is ``_exact_system(c_or_mode)``, and each omega is a 40-digit
-    decimal.  The roots are the double root omega = 2 and those of the two
-    quadratic factors, whose discriminants are d2 and 4 d1 on delta_zero and
-    d1 and d2 on delta_pos.
+    omega is the root to 40 digits: the double root 2, or a root of a factor,
+    of discriminant D2 or 4 D1 on delta_zero and D1 or D2 on delta_pos.
     """
-    b, k, d1, d2 = system
-    found = {Decimal(2): 2}
+    discs = (system.D2, 4 * system.D1, 0) if branch == "delta_zero" else (system.D1, system.D2, 0)
+    found = {}
     with localcontext(_EXACT):
-        discs = (d2, 4 * d1) if branch == "delta_zero" else (d1, d2)
-        for coeffs, disc in zip(_branch_factors(branch, b, k), discs):
-            for w, mult in _quadratic_roots(coeffs, disc):
-                found[w] = found.get(w, 0) + mult
-    return tuple(sorted(found.items()))
+        for q, D in zip(_branch_factors(branch, system.B, system.K) + ((4, -4, 1),), discs):
+            for w, mult, root in _quadratic_roots(q, D):
+                known = found.get(w, (0, root))
+                found[w] = (known[0] + mult, known[1])
+    return tuple((w, mult, root) for w, (mult, root) in sorted(found.items()))
 
 
-def _lambda_squares(system):
-    """The real roots L = lam^2 of 3 L^2 - (2b + k) L + b^2, ascending, as (L, multiplicity) in decimals.
+def _lambda_squares(system: System):
+    """The real roots L = lam^2 of 3 L^2 - (2b + k) L + b^2, ascending, as (L, multiplicity, ``ExactRoot``).
 
-    The discriminant is d1.  This is the alpha = -gamma family's equation
-    and the Case II quartic 3 lam^4 - 2(c+1) lam^2 + b^2, as 2b + k = 2(c+1).
+    The exact root is that of 3 X^2 - (2B + K) X + B^2 in X = e L, of
+    discriminant D1.  This is the alpha = -gamma family's equation and the
+    Case II quartic 3 lam^4 - 2(c+1) lam^2 + b^2, as 2b + k = 2(c+1).
     """
-    b, k, d1, _ = system
+    B, K, e = system.B, system.K, system.e
     with localcontext(_EXACT):
-        return sorted(_quadratic_roots((b * b, -(2 * b + k), 3), d1))
+        return [(X / e, mult, root) for X, mult, root in _quadratic_roots((B * B, -(2 * B + K), 3), system.D1)]
 
 
 # ----------------------------------------------------------------------
-# candidates of the reduction and their validation
+# the admissibility tests, decided by exact signs
+# ----------------------------------------------------------------------
+
+def _admissibility_forms(branch: str, b, k):
+    """Per factor of a branch, the forms (r0, r1) of the tests of ``_violation``, of their signs at a root w < 0.
+
+    With the squares of ``_branch_squares`` the tests read lam^2, b - lam^2,
+    (b - lam^2)^2 - w^2 gamma^2 lam^2, w^2 gamma^2 - delta^2 and 3 lam^2 - b.
+    Each is cleared of its denominators, whose signs are fixed for w < 0; its
+    pseudo-remainder modulo the factor, whose leading coefficient is
+    positive, is r0 + r1 w times a positive polynomial in b and k.  The form
+    (1, 0) holds outright: delta = 0 on delta_zero.
+    """
+    if branch == "delta_zero":
+        alpha = (
+            222 * b**4 + 359 * b**3 * k - 29 * b**2 * k**2 - 38 * b * k**3 - 4 * k**4,
+            -(706 * b**4 + 277 * b**3 * k - 105 * b**2 * k**2 - 46 * b * k**3 - 4 * k**4),
+        )
+        return (
+            ((3, -1), (k, -4 * b - k), (1, -3), (1, 0), (6 * b - k, 2 * b + k)),
+            ((3 * b + k, -5 * b - k), (12 * b + k, -8 * b - k), alpha, (1, 0), (k - 6 * b, -2 * b - k)),
+        )
+    alpha0 = (-b * (38 * b + 9 * k), -(22 * b * b + 19 * b * k + 3 * k * k))
+    alpha1 = (
+        -2 * b * (24 * b**3 - 12 * b * b * k - 8 * b * k * k - k**3),
+        -(4 * b + k) * (24 * b**3 - 6 * b * k * k - k**3),
+    )
+    return (
+        ((1, -1), (-2 * b, -4 * b - k), alpha0, (-2, -3), (4 * b, 2 * b + k)),
+        ((-2 * b, -4 * b - k), (1, -1), alpha1, (-2, -3), (-4 * b, -2 * b - k)),
+    )
+
+
+def _family_forms(b, k):
+    """The forms of ``_violation`` in L = lam^2 for the alpha = -gamma family, modulo 3 L^2 - (2b + k) L + b^2.
+
+    L > 0 as k > 0, alpha = -gamma > 0 = delta, and alpha <= lambda1 reads L^2 - 5bL + 2b^2 >= 0.
+    """
+    return (1, 0), (b, -1), (5 * b * b, k - 13 * b), (1, 0), (-b, 3)
+
+
+def _violation(root: ExactRoot, forms) -> str | None:
+    """The reason of the first test that fails at the root, else None.
+
+    The tests are lam^2 > 0, lam^2 < b, alpha <= lambda1, delta <= alpha and
+    lam^2 != b/3; each passes where the sign of its form is one listed here.
+    """
+    tests = (
+        ("lambda^2 nonpositive in the reduction", (1,)),
+        ("lambda must satisfy -sqrt(c+3)/2 < lambda < 0", (1,)),
+        ("alpha exceeds lambda1 = (lambda^2 - (c+3)/4)/lambda", (0, 1)),
+        ("alpha must be >= delta", (0, 1)),
+        ("lambda^2 equals (c+3)/12 (minimal locus, excluded)", (-1, 1)),
+    )
+    return next((reason for (reason, passing), form in zip(tests, forms) if root.sign(*form) not in passing), None)
+
+
+# ----------------------------------------------------------------------
+# the admissible tuples
 # ----------------------------------------------------------------------
 
 def _branch_squares(branch: str, w, b, k):
@@ -234,93 +324,32 @@ def _branch_squares(branch: str, w, b, k):
     return -m * w / ((w - 1) * (w - 2)) - b, m * w / ((w - 1) ** 2 * (w - 2)), m * (w + 1) ** 2 / (w - 1) ** 2
 
 
-def _admissibility(lam, alpha, gamma, delta, b):
-    """Admissibility constraints of the flat case; returns (violations, boundary flags)."""
-    bad, boundary = [], []
-    L = lam * lam
-    lam1 = (L - b) / lam
-    if not (lam < 0.0 and L < b):
-        bad.append("lambda must satisfy -sqrt(c+3)/2 < lambda < 0")
-    elif b - L <= CONSTRAINT_TOL * max(1.0, b):
-        boundary.append("lambda at range boundary")
-    if not alpha > 0.0:
-        bad.append("alpha must be positive")
-    if alpha - lam1 > CONSTRAINT_TOL * max(1.0, abs(lam1)):
-        bad.append("alpha exceeds lambda1 = (lambda^2 - (c+3)/4)/lambda")
-    elif abs(alpha - lam1) <= CONSTRAINT_TOL * max(1.0, abs(lam1)):
-        boundary.append("alpha equals lambda1")
-    if delta < -CONSTRAINT_TOL:
-        bad.append("delta must be nonnegative")
-    if delta - alpha > CONSTRAINT_TOL * max(1.0, alpha):
-        bad.append("alpha must be >= delta")
-    elif abs(delta - alpha) <= CONSTRAINT_TOL * max(1.0, alpha):
-        boundary.append("alpha equals delta")
-    if not alpha - 2.0 * gamma > 0.0:
-        bad.append("alpha must exceed 2 gamma")
-    if abs(L - b / 3.0) <= CONSTRAINT_TOL * max(1.0, b):
-        bad.append("lambda^2 equals (c+3)/12 (minimal locus, excluded)")
-    return bad, boundary
-
-
-def _try_tuple(branch, w, system, c, mode):
-    """Build and validate the tuple at the decimal root omega = w < 0; returns (solution, reason).
-
-    Each entry is its 40-digit value rounded once to a float.  The reduction's
-    denominators (w-1), (w-2) and (w-3) do not vanish for w < 0.
-    """
-    b, k, _, _ = system
+def _flat_tuple(branch, w, b, k, c, mode) -> SolutionTuple:
+    """The tuple at an admissible root omega = w < 0 given to 40 digits, each entry its 40-digit value rounded once."""
     with localcontext(_EXACT):
         lam2, gam2, del2 = _branch_squares(branch, w, b, k)
-        if gam2 <= 0:
-            return None, "gamma^2 nonpositive in the reduction"
-        if lam2 <= 0:
-            return None, "lambda^2 nonpositive in the reduction"
-        if branch == "delta_pos" and del2 <= CONSTRAINT_TOL:
-            return None, "delta not positive"
         gamma = -gam2.sqrt()
-        lam, alpha, gamma = float(-lam2.sqrt()), float(w * gamma), float(gamma)
         delta = float(del2.sqrt()) if branch == "delta_pos" else 0.0
-    bad, boundary = _admissibility(lam, alpha, gamma, delta, float(b))
-    if bad:
-        return None, bad[0]
-    sol = SolutionTuple(
-        lam, alpha, gamma, delta, case="FlatI", c=c, mode=mode, omega=float(w),
-        source="omega_reduction", flags=tuple(boundary),
-    )
-    res = sol.system_residual
-    if not res <= FLAT_RESIDUAL_TOL:  # also rejects a residual that overflowed to nan
-        return None, f"re-substitution residual {res:.2e} exceeds {FLAT_RESIDUAL_TOL:g}"
-    return sol, None
+        return SolutionTuple(float(-lam2.sqrt()), float(w * gamma), float(gamma), delta, c=c, mode=mode, omega=float(w))
 
 
-def _alpha_eq_neg_gamma_family(system, c, mode):
+def _alpha_eq_neg_gamma_family(system: System, b, c, mode):
     """The alpha = -gamma sub-family (omega = -1), solved in closed form.
 
     Equation 2 is automatic there; equation 4 pins gamma^2 = (b + lam^2)/2 and
     equation 1 factors into the minimal locus and the quadratic
     3 L^2 - (2b + k) L + b^2 in L = lam^2, whose discriminant is d1.
     """
-    b = system[0]
-    accepted, rejected = [], []
-    rejected.append(RejectedRoot(-1.0, "lambda^2 = (c+3)/12 root is the minimal locus, excluded"))
-    # both roots are positive, as k > 0: their sum (2b + k)/3 and product b^2/3 are
-    with localcontext(_EXACT):
-        entries = [(float(L), float(-L.sqrt()), float(-((b + L) / 2).sqrt())) for L, _ in _lambda_squares(system)]
-    for lam2, lam, gamma in entries:
-        alpha = -gamma
-        bad, boundary = _admissibility(lam, alpha, gamma, 0.0, float(b))
-        if bad:
-            rejected.append(RejectedRoot(-1.0, f"alpha=-gamma root lambda^2 = {lam2:.6g}: {bad[0]}"))
+    accepted, rejected = [], [RejectedRoot(-1.0, "lambda^2 = (c+3)/12 root is the minimal locus, excluded")]
+    forms = _family_forms(system.B, system.K)
+    for L, _, root in _lambda_squares(system):
+        reason = _violation(root, forms)
+        if reason is not None:
+            rejected.append(RejectedRoot(-1.0, f"alpha=-gamma root lambda^2 = {float(L):.6g}: {reason}"))
             continue
-        sol = SolutionTuple(
-            lam, alpha, gamma, 0.0, case="FlatI", c=c, mode=mode, omega=-1.0,
-            source="alpha_eq_neg_gamma", flags=tuple(boundary),
-        )
-        res = sol.system_residual
-        if not res <= FLAT_RESIDUAL_TOL:
-            rejected.append(RejectedRoot(-1.0, f"re-substitution residual {res:.2e}"))
-            continue
-        accepted.append(sol)
+        with localcontext(_EXACT):
+            lam, gamma = float(-L.sqrt()), float(-((b + L) / 2).sqrt())
+        accepted.append(SolutionTuple(lam, -gamma, gamma, 0.0, c=c, mode=mode, omega=-1.0, source="alpha_eq_neg_gamma"))
     return accepted, rejected
 
 
@@ -328,48 +357,37 @@ def _solve_flat_system(c_or_mode):
     mode = "minus4" if isinstance(c_or_mode, str) else "biharmonic"
     c = 1.0 if mode == "minus4" else float(c_or_mode)
     system = _exact_system(c_or_mode)
-    if system[1] <= 0:
+    if system.K <= 0:
         return [], []
+    (b, k), B, K = system.decimals(), system.B, system.K
 
-    solutions, fam_rejected = _alpha_eq_neg_gamma_family(system, c, mode)
+    solutions, fam_rejected = _alpha_eq_neg_gamma_family(system, b, c, mode)
     traces: list[ReductionTrace] = []
     for branch in BRANCHES:
         roots = isolate_real_roots(branch, system)
-        accepted, rejected = [], []
-        notes = []
+        forms = dict(zip(_branch_factors(branch, B, K), _admissibility_forms(branch, B, K)))
+        accepted, rejected, notes = [], [], []
         if branch == "delta_zero":
             rejected.extend(fam_rejected)
             accepted.extend(s.omega for s in solutions)
             notes.append("omega = -1 family solved in closed form (substitution divides by alpha + gamma)")
-        for w, _ in roots:
-            if w >= 0:
-                rejected.append(RejectedRoot(float(w), "omega must be negative"))
-                continue
-            if w == -1 and system[3] == 0:
+        for w, _, root in roots:
+            if root.sign(0, 1) >= 0:
+                reason = "omega must be negative"
+            elif system.D2 == 0 and root.sign(1, 1) == 0:
                 # d2 = 0, so k = 2b (c = 1): omega = -1 is a root of every factor; the family covers it
-                if branch == "delta_zero":
-                    rejected.append(RejectedRoot(-1.0, "omega = -1 excluded from the rational reduction"))
-                else:
-                    rejected.append(RejectedRoot(-1.0, "delta not positive at omega = -1"))
-                continue
-            sol, reason = _try_tuple(branch, w, system, c, mode)
-            if sol is None:
-                rejected.append(RejectedRoot(float(w), reason))
+                reason = "omega = -1 excluded from the rational reduction"
+                if branch == "delta_pos":
+                    reason = "delta not positive at omega = -1"
             else:
-                solutions.append(sol)
-                accepted.append(sol.omega)
-        polynomial, factors = _branch_trace(branch, c_or_mode)
-        traces.append(
-            ReductionTrace(
-                omega_branch=branch,
-                polynomial=polynomial,
-                factors=factors,
-                roots=tuple((float(w), mult) for w, mult in roots),
-                accepted=tuple(accepted),
-                rejected=tuple(rejected),
-                notes=tuple(notes),
-            )
-        )
+                reason = _violation(root, forms[root.q])
+            if reason is not None:
+                rejected.append(RejectedRoot(float(w), reason))
+                continue
+            solutions.append(_flat_tuple(branch, w, b, k, c, mode))
+            accepted.append(solutions[-1].omega)
+        trace = (*_branch_trace(branch, system), tuple((float(w), mult) for w, mult, _ in roots))
+        traces.append(ReductionTrace(branch, *trace, tuple(accepted), tuple(rejected), tuple(notes)))
 
     solutions.sort(key=lambda s: (s.case, s.lam, s.alpha))
     return solutions, traces
@@ -401,58 +419,40 @@ def solve_caseII(c_or_mode: float | str) -> list[CaseIISolution]:
     """Curve x C-parallel-surface solutions at phi-sectional curvature c, or of the mode "minus4".
 
     Subcase II1 exists only at c = 5/9.  Subcase II2 has one solution per
-    root L = lam^2 of ``_lambda_squares`` with 0 < L < b, and none where
-    d2 = 0: at c = 1 the roots are b/3, the minimal locus, and b.  The roots
-    are real from ``CASE_II_LOWER`` on, where they are double and flagged,
-    and negative below c = -1.  lam = -sqrt L, kappa1 = (L - b)/lam and the
-    sphere radius 1/sqrt(L + b) are each their 40-digit value rounded once,
-    with L - b of the root next to b taken from the other root's, as it
-    cancels near c = 1.  A non-finite c raises ValueError.
+    root L = lam^2 of ``_lambda_squares`` with 0 < L < b, decided by exact
+    signs, and none where d2 = 0: at c = 1 the roots are b/3, the minimal
+    locus, and b.  The roots are real from ``CASE_II_LOWER`` on, where they
+    are double and flagged, and negative below c = -1.  lam = -sqrt L,
+    kappa1 = (L - b)/lam and the radius 1/sqrt(L + b) are each their 40-digit
+    value rounded once, with L - b of the root next to b taken from the other
+    root's, as it cancels near c = 1.  A non-finite c raises ValueError.
     """
     if c_or_mode == "minus4":
         c = 1.0
     else:
         c_or_mode = c = _finite(c_or_mode)
     out: list[CaseIISolution] = []
-
     if c_or_mode == 5.0 / 9.0:
-        out.append(
-            CaseIISolution(
-                subcase="II1",
-                c=c,
-                lam=None,
-                kappa1=1.0 / math.sqrt(2.0),
-                kappa2=1.0,
-                radius=math.sqrt(8.0 / (3.0 * (c + 3.0))),
-            )
-        )
+        out.append(CaseIISolution("II1", c, None, 1.0 / math.sqrt(2.0), 1.0, math.sqrt(8.0 / (3.0 * (c + 3.0)))))
 
     system = _exact_system(c_or_mode)
-    b, k, _, d2 = system
-    if d2 == 0:
+    if system.D2 == 0:
         return out
     roots = _lambda_squares(system)
+    b, k = system.decimals()
     with localcontext(_EXACT):
-        gaps = [L - b for L, _ in roots]
+        gaps = [L - b for L, _, _ in roots]
         if len(gaps) == 2:
             # L - b cancels at the root next to b; (L1 - b)(L2 - b) = b(2b - k)/3 = -b d2/(3(k + 6b))
             near = 0 if abs(gaps[0]) < abs(gaps[1]) else 1
+            d2 = Decimal(system.D2) / (system.e * system.e)
             gaps[near] = -b * d2 / (3 * (k + 6 * b) * gaps[1 - near])
-        for (L, mult), gap in zip(roots, gaps):
-            if not (L > 0 and gap < 0):
-                continue
-            lam = -L.sqrt()
-            out.append(
-                CaseIISolution(
-                    subcase="II2",
-                    c=c,
-                    lam=float(lam),
-                    kappa1=float(gap / lam),
-                    kappa2=1.0,
-                    radius=float(1 / (L + b).sqrt()),
-                    flags=("boundary: discriminant vanishes",) if mult == 2 else (),
-                )
-            )
+        for (L, mult, root), gap in zip(roots, gaps):
+            if root.sign(0, 1) > 0 and root.sign(system.B, -1) > 0:
+                lam = -L.sqrt()
+                flags = ("boundary: discriminant vanishes",) if mult == 2 else ()
+                radius = float(1 / (L + b).sqrt())
+                out.append(CaseIISolution("II2", c, float(lam), float(gap / lam), 1.0, radius, flags))
     return out
 
 

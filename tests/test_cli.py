@@ -356,6 +356,16 @@ def test_cli_classify_c1(capsys):
     assert payload["flat_solutions"][0]["lam"]["symbolic"] == "-1/sqrt(5)"
 
 
+def test_cli_classify_text_header_round_trips_c(capsys):
+    # six significant digits printed c=1 for both inputs, though only the first has curve x sphere solutions
+    headers = []
+    for c in ("0.9999999999995", "1"):
+        assert main(["classify", "--c", c, "--no-sweep"]) == 0
+        headers.append(capsys.readouterr().out.splitlines()[0])
+    assert headers == ["classification mode=biharmonic c=0.99999999999949996", "classification mode=biharmonic c=1"]
+    assert float(headers[0].rpartition("c=")[2]) == 0.9999999999995
+
+
 def test_cli_classify_nonexistence(capsys):
     assert main(["classify", "--c", "-0.5", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -19,8 +19,11 @@ one subprocess that imports that tree's ``src``:
   float nearest 7/3, where the factor coefficient 3b - k = (7 - 3c)/4 nearly
   cancels, ``classify --c 0.9999993484121499``, where the Case II curvature
   kappa1 = (lam^2 - b)/lam cancels, ``classify --c 0.9999999999995``, whose
-  second Case II root lam^2 lies 2.5e-13 under b, and ``verify
-  legendre-helix:K --grid 3`` at K = 1e-9, 1e-7 and 0.9999999999999, where the Frenet extraction fails
+  second Case II root lam^2 lies 2.5e-13 under b, ``classify --c`` at
+  1.0000000000000002 and 0.99999999999, where flat roots cluster at
+  omega = -1, and at 2500 and 1e100, where the residual of the expanded
+  system passes 1e-10, and ``verify legendre-helix:K --grid 3`` at
+  K = 1e-9, 1e-7 and 0.9999999999999, where the Frenet extraction fails
   and the infinite residuals print the token ``Infinity``;
 
 all with ``--format json``.  The classifier's values also reach the csv and
@@ -56,6 +59,10 @@ EXTRA_COMMANDS = (
     ["classify", "--c", "2.3333333333333335"],
     ["classify", "--c", "0.9999993484121499"],
     ["classify", "--c", "0.9999999999995"],
+    ["classify", "--c", "1.0000000000000002"],
+    ["classify", "--c", "0.99999999999"],
+    ["classify", "--c", "2500"],
+    ["classify", "--c", "1e100"],
 ) + tuple(["verify", f"legendre-helix:{k}", "--grid", "3"] for k in ("1e-9", "1e-7", "0.9999999999999"))
 # also run with --format csv and --format text
 FORMAT_COMMANDS = (
