@@ -7,7 +7,11 @@ Each family has one construction, with the parameters a command sets.  The
 flat tori are products of circles along the standard basis, one wave per
 complex coordinate, so the circle decomposition reads their radii off ambient
 samples alone; the 5-sphere surface and its cylinder are circle products along
-the rows of ``S5_CYL_BASIS``, which the decomposition is given.
+the rows of ``S5_CYL_BASIS``, which the decomposition is given.  The paper's
+flat tori, the corollary's at c = 1 and the three (-4)-biharmonic ones, are
+built from the classifier's tuples, the ones ``classify`` prints, so
+``verify`` checks the tori that ``classify`` reports; no closed form of a
+tuple is written here.
 """
 
 from __future__ import annotations
@@ -17,35 +21,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .classifier import SolutionTuple, solve_flat, solve_minus4_flat
 from .immersion import ParametricImmersion, PointGeometry, geometry_pass
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
 SQ5 = math.sqrt(5.0)
 SQ10 = math.sqrt(10.0)
-SQ13 = math.sqrt(13.0)
 
 CIRCLE_MODULUS_TOL = 1e-10
-
-# (lambda, alpha, gamma, delta) of the unique proper-biharmonic flat solution at c = 1
-COROLLARY_TUPLE = (-1.0 / SQ5, 3.0 * SQ3 / SQ10, -SQ3 / SQ10, SQ2)
-
-# the three flat (-4)-biharmonic solutions in the unit 7-sphere
-MINUS4_TUPLES = (
-    (-math.sqrt((4.0 - SQ13) / 3.0), math.sqrt((7.0 - SQ13) / 6.0), -math.sqrt((7.0 - SQ13) / 6.0), 0.0),
-    (
-        -math.sqrt(1.0 / (5.0 + 2.0 * SQ3)),
-        math.sqrt((45.0 + 21.0 * SQ3) / 13.0),
-        -math.sqrt(6.0 / (21.0 + 11.0 * SQ3)),
-        0.0,
-    ),
-    (
-        -math.sqrt(1.0 / (6.0 + SQ13)),
-        math.sqrt((523.0 + 139.0 * SQ13) / 138.0),
-        -math.sqrt((79.0 - 17.0 * SQ13) / 138.0),
-        math.sqrt((14.0 + 2.0 * SQ13) / 3.0),
-    ),
-)
 
 COROLLARY_LATTICE = (
     (6.0 * math.pi / SQ5, SQ3 * math.pi / SQ10, math.pi / SQ2),
@@ -105,25 +89,18 @@ class CircleProduct:
     frequencies: np.ndarray
 
 
-def _params(tup):
-    if hasattr(tup, "lam"):
-        return float(tup.lam), float(tup.alpha), float(tup.gamma), float(tup.delta)
-    lam, alpha, gamma, delta = tup
-    return float(lam), float(alpha), float(gamma), float(delta)
-
-
-def flat_torus(c: float, tup, name: str, sample_box) -> ParametricImmersion:
+def flat_torus(tup: SolutionTuple, name: str, sample_box) -> ParametricImmersion:
     """The flat 3-torus immersion attached to an admissible solution tuple.
 
     The four circle coefficients and frequency rows come straight from the
-    closed-form position vector; the Tanno parameter is a = 4/(c+3).  Circle
-    k is the wave coeff_k exp(i <f_k, p>) e_k along the standard basis
-    vector e_k of C^4.
+    closed-form position vector; the Tanno parameter is a = 4/(c+3), with c
+    the tuple's.  Circle k is the wave coeff_k exp(i <f_k, p>) e_k along the
+    standard basis vector e_k of C^4.
     """
-    lam, alpha, gamma, delta = _params(tup)
-    if not c > -3.0:
+    lam, alpha, gamma, delta = tup.lam, tup.alpha, tup.gamma, tup.delta
+    if not tup.c > -3.0:
         raise ValueError("phi-sectional curvature must exceed -3")
-    a = 4.0 / (c + 3.0)
+    a = 4.0 / (tup.c + 3.0)
 
     rho_rad = 4.0 * gamma * (2.0 * gamma - alpha) + delta**2
     if rho_rad <= 0.0:
@@ -160,22 +137,29 @@ def flat_torus(c: float, tup, name: str, sample_box) -> ParametricImmersion:
     )
 
 
+def corollary_torus() -> tuple[SolutionTuple, ParametricImmersion]:
+    """The unique proper-biharmonic flat tuple at c = 1, as ``solve_flat(1.0)`` returns it, and its 3-torus."""
+    [tup], _ = solve_flat(1.0)
+    box = (2.0 * math.pi * SQ5, 2.0 * math.pi * SQ10 / SQ3, 2.0 * SQ2 * math.pi)
+    return tup, flat_torus(tup, name="corollary-c1", sample_box=box)
+
+
+def minus4_torus(index: int) -> tuple[SolutionTuple, ParametricImmersion]:
+    """The k-th flat (-4)-biharmonic tuple of ``solve_minus4_flat()`` (k = 1, 2, 3) and its 3-torus."""
+    if index not in (1, 2, 3):
+        raise ValueError("index must be 1, 2 or 3")
+    tup = solve_minus4_flat()[0][index - 1]
+    return tup, flat_torus(tup, name=f"minus4-{index}", sample_box=(2.0 * math.pi,) * 3)
+
+
 def corollary_immersion() -> ParametricImmersion:
     """The unique proper-biharmonic flat 3-torus in the unit 7-sphere."""
-    box = (2.0 * math.pi * SQ5, 2.0 * math.pi * SQ10 / SQ3, 2.0 * SQ2 * math.pi)
-    return flat_torus(1.0, COROLLARY_TUPLE, name="corollary-c1", sample_box=box)
+    return corollary_torus()[1]
 
 
 def minus4_immersion(index: int) -> ParametricImmersion:
     """The k-th flat (-4)-biharmonic 3-torus in the unit 7-sphere (k = 1, 2, 3)."""
-    if index not in (1, 2, 3):
-        raise ValueError("index must be 1, 2 or 3")
-    return flat_torus(
-        1.0,
-        MINUS4_TUPLES[index - 1],
-        name=f"minus4-{index}",
-        sample_box=(2.0 * math.pi,) * 3,
-    )
+    return minus4_torus(index)[1]
 
 
 def s5_surface() -> ParametricImmersion:

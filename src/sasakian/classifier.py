@@ -71,6 +71,11 @@ class SolutionTuple:
     def b(self) -> float:
         return (self.c + 3.0) / 4.0
 
+    @property
+    def k(self) -> float:
+        """The criterion eigenvalue: ``biharmonic_eigenvalue(c)``, or ``MINUS4_EIGENVALUE`` in mode minus4."""
+        return sa.MINUS4_EIGENVALUE if self.mode == "minus4" else sa.biharmonic_eigenvalue(self.c)
+
     def operators(self) -> sa.AdaptedShapeOperators:
         return sa.AdaptedShapeOperators.case_I(self.lam, self.alpha, self.gamma, self.delta, self.b)
 

@@ -205,7 +205,7 @@ def main(argv=None) -> int:
                 cs = [args.c]
         results = [rep.classification_report(c=c, mode=args.mode) for c in cs]
         if args.format == "json":
-            payload = results[0] if len(results) == 1 else {"sweep": results}
+            payload = results[0] if args.c_sweep is None else {"sweep": results}
             _emit(rep.json_text(payload), args.out, parser)
         elif args.format == "csv":
             _emit(_classification_csv(results), args.out, parser)

@@ -451,22 +451,27 @@ MINUS4_RADII = (
     (math.sqrt((5.0 + SQ13) / 12.0),) + (math.sqrt((7.0 - SQ13) / 36.0),) * 3,
 )
 
-COROLLARY_CURVATURES = {
-    "X1": (4.0 / SQ5, 1.0),
-    "X2": (math.sqrt(29.0 / 10.0), 9.0 * SQ2 / math.sqrt(145.0), 2.0 * SQ3 / math.sqrt(145.0)),
-    "X3": (SQ5 / SQ2, 2.0 * SQ3 / math.sqrt(10.0), SQ3 / math.sqrt(10.0)),
-}
-
 _CURVE_BASE_FRACTIONS = np.array([0.23, 0.41, 0.67])
 
 
-def _corollary_suite(report, per_axis, _param):
-    F = catalog.corollary_immersion()
-    geo = imm.geometry_pass(F, F.grid(per_axis), _INTEGRAL_FIELDS + _TRACE_BAH_FIELDS + _EIGEN_FIELDS)
+def _flat_torus_suite(report, per_axis, tup, F, want_h=None, fields=()):
+    """The suite of the flat 3-torus F of a solver tuple; returns the geometry.
+
+    The bitension mode, the factor k of trace B(A_H ., .) = k H and the
+    curvatures of the coordinate curves X1, X2, X3 all come from ``tup``.
+    ``fields`` names what the caller's later checks read besides.
+    """
+    geo = imm.geometry_pass(F, F.grid(per_axis), _INTEGRAL_FIELDS + _TRACE_BAH_FIELDS + fields)
+    _integral_submanifold_checks(report, geo, want_h, mode=tup.mode, bah_factor=tup.k)
     base = _CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
-    _integral_submanifold_checks(report, geo, want_h=2.0 / 3.0, bah_factor=2.0)
-    for axis, label in ((0, "X1"), (1, "X2"), (2, "X3")):
-        _frenet_check(report, F, axis, base, COROLLARY_CURVATURES[label], per_axis, label)
+    for axis, (label, want) in enumerate(classifier.curvature_tables(tup).items()):
+        _frenet_check(report, F, axis, base, want, per_axis, label)
+    return geo
+
+
+def _corollary_suite(report, per_axis, _param):
+    tup, F = catalog.corollary_torus()
+    geo = _flat_torus_suite(report, per_axis, tup, F, want_h=2.0 / 3.0, fields=_EIGEN_FIELDS)
     report.add(_sample_lattice_check(geo, catalog.COROLLARY_LATTICE, per_axis**2))
     _eigencheck(report, geo, {"x1": [3], "x2": [0, 1, 2]}, {"x1": 1.0, "x2": 5.0})
 
@@ -514,14 +519,7 @@ def _legendre_helix_suite(report, per_axis, kappa1):
 
 
 def _minus4_suite(report, per_axis, index):
-    F = catalog.minus4_immersion(index)
-    base = _CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
-    geo = imm.geometry_pass(F, F.grid(per_axis), _INTEGRAL_FIELDS + _TRACE_BAH_FIELDS)
-    _integral_submanifold_checks(report, geo, mode="minus4", bah_factor=6.0)
-    tup = classifier.SolutionTuple(*catalog.MINUS4_TUPLES[index - 1], c=1.0, mode="minus4")
-    tables = classifier.curvature_tables(tup)
-    for axis, label in ((0, "X1"), (1, "X2"), (2, "X3")):
-        _frenet_check(report, F, axis, base, tables[label], per_axis, label)
+    _flat_torus_suite(report, per_axis, *catalog.minus4_torus(index))
 
 
 def _cylinder_minus4_suite(report, per_axis, index):
@@ -597,7 +595,6 @@ def classification_report(c: float | None = None, mode: str = "biharmonic") -> d
             "delta": format_value(s.delta),
             "omega": s.omega,
             "source": s.source,
-            "flags": [],  # no boundary flags: every admissibility test is decided exactly
             "system_residual": s.system_residual,
             "curvature_tables": {
                 k: [format_value(v) for v in vs] for k, vs in classifier.curvature_tables(s).items()

@@ -8,9 +8,11 @@ float admissibility path of a flat root (the float references of the exact
 classifier), the field Q(sqrt D) (its exact reference), immersion fixtures (among
 them the constructions the catalog does not build: flat tori rotated into a
 unitary basis, and the Legendre helices of either sign and any alpha pair,
-with the checks of their data), jet helpers (constants, sqrt and reciprocal)
-and the closure check of a curve's Frenet frame.  The tests import this
-module as ``import oracles``: pytest puts ``tests/`` on ``sys.path``.
+with the checks of their data), jet helpers (constants, sqrt and reciprocal),
+the closure check of a curve's Frenet frame, and the paper's closed forms of
+the flat tuples at c = 1 and in mode minus4, in floats or in mpmath.  The
+tests import this module as ``import oracles``: pytest puts ``tests/`` on
+``sys.path``.
 """
 
 from __future__ import annotations
@@ -194,6 +196,34 @@ def minus4_criterion_residual(params) -> np.ndarray:
     """Residual of (sum A_i^2) t = 6 t, the (-4)-biharmonic criterion in S^7(1)."""
     r, _ = eigen_criterion_residual(params, c=1.0, k_override=MINUS4_EIGENVALUE)
     return r
+
+
+def corollary_tuple(sqrt=math.sqrt) -> tuple:
+    """(lam, alpha, gamma, delta) of the unique proper-biharmonic flat solution at c = 1, the paper's closed form.
+
+    ``sqrt`` sets the arithmetic: ``math.sqrt`` gives floats, ``mpmath.sqrt``
+    the working precision of mpmath.
+    """
+    return (-1 / sqrt(5), 3 * sqrt(3) / sqrt(10), -sqrt(3) / sqrt(10), sqrt(2))
+
+
+def minus4_tuples(sqrt=math.sqrt) -> tuple:
+    """The three flat (-4)-biharmonic (lam, alpha, gamma, delta) in the unit 7-sphere, in the solver's order."""
+    return (
+        (-sqrt((4 - sqrt(13)) / 3), sqrt((7 - sqrt(13)) / 6), -sqrt((7 - sqrt(13)) / 6), 0.0),
+        (-sqrt(1 / (5 + 2 * sqrt(3))), sqrt((45 + 21 * sqrt(3)) / 13), -sqrt(6 / (21 + 11 * sqrt(3))), 0.0),
+        (
+            -sqrt(1 / (6 + sqrt(13))),
+            sqrt((523 + 139 * sqrt(13)) / 138),
+            -sqrt((79 - 17 * sqrt(13)) / 138),
+            sqrt((14 + 2 * sqrt(13)) / 3),
+        ),
+    )
+
+
+# the closed forms in floats: the tests' oracle for the tuples the classifier solves
+COROLLARY_TUPLE = corollary_tuple()
+MINUS4_TUPLES = minus4_tuples()
 
 
 def system_constants(c_or_mode):

@@ -47,7 +47,7 @@ def test_criterion_01_unique_c1_solution():
     with criterion(1, "solve_flat(1) returns exactly the closed-form tuple (1e-12)"):
         sols, _ = classifier.solve_flat(1.0)
         assert len(sols) == 1
-        want = np.array([-1.0 / SQ5, 3.0 * SQ3 / math.sqrt(10.0), -SQ3 / math.sqrt(10.0), SQ2])
+        want = np.array(oracles.COROLLARY_TUPLE)
         s = sols[0]
         assert np.max(np.abs(np.array([s.lam, s.alpha, s.gamma, s.delta]) - want)) < 1e-12
 
@@ -56,7 +56,7 @@ def test_criterion_02_minus4_three_tuples():
     with criterion(2, "solve_minus4_flat returns the three closed-form tuples, no extras"):
         sols, traces = classifier.solve_minus4_flat()
         assert len(sols) == 3
-        for want in catalog.MINUS4_TUPLES:
+        for want in oracles.MINUS4_TUPLES:
             dist = min(np.max(np.abs(np.array([s.lam, s.alpha, s.gamma, s.delta]) - want)) for s in sols)
             assert dist < 1e-12
         accepted = sum(len(t.accepted) for t in traces)
@@ -142,7 +142,7 @@ def test_criterion_07_nonexistence_guards():
             sols, _ = classifier.solve_flat(c)
             assert sols == []
             assert sa.biharmonic_eigenvalue(c) <= 0.0
-        ops = sa.AdaptedShapeOperators.case_I(*catalog.COROLLARY_TUPLE, b=1.0)
+        ops = sa.AdaptedShapeOperators.case_I(*oracles.COROLLARY_TUPLE, b=1.0)
         # a non-minimal tuple (|t| >= 1e-10) at k <= 0 is never proper-biharmonic
         _r, t = oracles.eigen_criterion_residual(ops, -0.5)
         assert np.linalg.norm(t) >= 1e-10 and sa.biharmonic_eigenvalue(-0.5) <= 0.0

@@ -32,7 +32,7 @@ def test_corollary_coefficients_and_frequencies():
 
 def test_rho_identities_for_corollary_tuple():
     # oracle: direct radical arithmetic from the rho formula
-    lam, alpha, gamma, delta = catalog.COROLLARY_TUPLE
+    lam, alpha, gamma, delta = oracles.COROLLARY_TUPLE
     root = math.sqrt(4 * gamma * (2 * gamma - alpha) + delta**2)
     rho1, rho2 = 0.5 * (root + delta), 0.5 * (root - delta)
     assert rho1 * rho2 == pytest.approx(gamma * (2 * gamma - alpha), abs=1e-14)
@@ -54,15 +54,17 @@ def test_flat_torus_general_c_unit_norm():
 
     sols, _ = classifier.solve_flat(2.0)
     assert sols
-    F = catalog.flat_torus(2.0, sols[0], "flat-torus(c=2)", (2.0 * math.pi,) * 3)
+    F = catalog.flat_torus(sols[0], "flat-torus(c=2)", (2.0 * math.pi,) * 3)
     pts = F.grid(4)
     assert imm.check_unit_norm(F.values(pts)).residual < 1e-13
     assert np.sum(np.abs(F.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_flat_torus_rejects_inadmissible_tuple():
+    from sasakian.classifier import SolutionTuple
+
     with pytest.raises(ValueError, match="radicand|positive"):
-        catalog.flat_torus(1.0, (-0.5, 1.0, 0.3, 0.0), "inadmissible", (2.0 * math.pi,) * 3)
+        catalog.flat_torus(SolutionTuple(-0.5, 1.0, 0.3, 0.0, c=1.0), "inadmissible", (2.0 * math.pi,) * 3)
 
 
 @pytest.mark.parametrize(
@@ -278,5 +280,7 @@ def test_wave_table_shapes_are_validated():
 
 
 def test_minus4_index_validation():
-    with pytest.raises(ValueError, match="1, 2 or 3"):
-        catalog.minus4_immersion(4)
+    # index 0 would pick the last solver tuple
+    for index in (0, 4):
+        with pytest.raises(ValueError, match="1, 2 or 3"):
+            catalog.minus4_immersion(index)

@@ -17,7 +17,6 @@ import oracles
 from sasakian import classifier as cl
 from sasakian import report as rep
 from sasakian import shape_algebra as sa
-from sasakian.catalog import COROLLARY_TUPLE, MINUS4_TUPLES
 from sasakian.cli import MAX_ABS_C, _parse_sweep
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -42,9 +41,13 @@ def minus4():
 
 
 def test_unique_solution_at_c1(flat_c1):
+    mp = pytest.importorskip("mpmath")
     sols, _ = flat_c1
     assert len(sols) == 1
-    assert np.max(np.abs(_as_array(sols[0]) - np.array(COROLLARY_TUPLE))) < 1e-12
+    # each entry is its 50-digit closed form, rounded once
+    with mp.workdps(50):
+        want = [float(x) for x in oracles.corollary_tuple(mp.sqrt)]
+    assert _as_array(sols[0]).tolist() == want
     assert sols[0].omega == pytest.approx(-3.0, abs=1e-9)
     assert sols[0].case == "FlatI"
 
@@ -76,11 +79,11 @@ def test_near_threshold_runs_clean():
 
 
 def test_minus4_exactly_three_tuples(minus4):
+    mp = pytest.importorskip("mpmath")
     sols, _ = minus4
-    assert len(sols) == 3
-    for want in MINUS4_TUPLES:
-        dist = min(np.max(np.abs(_as_array(s) - np.array(want))) for s in sols)
-        assert dist < 1e-12
+    with mp.workdps(50):
+        want = [[float(x) for x in tup] for tup in oracles.minus4_tuples(mp.sqrt)]
+    assert [_as_array(s).tolist() for s in sols] == want
 
 
 def test_minus4_trace_contents(minus4):
@@ -314,7 +317,7 @@ def test_minus4_case_ii_closed_forms():
 
 
 def test_curvature_tables_corollary():
-    tup = cl.SolutionTuple(*COROLLARY_TUPLE, c=1.0)
+    tup = cl.SolutionTuple(*oracles.COROLLARY_TUPLE, c=1.0)
     tables = cl.curvature_tables(tup)
     assert tables["X1"] == pytest.approx((4.0 / math.sqrt(5.0), 1.0), abs=1e-14)
     assert tables["X2"] == pytest.approx(
@@ -326,11 +329,11 @@ def test_curvature_tables_corollary():
 
 
 def test_curvature_tables_degenerations():
-    circle_tup = cl.SolutionTuple(*MINUS4_TUPLES[0], c=1.0, mode="minus4")
+    circle_tup = cl.SolutionTuple(*oracles.MINUS4_TUPLES[0], c=1.0, mode="minus4")
     tables = cl.curvature_tables(circle_tup)
     assert len(tables["X3"]) == 1  # delta = 0: the third curve is a circle
     assert tables["X3"][0] == pytest.approx(
-        math.hypot(MINUS4_TUPLES[0][0], MINUS4_TUPLES[0][2]), abs=1e-14
+        math.hypot(oracles.MINUS4_TUPLES[0][0], oracles.MINUS4_TUPLES[0][2]), abs=1e-14
     )
     degen = cl.SolutionTuple(-0.5, 0.0, 0.0, 0.0, c=1.0)
     tables = cl.curvature_tables(degen)

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sasakian import catalog
 from sasakian import immersion as imm
 from sasakian import report as rep
+from sasakian.classifier import SolutionTuple
 from sasakian.cli import MAX_ABS_C, MAX_SWEEP_POINTS, _parse_sweep, main
 
 FAST_EXAMPLES = [
@@ -519,6 +521,42 @@ def test_cli_classify_sweep_and_csv(capsys):
     out = capsys.readouterr().out
     assert out.startswith("kind,case,c,lam,alpha,gamma,delta,kappa1,kappa2,radius,source\n")
     assert "case_ii" in out
+
+
+@pytest.mark.parametrize("spec, count", [("1:1.2:0.5", 1), ("0.6:0.8:0.1", 3)])
+def test_cli_classify_sweep_json_is_a_sweep_at_any_point_count(spec, count, capsys):
+    assert main(["classify", "--c-sweep", spec, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["sweep"] and len(doc["sweep"]) == count
+    assert main(["classify", "--c", spec.split(":")[0], "--format", "json"]) == 0
+    assert doc["sweep"][0] == json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "example, classify_args, index",
+    [("corollary-c1", ["--c", "1"], 0)] + [(f"minus4-{i}", ["--mode", "minus4"], i - 1) for i in (1, 2, 3)],
+)
+def test_verify_checks_the_torus_of_the_classified_tuple(example, classify_args, index, capsys, monkeypatch):
+    # the immersion that verify samples first is the torus of the suite
+    sampled = []
+    geometry_pass = imm.geometry_pass
+
+    def recording_pass(F, *args):
+        sampled.append(F)
+        return geometry_pass(F, *args)
+
+    monkeypatch.setattr(imm, "geometry_pass", recording_pass)
+    assert main(["verify", example, "--grid", "3", "--format", "json"]) == 0
+    capsys.readouterr()
+    F = sampled[0]
+    assert F.name == example
+    assert main(["classify", *classify_args, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    entry = doc["flat_solutions"][index]
+    values = (entry[key]["value"] for key in ("lam", "alpha", "gamma", "delta"))
+    want = catalog.flat_torus(SolutionTuple(*values, c=entry["c"], mode=doc["mode"]), F.name, F.sample_box)
+    for field in ("amplitudes", "frequencies", "phases"):
+        assert np.array_equal(getattr(F, field), getattr(want, field)), field
 
 
 def test_cli_parser_reuse_keeps_no_state_between_calls(capsys):

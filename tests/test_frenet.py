@@ -44,7 +44,7 @@ def test_corollary_coordinate_curves(corollary, s_grid, axis):
 def test_x2_curve_kappa3_orientation(corollary, s_grid):
     # closed form -lam sqrt(lam^2+1)/kappa1 is positive because lam < 0;
     # the Gram-Schmidt value is reported positive
-    lam, alpha, _, _ = catalog.COROLLARY_TUPLE
+    lam, alpha, _, _ = oracles.COROLLARY_TUPLE
     app = frenet(catalog.coordinate_curve(corollary, 1, np.zeros(3)), s_grid)
     k1 = math.hypot(lam, alpha)
     want = -lam * math.sqrt(lam * lam + 1.0) / k1
@@ -108,7 +108,7 @@ def test_minus4_curves_match_curvature_tables(s_grid):
 
     for index in (1, 3):
         F = catalog.minus4_immersion(index)
-        tup = classifier.SolutionTuple(*catalog.MINUS4_TUPLES[index - 1], c=1.0, mode="minus4")
+        tup = classifier.SolutionTuple(*oracles.MINUS4_TUPLES[index - 1], c=1.0, mode="minus4")
         tables = classifier.curvature_tables(tup)
         for axis, label in ((0, "X1"), (1, "X2"), (2, "X3")):
             app = frenet(catalog.coordinate_curve(F, axis, np.array([0.2, 0.5, 0.9])), s_grid)

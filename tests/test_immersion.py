@@ -278,7 +278,7 @@ def test_adapted_shape_operators_from_geometry(corollary):
         phiT[:, i] = jt - np.sum(jt * X, -1)[:, None] * X
     A_geo = np.einsum("nikd,njd->njik", geo.second_fundamental, phiT)
     sign = np.sign(A_geo[0, 0, 0, 0])
-    ops = sa.AdaptedShapeOperators.case_I(*catalog.COROLLARY_TUPLE, b=1.0)
+    ops = sa.AdaptedShapeOperators.case_I(*oracles.COROLLARY_TUPLE, b=1.0)
     assert np.max(np.abs(sign * A_geo - oracles.build_matrices(ops))) < 1e-10
 
 

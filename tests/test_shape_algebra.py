@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from sasakian import shape_algebra as sa
-from sasakian.catalog import COROLLARY_TUPLE, MINUS4_TUPLES
 
-C1_OPS = sa.AdaptedShapeOperators.case_I(*COROLLARY_TUPLE, b=1.0)
+C1_OPS = sa.AdaptedShapeOperators.case_I(*oracles.COROLLARY_TUPLE, b=1.0)
 
 
 def test_build_matrices_zero_params():
@@ -71,7 +70,7 @@ def test_flat_minimal_locus_is_flagged_minimal():
 
 
 def test_minus4_criterion_on_known_tuples():
-    for tup in MINUS4_TUPLES:
+    for tup in oracles.MINUS4_TUPLES:
         ops = sa.AdaptedShapeOperators.case_I(*tup, b=1.0)
         assert np.linalg.norm(oracles.minus4_criterion_residual(ops)) < 1e-12
         oracles.assert_proper_biharmonic(ops, "minus4")
@@ -119,7 +118,7 @@ def test_expanded_equals_eigen_property(params, c):
 
 
 def test_expanded_minus4_mode():
-    for tup in MINUS4_TUPLES:
+    for tup in oracles.MINUS4_TUPLES:
         ops = sa.AdaptedShapeOperators.case_I(*tup, b=1.0)
         assert np.max(np.abs(sa.expanded_system_residual(ops, "minus4"))) < 1e-12
     with pytest.raises(ValueError, match="mode"):

@@ -122,7 +122,7 @@ def _bases():
     cor, s5 = catalog.corollary_immersion(), catalog.s5_surface()
     basis = oracles.random_unitary(4, np.random.default_rng(3))
     rot = oracles.rotated_torus(cor, basis)
-    flat = catalog.flat_torus(2.0, classifier.solve_flat(2.0)[0][0], "flat-torus(c=2)", (2.0 * math.pi,) * 3)
+    flat = catalog.flat_torus(classifier.solve_flat(2.0)[0][0], "flat-torus(c=2)", (2.0 * math.pi,) * 3)
     out = [
         ("corollary", cor, circle_ref(cor)),
         ("corollary-random-basis", rot, circle_ref(rot, basis)),

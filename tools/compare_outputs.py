@@ -15,7 +15,8 @@ one subprocess that imports that tree's ``src``:
 - the items of both classify workloads at seeds 1 to 3;
 - ``classify --c-sweep 0:3:0.01``, the largest JSON output (301 reports),
   ``classify --c-sweep 1e9:1000000000.3:0.1``, whose endpoint hangs on the
-  rounding of hi - lo at large |c|, ``classify --c 2.3333333333333335``, the
+  rounding of hi - lo at large |c|, ``classify --c-sweep 1:1.2:0.5``, a
+  sweep of one point, ``classify --c 2.3333333333333335``, the
   float nearest 7/3, where the factor coefficient 3b - k = (7 - 3c)/4 nearly
   cancels, ``classify --c 0.9999993484121499``, where the Case II curvature
   kappa1 = (lam^2 - b)/lam cancels, ``classify --c 0.9999999999995``, whose
@@ -56,6 +57,7 @@ CLASSIFY_SEEDS = (1, 2, 3)
 EXTRA_COMMANDS = (
     ["classify", "--c-sweep", "0:3:0.01"],
     ["classify", "--c-sweep", "1e9:1000000000.3:0.1"],
+    ["classify", "--c-sweep", "1:1.2:0.5"],
     ["classify", "--c", "2.3333333333333335"],
     ["classify", "--c", "0.9999993484121499"],
     ["classify", "--c", "0.9999999999995"],
