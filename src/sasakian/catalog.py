@@ -16,18 +16,17 @@ tuple is written here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import ambient
 from .classifier import SolutionTuple, solve_flat, solve_minus4_flat
 from .immersion import ParametricImmersion, PointGeometry, geometry_pass
 
-SQ2 = math.sqrt(2.0)
-SQ3 = math.sqrt(3.0)
-SQ5 = math.sqrt(5.0)
-SQ10 = math.sqrt(10.0)
+SQ2, SQ3, SQ5, SQ10 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(10.0)
 
 CIRCLE_MODULUS_TOL = 1e-10
 
@@ -93,14 +92,12 @@ def flat_torus(tup: SolutionTuple, name: str, sample_box) -> ParametricImmersion
     """The flat 3-torus immersion attached to an admissible solution tuple.
 
     The four circle coefficients and frequency rows come straight from the
-    closed-form position vector; the Tanno parameter is a = 4/(c+3), with c
-    the tuple's.  Circle k is the wave coeff_k exp(i <f_k, p>) e_k along the
-    standard basis vector e_k of C^4.
+    closed-form position vector, with the ambient's deformation parameter a
+    of the tuple's c.  Circle k is the wave coeff_k exp(i <f_k, p>) e_k along
+    the standard basis vector e_k of C^4.
     """
     lam, alpha, gamma, delta = tup.lam, tup.alpha, tup.gamma, tup.delta
-    if not tup.c > -3.0:
-        raise ValueError("phi-sectional curvature must exceed -3")
-    a = 4.0 / (tup.c + 3.0)
+    a = ambient.deformation_parameter(tup.c)
 
     rho_rad = 4.0 * gamma * (2.0 * gamma - alpha) + delta**2
     if rho_rad <= 0.0:
@@ -137,29 +134,27 @@ def flat_torus(tup: SolutionTuple, name: str, sample_box) -> ParametricImmersion
     )
 
 
+@functools.cache
 def corollary_torus() -> tuple[SolutionTuple, ParametricImmersion]:
-    """The unique proper-biharmonic flat tuple at c = 1, as ``solve_flat(1.0)`` returns it, and its 3-torus."""
+    """The unique proper-biharmonic flat tuple at c = 1, as ``solve_flat(1.0)`` returns it, and its 3-torus.
+
+    Solved once per process; callers must not mutate the result.
+    """
     [tup], _ = solve_flat(1.0)
     box = (2.0 * math.pi * SQ5, 2.0 * math.pi * SQ10 / SQ3, 2.0 * SQ2 * math.pi)
     return tup, flat_torus(tup, name="corollary-c1", sample_box=box)
 
 
+@functools.cache
 def minus4_torus(index: int) -> tuple[SolutionTuple, ParametricImmersion]:
-    """The k-th flat (-4)-biharmonic tuple of ``solve_minus4_flat()`` (k = 1, 2, 3) and its 3-torus."""
+    """The k-th flat (-4)-biharmonic tuple of ``solve_minus4_flat()`` (k = 1, 2, 3) and its 3-torus.
+
+    Solved once per process and index; callers must not mutate the result.
+    """
     if index not in (1, 2, 3):
         raise ValueError("index must be 1, 2 or 3")
     tup = solve_minus4_flat()[0][index - 1]
     return tup, flat_torus(tup, name=f"minus4-{index}", sample_box=(2.0 * math.pi,) * 3)
-
-
-def corollary_immersion() -> ParametricImmersion:
-    """The unique proper-biharmonic flat 3-torus in the unit 7-sphere."""
-    return corollary_torus()[1]
-
-
-def minus4_immersion(index: int) -> ParametricImmersion:
-    """The k-th flat (-4)-biharmonic 3-torus in the unit 7-sphere (k = 1, 2, 3)."""
-    return minus4_torus(index)[1]
 
 
 def s5_surface() -> ParametricImmersion:
@@ -203,8 +198,7 @@ def helix_vectors(kappa1: float) -> np.ndarray:
     """
     if not 0.0 < kappa1 < 1.0:
         raise ValueError("helix curvature must lie in (0, 1)")
-    A = math.sqrt(1.0 + kappa1)
-    B = math.sqrt(1.0 - kappa1)
+    A, B = math.sqrt(1.0 + kappa1), math.sqrt(1.0 - kappa1)
     e1 = np.array([1.0, 0, 0, 0, 0, 0])
     e3 = np.array([0, 0, 1.0, 0, 0, 0])
     e2 = np.array([0.0, math.sqrt(1.0 - B**2 / A**2), 0.0, -B / A, 0.0, 0.0])
@@ -228,8 +222,7 @@ def legendre_helix(kappa1: float) -> ParametricImmersion:
     """The proper-biharmonic Legendre helix of curvature kappa1 in the 5-sphere (order-4 frame)."""
     vectors = helix_vectors(kappa1)
     inv = 1.0 / SQ2
-    A = math.sqrt(1.0 + kappa1)
-    B = math.sqrt(1.0 - kappa1)
+    A, B = math.sqrt(1.0 + kappa1), math.sqrt(1.0 - kappa1)
     terms = [
         (inv, (A,), 0.0, vectors[0]),
         (inv, (A,), -math.pi / 2.0, vectors[1]),

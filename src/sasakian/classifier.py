@@ -466,7 +466,8 @@ def curvature_tables(tup: SolutionTuple) -> dict[str, tuple[float, ...]]:
 
     Curvatures are reported positive (Gram-Schmidt normalization); the third
     curvature of the middle curve carries orientation sign -sign(lam) in the
-    closed form, which is +1 for the admissible lam < 0.
+    closed form, which is +1 for the admissible lam < 0.  Every solver tuple
+    has alpha > 0 (module docstring), so the middle curve has three.
     """
     lam, alpha, gamma, delta = tup.lam, tup.alpha, tup.gamma, tup.delta
     b = tup.b
@@ -474,14 +475,7 @@ def curvature_tables(tup: SolutionTuple) -> dict[str, tuple[float, ...]]:
     tables: dict[str, tuple[float, ...]] = {"X1": ((L - b) / lam, 1.0)}
 
     k1 = math.hypot(lam, alpha)
-    if alpha == 0.0:
-        tables["X2"] = (abs(lam),)
-    else:
-        tables["X2"] = (
-            k1,
-            alpha / k1 * math.sqrt(L + 1.0),
-            abs(lam) * math.sqrt(L + 1.0) / k1,
-        )
+    tables["X2"] = (k1, alpha / k1 * math.sqrt(L + 1.0), abs(lam) * math.sqrt(L + 1.0) / k1)
 
     if delta > 0.0:
         k1 = math.sqrt(L + gamma * gamma + delta * delta)

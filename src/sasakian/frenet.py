@@ -1,13 +1,14 @@
-"""Frenet apparatus of arc-length curves in the unit sphere.
+"""Frenet apparatus of arc-length curves in the ambient sphere.
 
-Covariant derivatives use the sphere connection nabla_T V = V' + <T, V> Gamma
-and come from jets, so helix curvatures of the closed-form curves are exact to
-numerical noise.  Osculating order is detected by Gram-Schmidt rank drop with
-a hard dependence threshold and an explicit indeterminate band; the ladder of
-covariant derivatives is built one rung per Gram-Schmidt step and stops at the
-detected order.  The frame is kept as values only: the closure check
-nabla_T E_r = -kappa_{r-1} E_{r-1}, which needs a frame of jets, is a test
-oracle (``tests/oracles.py``, ``frenet_closure``).
+Covariant derivatives use the connection along the curve from ``ambient``
+and come from jets, so helix curvatures of the closed-form curves are exact
+to numerical noise.  Osculating order is detected by rank drop of a
+Gram-Schmidt in the ambient metric, with a hard dependence threshold and an
+explicit indeterminate band; the ladder of covariant derivatives is built one
+rung per Gram-Schmidt step and stops at the detected order.  The frame is
+kept as values only: the closure check nabla_T E_r = -kappa_{r-1} E_{r-1},
+which needs a frame of jets, is a test oracle (``tests/oracles.py``,
+``frenet_closure``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import phi0
-from .immersion import ParametricImmersion, _connection, _dotv
+from . import ambient
+from .immersion import ParametricImmersion
 
 DEPENDENCE_TOL = 1e-8
 INDETERMINATE_TOL = 1e-6
@@ -51,13 +52,12 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
     s = np.asarray(s_grid, dtype=float).reshape(-1, 1)
     X = curve.jets(s, MAX_ORDER + 1)
 
-    # covariant derivative ladder v_0 = T, v_{j+1} = v_j' + <T, v_j> Gamma
+    # covariant derivative ladder v_0 = T, v_{j+1} = nabla_T v_j
     T = X.deriv(0)
-    speed = np.sqrt(_dotv(T.value, T.value))
-    if np.max(np.abs(speed - 1.0)) > UNIT_SPEED_TOL:
-        raise FrenetError(
-            f"curve is not arc-length parametrized (| |G'| - 1 | up to {float(np.max(np.abs(speed - 1.0))):.3e})"
-        )
+    speed = np.sqrt(ambient.inner(T.value, T.value))
+    drift = float(np.max(np.abs(speed - 1.0)))
+    if drift > UNIT_SPEED_TOL:
+        raise FrenetError(f"curve is not arc-length parametrized (| |G'| - 1 | up to {drift:.3e})")
     # pointwise Gram-Schmidt with rank-drop detection; rung j of the ladder is
     # built only when step j reaches it
     v = T
@@ -66,13 +66,13 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
     order = None
     for j in range(MAX_ORDER + 1):
         if j:
-            v = _connection(v, 0, T, X)
+            v = ambient.connection(v.deriv(0), v, T, X)
         vj = v.value
         w = vj.copy()
         for e in frame_vals:
-            w -= _dotv(w, e)[:, None] * e
-        norm_w = np.linalg.norm(w, axis=-1)
-        scale = max(1.0, float(np.max(np.linalg.norm(vj, axis=-1))))
+            w -= ambient.inner(w, e)[:, None] * e
+        norm_w = ambient.norm(w)
+        scale = max(1.0, float(np.max(ambient.norm(vj))))
         rel = float(np.max(norm_w)) / scale
         if rel < DEPENDENCE_TOL:
             order = j
@@ -107,7 +107,7 @@ def phi_alignment(apparatus: FrenetApparatus) -> float:
     """The constant g0(E_2, phi T) along the curve (requires order >= 2)."""
     if apparatus.order < 2:
         raise FrenetError("phi alignment needs osculating order at least 2")
-    vals = _dotv(apparatus.frame[1], phi0(apparatus.positions, apparatus.frame[0]))
+    vals = ambient.inner(apparatus.frame[1], ambient.phi0(apparatus.positions, apparatus.frame[0]))
     spread = float(np.max(vals) - np.min(vals))
     if spread > 1e-8:
         raise FrenetError(f"g0(E_2, phi T) is not constant along the curve (spread {spread:.3e})")

@@ -1,21 +1,17 @@
-"""Induced geometry of parametric immersions into the unit sphere.
+"""Induced geometry of parametric immersions into the sphere of ``ambient``.
 
-Everything here works at the canonical structure (a = 1), where the sphere's
-Levi-Civita connection along a map F is exact: nabla_X V = D_X V + <X,V> F.
-Charts are required to be flat-orthonormal (induced metric identically the
-identity on the sampled grid) before any covariant differentiation; the
+The metric, the connection along F, the normal projection and the curvature
+come from ``ambient``.  Charts are required to be flat-orthonormal (induced
+metric identically the identity on the sampled grid) before any covariant
+differentiation, B_ij = (nabla_i d_j F)^perp and H = tau / m included; the
 explicit product-of-curves immersions all satisfy this, and anything else
-raises ChartError instead of silently using Christoffel symbols.
-
-B and H are the values of the jets that the C-parallel, normal-Laplacian and
-bitension checks read (B_ij = (nabla_i d_j F)^perp from ``_connection`` and
-``_normal``, H = tau / m), so they need a flat-orthonormal chart too.  On
-such a chart the Laplacians sum second derivatives along the m coordinate
+raises ChartError instead of silently using Christoffel symbols.  On such a
+chart the Laplacians sum second derivatives along the m coordinate
 directions, so the diagonal B_ii, tau and both Laplacians are computed on
 coordinate-line jets (``Jet.lines``): derivatives of F are taken on its full
-jet and only then restricted (``Jet.deriv_lines``), and every product after
-that runs once over all lines, bit-equal to the multivariate product on the
-terms it keeps (see ``jets``).
+jet and only then restricted (``Jet.deriv_lines``; restriction does not
+commute with d_i), and every product after that runs once over all lines,
+bit-equal to the multivariate product on the terms it keeps (see ``jets``).
 
 Every identity checked here holds point by point, so the checks read
 per-point fields (``PointGeometry``) and reduce them over the grid.
@@ -38,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ambient import complex_structure, phi0
+from . import ambient
 from .jets import MAX_ORDER, Jet, _line_terms, _position, _terms
 
 FLAT_CHART_TOL = 1e-9
@@ -296,7 +292,7 @@ class PointGeometry:
     @cached_property
     def metric(self) -> np.ndarray:
         """The induced metric G_ij = <d_i F, d_j F>, (N, m, m)."""
-        return np.einsum("nid,njd->nij", self.tangents, self.tangents)
+        return ambient.induced_metric(self.tangents)
 
     @cached_property
     def mean_curvature(self) -> np.ndarray:
@@ -305,7 +301,7 @@ class PointGeometry:
 
     @cached_property
     def mean_curvature_norm(self) -> np.ndarray:
-        return np.linalg.norm(self.mean_curvature, axis=-1)
+        return ambient.norm(self.mean_curvature)
 
 
 @dataclass
@@ -317,12 +313,8 @@ class GeometrySample(PointGeometry):
     chart: asking for it on any other raises ChartError.  Building every
     field peaks at about 16 KB per point (``cylinder-c1``, one block of 640
     points, tracemalloc), some 7 times the 2.4 KB per point of fields kept
-    from them, so ``geometry_pass`` holds one block at a time.
-
-    The diagonal B_ii, tau and both Laplacians live on the coordinate lines
-    (see the module docstring).  Restriction to line k does not commute with
-    d_i for i != k, so d_i F and d_i d_i F are read off the full jet by
-    ``Jet.deriv_lines``, which restricts after the derivatives.
+    from them, so ``geometry_pass`` holds one block at a time.  The diagonal
+    B_ii, tau and both Laplacians live on the coordinate lines.
     """
 
     jet: Jet                           # accuracy-4 jet of F at the points
@@ -347,8 +339,8 @@ class GeometrySample(PointGeometry):
         T = [self.jet.deriv_lines((j,), 2) for j in range(m)]
         tau, diagonal = None, []
         for i in range(m):
-            # _connection(d_i F, i, d_i F, F), with d_i d_i F restricted after both derivatives
-            b = _normal(self.jet.deriv_lines((i, i), 2) + _dotj(T[i], T[i]) * X, T)
+            # nabla_i d_i F, with d_i d_i F restricted after both derivatives
+            b = ambient.normal(ambient.connection(self.jet.deriv_lines((i, i), 2), T[i], T[i], X), T)
             tau = b if tau is None else tau + b
             # undo the restriction on the terms of degree <= 1; every line holds the same value
             rows = np.empty((m + 1,) + b.rows.shape[2:])
@@ -378,7 +370,8 @@ class GeometrySample(PointGeometry):
         for i in range(m):
             B[(i, i)] = diagonal[i]
             for j in range(i + 1, m):
-                B[(i, j)] = B[(j, i)] = _normal(_connection(tangents[j], i, tangents[i], self.jet), tangents)
+                nabla = ambient.connection(tangents[j].deriv(i), tangents[j], tangents[i], self.jet)
+                B[(i, j)] = B[(j, i)] = ambient.normal(nabla, tangents)
         return B
 
     @cached_property
@@ -397,12 +390,12 @@ class GeometrySample(PointGeometry):
         """S(X_i, X_j, X_k) = g(phi X_i, B(X_j, X_k)) at the points, (N, m, m, m)."""
         B = self.second_fundamental_jets
         m = self.immersion.m
-        phiT = phi0(self.values[:, None], self.tangents)
+        phiT = ambient.phi0(self.values[:, None], self.tangents)
         S = np.empty((len(self.points), m, m, m))
         for i in range(m):
             for j in range(m):
                 for k in range(j, m):
-                    S[:, i, j, k] = S[:, i, k, j] = _dotv(phiT[:, i], B[(j, k)].value)
+                    S[:, i, j, k] = S[:, i, k, j] = ambient.inner(phiT[:, i], B[(j, k)].value)
         return S
 
     @cached_property
@@ -414,13 +407,15 @@ class GeometrySample(PointGeometry):
         B, S = self.second_fundamental_jets, self.phi_b_form
         m = self.immersion.m
         xval, tangents = self.values, self.tangents
-        xi0 = -complex_structure(xval)
+        xi0 = ambient.reeb(xval)
         defect = np.empty((len(self.points), m * m * (m + 1) // 2))
         column = 0
         for i in range(m):
             for j in range(m):
                 for k in range(j, m):
-                    dB_perp = _normal_project_values(_connection_value(B[(j, k)], i, tangents[:, i], xval), tangents)
+                    Bjk = B[(j, k)]
+                    dB = ambient.connection_values(_deriv_value(Bjk, i), Bjk.value, tangents[:, i], xval)
+                    dB_perp = ambient.normal_values(dB, tangents)
                     diff = dB_perp - S[:, i, j, k][:, None] * xi0
                     _abs_max_per_point(diff, out=defect[:, column])
                     column += 1
@@ -448,11 +443,6 @@ class GeometrySample(PointGeometry):
         return lap
 
 
-def _dotj(a: Jet, b: Jet) -> Jet:
-    """Inner product of two component-stacked jets (sums the component axis)."""
-    return (a * b).sum(axis=-2)
-
-
 def _abs_max_per_point(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """max |a| over the components of an (N, dim) array, per point.
 
@@ -462,32 +452,9 @@ def _abs_max_per_point(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return np.max(np.ascontiguousarray(np.abs(a).T), axis=0, out=out)
 
 
-def _dotv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.sum(u * v, axis=-1)
-
-
-def _connection(V: Jet, i: int, T_i: Jet, X: Jet) -> Jet:
-    """nabla_i V = d_i V + <T_i, V> X for jets of V, T_i = d_i F and X = F; accuracy drops by one."""
-    a = V.acc - 1
-    return V.deriv(i) + _dotj(T_i.truncate(a), V.truncate(a)) * X.truncate(a)
-
-
-def _normal(V: Jet, tangents: list[Jet]) -> Jet:
-    """The normal part of a jet V of ambient vectors, given the jets of the d_j F (G = I, so a plain Gram sum)."""
-    proj = V
-    for t in tangents:
-        proj = proj - _dotj(V, t) * t
-    return proj
-
-
 def _deriv_value(V: Jet, i: int) -> np.ndarray:
     """The value of d_i V, read off V: its coefficient of x_i (a view)."""
     return V.rows[_position(V.nvars, 1)[tuple(int(k == i) for k in range(V.nvars))]]
-
-
-def _connection_value(V: Jet, i: int, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The value of nabla_i V, from a jet V and the values t of d_i F and x of F."""
-    return _deriv_value(V, i) + _dotv(t, V.value)[:, None] * x
 
 
 def _tangents(X: Jet) -> np.ndarray:
@@ -561,17 +528,16 @@ def geometry_pass(F: ParametricImmersion, pts: np.ndarray, fields: Sequence[str]
 
 
 def check_unit_norm(values: np.ndarray) -> CheckResult:
-    """Max of ||F|^2 - 1| over an (N, dim) array of values of F."""
-    res = float(np.max(np.abs(_dotv(values, values) - 1.0)))
+    """Max of ||F|^2 - 1| over an (N, dim) array of values of F, F as a point of Euclidean R^{2n+2}."""
+    res = float(np.max(np.abs(np.sum(values * values, axis=-1) - 1.0)))
     return CheckResult("unit_norm", res, UNIT_NORM_TOL)
 
 
 def check_integral(sample: PointGeometry) -> CheckResult:
     """Max of |eta0(d_i F)| over the grid: zero iff F is an integral submanifold."""
-    xi0 = -complex_structure(sample.values)
     res = 0.0
     for i in range(sample.immersion.m):
-        res = max(res, float(np.max(np.abs(_dotv(sample.tangents[:, i], xi0)))))
+        res = max(res, float(np.max(np.abs(ambient.eta0(sample.values, sample.tangents[:, i])))))
     return CheckResult("integral", res, INTEGRAL_TOL)
 
 
@@ -583,11 +549,6 @@ def require_flat_chart(sample: PointGeometry) -> None:
             f"chart of '{F.name}' is not flat-orthonormal "
             f"(max |G - I| = {dev:.3e} > {FLAT_CHART_TOL:.1e}); covariant checks unsupported"
         )
-
-
-def _normal_project_values(W: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-    # flat-orthonormal chart: G = I, so projection is plain Gram sum
-    return W - np.einsum("nkd,nk->nd", tangents, np.einsum("nd,nkd->nk", W, tangents))
 
 
 def check_C_parallel(sample: PointGeometry) -> CheckResult:
@@ -624,14 +585,14 @@ def _rough_laplacian(sample: GeometrySample, V: Jet, normal: bool) -> np.ndarray
     xval, tangents = sample.values, sample.tangents
     # along line i the derivative d_i is the line's own, and so is the tangent d_i F
     X = sample.line_jet
-    dV = _connection(V, 0, X.deriv(0), X)
+    dV = ambient.connection(V.deriv(0), V, X.deriv(0), X)
     if normal:
-        dV = _normal(dV, [sample.jet.deriv_lines((j,), 1) for j in range(sample.immersion.m)])
+        dV = ambient.normal(dV, [sample.jet.deriv_lines((j,), 1) for j in range(sample.immersion.m)])
     lap = np.zeros_like(xval)
     for i in range(sample.immersion.m):
-        # _connection_value on line i: its x_i coefficient and its value
-        d2 = dV.rows[1, i] + _dotv(tangents[:, i], dV.rows[0, i])[:, None] * xval
-        lap -= _normal_project_values(d2, tangents) if normal else d2
+        # on line i: the x_i coefficient is the value of d_i dV
+        d2 = ambient.connection_values(dV.rows[1, i], dV.rows[0, i], tangents[:, i], xval)
+        lap -= ambient.normal_values(d2, tangents) if normal else d2
     return lap
 
 
@@ -645,17 +606,14 @@ def bitension(sample: PointGeometry, mode: str = "biharmonic") -> np.ndarray:
     """Bitension field tau_2 (mode 'biharmonic') or tau_2 + 4 tau (mode 'minus4').
 
     tau = m H; Delta tau = -sum_i nabla^F_i nabla^F_i tau along the map with
-    the sphere connection (``tension_laplacian``); the curvature term is the
-    constant-curvature-one tensor of the canonical structure.
+    the sphere connection (``tension_laplacian``); the curvature term
+    -sum_i R(d_i F, tau) d_i F is the ambient's.
     """
     if mode not in ("biharmonic", "minus4"):
         raise ValueError(f"unknown bitension mode {mode!r}")
     tau2 = -sample.tension_laplacian
-    # - trace R^N(dF, tau) dF at c = 1:  R(u,v)w = <w,v>u - <w,u>v
     tv = sample.tension
-    for i in range(sample.immersion.m):
-        ti = sample.tangents[:, i]
-        r = _dotv(ti, tv)[:, None] * ti - _dotv(ti, ti)[:, None] * tv
+    for r in ambient.curvature_terms(sample.tangents, tv):
         tau2 -= r
     if mode == "minus4":
         tau2 += 4.0 * tv
@@ -677,15 +635,12 @@ def coordinate_laplacian_eigencheck(
     ``split_spec`` maps group names to complex coordinate indices.  The fitted
     eigenvalue is reported in ``extra['eigenvalue']``.
     """
-    xval = sample.values
-    lap = sample.coordinate_laplacian
-
+    xval, lap = sample.values, sample.coordinate_laplacian
     half = sample.immersion.n + 1
     out = {}
     for name, idxs in split_spec.items():
-        comp = [j for j in idxs] + [j + half for j in idxs]
-        xg = xval[:, comp]
-        lg = lap[:, comp]
+        comp = list(idxs) + [j + half for j in idxs]
+        xg, lg = xval[:, comp], lap[:, comp]
         mu = float(np.sum(lg * xg) / np.sum(xg * xg))
         res = float(np.max(np.abs(lg - mu * xg)))
         r = CheckResult(f"laplacian_eigen_{name}", res, EIGEN_TOL)

@@ -37,8 +37,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from . import catalog, classifier, immersion as imm
-from .ambient import complex_structure
+from . import ambient, catalog, classifier, immersion as imm
 from .frenet import FrenetError, frenet, phi_alignment
 
 SQ2, SQ3, SQ5, SQ13 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(13.0)
@@ -248,12 +247,7 @@ class VerificationReport:
         return {
             "subject": self.subject,
             "checks": [
-                {
-                    "name": c.name,
-                    "residual": float(c.residual),
-                    "tolerance": float(c.tolerance),
-                    "pass": bool(c.passed),
-                }
+                {"name": c.name, "residual": float(c.residual), "tolerance": float(c.tolerance), "pass": bool(c.passed)}
                 for c in self.checks
             ],
             "computed": self.computed,
@@ -379,7 +373,7 @@ def _flow_cylinder_checks(report, F, per_axis, want_h=None, fields=()):
     base = slice(per_axis**2)  # the first t-slice of the grid
     report.add(imm.check_unit_norm(geo.values))
     # the cylinder direction is the Reeb flow: eta0(d_t y) = 1 exactly
-    eta_t = np.sum(geo.tangents[base, 0] * (-complex_structure(geo.values[base])), axis=-1)
+    eta_t = ambient.eta0(geo.values[base], geo.tangents[base, 0])
     report.add(imm.CheckResult("flow_direction", float(np.max(np.abs(eta_t - 1.0))), 1e-10))
     _mean_curvature_checks(report, geo.mean_curvature_norm[base], want_h)
     report.add(imm.check_bitension(geo))
@@ -422,9 +416,7 @@ def _decomposition_check(report, F, want_radii, per_axis, basis=None, geo=None):
     try:
         dec = catalog.circle_decomposition(F, per_axis=max(per_axis, 3), basis=basis, geometry=geo)
     except ValueError as ex:
-        chk = imm.CheckResult("decomposition", float("inf"), 1e-10)
-        chk.extra["error"] = str(ex)
-        report.add(chk)
+        _failed_checks(report, (("decomposition", 1e-10),), ex)
         return
     got = np.sort(dec.radii)
     want = np.sort(np.asarray(want_radii, dtype=float))
@@ -484,7 +476,7 @@ def _s5_suite(report, per_axis, _param):
 
 
 def _cylinder_c1_suite(report, per_axis, _param):
-    F = catalog.cylinder(catalog.corollary_immersion())
+    F = catalog.cylinder(catalog.corollary_torus()[1])
     geo = _flow_cylinder_checks(report, F, per_axis, want_h=0.5, fields=_EIGEN_FIELDS)
     _decomposition_check(report, F, (1.0 / SQ2,) + (1.0 / math.sqrt(6.0),) * 3, per_axis, geo=geo)
     q4 = catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1
@@ -512,8 +504,7 @@ def _legendre_circle_suite(report, per_axis, _param):
 
 def _legendre_helix_suite(report, per_axis, kappa1):
     F = catalog.legendre_helix(kappa1)
-    B = math.sqrt(1.0 - kappa1)
-    app = _legendre_suite(report, F, per_axis, "helix", 3, kappa1, "phi_alignment_magnitude", B)
+    app = _legendre_suite(report, F, per_axis, "helix", 3, kappa1, "phi_alignment_magnitude", math.sqrt(1.0 - kappa1))
     if app is not None:
         report.computed["curvatures"] = [format_value(v) for v in app.curvature_values]
 
@@ -523,7 +514,7 @@ def _minus4_suite(report, per_axis, index):
 
 
 def _cylinder_minus4_suite(report, per_axis, index):
-    F = catalog.cylinder(catalog.minus4_immersion(index))
+    F = catalog.cylinder(catalog.minus4_torus(index)[1])
     geo = imm.geometry_pass(F, F.grid(per_axis))
     report.add(imm.check_unit_norm(geo.values))
     _decomposition_check(report, F, MINUS4_RADII[index - 1], per_axis, geo=geo)

@@ -23,11 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from sasakian.ambient import _dot, complex_structure, phi0
+from sasakian.ambient import complex_structure, connection, inner_jets, phi0
 from sasakian.classifier import _branch_squares
 from sasakian.catalog import trig_immersion
 from sasakian.frenet import MAX_ORDER, frenet
-from sasakian.immersion import ParametricImmersion, _connection, _connection_value, _dotj
+from sasakian.immersion import ParametricImmersion
 from sasakian.jets import Jet, _nterms, _position
 from sasakian.shape_algebra import MINUS4_EIGENVALUE, AdaptedShapeOperators, _fields, expanded_system_residual
 
@@ -38,6 +38,11 @@ UNITARY_TOL = 1e-14
 # residual of an accepted float tuple, absolute, so meant for moderate |c|
 CONSTRAINT_TOL = 1e-12
 FLAT_RESIDUAL_TOL = 1e-10
+
+
+def _dot(u, v):
+    """The Euclidean inner product over the last axis."""
+    return np.sum(u * v, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -536,12 +541,12 @@ def frenet_closure(curve: ParametricImmersion, s_grid) -> tuple[float, float]:
     rung, jet_frame = T, []
     for j in range(app.order):
         if j:
-            rung = _connection(rung, 0, T, X)
+            rung = connection(rung.deriv(0), rung, T, X)
         w = rung.truncate(1)
         for e in jet_frame:
-            w = w - _dotj(w, e) * e
-        jet_frame.append(w * jet_reciprocal(jet_sqrt(_dotj(w, w))))
-    dEr = _connection_value(jet_frame[-1], 0, T.value, X.value)
+            w = w - inner_jets(w, e) * e
+        jet_frame.append(w * jet_reciprocal(jet_sqrt(inner_jets(w, w))))
+    dEr = connection(jet_frame[-1].deriv(0), jet_frame[-1], T, X).value
     closure = float(np.max(np.abs(dEr + app.curvatures[-1][:, None] * app.frame[-2])))
     frame = np.stack(app.frame, 1)
     gram = np.einsum("nid,njd->nij", frame, frame)

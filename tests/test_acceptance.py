@@ -30,7 +30,7 @@ def criterion(num: int, description: str):
 
 @pytest.fixture(scope="module")
 def corollary():
-    return catalog.corollary_immersion()
+    return catalog.corollary_torus()[1]
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def s5():
 
 @pytest.fixture(scope="module")
 def minus4_immersions():
-    return [catalog.minus4_immersion(k) for k in (1, 2, 3)]
+    return [catalog.minus4_torus(k)[1] for k in (1, 2, 3)]
 
 
 def test_criterion_01_unique_c1_solution():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
+from sasakian import ambient
 from sasakian.ambient import complex_structure
+from sasakian.immersion import ParametricImmersion
 
 CS = [-2.0, 5.0 / 9.0, 1.0, 7.0]
 
@@ -153,3 +155,92 @@ def test_point_and_tangent_validation():
         space.xi([1.1, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="not tangent"):
         space.phi([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+
+
+# The deformation parameters the runtime ambient is written for: the round
+# sphere only.  A deformed ambient adds its a here, and these tests then check
+# its connection and curvature term against the oracle at that a.
+AMBIENT_A = (1.0,)
+
+
+def _random_waves(space, m, rng):
+    """A random plane-wave immersion into ``space``: circles of random radii and frequencies along a unitary basis."""
+    radii = rng.uniform(0.5, 1.0, space.n + 1)
+    return ParametricImmersion(
+        amplitudes=(radii / np.linalg.norm(radii))[:, None] * oracles.random_unitary(space.n + 1, rng),
+        frequencies=rng.standard_normal((space.n + 1, m)),
+        phases=rng.uniform(0.0, 2.0 * np.pi, space.n + 1),
+        name="random-waves",
+        sample_box=(2.0 * np.pi,) * m,
+    )
+
+
+def _max_diff(a, b):
+    return float(np.max(np.abs(a.rows - b.rows)))
+
+
+@pytest.mark.parametrize("a", AMBIENT_A)
+def test_curvature_term_matches_the_space_form_oracle(a):
+    space = oracles.SasakianSphere(n=3, a=a)
+    rng = np.random.default_rng(31)
+    z = oracles.random_point(space, rng, (40,))
+    tangents = np.stack([oracles.random_tangent(space, z, rng) for _ in range(3)], axis=1)
+    tau = oracles.random_tangent(space, z, rng)
+    got = -sum(ambient.curvature_terms(tangents, tau))
+    want = -sum(space.curvature(z, tangents[:, i], tau, tangents[:, i]) for i in range(3))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("a", AMBIENT_A)
+@pytest.mark.parametrize("m", [2, 3])
+def test_jet_connection_is_torsion_free(a, m):
+    rng = np.random.default_rng(m)
+    F = _random_waves(oracles.SasakianSphere(n=3, a=a), m, rng)
+    X = F.jets(rng.uniform(0.0, 2.0 * np.pi, (20, m)), 3)
+    T = [X.deriv(i) for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            nabla_ij = ambient.connection(T[j].deriv(i), T[j], T[i], X)
+            nabla_ji = ambient.connection(T[i].deriv(j), T[i], T[j], X)
+            assert _max_diff(nabla_ij, nabla_ji) < 1e-12
+
+
+@pytest.mark.parametrize("a", AMBIENT_A)
+@pytest.mark.parametrize("m", [2, 3])
+def test_jet_connection_is_metric_compatible_on_fields_orthogonal_to_F(a, m):
+    # d_i g(U, V) = g(nabla_i U, V) + g(U, nabla_i V) for U, V orthogonal to F,
+    # and nabla_i V stays tangent to the sphere: <nabla_i V, F> = 0 (Euclidean)
+    space = oracles.SasakianSphere(n=3, a=a)
+    rng = np.random.default_rng(10 + m)
+    F = _random_waves(space, m, rng)
+    X = F.jets(rng.uniform(0.0, 2.0 * np.pi, (20, m)), 3)
+    T = [X.deriv(i) for i in range(m)]
+    W = oracles.constant(rng.standard_normal(space.ambient_dim), m, 3)
+    fields = T + [W - ambient.inner_jets(W, X) * X]  # the tangents and a projected constant
+    for i in range(m):
+        for U in fields:
+            for V in fields:
+                lhs = ambient.inner_jets(U, V).deriv(i)
+                nabla_U = ambient.connection(U.deriv(i), U, T[i], X)
+                nabla_V = ambient.connection(V.deriv(i), V, T[i], X)
+                rhs = ambient.inner_jets(nabla_U, V) + ambient.inner_jets(U, nabla_V)
+                assert _max_diff(lhs, rhs) < 1e-12
+            assert float(np.max(np.abs((nabla_U * X).sum(axis=-2).rows))) < 1e-12
+
+
+def test_jet_and_value_connection_and_normal_part_agree():
+    rng = np.random.default_rng(41)
+    m = 3
+    F = _random_waves(oracles.SasakianSphere(n=3), m, rng)
+    X = F.jets(rng.uniform(0.0, 2.0 * np.pi, (20, m)), 3)
+    T = [X.deriv(i) for i in range(m)]
+    tangents = np.stack([t.value for t in T], axis=1)
+    # the tangents of a random immersion are not orthonormal: project onto F's normal space through an orthonormal frame
+    frame = np.linalg.qr(tangents.transpose(0, 2, 1))[0].transpose(0, 2, 1)
+    for i in range(m):
+        V = T[(i + 1) % m]
+        jet = ambient.connection(V.deriv(i), V, T[i], X)
+        value = ambient.connection_values(V.deriv(i).value, V.value, tangents[:, i], X.value)
+        assert np.max(np.abs(jet.value - value)) < 1e-13
+        frame_jets = [oracles.constant(frame[:, k], m, 0) for k in range(m)]
+        assert np.max(np.abs(ambient.normal(jet.truncate(0), frame_jets).value - ambient.normal_values(value, frame))) < 1e-13

@@ -14,7 +14,7 @@ SQ6, SQ10 = math.sqrt(6.0), math.sqrt(10.0)
 
 
 def test_corollary_coefficients_and_frequencies():
-    F = catalog.corollary_immersion()
+    F = catalog.corollary_torus()[1]
     want_coeff = np.array([-1 / SQ6, 1 / SQ6, 1 / SQ6, 1 / SQ2])
     # standard basis: one wave per complex coordinate, amplitude = circle coefficient
     assert np.max(np.abs(F.amplitudes - np.diag(want_coeff))) < 1e-14
@@ -41,10 +41,10 @@ def test_rho_identities_for_corollary_tuple():
 
 def test_coefficient_squares_sum_to_one():
     for build in (
-        catalog.corollary_immersion(),
-        catalog.minus4_immersion(1),
-        catalog.minus4_immersion(2),
-        catalog.minus4_immersion(3),
+        catalog.corollary_torus()[1],
+        catalog.minus4_torus(1)[1],
+        catalog.minus4_torus(2)[1],
+        catalog.minus4_torus(3)[1],
     ):
         assert np.sum(np.abs(build.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
 
@@ -70,13 +70,13 @@ def test_flat_torus_rejects_inadmissible_tuple():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: catalog.corollary_immersion(),
+        lambda: catalog.corollary_torus()[1],
         lambda: catalog.s5_surface(),
-        lambda: catalog.cylinder(catalog.corollary_immersion()),
+        lambda: catalog.cylinder(catalog.corollary_torus()[1]),
         lambda: catalog.cylinder(catalog.s5_surface()),
-        lambda: catalog.minus4_immersion(1),
-        lambda: catalog.minus4_immersion(2),
-        lambda: catalog.minus4_immersion(3),
+        lambda: catalog.minus4_torus(1)[1],
+        lambda: catalog.minus4_torus(2)[1],
+        lambda: catalog.minus4_torus(3)[1],
         lambda: catalog.legendre_circle(),
         lambda: catalog.legendre_helix(0.5),
     ],
@@ -90,7 +90,7 @@ def test_every_generated_immersion_is_unit_norm(build):
 def test_basis_independence_of_verdicts():
     rng = np.random.default_rng(42)
     basis = oracles.random_unitary(4, rng)
-    F = oracles.rotated_torus(catalog.corollary_immersion(), basis)
+    F = oracles.rotated_torus(catalog.corollary_torus()[1], basis)
     pts = F.grid(4)
     assert imm.check_unit_norm(F.values(pts)).residual < 1e-13
     assert imm.check_integral(imm.sample_geometry(F, pts)).passed
@@ -102,7 +102,7 @@ def test_basis_independence_of_verdicts():
 
 
 def test_cylinder_shifts_frequencies_by_minus_one():
-    F = catalog.corollary_immersion()
+    F = catalog.corollary_torus()[1]
     Y = catalog.cylinder(F)
     assert Y.m == 4
     assert np.all(Y.frequencies[:, 0] == -1.0)
@@ -112,7 +112,7 @@ def test_cylinder_shifts_frequencies_by_minus_one():
 
 
 def test_cylinder_of_biharmonic_is_biharmonic():
-    Y = catalog.cylinder(catalog.corollary_immersion())
+    Y = catalog.cylinder(catalog.corollary_torus()[1])
     assert np.max(np.abs(imm.bitension(imm.sample_geometry(Y, Y.grid(3))))) < 1e-8
 
 
@@ -132,7 +132,7 @@ def test_s5_surface_lattice_periodicity():
 
 
 def test_circle_decomposition_radii_cylinder_c1():
-    Y = catalog.cylinder(catalog.corollary_immersion())
+    Y = catalog.cylinder(catalog.corollary_torus()[1])
     dec = catalog.circle_decomposition(Y)
     want = np.sort([1 / SQ2, 1 / SQ6, 1 / SQ6, 1 / SQ6])
     assert np.max(np.abs(np.sort(dec.radii) - want)) < 1e-10
@@ -141,7 +141,7 @@ def test_circle_decomposition_radii_cylinder_c1():
 
 def test_circle_decomposition_reads_a_given_geometry():
     # values and tangents assembled from the blocks' accuracy-4 jets
-    Y = catalog.cylinder(catalog.corollary_immersion())
+    Y = catalog.cylinder(catalog.corollary_torus()[1])
     pts = Y.grid(3)
     direct = catalog.circle_decomposition(Y, per_axis=3)
     given = catalog.circle_decomposition(Y, geometry=imm.geometry_pass(Y, pts, ("tension",)))
@@ -169,7 +169,7 @@ def test_s5_cylinder_circle_form_radii():
 def test_t4_transforms_are_orthogonal_and_diagonalize():
     q4 = catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1
     assert np.max(np.abs(q4 @ q4.T - np.eye(4))) < 1e-14
-    Y = catalog.cylinder(catalog.corollary_immersion())
+    Y = catalog.cylinder(catalog.corollary_torus()[1])
     tilde = catalog.precompose_linear(Y, q4.T, "cylinder-c1-circleform")
     dec = catalog.circle_decomposition(tilde, per_axis=3)
     offdiag = dec.frequencies - np.diag(np.diag(dec.frequencies))
@@ -180,7 +180,7 @@ def test_t4_transforms_are_orthogonal_and_diagonalize():
 def test_radii_off_the_unit_sphere_reach_both_decomposition_checks():
     # sum r^2 = 1 is the report's decomposition_sum_sq check, under the tolerance
     # a command may override; the decomposition itself does not refuse such radii
-    F = catalog.corollary_immersion()
+    F = catalog.corollary_torus()[1]
     F = dataclasses.replace(F, amplitudes=0.99 * F.amplitudes)
     report = rep.VerificationReport(subject=F.name)
     rep._decomposition_check(report, F, (1 / SQ2,) + (1 / SQ6,) * 3, per_axis=3)
@@ -195,7 +195,7 @@ def test_unitary_validation():
     with pytest.raises(ValueError, match="Hermitian-orthonormal"):
         oracles.validate_unitary(np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex))
     with pytest.raises(ValueError, match="Hermitian-orthonormal"):
-        oracles.rotated_torus(catalog.corollary_immersion(), 2.0 * np.eye(4))
+        oracles.rotated_torus(catalog.corollary_torus()[1], 2.0 * np.eye(4))
 
 
 def test_helix_vectors_are_the_sign_plus_one_construction():
@@ -250,7 +250,7 @@ def test_precompose_linear_shape_check():
 
 
 def test_coordinate_curve_dimensions():
-    F = catalog.corollary_immersion()
+    F = catalog.corollary_torus()[1]
     c = catalog.coordinate_curve(F, 1, [0.1, 0.2, 0.3])
     assert c.m == 1
     s = np.array([[0.0], [0.5]])
@@ -283,4 +283,21 @@ def test_minus4_index_validation():
     # index 0 would pick the last solver tuple
     for index in (0, 4):
         with pytest.raises(ValueError, match="1, 2 or 3"):
-            catalog.minus4_immersion(index)
+            catalog.minus4_torus(index)[1]
+
+
+@pytest.mark.parametrize(
+    "example, build, solver",
+    [("corollary-c1", catalog.corollary_torus, "solve_flat"), ("minus4-2", catalog.minus4_torus, "solve_minus4_flat")],
+)
+def test_verified_flat_tori_are_solved_once_per_process(example, build, solver, monkeypatch):
+    calls = []
+    solve = getattr(catalog, solver)
+    monkeypatch.setattr(catalog, solver, lambda *args: calls.append(args) or solve(*args))
+    build.cache_clear()
+    try:
+        first = rep.build_report(example, 3).to_json()
+        second = rep.build_report(example, 3).to_json()
+    finally:
+        build.cache_clear()  # its entries came through the patched solver
+    assert len(calls) == 1 and first == second

@@ -335,10 +335,6 @@ def test_curvature_tables_degenerations():
     assert tables["X3"][0] == pytest.approx(
         math.hypot(oracles.MINUS4_TUPLES[0][0], oracles.MINUS4_TUPLES[0][2]), abs=1e-14
     )
-    degen = cl.SolutionTuple(-0.5, 0.0, 0.0, 0.0, c=1.0)
-    tables = cl.curvature_tables(degen)
-    assert tables["X2"] == (0.5,)
-    assert tables["X3"] == (0.5,)
 
 
 def _branch_polynomial_npp(branch, b, k):

@@ -95,3 +95,20 @@ def test_comparison_set_has_the_csv_and_text_of_classify_and_of_one_verify():
         for command in ("classify --c 1", "classify --mode minus4", "classify --c-sweep 0:3:0.5"):
             assert f"{command} --format {fmt}" in joined
         assert f"verify corollary-c1 --grid 3 --format {fmt}" in joined
+
+
+def test_summary_counts_leaves_that_appear_and_vanish_apart_from_changed_ones():
+    # a bare classify report that becomes {"sweep": [...]}: a change of shape, and still exit 0
+    bare = {"c": 1.0, "mode": "biharmonic", "flat_solutions": [{"lam": -0.5}]}
+    before = {"classify x": _run(0, bare), "verify y": _run(0, _report(1e-16))}
+    after = {"classify x": _run(0, {"sweep": [dict(bare, c=1.5)]}), "verify y": _run(0, _report(2e-16))}
+    lines, line, status = co.summary(before, after)
+    assert "classify x | c: 1.0 -> <absent>" in lines and "classify x | sweep[0].c: <absent> -> 1.5" in lines
+    assert line == (
+        "2 commands, 1 changed leaves, 3 leaves appeared, 3 leaves vanished, 0 text differences; no structural change"
+    )
+    assert status == 0
+    # an exit code that differs is a changed leaf and sets the status
+    after["verify y"] = _run(1, _report(1e-16))
+    assert co.summary(before, after)[1].startswith("2 commands, 1 changed leaves, 3 leaves appeared")
+    assert co.summary(before, after)[2] == 1

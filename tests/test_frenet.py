@@ -18,7 +18,7 @@ COROLLARY_WANT = {
 
 @pytest.fixture(scope="module")
 def corollary():
-    return catalog.corollary_immersion()
+    return catalog.corollary_torus()[1]
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +107,7 @@ def test_minus4_curves_match_curvature_tables(s_grid):
     from sasakian import classifier
 
     for index in (1, 3):
-        F = catalog.minus4_immersion(index)
+        F = catalog.minus4_torus(index)[1]
         tup = classifier.SolutionTuple(*oracles.MINUS4_TUPLES[index - 1], c=1.0, mode="minus4")
         tables = classifier.curvature_tables(tup)
         for axis, label in ((0, "X1"), (1, "X2"), (2, "X3")):
@@ -125,7 +125,7 @@ MINUS4_ORDERS = {1: (3, 4, 2), 2: (3, 4, 2), 3: (3, 4, 4)}
 @pytest.mark.parametrize("index", [1, 2, 3])
 def test_minus4_frames_close(index, grid):
     # the coordinate curves that verify minus4-i runs, at its base point
-    F = catalog.minus4_immersion(index)
+    F = catalog.minus4_torus(index)[1]
     base = report._CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
     for axis, want_order in enumerate(MINUS4_ORDERS[index]):
         curve = catalog.coordinate_curve(F, axis, base)

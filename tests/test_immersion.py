@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sasakian import catalog
+from sasakian import ambient, catalog
 from sasakian import immersion as imm
 from sasakian import report as rep
 from sasakian.ambient import complex_structure
@@ -14,7 +14,7 @@ from sasakian.jets import _position
 
 @pytest.fixture(scope="module")
 def corollary():
-    return catalog.corollary_immersion()
+    return catalog.corollary_torus()[1]
 
 
 @pytest.fixture(scope="module")
@@ -282,24 +282,28 @@ def test_adapted_shape_operators_from_geometry(corollary):
     assert np.max(np.abs(sign * A_geo - oracles.build_matrices(ops))) < 1e-10
 
 
+def corollary_immersion():
+    return catalog.corollary_torus()[1]
+
+
 EXAMPLE_BUILDS = [
-    catalog.corollary_immersion,
+    corollary_immersion,
     catalog.s5_surface,
-    lambda: catalog.cylinder(catalog.corollary_immersion()),
+    lambda: catalog.cylinder(catalog.corollary_torus()[1]),
     lambda: catalog.cylinder(catalog.s5_surface()),
-    lambda: catalog.minus4_immersion(1),
-    lambda: catalog.minus4_immersion(2),
-    lambda: catalog.minus4_immersion(3),
-    lambda: catalog.cylinder(catalog.minus4_immersion(3)),
+    lambda: catalog.minus4_torus(1)[1],
+    lambda: catalog.minus4_torus(2)[1],
+    lambda: catalog.minus4_torus(3)[1],
+    lambda: catalog.cylinder(catalog.minus4_torus(3)[1]),
     lambda: catalog.legendre_circle(),
     lambda: catalog.legendre_helix(0.5),
     oracles.great_circle,
     lambda: catalog.precompose_linear(
-        catalog.cylinder(catalog.corollary_immersion()),
+        catalog.cylinder(catalog.corollary_torus()[1]),
         (catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1).T,
         "cylinder-c1-circleform",
     ),
-    lambda: catalog.coordinate_curve(catalog.corollary_immersion(), 1, np.array([0.3, 0.7, 1.1])),
+    lambda: catalog.coordinate_curve(catalog.corollary_torus()[1], 1, np.array([0.3, 0.7, 1.1])),
 ]
 
 
@@ -336,10 +340,10 @@ def _eager_second_fundamental_jets(sample):
     B = {}
     for i in range(m):
         for j in range(i, m):
-            nab = T[i].deriv(j) + imm._dotj(T2[i], T2[j]) * X2
+            nab = T[i].deriv(j) + ambient.inner_jets(T2[i], T2[j]) * X2
             proj = nab
             for k in range(m):
-                proj = proj - imm._dotj(nab, T2[k]) * T2[k]
+                proj = proj - ambient.inner_jets(nab, T2[k]) * T2[k]
             B[(i, j)] = B[(j, i)] = proj
     return B
 
@@ -361,10 +365,10 @@ def _assert_bit_equal(got, want):
 @pytest.mark.parametrize(
     "build",
     [
-        catalog.corollary_immersion,
+        corollary_immersion,
         catalog.s5_surface,
-        lambda: catalog.cylinder(catalog.corollary_immersion()),
-        lambda: catalog.minus4_immersion(1),
+        lambda: catalog.cylinder(catalog.corollary_torus()[1]),
+        lambda: catalog.minus4_torus(1)[1],
         lambda: catalog.legendre_helix(0.5),
     ],
 )

@@ -119,7 +119,7 @@ BASE = np.array([0.7, 2.1, 4.4])
 
 def _bases():
     """(id, immersion, reference) for every catalog constructor."""
-    cor, s5 = catalog.corollary_immersion(), catalog.s5_surface()
+    cor, s5 = catalog.corollary_torus()[1], catalog.s5_surface()
     basis = oracles.random_unitary(4, np.random.default_rng(3))
     rot = oracles.rotated_torus(cor, basis)
     flat = catalog.flat_torus(classifier.solve_flat(2.0)[0][0], "flat-torus(c=2)", (2.0 * math.pi,) * 3)
@@ -132,7 +132,7 @@ def _bases():
         ("great-circle", oracles.great_circle(), trig_ref(GREAT_CIRCLE_TERMS)),
     ]
     for index in (1, 2, 3):
-        F = catalog.minus4_immersion(index)
+        F = catalog.minus4_torus(index)[1]
         out.append((f"minus4-{index}", F, circle_ref(F)))
     for sign, F in ((1, catalog.legendre_helix(0.5)), (-1, oracles.legendre_helix(0.5, sign=-1))):
         ref = trig_ref(oracles.helix_terms(0.5, oracles.helix_vectors(0.5, sign=sign)))

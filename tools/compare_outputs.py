@@ -33,10 +33,13 @@ text formats, each with its own rounding, so ``classify --c 1``, ``classify
 --grid 3`` run with ``--format csv`` and ``--format text`` as well.  The
 workload items come from this tree's ``benchmarks/workloads.py``.  Every
 changed JSON leaf is printed as ``command | path: before -> after``
-(output that is not JSON is compared line by line).  The raw text is compared as well: a command whose stdout
-or stderr differs while all its leaves are equal (a change of layout,
-escaping or number spelling alone) is printed as ``command | text differs,
-leaves equal``.  The exit status is 1 only if an exit code, a check name, a
+(output that is not JSON is compared line by line); a leaf that exists on
+one side only reads ``<absent>`` on the other, and the summary line counts
+the leaves that appear and those that vanish apart from the changed ones, so
+a change of shape shows there too.  The raw text is compared as well: a
+command whose stdout or stderr differs while all its leaves are equal (a
+change of layout, escaping or number spelling alone) is printed as
+``command | text differs, leaves equal``.  The exit status is 1 only if an exit code, a check name, a
 tolerance or a pass flag differs; changed values or text alone exit 0.
 """
 
@@ -73,6 +76,9 @@ FORMAT_COMMANDS = (
     ["classify", "--c-sweep", "0:3:0.5"],
     ["verify", "corollary-c1", "--grid", "3"],
 )
+
+# the value of a leaf on the side where it does not exist
+ABSENT = "<absent>"
 
 # run in a fresh interpreter per tree: argv[1] is the tree's src directory,
 # stdin the list of argument lists; prints {command: {exit, stdout, stderr}}
@@ -156,13 +162,13 @@ def _outline(payload) -> list | None:
     return None
 
 
-def compare(before: dict, after: dict) -> tuple[list[str], bool]:
-    """The changed leaves as printed lines, and whether any structural field changed."""
-    lines, structural = [], False
+def _differences(before: dict, after: dict) -> tuple[list[tuple[str, str, str, str]], bool]:
+    """Every differing exit code and leaf as (command, path, before, after), and whether any structural field changed."""
+    diffs, structural = [], False
     for command, old in before.items():
         new = after[command]
         if old["exit"] != new["exit"]:
-            lines.append(f"{command} | exit: {old['exit']} -> {new['exit']}")
+            diffs.append((command, "exit", old["exit"], new["exit"]))
             structural = True
         for stream in ("stdout", "stderr"):
             a, b = _parse(old[stream]), _parse(new[stream])
@@ -170,11 +176,21 @@ def compare(before: dict, after: dict) -> tuple[list[str], bool]:
                 a, b = {stream: old[stream].splitlines()}, {stream: new[stream].splitlines()}
             la, lb = dict(_leaves(a)), dict(_leaves(b))
             for path in list(la) + [p for p in lb if p not in la]:
-                va, vb = la.get(path, "<absent>"), lb.get(path, "<absent>")
+                va, vb = la.get(path, ABSENT), lb.get(path, ABSENT)
                 if va != vb:
-                    lines.append(f"{command} | {path}: {va} -> {vb}")
+                    diffs.append((command, path, va, vb))
             structural |= _outline(a) != _outline(b)
-    return lines, structural
+    return diffs, structural
+
+
+def _printed(diffs) -> list[str]:
+    return [f"{command} | {path}: {va} -> {vb}" for command, path, va, vb in diffs]
+
+
+def compare(before: dict, after: dict) -> tuple[list[str], bool]:
+    """The changed leaves as printed lines, and whether any structural field changed."""
+    diffs, structural = _differences(before, after)
+    return _printed(diffs), structural
 
 
 def text_only(before: dict, after: dict) -> list[str]:
@@ -185,6 +201,20 @@ def text_only(before: dict, after: dict) -> list[str]:
         if (old["stdout"], old["stderr"]) != (after[command]["stdout"], after[command]["stderr"])
         and not compare({command: old}, {command: after[command]})[0]
     ]
+
+
+def summary(before: dict, after: dict) -> tuple[list[str], str, int]:
+    """The printed lines, the summary line and the exit status of one comparison."""
+    diffs, structural = _differences(before, after)
+    appeared = sum(va == ABSENT for _, _, va, _ in diffs)
+    vanished = sum(vb == ABSENT for _, _, _, vb in diffs)
+    texts = text_only(before, after)
+    verdict = "an exit code, check name, tolerance or pass flag differs" if structural else "no structural change"
+    line = (
+        f"{len(before)} commands, {len(diffs) - appeared - vanished} changed leaves, {appeared} leaves appeared, "
+        f"{vanished} leaves vanished, {len(texts)} text differences; {verdict}"
+    )
+    return _printed(diffs) + [f"{command} | text differs, leaves equal" for command in texts], line, int(structural)
 
 
 def main(argv: list[str]) -> int:
@@ -200,12 +230,10 @@ def main(argv: list[str]) -> int:
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=ROOT, check=False)
     after = run_tree(ROOT, argvs)
-    lines, structural = compare(before, after)
-    texts = text_only(before, after)
-    print("\n".join(lines + [f"{command} | text differs, leaves equal" for command in texts]))
-    verdict = "an exit code, check name, tolerance or pass flag differs" if structural else "no structural change"
-    print(f"{len(argvs)} commands, {len(lines)} changed leaves, {len(texts)} text differences; {verdict}")
-    return 1 if structural else 0
+    lines, line, status = summary(before, after)
+    print("\n".join(lines))
+    print(line)
+    return status
 
 
 if __name__ == "__main__":
