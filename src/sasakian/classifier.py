@@ -85,7 +85,7 @@ class SolutionTuple:
         arg = "minus4" if self.mode == "minus4" else self.c
         v = sa.expanded_system_residual(self.operators(), arg)
         try:
-            return math.sqrt(math.fsum(x * x for x in v.tolist()))
+            return math.sqrt(math.fsum(x * x for x in v))
         except OverflowError:  # finite squares whose sum passes the largest float
             return math.inf
 

@@ -15,7 +15,7 @@ import io
 import math
 import sys
 
-from . import report as rep
+from . import output, report as rep
 
 
 def _emit(text: str, out: str | None, parser: argparse.ArgumentParser) -> None:
@@ -203,10 +203,10 @@ def main(argv=None) -> int:
                 parser.error(f"--c must satisfy |c| <= {MAX_ABS_C:g}, got {args.c}")
             else:
                 cs = [args.c]
-        results = [rep.classification_report(c=c, mode=args.mode) for c in cs]
+        results = [output.classification_report(c=c, mode=args.mode) for c in cs]
         if args.format == "json":
             payload = results[0] if args.c_sweep is None else {"sweep": results}
-            _emit(rep.json_text(payload), args.out, parser)
+            _emit(output.json_text(payload), args.out, parser)
         elif args.format == "csv":
             _emit(_classification_csv(results), args.out, parser)
         else:

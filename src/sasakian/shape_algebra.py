@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 MINUS4_EIGENVALUE = 6.0
 
 
@@ -51,8 +49,8 @@ def biharmonic_eigenvalue(c: float) -> float:
     return (c * 6 + 9 - 7) / 4.0
 
 
-def expanded_system_residual(params, c_or_mode) -> np.ndarray:
-    """The three expanded scalar equations; identical to the matrix residual.
+def expanded_system_residual(params, c_or_mode) -> tuple[float, float, float]:
+    """The three expanded scalar equations ``(eq1, eq2, eq3)``; identical to the matrix residual.
 
     ``c_or_mode`` is either the phi-sectional curvature (biharmonic case) or
     the string ``"minus4"``.
@@ -79,4 +77,4 @@ def expanded_system_residual(params, c_or_mode) -> np.ndarray:
         + b * (a + g) ** 2
         + (b + d) * (2 * l3 * l3 + d * d + 3 * g * g + b * b + a * g - k)
     )
-    return np.array([eq1, eq2, eq3])
+    return eq1, eq2, eq3

@@ -124,7 +124,7 @@ def _workload_cs():
 
 def _norm_of_squares(v) -> float:
     """The square root of the exact sum of the rounded squares x * x, the sum rounded once."""
-    return math.sqrt(float(sum(Fraction(x * x) for x in v.tolist())))
+    return math.sqrt(float(sum(Fraction(x * x) for x in v)))
 
 
 def test_system_residual_is_the_norm_of_the_exact_sum_of_squares(monkeypatch):

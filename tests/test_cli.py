@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from sasakian import catalog
 from sasakian import immersion as imm
+from sasakian import output
 from sasakian import report as rep
 from sasakian.classifier import SolutionTuple
 from sasakian.cli import MAX_ABS_C, MAX_SWEEP_POINTS, _parse_sweep, main
@@ -134,8 +135,8 @@ def test_symbolic_decimals(corollary_report):
 
 
 def _symbolize_linear(value):
-    """The linear scan over SYMBOLIC_FORMS, the oracle of rep.symbolize's bisection."""
-    for v, s in rep.SYMBOLIC_FORMS:
+    """The linear scan over SYMBOLIC_FORMS, the oracle of output.symbolize's bisection."""
+    for v, s in output.SYMBOLIC_FORMS:
         if abs(value - v) <= 1e-12 * max(1.0, abs(v)):
             return s
     return None
@@ -144,25 +145,25 @@ def _symbolize_linear(value):
 def test_symbolic_forms_lie_further_apart_than_their_match_tolerances():
     # the bisection tests only the two forms next to a value; that finds the form the
     # linear scan finds only while no value lies within tolerance of two forms
-    values = sorted(v for v, _ in rep.SYMBOLIC_FORMS)
+    values = sorted(v for v, _ in output.SYMBOLIC_FORMS)
     for a, b in zip(values, values[1:]):
         assert b - a > 2e-12 * max(1.0, abs(a), abs(b)), (a, b)
 
 
 def test_symbolize_matches_the_linear_scan():
     inputs = [0.0, -0.0, math.nan, math.inf, -math.inf]
-    for v, s in rep.SYMBOLIC_FORMS:
+    for v, s in output.SYMBOLIC_FORMS:
         tol = 1e-12 * max(1.0, abs(v))
         for shift in (-0.5, 0.0, 0.5):
-            assert rep.symbolize(v + shift * tol) == s
-            assert rep.symbolize(np.float64(v + shift * tol)) == s
+            assert output.symbolize(v + shift * tol) == s
+            assert output.symbolize(np.float64(v + shift * tol)) == s
         for shift in (-2.0, 2.0):
-            assert rep.symbolize(v + shift * tol) is None
+            assert output.symbolize(v + shift * tol) is None
         inputs += [v + shift * tol for shift in (-2.0, -0.5, 0.5, 2.0)]
     rng = random.Random(7)
     inputs += [rng.uniform(-10.0, 10.0) for _ in range(10_000)]
     for x in inputs:
-        assert rep.symbolize(x) == _symbolize_linear(x), x
+        assert output.symbolize(x) == _symbolize_linear(x), x
 
 
 def test_report_computed_records_grid_and_tolerance(corollary_report):
@@ -429,7 +430,7 @@ def test_cli_bad_classify_input_exits_2(argv, capsys, monkeypatch):
     def refuse(**kwargs):
         raise AssertionError("a rejected input must not reach the classifier")
 
-    monkeypatch.setattr(rep, "classification_report", refuse)
+    monkeypatch.setattr(output, "classification_report", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SystemExit) as exc:

@@ -367,9 +367,9 @@ def _assert_bit_equal(got, want):
     [
         corollary_immersion,
         catalog.s5_surface,
-        lambda: catalog.cylinder(catalog.corollary_torus()[1]),
-        lambda: catalog.minus4_torus(1)[1],
-        lambda: catalog.legendre_helix(0.5),
+        pytest.param(lambda: catalog.cylinder(catalog.corollary_torus()[1]), id="cylinder-c1"),
+        pytest.param(lambda: catalog.minus4_torus(1)[1], id="minus4-1"),
+        pytest.param(lambda: catalog.legendre_helix(0.5), id="helix-0.5"),
     ],
 )
 def test_b_jets_on_demand_are_truncations_of_the_eager_construction(build):

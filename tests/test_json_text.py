@@ -1,4 +1,4 @@
-"""``report.json_text`` writes every JSON output; its text is the stdlib's, byte for byte."""
+"""``output.json_text`` writes every JSON output; its text is the stdlib's, byte for byte."""
 
 import collections
 import enum
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sasakian import output
 from sasakian import report as rep
 from sasakian.cli import MAX_ABS_C, _parse_sweep, main
 
@@ -88,12 +89,12 @@ _EXAMPLES = (
 @settings(max_examples=100, deadline=None)
 @given(_VALUES)
 def test_json_text_is_the_stdlib_indent_text(value):
-    assert rep.json_text(value) == _dumps(value)
+    assert output.json_text(value) == _dumps(value)
 
 
 @pytest.mark.parametrize("value", _EXAMPLES)
 def test_fixed_values_are_the_stdlib_indent_text(value):
-    assert rep.json_text(value) == _dumps(value)
+    assert output.json_text(value) == _dumps(value)
 
 
 @pytest.mark.parametrize(
@@ -104,7 +105,7 @@ def test_what_json_dumps_refuses_the_writer_refuses(value):
     with pytest.raises(TypeError):
         _dumps(value)
     with pytest.raises(TypeError):
-        rep.json_text(value)
+        output.json_text(value)
 
 
 @pytest.mark.parametrize("value", [{1: "a"}, {None: 0}, {1.5: 0}, {"a": {True: 0}}])
@@ -112,7 +113,7 @@ def test_non_str_keys_raise_instead_of_being_converted(value):
     # json.dumps converts these keys to strings; no report has one
     _dumps(value)
     with pytest.raises(TypeError):
-        rep.json_text(value)
+        output.json_text(value)
 
 
 def _classify_args(argv):
@@ -127,10 +128,10 @@ def test_classify_reports_of_both_workloads_and_a_sweep_are_the_stdlib_text():
     kwargs += [{"c": c} for c in (MAX_ABS_C, -MAX_ABS_C, 5e-324)]
     assert len(kwargs) > 190 and {"mode": "minus4"} in kwargs
     for kw in kwargs:
-        payload = rep.classification_report(**kw)
-        assert rep.json_text(payload) == _dumps(payload), kw
-    sweep = {"sweep": [rep.classification_report(c=c) for c in _parse_sweep("-1:3:0.05")]}
-    assert rep.json_text(sweep) == _dumps(sweep)
+        payload = output.classification_report(**kw)
+        assert output.json_text(payload) == _dumps(payload), kw
+    sweep = {"sweep": [output.classification_report(c=c) for c in _parse_sweep("-1:3:0.05")]}
+    assert output.json_text(sweep) == _dumps(sweep)
 
 
 @pytest.mark.parametrize("name", [n.replace("<kappa1>", "0.5") for n in rep.EXAMPLE_NAMES])

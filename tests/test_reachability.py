@@ -30,7 +30,7 @@ NOT_VARIED: set[str] = set()
 # its code object in the globals of the module whose code calls it; the
 # dataclass-generated __init__s (file "<string>") are skipped.
 RUNNER = r"""
-import contextlib, inspect, io, json, os, sys
+import contextlib, inspect, io, json, os, sys, types
 package = os.path.join(sys.argv[1], "sasakian")
 entered, params, varied = set(), {}, set()
 
@@ -38,6 +38,10 @@ def defaulted(code, scope):
     if not code.co_filename.startswith(package):
         return ()
     for obj in list(scope.values()):
+        # a module holds no code object to match, and reading an attribute of a
+        # lazily registered one would run its body here, where no call is seen
+        if isinstance(obj, types.ModuleType):
+            continue
         for f in [obj] + (list(vars(obj).values()) if isinstance(obj, type) else []):
             f = inspect.unwrap(f) if callable(f) else f
             if getattr(f, "__code__", None) is code:

@@ -1,0 +1,49 @@
+"""What ``import sasakian.cli`` and a ``classify`` run load, checked in a fresh interpreter.
+
+Every submodule is registered in ``sys.modules`` on import, which is what a
+tool that wraps the package's functions from outside looks them up in
+(``benchmarks/tracing.py``), while ``classify`` runs no numpy and no module of
+the verify stack.  A verify run in the same process then loads the rest and
+writes the same report as a run on its own.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+VERIFY = ["verify", "minus4-1", "--grid", "3", "--format", "json", "--out"]
+
+# argv[1] and argv[2] are the output files of the classify and the verify run
+RUNNER = r"""
+import json, sys
+import sasakian.cli
+registered = sorted(n for n in sys.modules if n == "sasakian" or n.startswith("sasakian."))
+classify = sasakian.cli.main(["classify", "--c", "1", "--format", "json", "--out", sys.argv[1]])
+numpy_loaded = "numpy" in sys.modules
+verify = sasakian.cli.main(%r + [sys.argv[2]])
+json.dump({"registered": registered, "classify": classify, "numpy": numpy_loaded, "verify": verify}, sys.stdout)
+""" % (VERIFY,)
+
+
+def test_classify_loads_no_numpy_and_a_later_verify_matches_a_fresh_one(tmp_path):
+    together, alone = tmp_path / "together.json", tmp_path / "alone.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNNER, str(tmp_path / "classify.json"), str(together)],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    run = json.loads(proc.stdout)
+    modules = {"sasakian"} | {f"sasakian.{p.stem}" for p in (SRC / "sasakian").glob("*.py") if p.stem != "__init__"}
+    assert run["registered"] == sorted(modules)
+    assert run["classify"] == 0
+    assert run["numpy"] is False
+    assert run["verify"] == 0
+    subprocess.run([sys.executable, "-m", "sasakian.cli"] + VERIFY + [str(alone)], env=ENV, check=True, timeout=120)
+    assert together.read_bytes() == alone.read_bytes()
