@@ -41,9 +41,7 @@ each root and tuple entry its 40-digit value, rounded once to a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from functools import cached_property
 from typing import NamedTuple
 
 from . import shape_algebra as sa
@@ -53,8 +51,7 @@ _EXACT = Context(prec=40)
 BRANCHES = ("delta_zero", "delta_pos")
 
 
-@dataclass(frozen=True)
-class SolutionTuple:
+class SolutionTuple(NamedTuple):
     """An admissible (lam, alpha, gamma, delta) of a flat classification system."""
 
     lam: float
@@ -79,7 +76,7 @@ class SolutionTuple:
     def operators(self) -> sa.AdaptedShapeOperators:
         return sa.AdaptedShapeOperators.case_I(self.lam, self.alpha, self.gamma, self.delta, self.b)
 
-    @cached_property
+    @property
     def system_residual(self) -> float:
         """Norm of the expanded system at the rounded tuple: a measurement, which no decision reads."""
         arg = "minus4" if self.mode == "minus4" else self.c
@@ -90,14 +87,12 @@ class SolutionTuple:
             return math.inf
 
 
-@dataclass(frozen=True)
-class RejectedRoot:
+class RejectedRoot(NamedTuple):
     omega: float
     reason: str
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     omega_branch: str
     polynomial: tuple[float, ...]
     factors: tuple[tuple[float, float, float], ...] = ()
@@ -107,8 +102,7 @@ class ReductionTrace:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CaseIISolution:
+class CaseIISolution(NamedTuple):
     """Curve x sphere factor data: helix curvatures and sphere radius."""
 
     subcase: str
@@ -429,8 +423,10 @@ def solve_caseII(c_or_mode: float | str) -> list[CaseIISolution]:
     locus, and b.  The roots are real from ``CASE_II_LOWER`` on, where they
     are double and flagged, and negative below c = -1.  lam = -sqrt L,
     kappa1 = (L - b)/lam and the radius 1/sqrt(L + b) are each their 40-digit
-    value rounded once, with L - b of the root next to b taken from the other
-    root's, as it cancels near c = 1.  A non-finite c raises ValueError.
+    value rounded once.  L - b, which cancels near c = 1, is Y/e for the root
+    Y = e(L - b) of its own quadratic 3 Y^2 + (4B - K) Y + B(2B - K), the
+    lam^2 quadratic shifted by B, of the same discriminant D1.  A non-finite
+    c raises ValueError.
     """
     if c_or_mode == "minus4":
         c = 1.0
@@ -443,21 +439,16 @@ def solve_caseII(c_or_mode: float | str) -> list[CaseIISolution]:
     system = _exact_system(c_or_mode)
     if system.D2 == 0:
         return out
-    roots = _lambda_squares(system)
-    b, k = system.decimals()
+    B, K, e = system.B, system.K, system.e
+    b = system.decimals()[0]
     with localcontext(_EXACT):
-        gaps = [L - b for L, _, _ in roots]
-        if len(gaps) == 2:
-            # L - b cancels at the root next to b; (L1 - b)(L2 - b) = b(2b - k)/3 = -b d2/(3(k + 6b))
-            near = 0 if abs(gaps[0]) < abs(gaps[1]) else 1
-            d2 = Decimal(system.D2) / (system.e * system.e)
-            gaps[near] = -b * d2 / (3 * (k + 6 * b) * gaps[1 - near])
-        for (L, mult, root), gap in zip(roots, gaps):
-            if root.sign(0, 1) > 0 and root.sign(system.B, -1) > 0:
+        gaps = _quadratic_roots((B * (2 * B - K), 4 * B - K, 3), system.D1)
+        for (L, mult, root), (Y, _, _) in zip(_lambda_squares(system), gaps):
+            if root.sign(0, 1) > 0 and root.sign(B, -1) > 0:
                 lam = -L.sqrt()
                 flags = ("boundary: discriminant vanishes",) if mult == 2 else ()
                 radius = float(1 / (L + b).sqrt())
-                out.append(CaseIISolution("II2", c, float(lam), float(gap / lam), 1.0, radius, flags))
+                out.append(CaseIISolution("II2", c, float(lam), float(Y / e / lam), 1.0, radius, flags))
     return out
 
 

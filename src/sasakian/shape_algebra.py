@@ -11,13 +11,12 @@ which is algebraically identical to the matrix form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MINUS4_EIGENVALUE = 6.0
 
 
-@dataclass(frozen=True)
-class AdaptedShapeOperators:
+class AdaptedShapeOperators(NamedTuple):
     lambda1: float
     lambda2: float
     lambda3: float

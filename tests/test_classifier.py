@@ -132,9 +132,9 @@ def test_system_residual_is_the_norm_of_the_exact_sum_of_squares(monkeypatch):
     built = []
 
     class Recorded(cl.SolutionTuple):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
+        def __new__(cls, *args, **kwargs):
+            built.append(super().__new__(cls, *args, **kwargs))
+            return built[-1]
 
     monkeypatch.setattr(cl, "SolutionTuple", Recorded)
     cs = _workload_cs()
@@ -810,6 +810,8 @@ _CASE_II_RNG = np.random.default_rng(20261020)
 CASE_II_ORACLE_CS = [
     *workloads.SPECIAL_C, 0.99, 0.9999993484121499, 0.9999999999999947, math.nextafter(1.0, 0.0), 0.9999999999995,
     2.0, 3.0, 1e6, "minus4", *_CASE_II_RNG.uniform(0.53, 3.0, 200).tolist(),
+    # 1 -+ 2^-n, where lam^2 - b cancels hardest
+    *(1.0 + s * 2.0**-n for n in (20, 30, 40, 50, 52) for s in (-1, 1)),
 ]
 
 
@@ -829,6 +831,27 @@ def test_printed_case_ii_values_are_the_exact_values_rounded_once():
         if got != [tuple(float(x) for x in entry) for entry in _case_ii2_exact(mp, c)]:
             wrong.append(c)
     assert wrong == []
+
+
+def test_case_ii_gap_quadratic_is_the_lambda_square_quadratic_shifted_by_b(monkeypatch):
+    # kappa1 = (L - b)/lam takes Y = e(L - b) as a root of its own quadratic, in X = e L shifted by B
+    sp = pytest.importorskip("sympy")
+    X, Y, B, K = sp.symbols("X Y B K")
+    lambda_square = 3 * X**2 - (2 * B + K) * X + B**2
+    gap = sp.expand(lambda_square.subs(X, Y + B))
+    assert sp.expand(gap - (3 * Y**2 + (4 * B - K) * Y + B * (2 * B - K))) == 0
+    assert sp.expand(sp.discriminant(gap, Y) - (K**2 + 4 * B * K - 8 * B**2)) == 0
+    # the solver's two quadratics are these, at the integers of its system, both of discriminant D1
+    calls = []
+    real = cl._quadratic_roots
+    monkeypatch.setattr(cl, "_quadratic_roots", lambda q, D: calls.append((q, D)) or real(q, D))
+    for c in (0.99, 1.0 - 2.0**-52, 2.0, "minus4"):
+        calls.clear()
+        cl.solve_caseII(c)
+        system = cl._exact_system(c)
+        at = {B: system.B, K: system.K}
+        want = {tuple(sp.Poly(f.subs(at), x).all_coeffs()[::-1]) for f, x in ((lambda_square, X), (gap, Y))}
+        assert {q for q, _ in calls} == want and {D for _, D in calls} == {system.D1}, c
 
 
 def _flat_tuple_at_exact_threshold(mp):

@@ -2,9 +2,10 @@
 
 Every submodule is registered in ``sys.modules`` on import, which is what a
 tool that wraps the package's functions from outside looks them up in
-(``benchmarks/tracing.py``), while ``classify`` runs no numpy and no module of
-the verify stack.  A verify run in the same process then loads the rest and
-writes the same report as a run on its own.
+(``benchmarks/tracing.py``), while ``classify`` loads neither numpy, nor any
+module of the verify stack, nor ``dataclasses`` (with its ``inspect``).  A
+verify run in the same process then loads the rest and writes the same
+report as a run on its own.
 """
 
 import json
@@ -20,12 +21,13 @@ VERIFY = ["verify", "minus4-1", "--grid", "3", "--format", "json", "--out"]
 # argv[1] and argv[2] are the output files of the classify and the verify run
 RUNNER = r"""
 import json, sys
+before = set(sys.modules)
 import sasakian.cli
 registered = sorted(n for n in sys.modules if n == "sasakian" or n.startswith("sasakian."))
 classify = sasakian.cli.main(["classify", "--c", "1", "--format", "json", "--out", sys.argv[1]])
-numpy_loaded = "numpy" in sys.modules
+loaded = sorted({"numpy", "dataclasses"} & (set(sys.modules) - before))
 verify = sasakian.cli.main(%r + [sys.argv[2]])
-json.dump({"registered": registered, "classify": classify, "numpy": numpy_loaded, "verify": verify}, sys.stdout)
+json.dump({"registered": registered, "classify": classify, "loaded": loaded, "verify": verify}, sys.stdout)
 """ % (VERIFY,)
 
 
@@ -43,7 +45,7 @@ def test_classify_loads_no_numpy_and_a_later_verify_matches_a_fresh_one(tmp_path
     modules = {"sasakian"} | {f"sasakian.{p.stem}" for p in (SRC / "sasakian").glob("*.py") if p.stem != "__init__"}
     assert run["registered"] == sorted(modules)
     assert run["classify"] == 0
-    assert run["numpy"] is False
+    assert run["loaded"] == []
     assert run["verify"] == 0
     subprocess.run([sys.executable, "-m", "sasakian.cli"] + VERIFY + [str(alone)], env=ENV, check=True, timeout=120)
     assert together.read_bytes() == alone.read_bytes()
