@@ -15,9 +15,10 @@ bit-equal to the multivariate product on the terms it keeps (see ``jets``).
 
 Every identity checked here holds point by point, so the checks read
 per-point fields (``PointGeometry``) and reduce them over the grid.
-``geometry_pass`` computes those fields over fixed-size blocks of points, one
-``GeometrySample`` at a time, so a report's jets take memory in proportion to
-``GEOMETRY_BLOCK_POINTS``, not to the grid.
+``geometry_pass`` computes those fields over blocks of points, one
+``GeometrySample`` at a time, each block holding at most
+``GEOMETRY_BLOCK_COEFFICIENTS`` coefficients of F's accuracy-4 jet, so a
+report's jets take memory in proportion to that budget, not to the grid.
 
 Every immersion is a finite sum of plane waves, so its Taylor coefficients
 come in closed form, and derived quantities are differentiated by jet
@@ -35,19 +36,25 @@ from typing import Sequence
 import numpy as np
 
 from . import ambient
-from .jets import MAX_ORDER, Jet, _line_terms, _position, _terms
+from .jets import MAX_ORDER, Jet, _line_terms, _nterms, _position, _terms
 
 FLAT_CHART_TOL = 1e-9
 UNIT_NORM_TOL = 1e-13
 INTEGRAL_TOL = EIGEN_TOL = LATTICE_TOL = 1e-10
 C_PARALLEL_TOL = NORMAL_LAPLACIAN_TOL = BITENSION_TOL = 1e-8
-# most grid points whose jets ``geometry_pass`` holds at once; a grid of up to
-# 625 points (grid 5 of a four-parameter example) stays one block.  Smaller
-# blocks hold less but pay each jet product's fixed cost (a few numpy calls
-# per table pair) more often; with the second-order fields on line jets that
-# cost is small: three blocks of 432 points of cylinder-c1 take about 0.8
-# times the time of one of 1296 (in process, best of 7, 2-vCPU Xeon VM).
-GEOMETRY_BLOCK_POINTS = 640
+# most coefficients of F's accuracy-4 jet that ``geometry_pass`` holds at once,
+# counted as points x T(m, 4) terms x (2n + 2) components (``jet_coefficients``):
+# 640 points of a three-parameter immersion into S^7 (35 terms, 8 components),
+# 320 of a four-parameter one (70 terms).  Every field derived from the jet
+# grows with it, so a block's memory follows this count, not its points: a
+# full block with a report's fields peaks at about 4.6 MB either way (313
+# points of cylinder-c1 or 500 of corollary-c1, 26-34 bytes per coefficient,
+# tracemalloc).  Smaller blocks hold less but pay each jet product's fixed
+# cost (a few numpy calls per table pair) more often; with the second-order
+# fields on line jets that cost is small: three blocks of 432 points of
+# cylinder-c1 take about 0.8 times the time of one of 1296 (in process, best
+# of 7, 2-vCPU Xeon VM).
+GEOMETRY_BLOCK_COEFFICIENTS = 640 * 35 * 8
 
 
 class ChartError(ValueError):
@@ -311,10 +318,11 @@ class GeometrySample(PointGeometry):
     Everything covariant (tangent jets, B_ij, tau and the per-point fields of
     ``PointGeometry``) is built on first use, and only on a flat-orthonormal
     chart: asking for it on any other raises ChartError.  Building every
-    field peaks at about 16 KB per point (``cylinder-c1``, one block of 640
-    points, tracemalloc), some 7 times the 2.4 KB per point of fields kept
-    from them, so ``geometry_pass`` holds one block at a time.  The diagonal
-    B_ii, tau and both Laplacians live on the coordinate lines.
+    field peaks at 26-34 bytes per coefficient of the jet (``cylinder-c1``,
+    15 KB per point of a 313-point block, tracemalloc), some 25 times the
+    0.6 KB per point of fields its report keeps (1.5 KB for
+    ``corollary-c1``), so ``geometry_pass`` holds one block at a time.  The
+    diagonal B_ii, tau and both Laplacians live on the coordinate lines.
     """
 
     jet: Jet                           # accuracy-4 jet of F at the points
@@ -463,7 +471,11 @@ def _tangents(X: Jet) -> np.ndarray:
 
 
 def _require_immersion(geo: PointGeometry) -> None:
-    if np.any(np.abs(np.linalg.det(geo.metric)) < 1e-14):
+    # a metric within FLAT_CHART_TOL of the identity has |det| near 1, so only
+    # the points off it take a determinant
+    G = geo.metric
+    off = (np.abs(G - np.eye(G.shape[-1])) > FLAT_CHART_TOL).any(axis=(1, 2))
+    if np.any(np.abs(np.linalg.det(G[off])) < 1e-14):
         raise ValueError("induced metric is singular: not an immersion at a sampled point")
 
 
@@ -479,9 +491,18 @@ def sample_geometry(F: ParametricImmersion, pts: np.ndarray) -> GeometrySample:
     return sample
 
 
-def point_blocks(n: int) -> list[slice]:
-    """range(n) in equal consecutive slices (sizes differ by one at most) of at most GEOMETRY_BLOCK_POINTS."""
-    count = max(1, -(-n // GEOMETRY_BLOCK_POINTS))
+def jet_coefficients(F: ParametricImmersion) -> int:
+    """Coefficients of F's accuracy-4 jet at one point: T(m, 4) terms of 2n + 2 components."""
+    return _nterms(F.m, 4) * 2 * (F.n + 1)
+
+
+def point_blocks(n: int, per_point: int) -> list[slice]:
+    """range(n) in equal consecutive slices (sizes differ by one at most).
+
+    A slice holds at most GEOMETRY_BLOCK_COEFFICIENTS coefficients at
+    ``per_point`` each, and one point at least.
+    """
+    count = max(1, -(-n // max(1, GEOMETRY_BLOCK_COEFFICIENTS // per_point)))
     edges = [n * k // count for k in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
@@ -492,8 +513,8 @@ def geometry_pass(F: ParametricImmersion, pts: np.ndarray, fields: Sequence[str]
     Without ``fields`` this is one accuracy-1 evaluation of F, and the metric
     is not checked.  Otherwise the grid is cut into ``point_blocks``; each
     block's ``GeometrySample`` is built, read and dropped before the next, so
-    the jets held at once grow with ``GEOMETRY_BLOCK_POINTS``, not with the
-    grid, and F is evaluated once at each point.  Every field is computed
+    the jets held at once grow with ``GEOMETRY_BLOCK_COEFFICIENTS``, not with
+    the grid, and F is evaluated once at each point.  Every field is computed
     point by point, so no value depends on the block size.  A singular metric
     raises ValueError, and a block whose chart is not flat-orthonormal raises
     ChartError before its covariant work, judged on the whole grid as one
@@ -505,7 +526,7 @@ def geometry_pass(F: ParametricImmersion, pts: np.ndarray, fields: Sequence[str]
         return PointGeometry(F, pts, X.value, _tangents(X))
     names = ("values", "tangents") + tuple(fields)
     assembled: dict[str, np.ndarray] = {}
-    for block in point_blocks(len(pts)):
+    for block in point_blocks(len(pts), jet_coefficients(F)):
         sample = sample_geometry(F, pts[block])
         try:
             require_flat_chart(sample)

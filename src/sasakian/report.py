@@ -343,12 +343,13 @@ _SUITES = {
     "cylinder-minus4": (4, _cylinder_minus4_suite),
 }
 
-# A report holds the jets of one block of imm.GEOMETRY_BLOCK_POINTS points at a
-# time, which peak at about 18 KB per block point (cylinder-c1, tracemalloc),
-# whatever the grid.  The cap bounds what still grows with the grid: run time
-# (in process, about 0.9 s for cylinder-c1 at grid 11, 14,641 points, and for
-# corollary-c1 at grid 27, 19,683 points) and the per-point arrays kept for the
-# whole grid, up to 1.4 KB per point (corollary-c1; 74 MB peak RSS at grid 27).
+# A report holds the jets of one block of imm.GEOMETRY_BLOCK_COEFFICIENTS jet
+# coefficients at a time, which peak at about 4.6 MB (26-34 bytes per
+# coefficient, cylinder-c1 and corollary-c1, tracemalloc), whatever the grid.
+# The cap bounds what still grows with the grid: run time (in process, about
+# 0.9 s for cylinder-c1 at grid 11, 14,641 points, and for corollary-c1 at
+# grid 27, 19,683 points) and the per-point arrays kept for the whole grid,
+# up to 1.4 KB per point (corollary-c1; 74 MB peak RSS at grid 27).
 MAX_GRID_POINTS = 20000
 
 

@@ -46,7 +46,15 @@ def test_output_that_is_not_json_is_compared_line_by_line():
     assert co.compare(before, after) == (['verify x | stderr[1]: "error: a" -> "error: b"'], False)
 
 
-def test_comparison_set_covers_every_example_and_both_classify_workloads():
+class _FirstPass(Exception):
+    """Raised by a stand-in ``geometry_pass`` with its immersion, point count and fields."""
+
+
+def _first_pass(F, pts, fields=()):
+    raise _FirstPass(F, len(pts), fields)
+
+
+def test_comparison_set_covers_every_example_and_both_classify_workloads(monkeypatch):
     argvs = co.commands()
     assert all(argv[-2] == "--format" and argv[-1] in ("json", "csv", "text") for argv in argvs)
     verify = {(argv[1], argv[3]) for argv in argvs if argv[0] == "verify"}
@@ -56,13 +64,18 @@ def test_comparison_set_covers_every_example_and_both_classify_workloads():
     # the benchmark's verify items, among them seeded helices that sum several waves per component
     coarse = {" ".join(argv) for argv in workloads.items("verify-coarse", 1)}
     assert coarse <= {" ".join(argv[:-2]) for argv in argvs}
-    # reports of more points than one geometry block, with 3 and with 4 parameters
+    # reports whose geometry pass spans more than one block, with 3 and with 4
+    # parameters: each report stops at its first pass, before any jet is built
+    monkeypatch.setattr(imm, "geometry_pass", _first_pass)
     multi_block = set()
     for argv in argvs:
         if argv[0] == "verify":
-            m = rep._SUITES[rep.parse_example(argv[1])[0]][0]
-            if int(argv[3]) ** m > imm.GEOMETRY_BLOCK_POINTS:
-                multi_block.add(m)
+            try:
+                rep.build_report(argv[1], per_axis=int(argv[3]))
+            except _FirstPass as stop:
+                F, n, fields = stop.args
+                if fields and len(imm.point_blocks(n, imm.jet_coefficients(F))) > 1:
+                    multi_block.add(F.m)
     assert multi_block >= {3, 4}
 
 

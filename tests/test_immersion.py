@@ -435,24 +435,37 @@ def test_report_json_does_not_depend_on_the_block_size(name, grid, monkeypatch):
     want = rep.build_report(name, per_axis=grid).to_json()
     monkeypatch.setattr(imm, "geometry_pass", geometry_pass)
     assert passes
-    monkeypatch.setattr(imm, "GEOMETRY_BLOCK_POINTS", rep.MAX_GRID_POINTS)
+    widest = max(imm.jet_coefficients(F) for F, *_ in passes)
+    monkeypatch.setattr(imm, "GEOMETRY_BLOCK_COEFFICIENTS", rep.MAX_GRID_POINTS * widest)
     assert rep.build_report(name, per_axis=grid).to_json() == want
     for size in (1, 7, 100):
-        monkeypatch.setattr(imm, "GEOMETRY_BLOCK_POINTS", size)
         for F, pts, fields, geo in passes:
+            monkeypatch.setattr(imm, "GEOMETRY_BLOCK_COEFFICIENTS", size * imm.jet_coefficients(F))
             got = imm.geometry_pass(F, pts, fields)
             for field in ("values", "tangents") + tuple(fields):
                 a, b = getattr(got, field), getattr(geo, field)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (size, F.name, field)
 
 
+def _block_sizes(F, grid):
+    return [b.stop - b.start for b in imm.point_blocks(grid**F.m, imm.jet_coefficients(F))]
+
+
 def test_point_blocks_are_equal_consecutive_slices(monkeypatch):
-    monkeypatch.setattr(imm, "GEOMETRY_BLOCK_POINTS", 640)
-    assert imm.point_blocks(1296) == [slice(0, 432), slice(432, 864), slice(864, 1296)]
-    assert imm.point_blocks(1000) == [slice(0, 500), slice(500, 1000)]
-    assert imm.point_blocks(625) == [slice(0, 625)]
-    monkeypatch.setattr(imm, "GEOMETRY_BLOCK_POINTS", 7)
-    assert [b.stop - b.start for b in imm.point_blocks(27)] == [6, 7, 7, 7]
+    # blocks are budgeted by jet coefficients: a four-parameter point holds
+    # 70 terms against 35, so cylinder-c1 takes half the points per block
+    cylinder = catalog.cylinder(catalog.corollary_torus()[1])
+    torus = catalog.corollary_torus()[1]
+    assert imm.jet_coefficients(cylinder) == 70 * 8 and imm.jet_coefficients(torus) == 35 * 8
+    assert _block_sizes(cylinder, 5) == [312, 313]
+    assert _block_sizes(cylinder, 6) == [259, 259, 259, 259, 260]
+    assert _block_sizes(torus, 10) == [500, 500]
+    assert _block_sizes(torus, 5) == [125]
+    monkeypatch.setattr(imm, "GEOMETRY_BLOCK_COEFFICIENTS", 7 * 280)
+    assert [b.stop - b.start for b in imm.point_blocks(27, 280)] == [6, 7, 7, 7]
+    # a budget below one point's coefficients still takes one point per block
+    monkeypatch.setattr(imm, "GEOMETRY_BLOCK_COEFFICIENTS", 1)
+    assert imm.point_blocks(3, 280) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def test_chart_error_reports_the_whole_grid_at_every_block_size(monkeypatch):
@@ -461,22 +474,36 @@ def test_chart_error_reports_the_whole_grid_at_every_block_size(monkeypatch):
     with pytest.raises(imm.ChartError) as whole:
         imm.check_C_parallel(imm.sample_geometry(F, pts))
     for size in (1, 7, len(pts)):
-        monkeypatch.setattr(imm, "GEOMETRY_BLOCK_POINTS", size)
+        monkeypatch.setattr(imm, "GEOMETRY_BLOCK_COEFFICIENTS", size * imm.jet_coefficients(F))
         with pytest.raises(imm.ChartError) as blocked:
             imm.geometry_pass(F, pts, ("tension",))
         assert str(blocked.value) == str(whole.value)
 
 
+def _report_peak(name, grid):
+    """The bytes that ``build_report`` peaks at, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        rep.build_report(name, per_axis=grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_report_memory_does_not_grow_with_the_grid():
     # cylinder-c1 holds the jets of one block at a time: grid 9 (6561 points,
-    # 11 blocks) peaks within twice grid 5 (625 points, one block)
+    # 21 blocks of at most 320) peaks within twice grid 5 (625 points, blocks
+    # of 312 and 313)
     def peak(grid):
-        tracemalloc.start()
-        try:
-            rep.build_report("cylinder-c1", per_axis=grid)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _report_peak("cylinder-c1", grid)
 
     rep.build_report("cylinder-c1", per_axis=5)  # lazily built tables
     assert peak(9) <= 2 * peak(5)
+
+
+def test_block_memory_follows_jet_coefficients_not_points():
+    # a block of cylinder-c1 (313 points of 70 jet terms) peaks near one of
+    # corollary-c1 (512 points of 35 terms, its whole grid 8), not at twice it
+    for name, grid in (("cylinder-c1", 5), ("corollary-c1", 8)):
+        rep.build_report(name, per_axis=grid)  # lazily built tables
+    assert _report_peak("cylinder-c1", 5) <= 1.25 * _report_peak("corollary-c1", 8)

@@ -9,7 +9,8 @@ one subprocess that imports that tree's ``src``:
 - ``verify`` of every registered example at grids 3 and 5, the Legendre
   helix at kappa1 = 0.5;
 - ``verify cylinder-c1 --grid 9`` and ``verify corollary-c1 --grid 15``,
-  the README's grids, whose jet products have the largest leads;
+  the README's grids, which run the most geometry blocks of any report
+  (21 of 312-313 points and 6 of 562-563);
 - the ``verify-dense`` and ``verify-coarse`` items at seed 1 (the latter
   add three seeded Legendre helices, whose components sum several waves);
 - the items of both classify workloads at seeds 1 to 3;
