@@ -5,10 +5,11 @@ and come from jets, so helix curvatures of the closed-form curves are exact
 to numerical noise.  Osculating order is detected by rank drop of a
 Gram-Schmidt in the ambient metric, with a hard dependence threshold and an
 explicit indeterminate band; the ladder of covariant derivatives is built one
-rung per Gram-Schmidt step and stops at the detected order.  The frame is
-kept as values only: the closure check nabla_T E_r = -kappa_{r-1} E_{r-1},
-which needs a frame of jets, is a test oracle (``tests/oracles.py``,
-``frenet_closure``).
+rung per Gram-Schmidt step and stops at the detected order, and an order it
+cannot settle, in the band or above MAX_ORDER, raises FrenetError.  The
+frame is kept as values only: the closure check nabla_T E_r =
+-kappa_{r-1} E_{r-1}, which needs a frame of jets, is a test oracle
+(``tests/oracles.py``, ``frenet_closure``).
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
     v = T
     frame_vals: list[np.ndarray] = []
     curvatures: list[np.ndarray] = []
-    order = None
     for j in range(MAX_ORDER + 1):
         if j:
             v = ambient.connection(v.deriv(0), v, T, X)
@@ -88,10 +88,8 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
             for kprev in curvatures:
                 kappa = kappa / kprev
             curvatures.append(kappa)
-    if order is None:
-        order = MAX_ORDER  # ladder exhausted at MAX_ORDER; treat as order MAX_ORDER
-        frame_vals = frame_vals[:order]
-        curvatures = curvatures[: order - 1]
+    else:
+        raise FrenetError(f"osculating order exceeds {MAX_ORDER}: no rank drop in {MAX_ORDER + 1} steps")
 
     spreads = np.array([float(np.max(k) - np.min(k)) for k in curvatures])
     return FrenetApparatus(

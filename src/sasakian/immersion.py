@@ -302,6 +302,11 @@ class PointGeometry:
         return ambient.induced_metric(self.tangents)
 
     @cached_property
+    def chart_deviation(self) -> np.ndarray:
+        """max_ij |G_ij - I_ij| per point, (N,): the one measure the chart is judged by."""
+        return _abs_max_per_point((self.metric - np.eye(self.immersion.m)).reshape(len(self.points), -1))
+
+    @cached_property
     def mean_curvature(self) -> np.ndarray:
         """H = tau / m at the points, (N, dim)."""
         return self.tension * (1.0 / self.immersion.m)
@@ -473,9 +478,8 @@ def _tangents(X: Jet) -> np.ndarray:
 def _require_immersion(geo: PointGeometry) -> None:
     # a metric within FLAT_CHART_TOL of the identity has |det| near 1, so only
     # the points off it take a determinant
-    G = geo.metric
-    off = (np.abs(G - np.eye(G.shape[-1])) > FLAT_CHART_TOL).any(axis=(1, 2))
-    if np.any(np.abs(np.linalg.det(G[off])) < 1e-14):
+    off = geo.chart_deviation > FLAT_CHART_TOL
+    if np.any(np.abs(np.linalg.det(geo.metric[off])) < 1e-14):
         raise ValueError("induced metric is singular: not an immersion at a sampled point")
 
 
@@ -516,9 +520,9 @@ def geometry_pass(F: ParametricImmersion, pts: np.ndarray, fields: Sequence[str]
     the jets held at once grow with ``GEOMETRY_BLOCK_COEFFICIENTS``, not with
     the grid, and F is evaluated once at each point.  Every field is computed
     point by point, so no value depends on the block size.  A singular metric
-    raises ValueError, and a block whose chart is not flat-orthonormal raises
-    ChartError before its covariant work, judged on the whole grid as one
-    block would be.
+    raises ValueError; a block whose chart is not flat-orthonormal raises
+    ChartError from ``line_jet``, where every covariant field starts, judged
+    on the whole grid as one block would be.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if not fields:
@@ -529,7 +533,11 @@ def geometry_pass(F: ParametricImmersion, pts: np.ndarray, fields: Sequence[str]
     for block in point_blocks(len(pts), jet_coefficients(F)):
         sample = sample_geometry(F, pts[block])
         try:
-            require_flat_chart(sample)
+            for name in names:
+                part = getattr(sample, name)
+                if name not in assembled:
+                    assembled[name] = np.empty((len(pts),) + part.shape[1:])
+                assembled[name][block] = part
         except ChartError:
             # judge the whole grid, as one block would: a singular metric
             # anywhere first, then the deviation over all points
@@ -537,11 +545,6 @@ def geometry_pass(F: ParametricImmersion, pts: np.ndarray, fields: Sequence[str]
             _require_immersion(grid)
             require_flat_chart(grid)
             raise
-        for name in names:
-            part = getattr(sample, name)
-            if name not in assembled:
-                assembled[name] = np.empty((len(pts),) + part.shape[1:])
-            assembled[name][block] = part
         del sample  # its jets go before the next block's are built
     grid = PointGeometry(F, pts, assembled.pop("values"), assembled.pop("tangents"))
     vars(grid).update(assembled)
@@ -556,15 +559,13 @@ def check_unit_norm(values: np.ndarray) -> CheckResult:
 
 def check_integral(sample: PointGeometry) -> CheckResult:
     """Max of |eta0(d_i F)| over the grid: zero iff F is an integral submanifold."""
-    res = 0.0
-    for i in range(sample.immersion.m):
-        res = max(res, float(np.max(np.abs(ambient.eta0(sample.values, sample.tangents[:, i])))))
+    res = float(np.max(np.abs(ambient.eta0(sample.values[:, None], sample.tangents))))
     return CheckResult("integral", res, INTEGRAL_TOL)
 
 
 def require_flat_chart(sample: PointGeometry) -> None:
     F = sample.immersion
-    dev = float(np.max(np.abs(sample.metric - np.eye(F.m))))
+    dev = float(np.max(sample.chart_deviation))
     if dev > FLAT_CHART_TOL:
         raise ChartError(
             f"chart of '{F.name}' is not flat-orthonormal "
@@ -579,17 +580,10 @@ def check_C_parallel(sample: PointGeometry) -> CheckResult:
     total-symmetry spread of S(X,Y,Z) = g(phi X, B(Y,Z)) in
     ``extra['total_symmetry']``.
     """
-    res = 0.0
-    for column_max in np.max(sample.c_parallel_defect, axis=0):
-        res = max(res, float(column_max))
-
-    S, m = sample.phi_b_form, sample.immersion.m
-    sym = 0.0
-    for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
-        if max(perm) >= m:
-            continue
-        axes = (0,) + tuple(1 + p for p in perm)
-        sym = max(sym, float(np.max(np.abs(S - np.transpose(S, axes)))))
+    res = float(np.max(sample.c_parallel_defect))
+    # S (N, m, m, m) has three slots at every m, so all five other slot orders apply
+    S, orders = sample.phi_b_form, ((0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1))
+    sym = float(np.max([np.max(np.abs(S - S.transpose(axes))) for axes in orders]))
     out = CheckResult("c_parallel", res, C_PARALLEL_TOL)
     out.extra["total_symmetry"] = sym
     return out
@@ -683,8 +677,5 @@ def lattice_check(
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if base is None:
         base = F.values(pts)
-    res = 0.0
-    for a in vectors:
-        shifted = F.values(pts + np.asarray(a, dtype=float))
-        res = max(res, float(np.max(np.abs(shifted - base))))
-    return CheckResult("lattice", res, LATTICE_TOL)
+    shifted = np.stack([F.values(pts + np.asarray(a, dtype=float)) for a in vectors])
+    return CheckResult("lattice", float(np.max(np.abs(shifted - base))), LATTICE_TOL)

@@ -139,7 +139,7 @@ def _frenet_check(report, F, axis, base, want, per_axis, label):
         _failed_checks(report, ((f"frenet_{label}", 1e-8), (f"frenet_{label}_constancy", 1e-8)), ex)
         return
     got = app.curvature_values
-    res = max(abs(g - w) for g, w in zip(got, want)) if app.order == len(want) + 1 else float("inf")
+    res = float(np.max(np.abs(np.subtract(got, want)))) if app.order == len(want) + 1 else float("inf")
     report.add(imm.CheckResult(f"frenet_{label}", res, 1e-8))
     spread = float(np.max(app.curvature_spreads)) if len(app.curvature_spreads) else 0.0
     report.add(imm.CheckResult(f"frenet_{label}_constancy", spread, 1e-8))
@@ -181,7 +181,9 @@ def _flow_cylinder_checks(report, F, per_axis, want_h=None, fields=()):
     ``fields`` names what the suite's later checks read besides.
     """
     geo = imm.geometry_pass(F, F.grid(per_axis), _BITENSION_FIELDS + fields)
-    base = slice(per_axis**2)  # the first t-slice of the grid
+    # the first per_axis**2 points, all at t = t0: that whole slice for m = 3
+    # (cylinder-s5), per_axis**2 of its per_axis**3 points for m = 4 (cylinder-c1)
+    base = slice(per_axis**2)
     report.add(imm.check_unit_norm(geo.values))
     # the cylinder direction is the Reeb flow: eta0(d_t y) = 1 exactly
     eta_t = ambient.eta0(geo.values[base], geo.tangents[base, 0])
@@ -241,7 +243,7 @@ def _eigencheck(report, geo, split, want):
     res = imm.coordinate_laplacian_eigencheck(geo, split)
     for (name, chk), mu_want in zip(sorted(res.items()), [want[k] for k in sorted(want)]):
         mu = chk.extra["eigenvalue"]
-        combined = max(chk.residual, abs(mu - mu_want))
+        combined = float(np.max([chk.residual, abs(mu - mu_want)]))
         out = imm.CheckResult(chk.name, combined, chk.tolerance)
         out.extra["eigenvalue"] = mu
         report.add(out)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from sasakian import catalog, report
-from sasakian.frenet import FrenetError, frenet, phi_alignment
+from sasakian import catalog, classifier, report
+from sasakian.frenet import MAX_ORDER, FrenetError, frenet, phi_alignment
+from sasakian.immersion import ParametricImmersion
 
 SQ2, SQ3, SQ5 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)
 
@@ -148,3 +149,31 @@ def test_legendre_frames_close(name, kwargs, want_order, grid):
 
 def test_closure_is_zero_below_order_two(s_grid):
     assert oracles.frenet_closure(oracles.great_circle(), s_grid) == (0.0, 0.0)
+
+
+def test_an_order_above_max_order_is_refused(s_grid):
+    # four circles of distinct frequencies in C^4, radii 1/2 and sum w^2 = 4 for
+    # unit speed: no rank drop in the ladder's MAX_ORDER + 1 steps
+    w = (-1.5, -0.5, 0.7, math.sqrt(4.0 - 1.5**2 - 0.5**2 - 0.7**2))
+    F = ParametricImmersion(
+        0.5 * np.eye(4, dtype=complex), np.array(w)[:, None], np.zeros(4), "four-circles", (2 * math.pi,)
+    )
+    with pytest.raises(FrenetError, match=f"exceeds {MAX_ORDER}"):
+        frenet(F, s_grid)
+
+
+def test_a_nan_curvature_fails_the_frenet_check(monkeypatch):
+    # the NaN sits behind a finite curvature, where a Python max would drop it
+    tup, F = catalog.corollary_torus()
+    want = classifier.curvature_tables(tup)["X2"]
+
+    def with_nan(curve, s):
+        app = frenet(curve, s)
+        app.curvatures[1] = np.full_like(app.curvatures[1], np.nan)
+        return app
+
+    monkeypatch.setattr(report, "frenet", with_nan)
+    out = report.VerificationReport("nan")
+    report._frenet_check(out, F, 1, report._CURVE_BASE_FRACTIONS * np.asarray(F.sample_box), want, 3, "X2")
+    check = out.checks[0]
+    assert check.name == "frenet_X2" and math.isnan(check.residual) and not check.passed

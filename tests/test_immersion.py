@@ -331,6 +331,75 @@ def test_covariant_checks_share_one_flat_chart_check(corollary, corollary_grid, 
     assert len(calls) == 1
 
 
+def test_geometry_pass_judges_each_block_chart_once(corollary, monkeypatch):
+    # line_jet judges the chart before any covariant field; the pass adds no call of its own
+    calls = []
+    original = imm.require_flat_chart
+    monkeypatch.setattr(imm, "require_flat_chart", lambda sample: calls.append(1) or original(sample))
+    monkeypatch.setattr(imm, "GEOMETRY_BLOCK_COEFFICIENTS", 50 * imm.jet_coefficients(corollary))
+    pts = corollary.grid(5)
+    imm.geometry_pass(corollary, pts, rep._INTEGRAL_FIELDS + rep._TRACE_BAH_FIELDS + rep._EIGEN_FIELDS)
+    assert len(calls) == len(imm.point_blocks(len(pts), imm.jet_coefficients(corollary))) == 3
+
+
+# a NaN residual fails its check: each check folds its values with np.max,
+# which propagates NaN, where a Python max(0.0, nan) returns 0.0
+def test_a_nan_c_parallel_defect_fails(corollary):
+    geo = imm.sample_geometry(corollary, corollary.grid(3))
+    defect = geo.c_parallel_defect.copy()
+    defect[1, 2] = np.nan
+    vars(geo)["c_parallel_defect"] = defect
+    check = imm.check_C_parallel(geo)
+    assert math.isnan(check.residual) and not check.passed
+
+
+def test_a_nan_in_s_fails_total_symmetry(corollary):
+    geo = imm.sample_geometry(corollary, corollary.grid(3))
+    S = geo.phi_b_form.copy()
+    S[4, 0, 1, 2] = np.nan
+    vars(geo)["phi_b_form"] = S
+    symmetry = imm.check_C_parallel(geo).extra["total_symmetry"]
+    assert math.isnan(symmetry) and not imm.CheckResult("s_symmetry", symmetry, 1e-10).passed
+
+
+def test_total_symmetry_compares_every_slot_order_of_a_two_parameter_s():
+    # S symmetric in its last two slots only: S(X1, X2, X2) moves, S(X2, X1, X2) does not
+    F = catalog.s5_surface()
+    geo = imm.sample_geometry(F, F.grid(3))
+    S = geo.phi_b_form.copy()
+    assert S.shape[1:] == (2, 2, 2)
+    S[:, 0, 1, 1] += 1e-3
+    vars(geo)["phi_b_form"] = S
+    assert imm.check_C_parallel(geo).extra["total_symmetry"] == pytest.approx(1e-3, rel=1e-9)
+
+
+def test_a_nan_tangent_fails_the_integral_check(corollary):
+    geo = imm.geometry_pass(corollary, corollary.grid(3))
+    geo.tangents[4, 2, 5] = np.nan
+    check = imm.check_integral(geo)
+    assert math.isnan(check.residual) and not check.passed
+
+
+def test_a_nan_base_value_fails_the_lattice_check(corollary, corollary_grid):
+    pts = corollary_grid[:10]
+    base = corollary.values(pts)
+    base[3, 1] = np.nan
+    check = imm.lattice_check(corollary, catalog.COROLLARY_LATTICE, pts, base=base)
+    assert math.isnan(check.residual) and not check.passed
+
+
+def test_a_nan_eigenvalue_fails_the_eigencheck(monkeypatch):
+    def fitted(geo, split):
+        check = imm.CheckResult("laplacian_eigen_x1", 1e-15, imm.EIGEN_TOL)
+        check.extra["eigenvalue"] = np.nan
+        return {"x1": check}
+
+    monkeypatch.setattr(imm, "coordinate_laplacian_eigencheck", fitted)
+    report = rep.VerificationReport("nan")
+    rep._eigencheck(report, None, {"x1": [3]}, {"x1": 1.0})
+    assert math.isnan(report.checks[0].residual) and not report.checks[0].passed
+
+
 def _eager_second_fundamental_jets(sample):
     """Reference: every B_ij as a jet of accuracy 2, built in one eager pass."""
     m = sample.immersion.m
