@@ -299,7 +299,7 @@ def circle_decomposition(
     z = (xval[:, :half] + 1j * xval[:, half:]) @ basis.conj().T
     moduli = np.abs(z)
     spread = np.max(moduli, axis=0) - np.min(moduli, axis=0)
-    if np.max(spread) > CIRCLE_MODULUS_TOL:
+    if not np.max(spread) <= CIRCLE_MODULUS_TOL:  # NaN fails
         raise ValueError(
             f"complex coordinate modulus is not constant (spread {float(np.max(spread)):.3e}); "
             "not a torus of circle-product form in this basis"
@@ -312,7 +312,7 @@ def circle_decomposition(
         dz = (dv[:, :half] + 1j * dv[:, half:]) @ basis.conj().T
         omega = np.imag(np.conj(z) * dz) / moduli**2
         w_spread = np.max(omega, axis=0) - np.min(omega, axis=0)
-        if np.max(w_spread) > 1e-8:
+        if not np.max(w_spread) <= 1e-8:
             raise ValueError("phase is not affine in the parameters; not a circle product")
         freqs[:, i] = np.mean(omega, axis=0)
 

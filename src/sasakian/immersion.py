@@ -14,11 +14,11 @@ commute with d_i), and every product after that runs once over all lines,
 bit-equal to the multivariate product on the terms it keeps (see ``jets``).
 
 Every identity checked here holds point by point, so the checks read
-per-point fields (``PointGeometry``) and reduce them over the grid.
-``geometry_pass`` computes those fields over blocks of points, one
-``GeometrySample`` at a time, each block holding at most
-``GEOMETRY_BLOCK_COEFFICIENTS`` coefficients of F's accuracy-4 jet, so a
-report's jets take memory in proportion to that budget, not to the grid.
+per-point fields (``PointGeometry``) and reduce them with a maximum.
+``geometry_pass`` runs them over blocks of points, one ``GeometrySample`` at
+a time, each holding at most ``GEOMETRY_BLOCK_COEFFICIENTS`` coefficients of
+F's accuracy-4 jet, and folds their maxima over the blocks, so a report's
+memory follows that budget, not the grid.
 
 Every immersion is a finite sum of plane waves, so its Taylor coefficients
 come in closed form, and derived quantities are differentiated by jet
@@ -45,15 +45,13 @@ C_PARALLEL_TOL = NORMAL_LAPLACIAN_TOL = BITENSION_TOL = 1e-8
 # most coefficients of F's accuracy-4 jet that ``geometry_pass`` holds at once,
 # counted as points x T(m, 4) terms x (2n + 2) components (``jet_coefficients``):
 # 640 points of a three-parameter immersion into S^7 (35 terms, 8 components),
-# 320 of a four-parameter one (70 terms).  Every field derived from the jet
-# grows with it, so a block's memory follows this count, not its points: a
-# full block with a report's fields peaks at about 4.6 MB either way (313
-# points of cylinder-c1 or 500 of corollary-c1, 26-34 bytes per coefficient,
-# tracemalloc).  Smaller blocks hold less but pay each jet product's fixed
-# cost (a few numpy calls per table pair) more often; with the second-order
-# fields on line jets that cost is small: three blocks of 432 points of
-# cylinder-c1 take about 0.8 times the time of one of 1296 (in process, best
-# of 7, 2-vCPU Xeon VM).
+# 320 of a four-parameter one (70 terms).  A block's fields and checks grow
+# with it, so its memory follows this count, not its points: a report's full
+# block peaks at about 4.8 MB either way (313 points of cylinder-c1, 500 of
+# corollary-c1; 27-35 bytes per coefficient, tracemalloc).  Smaller blocks
+# hold less but pay each jet product's fixed cost more often: three blocks of
+# 432 points of cylinder-c1 take about 0.8 times the time of one of 1296 (in
+# process, best of 7, 2-vCPU Xeon VM).
 GEOMETRY_BLOCK_COEFFICIENTS = 640 * 35 * 8
 
 
@@ -288,13 +286,15 @@ class PointGeometry:
     B (N, m, m, dim), ``tension`` tau = trace B (N, dim), ``phi_b_form``,
     ``c_parallel_defect``, ``normal_laplacian_defect``, ``tension_laplacian``
     and ``coordinate_laplacian``.  A ``GeometrySample`` derives them from its jets;
-    ``geometry_pass`` assembles the ones it is asked for over a whole grid.
+    ``geometry_pass`` assembles the ones it is asked for over a whole grid,
+    and in ``checks`` the results of the checks it ran block by block, folded.
     """
 
     immersion: ParametricImmersion
     points: np.ndarray                 # (N, m)
     values: np.ndarray                 # (N, dim)
     tangents: np.ndarray               # (N, m, dim)
+    checks: list[CheckResult] = field(default_factory=list, init=False)
 
     @cached_property
     def metric(self) -> np.ndarray:
@@ -323,11 +323,11 @@ class GeometrySample(PointGeometry):
     Everything covariant (tangent jets, B_ij, tau and the per-point fields of
     ``PointGeometry``) is built on first use, and only on a flat-orthonormal
     chart: asking for it on any other raises ChartError.  Building every
-    field peaks at 26-34 bytes per coefficient of the jet (``cylinder-c1``,
-    15 KB per point of a 313-point block, tracemalloc), some 25 times the
-    0.6 KB per point of fields its report keeps (1.5 KB for
-    ``corollary-c1``), so ``geometry_pass`` holds one block at a time.  The
-    diagonal B_ii, tau and both Laplacians live on the coordinate lines.
+    field peaks at 27-35 bytes per jet coefficient (15 KB per point of a
+    313-point block of ``cylinder-c1``, tracemalloc), some 40 times what a
+    report keeps per point (see ``geometry_pass``), so blocks are checked and
+    dropped one at a time.  The diagonal B_ii, tau and both Laplacians live
+    on the coordinate lines.
     """
 
     jet: Jet                           # accuracy-4 jet of F at the points
@@ -477,10 +477,10 @@ def _tangents(X: Jet) -> np.ndarray:
 
 def _require_immersion(geo: PointGeometry) -> None:
     # a metric within FLAT_CHART_TOL of the identity has |det| near 1, so only
-    # the points off it take a determinant
-    off = geo.chart_deviation > FLAT_CHART_TOL
-    if np.any(np.abs(np.linalg.det(geo.metric[off])) < 1e-14):
-        raise ValueError("induced metric is singular: not an immersion at a sampled point")
+    # the points off it take a determinant; a NaN or inf entry fails first
+    dev = geo.chart_deviation
+    if not np.all(np.isfinite(dev)) or np.any(np.abs(np.linalg.det(geo.metric[dev > FLAT_CHART_TOL])) < 1e-14):
+        raise ValueError("induced metric is singular or not finite: not an immersion at a sampled point")
 
 
 def sample_geometry(F: ParametricImmersion, pts: np.ndarray) -> GeometrySample:
@@ -511,25 +511,28 @@ def point_blocks(n: int, per_point: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def geometry_pass(F: ParametricImmersion, pts: np.ndarray, fields: Sequence[str] = ()) -> PointGeometry:
-    """F's geometry on a whole grid: values, tangents and the named per-point fields.
+def geometry_pass(F: ParametricImmersion, pts: np.ndarray, fields: Sequence[str] = (), checks=()) -> PointGeometry:
+    """F's geometry on a whole grid: values, tangents, the named per-point fields and the folded ``checks``.
 
-    Without ``fields`` this is one accuracy-1 evaluation of F, and the metric
-    is not checked.  Otherwise the grid is cut into ``point_blocks``; each
-    block's ``GeometrySample`` is built, read and dropped before the next, so
-    the jets held at once grow with ``GEOMETRY_BLOCK_COEFFICIENTS``, not with
-    the grid, and F is evaluated once at each point.  Every field is computed
-    point by point, so no value depends on the block size.  A singular metric
-    raises ValueError; a block whose chart is not flat-orthonormal raises
-    ChartError from ``line_jet``, where every covariant field starts, judged
-    on the whole grid as one block would be.
+    Without either this is one accuracy-1 evaluation of F, and the metric is
+    not checked.  Otherwise each block of ``point_blocks`` is a
+    ``GeometrySample``, read, passed to each check (a function of it to a
+    ``CheckResult`` of maxima) and dropped before the next, so jets and
+    checked fields follow ``GEOMETRY_BLOCK_COEFFICIENTS``, not the grid.
+    Each residual and extra folds over the blocks with one np.max, so a NaN
+    in any block fails; no value depends on the block size.  The grid keeps
+    values, tangents and ``fields`` (a report's: |H|, the coordinate
+    Laplacian), (m + 2) dim + 1 floats a point, 328 bytes for corollary-c1.
+    A singular metric raises ValueError; a block whose chart is not
+    flat-orthonormal raises ChartError from ``line_jet``, judged on the whole grid.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if not fields:
+    if not fields and not checks:
         X = F.jets(pts, 1)
         return PointGeometry(F, pts, X.value, _tangents(X))
     names = ("values", "tangents") + tuple(fields)
     assembled: dict[str, np.ndarray] = {}
+    per_block = []  # each block's results of the checks
     for block in point_blocks(len(pts), jet_coefficients(F)):
         sample = sample_geometry(F, pts[block])
         try:
@@ -538,6 +541,7 @@ def geometry_pass(F: ParametricImmersion, pts: np.ndarray, fields: Sequence[str]
                 if name not in assembled:
                     assembled[name] = np.empty((len(pts),) + part.shape[1:])
                 assembled[name][block] = part
+            per_block.append([check(sample) for check in checks])
         except ChartError:
             # judge the whole grid, as one block would: a singular metric
             # anywhere first, then the deviation over all points
@@ -548,6 +552,10 @@ def geometry_pass(F: ParametricImmersion, pts: np.ndarray, fields: Sequence[str]
         del sample  # its jets go before the next block's are built
     grid = PointGeometry(F, pts, assembled.pop("values"), assembled.pop("tangents"))
     vars(grid).update(assembled)
+    for parts in zip(*per_block):
+        out = CheckResult(parts[0].name, float(np.max([p.residual for p in parts])), parts[0].tolerance)
+        out.extra = {key: float(np.max([p.extra[key] for p in parts])) for key in parts[0].extra}
+        grid.checks.append(out)
     return grid
 
 
@@ -564,11 +572,10 @@ def check_integral(sample: PointGeometry) -> CheckResult:
 
 
 def require_flat_chart(sample: PointGeometry) -> None:
-    F = sample.immersion
     dev = float(np.max(sample.chart_deviation))
-    if dev > FLAT_CHART_TOL:
+    if not dev <= FLAT_CHART_TOL:  # NaN fails
         raise ChartError(
-            f"chart of '{F.name}' is not flat-orthonormal "
+            f"chart of '{sample.immersion.name}' is not flat-orthonormal "
             f"(max |G - I| = {dev:.3e} > {FLAT_CHART_TOL:.1e}); covariant checks unsupported"
         )
 

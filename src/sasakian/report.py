@@ -113,14 +113,15 @@ def parse_example(name: str) -> tuple[str, float | None]:
     raise UsageError(f"unknown example {name!r}; registered: {', '.join(EXAMPLE_NAMES)}")
 
 
-# the per-point fields of ``imm.PointGeometry`` that the checks read, which a
-# suite's one ``imm.geometry_pass`` computes: bitension and |H| read tau,
-# C-parallelism and the normal Laplacian the rest of _INTEGRAL_FIELDS, the
-# trace of B(A_H ., .) also B
-_BITENSION_FIELDS = ("tension", "tension_laplacian")
-_INTEGRAL_FIELDS = ("phi_b_form", "c_parallel_defect", "normal_laplacian_defect") + _BITENSION_FIELDS
-_TRACE_BAH_FIELDS = ("second_fundamental",)
+# a suite's one ``imm.geometry_pass`` runs its per-point checks block by block
+# and keeps for the whole grid only what a statistic over all points reads:
+# |H| (its variance and mean) and the coordinate Laplacian (the eigenvalues)
+_NORM_FIELDS = ("mean_curvature_norm",)
 _EIGEN_FIELDS = ("coordinate_laplacian",)
+
+
+def _unit_norm(sample):
+    return imm.check_unit_norm(sample.values)
 
 
 def _failed_checks(report, checks, ex):
@@ -154,25 +155,35 @@ def _mean_curvature_checks(report, h, want=None):
         report.add(imm.CheckResult("mean_curvature_value", float(np.max(np.abs(h - want))), 1e-10))
 
 
-def _trace_bah_check(report, geo, factor):
-    B, H = geo.second_fundamental, geo.mean_curvature
+def _trace_bah_check(sample, factor):
+    B, H = sample.second_fundamental, sample.mean_curvature
     bah = np.einsum("nik,nikd->nd", np.einsum("nikd,nd->nik", B, H), B)
-    res = float(np.max(np.abs(bah - factor * H)))
-    report.add(imm.CheckResult("trace_b_ah", res, 1e-8))
+    return imm.CheckResult("trace_b_ah", float(np.max(np.abs(bah - factor * H))), 1e-8)
 
 
-def _integral_submanifold_checks(report, geo, want_h=None, mode="biharmonic", bah_factor=None):
-    """The shared suite of the maximum-dimension integral examples."""
-    report.add(imm.check_unit_norm(geo.values))
-    report.add(imm.check_integral(geo))
-    cp = imm.check_C_parallel(geo)
-    report.add(cp)
-    report.add(imm.CheckResult("s_symmetry", cp.extra["total_symmetry"], 1e-10))
-    report.add(imm.check_normal_laplacian(geo))
+def _integral_suite(report, F, per_axis, tup=None, want_h=None, fields=()):
+    """The suite of a maximum-dimension integral example F; returns the geometry.
+
+    For the flat 3-torus F of a solver tuple ``tup``, the bitension mode, the
+    factor k of trace B(A_H ., .) = k H and the curvatures of the coordinate
+    curves X1, X2, X3 come from ``tup``.  ``fields`` names what the caller's
+    later checks read besides.
+    """
+    mode = "biharmonic" if tup is None else tup.mode
+    checks = [_unit_norm, imm.check_integral, imm.check_C_parallel, imm.check_normal_laplacian,
+              lambda sample: imm.check_bitension(sample, mode)]
+    if tup is not None:
+        checks.append(lambda sample: _trace_bah_check(sample, tup.k))
+    geo = imm.geometry_pass(F, F.grid(per_axis), _NORM_FIELDS + fields, checks)
+    unit, integral, cp, normal, *rest = geo.checks
+    report.checks += [unit, integral, cp, imm.CheckResult("s_symmetry", cp.extra["total_symmetry"], 1e-10), normal]
     _mean_curvature_checks(report, geo.mean_curvature_norm, want_h)
-    report.add(imm.check_bitension(geo, mode=mode))
-    if bah_factor is not None:
-        _trace_bah_check(report, geo, bah_factor)
+    report.checks += rest  # bitension, and trace B(A_H ., .) for a tuple
+    if tup is not None:
+        base = _CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
+        for axis, (label, want) in enumerate(classifier.curvature_tables(tup).items()):
+            _frenet_check(report, F, axis, base, want, per_axis, label)
+    return geo
 
 
 def _flow_cylinder_checks(report, F, per_axis, want_h=None, fields=()):
@@ -180,16 +191,17 @@ def _flow_cylinder_checks(report, F, per_axis, want_h=None, fields=()):
 
     ``fields`` names what the suite's later checks read besides.
     """
-    geo = imm.geometry_pass(F, F.grid(per_axis), _BITENSION_FIELDS + fields)
+    geo = imm.geometry_pass(F, F.grid(per_axis), _NORM_FIELDS + fields, (_unit_norm, imm.check_bitension))
+    unit, bitension = geo.checks
     # the first per_axis**2 points, all at t = t0: that whole slice for m = 3
     # (cylinder-s5), per_axis**2 of its per_axis**3 points for m = 4 (cylinder-c1)
     base = slice(per_axis**2)
-    report.add(imm.check_unit_norm(geo.values))
+    report.add(unit)
     # the cylinder direction is the Reeb flow: eta0(d_t y) = 1 exactly
     eta_t = ambient.eta0(geo.values[base], geo.tangents[base, 0])
     report.add(imm.CheckResult("flow_direction", float(np.max(np.abs(eta_t - 1.0))), 1e-10))
     _mean_curvature_checks(report, geo.mean_curvature_norm[base], want_h)
-    report.add(imm.check_bitension(geo))
+    report.add(bitension)
     return geo
 
 
@@ -204,10 +216,8 @@ def _legendre_suite(report, F, per_axis, label, order, kappa1, align_name, align
     A FrenetError fails the Frenet and phi-alignment checks with residual inf.
     """
     pts = F.grid(max(per_axis, 5))
-    geo = imm.geometry_pass(F, pts, _BITENSION_FIELDS)
-    report.add(imm.check_unit_norm(geo.values))
-    report.add(imm.check_integral(geo))
-    report.add(imm.check_bitension(geo))
+    geo = imm.geometry_pass(F, pts, _NORM_FIELDS, (_unit_norm, imm.check_integral, imm.check_bitension))
+    report.checks += geo.checks
     try:
         app = frenet(F, pts.ravel())
         alignment = abs(abs(phi_alignment(app)) - align_want)
@@ -259,32 +269,15 @@ MINUS4_RADII = (
 _CURVE_BASE_FRACTIONS = np.array([0.23, 0.41, 0.67])
 
 
-def _flat_torus_suite(report, per_axis, tup, F, want_h=None, fields=()):
-    """The suite of the flat 3-torus F of a solver tuple; returns the geometry.
-
-    The bitension mode, the factor k of trace B(A_H ., .) = k H and the
-    curvatures of the coordinate curves X1, X2, X3 all come from ``tup``.
-    ``fields`` names what the caller's later checks read besides.
-    """
-    geo = imm.geometry_pass(F, F.grid(per_axis), _INTEGRAL_FIELDS + _TRACE_BAH_FIELDS + fields)
-    _integral_submanifold_checks(report, geo, want_h, mode=tup.mode, bah_factor=tup.k)
-    base = _CURVE_BASE_FRACTIONS * np.asarray(F.sample_box)
-    for axis, (label, want) in enumerate(classifier.curvature_tables(tup).items()):
-        _frenet_check(report, F, axis, base, want, per_axis, label)
-    return geo
-
-
 def _corollary_suite(report, per_axis, _param):
     tup, F = catalog.corollary_torus()
-    geo = _flat_torus_suite(report, per_axis, tup, F, want_h=2.0 / 3.0, fields=_EIGEN_FIELDS)
+    geo = _integral_suite(report, F, per_axis, tup, want_h=2.0 / 3.0, fields=_EIGEN_FIELDS)
     report.add(_sample_lattice_check(geo, catalog.COROLLARY_LATTICE, per_axis**2))
     _eigencheck(report, geo, {"x1": [3], "x2": [0, 1, 2]}, {"x1": 1.0, "x2": 5.0})
 
 
 def _s5_suite(report, per_axis, _param):
-    F = catalog.s5_surface()
-    geo = imm.geometry_pass(F, F.grid(per_axis), _INTEGRAL_FIELDS)
-    _integral_submanifold_checks(report, geo)
+    geo = _integral_suite(report, catalog.s5_surface(), per_axis)
     report.add(_sample_lattice_check(geo, catalog.S5_LATTICE, per_axis**2))
 
 
@@ -323,7 +316,8 @@ def _legendre_helix_suite(report, per_axis, kappa1):
 
 
 def _minus4_suite(report, per_axis, index):
-    _flat_torus_suite(report, per_axis, *catalog.minus4_torus(index))
+    tup, F = catalog.minus4_torus(index)
+    _integral_suite(report, F, per_axis, tup)
 
 
 def _cylinder_minus4_suite(report, per_axis, index):
@@ -345,13 +339,12 @@ _SUITES = {
     "cylinder-minus4": (4, _cylinder_minus4_suite),
 }
 
-# A report holds the jets of one block of imm.GEOMETRY_BLOCK_COEFFICIENTS jet
-# coefficients at a time, which peak at about 4.6 MB (26-34 bytes per
-# coefficient, cylinder-c1 and corollary-c1, tracemalloc), whatever the grid.
-# The cap bounds what still grows with the grid: run time (in process, about
-# 0.9 s for cylinder-c1 at grid 11, 14,641 points, and for corollary-c1 at
-# grid 27, 19,683 points) and the per-point arrays kept for the whole grid,
-# up to 1.4 KB per point (corollary-c1; 74 MB peak RSS at grid 27).
+# A report holds the jets and checked fields of one block of
+# imm.GEOMETRY_BLOCK_COEFFICIENTS jet coefficients at a time, about 4.8 MB.
+# The cap bounds what grows with the grid: run time (in process, about 0.4 s
+# for cylinder-c1 at grid 11, 14,641 points, and corollary-c1 at grid 27,
+# 19,683) and the 0.33-0.4 KB a point kept for the whole grid (43 MB peak RSS
+# for corollary-c1 at grid 27).
 MAX_GRID_POINTS = 20000
 
 

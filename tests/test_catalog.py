@@ -149,6 +149,16 @@ def test_circle_decomposition_reads_a_given_geometry():
     assert np.array_equal(given.frequencies, direct.frequencies)
 
 
+@pytest.mark.parametrize("field, index", [("values", (3, 1)), ("tangents", (4, 2, 5))])
+def test_a_nan_in_the_decomposition_input_raises(field, index):
+    # a NaN modulus is not constant, and a NaN phase rate not affine
+    Y = catalog.cylinder(catalog.corollary_torus()[1])
+    geo = imm.geometry_pass(Y, Y.grid(3))
+    getattr(geo, field)[index] = np.nan
+    with pytest.raises(ValueError, match="modulus is not constant|phase is not affine"):
+        catalog.circle_decomposition(Y, geometry=geo)
+
+
 def test_circle_decomposition_requires_constant_moduli():
     Y = catalog.cylinder(catalog.s5_surface())
     with pytest.raises(ValueError, match="modulus is not constant"):

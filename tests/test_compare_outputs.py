@@ -47,11 +47,11 @@ def test_output_that_is_not_json_is_compared_line_by_line():
 
 
 class _FirstPass(Exception):
-    """Raised by a stand-in ``geometry_pass`` with its immersion, point count and fields."""
+    """Raised by a stand-in ``geometry_pass`` with its immersion, point count and whether it runs blocks."""
 
 
-def _first_pass(F, pts, fields=()):
-    raise _FirstPass(F, len(pts), fields)
+def _first_pass(F, pts, fields=(), checks=()):
+    raise _FirstPass(F, len(pts), bool(fields or checks))
 
 
 def test_comparison_set_covers_every_example_and_both_classify_workloads(monkeypatch):
@@ -73,8 +73,8 @@ def test_comparison_set_covers_every_example_and_both_classify_workloads(monkeyp
             try:
                 rep.build_report(argv[1], per_axis=int(argv[3]))
             except _FirstPass as stop:
-                F, n, fields = stop.args
-                if fields and len(imm.point_blocks(n, imm.jet_coefficients(F))) > 1:
+                F, n, blocked = stop.args
+                if blocked and len(imm.point_blocks(n, imm.jet_coefficients(F))) > 1:
                     multi_block.add(F.m)
     assert multi_block >= {3, 4}
 

@@ -338,7 +338,8 @@ def test_geometry_pass_judges_each_block_chart_once(corollary, monkeypatch):
     monkeypatch.setattr(imm, "require_flat_chart", lambda sample: calls.append(1) or original(sample))
     monkeypatch.setattr(imm, "GEOMETRY_BLOCK_COEFFICIENTS", 50 * imm.jet_coefficients(corollary))
     pts = corollary.grid(5)
-    imm.geometry_pass(corollary, pts, rep._INTEGRAL_FIELDS + rep._TRACE_BAH_FIELDS + rep._EIGEN_FIELDS)
+    checks = (imm.check_integral, imm.check_C_parallel, imm.check_normal_laplacian, imm.check_bitension)
+    imm.geometry_pass(corollary, pts, rep._NORM_FIELDS + rep._EIGEN_FIELDS, checks)
     assert len(calls) == len(imm.point_blocks(len(pts), imm.jet_coefficients(corollary))) == 3
 
 
@@ -373,11 +374,43 @@ def test_total_symmetry_compares_every_slot_order_of_a_two_parameter_s():
     assert imm.check_C_parallel(geo).extra["total_symmetry"] == pytest.approx(1e-3, rel=1e-9)
 
 
+def test_a_nan_in_one_block_fails_the_folded_check(corollary, monkeypatch):
+    # each block's residuals fold with np.max, so a NaN in the second of three
+    # blocks is neither dropped nor outweighed by the finite maxima of the others
+    monkeypatch.setattr(imm, "GEOMETRY_BLOCK_COEFFICIENTS", 9 * imm.jet_coefficients(corollary))
+    blocks = []
+
+    def poisoned(sample):
+        blocks.append(len(sample.points))
+        if len(blocks) == 2:
+            vars(sample)["c_parallel_defect"] = np.where(np.arange(sample.c_parallel_defect.size) == 4, np.nan, 0.0)
+            vars(sample)["phi_b_form"] = sample.phi_b_form.copy()
+            sample.phi_b_form[1, 0, 1, 2] = np.nan
+        return imm.check_C_parallel(sample)
+
+    clean, check = imm.geometry_pass(corollary, corollary.grid(3), (), (imm.check_C_parallel, poisoned)).checks
+    assert blocks == [9, 9, 9]
+    assert clean.passed and clean.extra["total_symmetry"] < 1e-10
+    assert math.isnan(check.residual) and not check.passed
+    assert math.isnan(check.extra["total_symmetry"])
+
+
 def test_a_nan_tangent_fails_the_integral_check(corollary):
     geo = imm.geometry_pass(corollary, corollary.grid(3))
     geo.tangents[4, 2, 5] = np.nan
     check = imm.check_integral(geo)
     assert math.isnan(check.residual) and not check.passed
+
+
+def test_a_nan_metric_fails_both_chart_guards(corollary):
+    # a NaN tangent entry gives a NaN metric, which is neither flat nor an immersion
+    geo = imm.geometry_pass(corollary, corollary.grid(3))
+    geo.tangents[2, 0, 0] = np.nan
+    with pytest.raises(imm.ChartError, match="nan"):
+        imm.require_flat_chart(geo)
+    with pytest.raises(ValueError, match="not finite"):
+        imm._require_immersion(geo)
+    assert math.isnan(geo.chart_deviation[2]) and np.all(np.isfinite(np.delete(geo.chart_deviation, 2)))
 
 
 def test_a_nan_base_value_fails_the_lattice_check(corollary, corollary_grid):
@@ -490,14 +523,14 @@ DENSE_REPORTS = [("cylinder-c1", 6), ("corollary-c1", 10), ("minus4-1", 7)]
 @pytest.mark.parametrize("name, grid", [(n, g) for g in (3, 5) for n in REGISTERED] + DENSE_REPORTS)
 def test_report_json_does_not_depend_on_the_block_size(name, grid, monkeypatch):
     # the whole grid in one block gives the report of the default blocks; and
-    # every geometry pass of the report gives the same bits, field by field,
-    # at one point per block, at 7, which leaves blocks of unequal size on most
-    # grids, and at 100
+    # every geometry pass of the report gives the same bits, field by field
+    # and check by check, at one point per block, at 7, which leaves blocks of
+    # unequal size on most grids, and at 100
     passes, geometry_pass = [], imm.geometry_pass
 
-    def recording(F, pts, fields=()):
-        geo = geometry_pass(F, pts, fields)
-        passes.append((F, pts, fields, geo))
+    def recording(F, pts, fields=(), checks=()):
+        geo = geometry_pass(F, pts, fields, checks)
+        passes.append((F, pts, fields, checks, geo))
         return geo
 
     monkeypatch.setattr(imm, "geometry_pass", recording)
@@ -508,12 +541,14 @@ def test_report_json_does_not_depend_on_the_block_size(name, grid, monkeypatch):
     monkeypatch.setattr(imm, "GEOMETRY_BLOCK_COEFFICIENTS", rep.MAX_GRID_POINTS * widest)
     assert rep.build_report(name, per_axis=grid).to_json() == want
     for size in (1, 7, 100):
-        for F, pts, fields, geo in passes:
+        for F, pts, fields, checks, geo in passes:
             monkeypatch.setattr(imm, "GEOMETRY_BLOCK_COEFFICIENTS", size * imm.jet_coefficients(F))
-            got = imm.geometry_pass(F, pts, fields)
+            got = imm.geometry_pass(F, pts, fields, checks)
             for field in ("values", "tangents") + tuple(fields):
                 a, b = getattr(got, field), getattr(geo, field)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (size, F.name, field)
+            # repr prints every residual and extra to the last bit
+            assert repr(got.checks) == repr(geo.checks), (size, F.name)
 
 
 def _block_sizes(F, grid):
@@ -576,3 +611,29 @@ def test_block_memory_follows_jet_coefficients_not_points():
     for name, grid in (("cylinder-c1", 5), ("corollary-c1", 8)):
         rep.build_report(name, per_axis=grid)  # lazily built tables
     assert _report_peak("cylinder-c1", 5) <= 1.25 * _report_peak("corollary-c1", 8)
+
+
+@pytest.mark.parametrize("name", REGISTERED)
+def test_report_geometry_keeps_values_tangents_and_two_fields_per_point(name, monkeypatch):
+    # every pass of the report runs in three blocks; what it keeps for the
+    # whole grid is values, tangents, |H| and the coordinate Laplacian, at most
+    # (m + 2) dim + 1 floats a point (328 bytes for corollary-c1), while B, S,
+    # tau, Delta tau and the defects go with their block
+    geometry_pass, kept = imm.geometry_pass, []
+
+    def thirds(F, pts, fields=(), checks=()):
+        monkeypatch.setattr(imm, "GEOMETRY_BLOCK_COEFFICIENTS", -(-len(pts) // 3) * imm.jet_coefficients(F))
+        geo = geometry_pass(F, pts, fields, checks)
+        arrays = [a for key, a in vars(geo).items() if isinstance(a, np.ndarray) and key != "points"]
+        blocks = len(imm.point_blocks(len(pts), imm.jet_coefficients(F))) if fields or checks else 0
+        kept.append((F, blocks, sum(a.nbytes for a in arrays) / len(pts)))
+        return geo
+
+    monkeypatch.setattr(imm, "geometry_pass", thirds)
+    assert rep.build_report(name, per_axis=3).passed
+    # cylinder-minus4's one pass reads values and tangents only: one accuracy-1 evaluation, no blocks
+    assert sorted({blocks for _, blocks, _ in kept}) == ([0] if name.startswith("cylinder-minus4") else [3])
+    for F, blocks, per_point in kept:
+        assert per_point <= 8 * ((F.m + 2) * (2 * F.n + 2) + 1), (F.name, per_point)
+    if name == "corollary-c1":
+        assert [per_point for *_, per_point in kept] == [328]
