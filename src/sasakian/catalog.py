@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +80,7 @@ S5_CYL_BASIS = np.array(
 )
 
 
-@dataclass(frozen=True)
-class CircleProduct:
+class CircleProduct(NamedTuple):
     """Radii and frequency rows of a product-of-circles torus; a report checks sum r^2 = 1 (``decomposition_sum_sq``)."""
 
     radii: np.ndarray
@@ -235,9 +234,10 @@ def legendre_helix(kappa1: float) -> ParametricImmersion:
 def cylinder(F: ParametricImmersion) -> ParametricImmersion:
     """Flow cylinder (t, p) -> exp(-i t) F(p); domain dimension grows by one."""
     box = (2.0 * math.pi,) + tuple(F.sample_box)
-    return replace(
-        F,
+    return ParametricImmersion(
+        amplitudes=F.amplitudes,
         frequencies=np.concatenate([-np.ones((len(F.phases), 1)), F.frequencies], axis=1),
+        phases=F.phases,
         name=f"cylinder({F.name})",
         sample_box=box,
     )
@@ -248,9 +248,10 @@ def precompose_linear(F: ParametricImmersion, A: np.ndarray, name: str) -> Param
     A = np.asarray(A, dtype=float)
     if A.shape != (F.m, F.m):
         raise ValueError("parameter transform has wrong shape")
-    return replace(
-        F,
+    return ParametricImmersion(
+        amplitudes=F.amplitudes,
         frequencies=F.frequencies @ A,
+        phases=F.phases,
         name=name,
         sample_box=(2.0 * math.pi,) * F.m,
     )

@@ -6,7 +6,8 @@ to numerical noise.  Osculating order is detected by rank drop of a
 Gram-Schmidt in the ambient metric, with a hard dependence threshold and an
 explicit indeterminate band; the ladder of covariant derivatives is built one
 rung per Gram-Schmidt step and stops at the detected order, and an order it
-cannot settle, in the band or above MAX_ORDER, raises FrenetError.  The
+cannot settle, in the band or above MAX_ORDER, raises FrenetError, as does a
+curve that is not finite at a sampled parameter; every guard fails on NaN.  The
 frame is kept as values only: the closure check nabla_T E_r =
 -kappa_{r-1} E_{r-1}, which needs a frame of jets, is a test oracle
 (``tests/oracles.py``, ``frenet_closure``).
@@ -14,7 +15,7 @@ frame is kept as values only: the closure check nabla_T E_r =
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,7 @@ class FrenetError(ValueError):
     pass
 
 
-@dataclass
-class FrenetApparatus:
+class FrenetApparatus(NamedTuple):
     """Order, curvature samples, and frame samples of a curve on a grid."""
 
     order: int
@@ -52,12 +52,14 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
         raise ValueError("frenet expects a one-parameter immersion")
     s = np.asarray(s_grid, dtype=float).reshape(-1, 1)
     X = curve.jets(s, MAX_ORDER + 1)
+    if not np.all(np.isfinite(X.rows)):
+        raise FrenetError("curve is not finite at a sampled parameter (NaN or inf in its jet)")
 
     # covariant derivative ladder v_0 = T, v_{j+1} = nabla_T v_j
     T = X.deriv(0)
     speed = np.sqrt(ambient.inner(T.value, T.value))
     drift = float(np.max(np.abs(speed - 1.0)))
-    if drift > UNIT_SPEED_TOL:
+    if not drift <= UNIT_SPEED_TOL:  # NaN fails
         raise FrenetError(f"curve is not arc-length parametrized (| |G'| - 1 | up to {drift:.3e})")
     # pointwise Gram-Schmidt with rank-drop detection; rung j of the ladder is
     # built only when step j reaches it
@@ -74,10 +76,10 @@ def frenet(curve: ParametricImmersion, s_grid: np.ndarray) -> FrenetApparatus:
         norm_w = ambient.norm(w)
         scale = max(1.0, float(np.max(ambient.norm(vj))))
         rel = float(np.max(norm_w)) / scale
-        if rel < DEPENDENCE_TOL:
+        if rel < DEPENDENCE_TOL:  # a NaN residual is no rank drop,
             order = j
             break
-        if rel < INDETERMINATE_TOL:
+        if not rel >= INDETERMINATE_TOL:  # but indeterminate
             raise FrenetError(
                 f"osculating order is numerically indeterminate at step {j} "
                 f"(relative residual {rel:.3e} in [{DEPENDENCE_TOL:g}, {INDETERMINATE_TOL:g}])"

@@ -29,9 +29,8 @@ noise level or genuinely nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -173,7 +172,6 @@ def _wave_term(parts: np.ndarray, parity: np.ndarray, idx: np.ndarray, C: np.nda
     return rows
 
 
-@dataclass
 class ParametricImmersion:
     """A finite sum of plane waves sum_k W_k exp(i(<f_k, p> + theta_k)) in C^{n+1}.
 
@@ -182,16 +180,12 @@ class ParametricImmersion:
     in R^{2n+2}.
     """
 
-    amplitudes: np.ndarray
-    frequencies: np.ndarray
-    phases: np.ndarray
-    name: str
-    sample_box: tuple[float, ...]
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        self.frequencies = np.asarray(self.frequencies, dtype=float)
-        self.phases = np.asarray(self.phases, dtype=float)
+    def __init__(self, amplitudes, frequencies, phases, name: str, sample_box: tuple[float, ...]):
+        self.amplitudes = np.asarray(amplitudes, dtype=complex)
+        self.frequencies = np.asarray(frequencies, dtype=float)
+        self.phases = np.asarray(phases, dtype=float)
+        self.name = name
+        self.sample_box = sample_box
         K = self.amplitudes.shape[0] if self.amplitudes.ndim == 2 else -1
         if K < 1 or self.frequencies.ndim != 2 or self.frequencies.shape[0] != K or self.phases.shape != (K,):
             raise ValueError(
@@ -265,19 +259,23 @@ class ParametricImmersion:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
+    """A check's residual against its tolerance, and what else it reports in ``extra``.
+
+    ``extra`` is given at construction and never mutated; the default is one
+    shared empty dict.
+    """
+
     name: str
     residual: float
     tolerance: float
-    passed: bool = field(init=False)
-    extra: dict = field(default_factory=dict)
+    extra: dict = {}
 
-    def __post_init__(self):
-        self.passed = bool(self.residual < self.tolerance)
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual < self.tolerance)  # NaN fails
 
 
-@dataclass
 class PointGeometry:
     """Geometry of F at a grid of points, every array with the grid as leading axis.
 
@@ -290,11 +288,12 @@ class PointGeometry:
     and in ``checks`` the results of the checks it ran block by block, folded.
     """
 
-    immersion: ParametricImmersion
-    points: np.ndarray                 # (N, m)
-    values: np.ndarray                 # (N, dim)
-    tangents: np.ndarray               # (N, m, dim)
-    checks: list[CheckResult] = field(default_factory=list, init=False)
+    def __init__(self, immersion: ParametricImmersion, points, values, tangents):
+        self.immersion = immersion
+        self.points = points               # (N, m)
+        self.values = values               # (N, dim)
+        self.tangents = tangents           # (N, m, dim)
+        self.checks: list[CheckResult] = []
 
     @cached_property
     def metric(self) -> np.ndarray:
@@ -316,7 +315,6 @@ class PointGeometry:
         return ambient.norm(self.mean_curvature)
 
 
-@dataclass
 class GeometrySample(PointGeometry):
     """Induced geometry of F at one block of points, from its accuracy-4 jet.
 
@@ -330,7 +328,9 @@ class GeometrySample(PointGeometry):
     on the coordinate lines.
     """
 
-    jet: Jet                           # accuracy-4 jet of F at the points
+    def __init__(self, immersion: ParametricImmersion, points, values, tangents, jet: Jet):
+        super().__init__(immersion, points, values, tangents)
+        self.jet = jet                     # accuracy-4 jet of F at the points
 
     @cached_property
     def line_jet(self) -> Jet:
@@ -553,9 +553,9 @@ def geometry_pass(F: ParametricImmersion, pts: np.ndarray, fields: Sequence[str]
     grid = PointGeometry(F, pts, assembled.pop("values"), assembled.pop("tangents"))
     vars(grid).update(assembled)
     for parts in zip(*per_block):
-        out = CheckResult(parts[0].name, float(np.max([p.residual for p in parts])), parts[0].tolerance)
-        out.extra = {key: float(np.max([p.extra[key] for p in parts])) for key in parts[0].extra}
-        grid.checks.append(out)
+        extra = {key: float(np.max([p.extra[key] for p in parts])) for key in parts[0].extra}
+        residual = float(np.max([p.residual for p in parts]))
+        grid.checks.append(CheckResult(parts[0].name, residual, parts[0].tolerance, extra))
     return grid
 
 
@@ -591,9 +591,7 @@ def check_C_parallel(sample: PointGeometry) -> CheckResult:
     # S (N, m, m, m) has three slots at every m, so all five other slot orders apply
     S, orders = sample.phi_b_form, ((0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1))
     sym = float(np.max([np.max(np.abs(S - S.transpose(axes))) for axes in orders]))
-    out = CheckResult("c_parallel", res, C_PARALLEL_TOL)
-    out.extra["total_symmetry"] = sym
-    return out
+    return CheckResult("c_parallel", res, C_PARALLEL_TOL, {"total_symmetry": sym})
 
 
 def _rough_laplacian(sample: GeometrySample, V: Jet, normal: bool) -> np.ndarray:
@@ -665,9 +663,7 @@ def coordinate_laplacian_eigencheck(
         xg, lg = xval[:, comp], lap[:, comp]
         mu = float(np.sum(lg * xg) / np.sum(xg * xg))
         res = float(np.max(np.abs(lg - mu * xg)))
-        r = CheckResult(f"laplacian_eigen_{name}", res, EIGEN_TOL)
-        r.extra["eigenvalue"] = mu
-        out[name] = r
+        out[name] = CheckResult(f"laplacian_eigen_{name}", res, EIGEN_TOL, {"eigenvalue": mu})
     return out
 
 

@@ -14,10 +14,8 @@ so that a classify run loads none; ``report`` imports the three back.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,11 +39,11 @@ EXAMPLE_NAMES = (
     "cylinder-minus4-3",
 )
 
-@dataclass
 class VerificationReport:
-    subject: str
-    checks: list[imm.CheckResult] = field(default_factory=list)
-    computed: dict = field(default_factory=dict)
+    def __init__(self, subject: str):
+        self.subject = subject
+        self.checks: list[imm.CheckResult] = []
+        self.computed: dict = {}
 
     @property
     def passed(self) -> bool:
@@ -127,9 +125,7 @@ def _unit_norm(sample):
 def _failed_checks(report, checks, ex):
     """Add every (name, tolerance) of ``checks`` as failed, with residual inf."""
     for name, tol in checks:
-        chk = imm.CheckResult(name, float("inf"), tol)
-        chk.extra["error"] = str(ex)
-        report.add(chk)
+        report.add(imm.CheckResult(name, float("inf"), tol, {"error": str(ex)}))
 
 
 def _frenet_check(report, F, axis, base, want, per_axis, label):
@@ -254,9 +250,7 @@ def _eigencheck(report, geo, split, want):
     for (name, chk), mu_want in zip(sorted(res.items()), [want[k] for k in sorted(want)]):
         mu = chk.extra["eigenvalue"]
         combined = float(np.max([chk.residual, abs(mu - mu_want)]))
-        out = imm.CheckResult(chk.name, combined, chk.tolerance)
-        out.extra["eigenvalue"] = mu
-        report.add(out)
+        report.add(imm.CheckResult(chk.name, combined, chk.tolerance, {"eigenvalue": mu}))
         report.computed[chk.name] = format_value(mu)
 
 
@@ -368,5 +362,5 @@ def build_report(name: str, per_axis: int = 5, tol: float | None = None) -> Veri
     report.computed["tolerance_override"] = tol
     suite(report, per_axis, param)
     if tol is not None:
-        report.checks = [dataclasses.replace(c, tolerance=tol) for c in report.checks]
+        report.checks = [c._replace(tolerance=tol) for c in report.checks]
     return report

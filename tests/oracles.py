@@ -18,7 +18,7 @@ tests import this module as ``import oracles``: pytest puts ``tests/`` on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -384,7 +384,7 @@ def rotated_torus(F: ParametricImmersion, basis: np.ndarray) -> ParametricImmers
     coefficient, so its circle decomposition in ``basis`` has F's radii.
     """
     coeff = np.diagonal(F.amplitudes).real
-    return replace(F, amplitudes=coeff[:, None] * validate_unitary(basis))
+    return ParametricImmersion(coeff[:, None] * validate_unitary(basis), F.frequencies, F.phases, F.name, F.sample_box)
 
 
 def helix_vectors(kappa1: float, sign: int = 1, alpha_pair=None) -> np.ndarray:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -191,7 +190,7 @@ def test_radii_off_the_unit_sphere_reach_both_decomposition_checks():
     # sum r^2 = 1 is the report's decomposition_sum_sq check, under the tolerance
     # a command may override; the decomposition itself does not refuse such radii
     F = catalog.corollary_torus()[1]
-    F = dataclasses.replace(F, amplitudes=0.99 * F.amplitudes)
+    F = imm.ParametricImmersion(0.99 * F.amplitudes, F.frequencies, F.phases, F.name, F.sample_box)
     report = rep.VerificationReport(subject=F.name)
     rep._decomposition_check(report, F, (1 / SQ2,) + (1 / SQ6,) * 3, per_axis=3)
     checks = {c.name: c for c in report.checks}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,17 @@ def test_an_order_above_max_order_is_refused(s_grid):
     )
     with pytest.raises(FrenetError, match=f"exceeds {MAX_ORDER}"):
         frenet(F, s_grid)
+
+
+def test_a_nan_parameter_is_refused_before_any_division():
+    # without the finiteness guard a NaN sample passed the speed and rank tests
+    # and ended, after 0/0 warnings, in a wrong "osculating order exceeds 4"
+    s = np.linspace(0.0, 6.0, 9)
+    s[3] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FrenetError, match="not finite"):
+            frenet(oracles.great_circle(), s)
 
 
 def test_a_nan_curvature_fails_the_frenet_check(monkeypatch):

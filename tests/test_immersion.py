@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sasakian import ambient, catalog
@@ -423,14 +425,58 @@ def test_a_nan_base_value_fails_the_lattice_check(corollary, corollary_grid):
 
 def test_a_nan_eigenvalue_fails_the_eigencheck(monkeypatch):
     def fitted(geo, split):
-        check = imm.CheckResult("laplacian_eigen_x1", 1e-15, imm.EIGEN_TOL)
-        check.extra["eigenvalue"] = np.nan
-        return {"x1": check}
+        return {"x1": imm.CheckResult("laplacian_eigen_x1", 1e-15, imm.EIGEN_TOL, {"eigenvalue": np.nan})}
 
     monkeypatch.setattr(imm, "coordinate_laplacian_eigencheck", fitted)
     report = rep.VerificationReport("nan")
     rep._eigencheck(report, None, {"x1": [3]}, {"x1": 1.0})
     assert math.isnan(report.checks[0].residual) and not report.checks[0].passed
+
+
+# the fields each per-block check of a flat-torus suite reads, every entry of
+# each, directly or through a field built after it; c_parallel reads only the
+# j <= k half of phi_b_form, which is symmetric in its last two slots, so
+# s_symmetry answers for the rest
+_READS = {
+    "unit_norm": ("values",),
+    "integral": ("values", "tangents"),
+    "c_parallel": ("values", "tangents", "c_parallel_defect"),
+    "s_symmetry": ("values", "tangents", "phi_b_form"),
+    "normal_laplacian": ("values", "tangents", "normal_laplacian_defect"),
+    "bitension": ("values", "tangents", "tension", "tension_laplacian"),
+    "trace_b_ah": ("second_fundamental", "mean_curvature", "tension"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), field=st.sampled_from(sorted({f for fields in _READS.values() for f in fields})))
+def test_a_nan_in_a_field_fails_every_check_that_reads_it(data, field):
+    # one NaN entry, set after the chart guards have passed, in the one block of
+    # a corollary-c1 grid-3 pass: the checks reading it fail, or the pass raises
+    tup, F = catalog.corollary_torus()
+    sample_geometry = imm.sample_geometry
+
+    def poisoned(F, pts):
+        sample = sample_geometry(F, pts)
+        part = getattr(sample, field).copy()
+        part[data.draw(st.tuples(*(st.integers(0, n - 1) for n in part.shape)))] = np.nan
+        vars(sample)[field] = part
+        return sample
+
+    checks = (rep._unit_norm, imm.check_integral, imm.check_C_parallel, imm.check_normal_laplacian,
+              lambda sample: imm.check_bitension(sample, tup.mode), lambda sample: rep._trace_bah_check(sample, tup.k))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(imm, "sample_geometry", poisoned)
+        try:
+            geo = imm.geometry_pass(F, F.grid(3), rep._NORM_FIELDS + rep._EIGEN_FIELDS, checks)
+        except ValueError as ex:
+            assert "nan" in str(ex) or "not finite" in str(ex)
+            return
+    results = {c.name: c for c in geo.checks}
+    results["s_symmetry"] = imm.CheckResult("s_symmetry", results["c_parallel"].extra["total_symmetry"], 1e-10)
+    assert set(results) == set(_READS)
+    readers = {name for name, fields in _READS.items() if field in fields}
+    assert readers and not any(results[name].passed for name in readers)
 
 
 def _eager_second_fundamental_jets(sample):

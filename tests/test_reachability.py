@@ -28,8 +28,7 @@ NOT_VARIED: set[str] = set()
 # and per defaulted parameter of a function under src/sasakian whether some
 # call passed a value that is not the default object.  A function is found by
 # its code object in the globals of the module whose code calls it; the
-# dataclass- and namedtuple-generated __init__s and __new__s (file "<string>")
-# are skipped.
+# namedtuple-generated __new__s (file "<string>") are skipped.
 RUNNER = r"""
 import contextlib, inspect, io, json, os, sys, types
 package = os.path.join(sys.argv[1], "sasakian")

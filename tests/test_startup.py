@@ -1,11 +1,12 @@
-"""What ``import sasakian.cli`` and a ``classify`` run load, checked in a fresh interpreter.
+"""What ``import sasakian.cli``, a ``classify`` and a ``verify`` run load, checked in a fresh interpreter.
 
 Every submodule is registered in ``sys.modules`` on import, which is what a
 tool that wraps the package's functions from outside looks them up in
 (``benchmarks/tracing.py``), while ``classify`` loads neither numpy, nor any
-module of the verify stack, nor ``dataclasses`` (with its ``inspect``).  A
-verify run in the same process then loads the rest and writes the same
-report as a run on its own.
+module of the verify stack, nor ``dataclasses``.  A verify run in the same
+process then loads the rest, still without ``dataclasses``, whose class
+creation every process would pay, and writes the same report as a run on its
+own.
 """
 
 import json
@@ -27,7 +28,9 @@ registered = sorted(n for n in sys.modules if n == "sasakian" or n.startswith("s
 classify = sasakian.cli.main(["classify", "--c", "1", "--format", "json", "--out", sys.argv[1]])
 loaded = sorted({"numpy", "dataclasses"} & (set(sys.modules) - before))
 verify = sasakian.cli.main(%r + [sys.argv[2]])
-json.dump({"registered": registered, "classify": classify, "loaded": loaded, "verify": verify}, sys.stdout)
+verify_loaded = sorted({"dataclasses"} & (set(sys.modules) - before))
+out = {"registered": registered, "classify": classify, "loaded": loaded, "verify": verify, "verify_loaded": verify_loaded}
+json.dump(out, sys.stdout)
 """ % (VERIFY,)
 
 
@@ -47,5 +50,6 @@ def test_classify_loads_no_numpy_and_a_later_verify_matches_a_fresh_one(tmp_path
     assert run["classify"] == 0
     assert run["loaded"] == []
     assert run["verify"] == 0
+    assert run["verify_loaded"] == []
     subprocess.run([sys.executable, "-m", "sasakian.cli"] + VERIFY + [str(alone)], env=ENV, check=True, timeout=120)
     assert together.read_bytes() == alone.read_bytes()
