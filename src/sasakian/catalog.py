@@ -98,14 +98,16 @@ def flat_torus(tup: SolutionTuple, name: str, sample_box) -> ParametricImmersion
     lam, alpha, gamma, delta = tup.lam, tup.alpha, tup.gamma, tup.delta
     a = ambient.deformation_parameter(tup.c)
 
+    if not 0.0 < abs(lam) < math.inf:
+        raise ValueError("inadmissible tuple: lam must be finite and nonzero")
     rho_rad = 4.0 * gamma * (2.0 * gamma - alpha) + delta**2
-    if rho_rad <= 0.0:
+    if not rho_rad > 0.0:
         raise ValueError("inadmissible tuple: 4 gamma (2 gamma - alpha) + delta^2 must be positive")
     root = math.sqrt(rho_rad)
     rho1 = 0.5 * (root + delta)
     rho2 = 0.5 * (root - delta)
     c2_rad = a * (gamma - alpha) * (2.0 * gamma - alpha)
-    if c2_rad <= 0.0 or rho1 <= 0.0 or rho2 <= 0.0:
+    if not (c2_rad > 0.0 and rho1 > 0.0 and rho2 > 0.0):
         raise ValueError("inadmissible tuple: negative radicand in a circle coefficient")
 
     coeff = np.array(

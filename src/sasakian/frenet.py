@@ -109,6 +109,6 @@ def phi_alignment(apparatus: FrenetApparatus) -> float:
         raise FrenetError("phi alignment needs osculating order at least 2")
     vals = ambient.inner(apparatus.frame[1], ambient.phi0(apparatus.positions, apparatus.frame[0]))
     spread = float(np.max(vals) - np.min(vals))
-    if spread > 1e-8:
+    if not spread <= 1e-8:
         raise FrenetError(f"g0(E_2, phi T) is not constant along the curve (spread {spread:.3e})")
     return float(np.mean(vals))

@@ -11,7 +11,8 @@ text is ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` byte for byte,
 at about half the cost, because with ``indent`` the stdlib falls back to its
 generator-based pure-Python encoder.  The bytes agree because the writer
 follows that encoder's rules: strings go through the same C escape
-(``json.encoder.encode_basestring_ascii``), floats through
+(``_json.encode_basestring_ascii``, which ``json.encoder`` re-exports;
+importing it from ``_json`` loads no ``json`` package), floats through
 ``float.__repr__`` with ``NaN``/``Infinity``/``-Infinity`` for non-finite
 values, ints through ``int.__repr__`` after ``True``/``False``/``None``,
 lists and tuples as arrays, keys sorted, ``{}``/``[]`` for empty containers,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from json.encoder import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote
 
 from . import classifier
 

@@ -24,20 +24,6 @@ from .frenet import FrenetError, frenet, phi_alignment
 # nothing here calls classification_report; it is kept readable as report.classification_report
 from .output import SQ2, SQ3, SQ13, classification_report, format_value, json_text
 
-EXAMPLE_NAMES = (
-    "corollary-c1",
-    "s5-surface",
-    "cylinder-c1",
-    "cylinder-s5",
-    "legendre-circle",
-    "legendre-helix:<kappa1>",
-    "minus4-1",
-    "minus4-2",
-    "minus4-3",
-    "cylinder-minus4-1",
-    "cylinder-minus4-2",
-    "cylinder-minus4-3",
-)
 
 class VerificationReport:
     def __init__(self, subject: str):
@@ -88,7 +74,7 @@ class UsageError(KeyError):
 
 
 def parse_example(name: str) -> tuple[str, float | None]:
-    """Split an example name into its family and parameter (index or helix kappa1).
+    """The ``_SUITES`` key of an example name and the parameter its suite takes.
 
     Raises UsageError with a one-line message for anything not registered.
     """
@@ -100,14 +86,13 @@ def parse_example(name: str) -> tuple[str, float | None]:
             kappa1 = math.nan
         if not 0.0 < kappa1 < 1.0:
             raise UsageError(f"legendre-helix needs a curvature in (0, 1), got {text!r}")
-        return "legendre-helix", kappa1
+        return "legendre-helix:<kappa1>", kappa1
+    if name in _SUITES:
+        return name, _SUITES[name][2]
     family, _, text = name.rpartition("-")
-    if family in ("minus4", "cylinder-minus4"):
-        if text not in ("1", "2", "3"):
-            raise UsageError(f"{family} needs an index 1, 2 or 3, got {text!r}")
-        return family, int(text)
-    if name in EXAMPLE_NAMES:
-        return name, None
+    indices = [str(i) for key, (_, _, i) in _SUITES.items() if i is not None and key.rpartition("-")[0] == family]
+    if indices:
+        raise UsageError(f"{family} needs an index {', '.join(indices[:-1])} or {indices[-1]}, got {text!r}")
     raise UsageError(f"unknown example {name!r}; registered: {', '.join(EXAMPLE_NAMES)}")
 
 
@@ -321,17 +306,20 @@ def _cylinder_minus4_suite(report, per_axis, index):
     _decomposition_check(report, F, MINUS4_RADII[index - 1], per_axis, geo=geo)
 
 
-# family -> (parameter dimension m, suite); a suite samples per_axis ** m points
+# example name -> (parameter dimension m, suite, index or None); a suite samples
+# per_axis ** m points, and the helix row serves every legendre-helix:<kappa1>
 _SUITES = {
-    "corollary-c1": (3, _corollary_suite),
-    "s5-surface": (2, _s5_suite),
-    "cylinder-c1": (4, _cylinder_c1_suite),
-    "cylinder-s5": (3, _cylinder_s5_suite),
-    "legendre-circle": (1, _legendre_circle_suite),
-    "legendre-helix": (1, _legendre_helix_suite),
-    "minus4": (3, _minus4_suite),
-    "cylinder-minus4": (4, _cylinder_minus4_suite),
+    "corollary-c1": (3, _corollary_suite, None),
+    "s5-surface": (2, _s5_suite, None),
+    "cylinder-c1": (4, _cylinder_c1_suite, None),
+    "cylinder-s5": (3, _cylinder_s5_suite, None),
+    "legendre-circle": (1, _legendre_circle_suite, None),
+    "legendre-helix:<kappa1>": (1, _legendre_helix_suite, None),
+    **{f"{family}-{i}": (m, suite, i)
+       for family, m, suite in (("minus4", 3, _minus4_suite), ("cylinder-minus4", 4, _cylinder_minus4_suite))
+       for i in (1, 2, 3)},
 }
+EXAMPLE_NAMES = tuple(_SUITES)
 
 # A report holds the jets and checked fields of one block of
 # imm.GEOMETRY_BLOCK_COEFFICIENTS jet coefficients at a time, about 4.8 MB.
@@ -349,14 +337,12 @@ def build_report(name: str, per_axis: int = 5, tol: float | None = None) -> Veri
     a grid needs 1 to ``MAX_GRID_POINTS`` points in all.
     ``tol``, when given, replaces the tolerance of every check.
     """
-    family, param = parse_example(name)
+    key, param = parse_example(name)
     if per_axis < 1:
         raise UsageError(f"grid needs at least 1 point per axis, got {per_axis}")
-    m, suite = _SUITES[family]
+    m, suite, _ = _SUITES[key]
     if per_axis**m > MAX_GRID_POINTS:
-        raise UsageError(
-            f"grid {per_axis} samples {per_axis}^{m} points; at most {MAX_GRID_POINTS} are allowed"
-        )
+        raise UsageError(f"grid {per_axis} samples {per_axis}^{m} points; at most {MAX_GRID_POINTS} are allowed")
     report = VerificationReport(subject=name)
     report.computed["grid_points_per_axis"] = per_axis
     report.computed["tolerance_override"] = tol

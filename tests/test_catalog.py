@@ -66,6 +66,14 @@ def test_flat_torus_rejects_inadmissible_tuple():
         catalog.flat_torus(SolutionTuple(-0.5, 1.0, 0.3, 0.0, c=1.0), "inadmissible", (2.0 * math.pi,) * 3)
 
 
+@pytest.mark.parametrize("field", ["lam", "alpha", "gamma", "delta"])
+def test_a_nan_tuple_field_is_inadmissible(field):
+    # NaN fails every comparison, so each guard must be written to fail on it
+    tup = catalog.corollary_torus()[0]._replace(**{field: math.nan})
+    with pytest.raises(ValueError, match="inadmissible tuple"):
+        catalog.flat_torus(tup, "nan", (2.0 * math.pi,) * 3)
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -21,19 +22,8 @@ from sasakian import report as rep
 from sasakian.classifier import SolutionTuple
 from sasakian.cli import MAX_ABS_C, MAX_SWEEP_POINTS, _parse_sweep, main
 
-FAST_EXAMPLES = [
-    "s5-surface",
-    "cylinder-c1",
-    "cylinder-s5",
-    "legendre-circle",
-    "legendre-helix:0.5",
-    "minus4-1",
-    "minus4-2",
-    "minus4-3",
-    "cylinder-minus4-1",
-    "cylinder-minus4-2",
-    "cylinder-minus4-3",
-]
+# every registered example but corollary-c1, which has a fixture of its own
+FAST_EXAMPLES = [name.replace("<kappa1>", "0.5") for name in rep.EXAMPLE_NAMES if name != "corollary-c1"]
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +57,18 @@ def test_corollary_report_all_pass(corollary_report):
 def test_registered_examples_pass(name):
     report = rep.build_report(name, per_axis=4)
     assert report.passed, report.to_text()
+
+
+def test_the_benchmark_gate_covers_every_registered_example(capsys):
+    # a registered example without a row in gate.REQUIRED_CHECKS fails here, not only in the benchmark
+    spec = importlib.util.spec_from_file_location("gate", Path(__file__).resolve().parents[1] / "benchmarks/gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    for name in [n.replace("<kappa1>", "0.5") for n in rep.EXAMPLE_NAMES]:
+        argv = ["verify", name, "--grid", "3", "--format", "json"]
+        code = main(argv)
+        problems, _ = gate.check_verify(argv, code, json.loads(capsys.readouterr().out))
+        assert problems == [], name
 
 
 def test_unknown_example_raises():
@@ -188,6 +190,46 @@ def test_cli_unknown_example_exits_2():
     assert exc.value.code == 2
 
 
+# the registered names, pinned: what EXAMPLE_NAMES derives from the table
+PINNED_NAMES = (
+    "corollary-c1",
+    "s5-surface",
+    "cylinder-c1",
+    "cylinder-s5",
+    "legendre-circle",
+    "legendre-helix:<kappa1>",
+    "minus4-1",
+    "minus4-2",
+    "minus4-3",
+    "cylinder-minus4-1",
+    "cylinder-minus4-2",
+    "cylinder-minus4-3",
+)
+UNKNOWN = "; registered: " + ", ".join(PINNED_NAMES)
+
+
+def test_example_names_are_the_registered_twelve_in_order():
+    # the compare set, test_reachability and the unknown-example message all read this tuple
+    assert rep.EXAMPLE_NAMES == PINNED_NAMES
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("minus4-7", "minus4 needs an index 1, 2 or 3, got '7'"),
+        ("cylinder-minus4-x", "cylinder-minus4 needs an index 1, 2 or 3, got 'x'"),
+        ("legendre-helix:abc", "legendre-helix needs a curvature in (0, 1), got 'abc'"),
+        ("minus4", "unknown example 'minus4'" + UNKNOWN),
+        ("does-not-exist", "unknown example 'does-not-exist'" + UNKNOWN),
+    ],
+)
+def test_cli_bad_example_name_message(name, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", name])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "sasakian: error: " + message
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -290,10 +332,10 @@ def test_cli_grid_over_the_cap_exits_2_before_sampling(name, monkeypatch, capsys
     + [(name, 5) for name in ("cylinder-minus4-1", "cylinder-s5", "s5-surface", "legendre-circle")],
 )
 def test_grid_cap_admits_the_benchmark_and_documented_grids(name, grid, monkeypatch):
-    family, _ = rep.parse_example(name)
-    m, _ = rep._SUITES[family]
+    key, _ = rep.parse_example(name)
+    m, _, index = rep._SUITES[key]
     assert grid**m <= rep.MAX_GRID_POINTS
-    monkeypatch.setitem(rep._SUITES, family, (m, lambda report, per_axis, param: None))
+    monkeypatch.setitem(rep._SUITES, key, (m, lambda report, per_axis, param: None, index))
     assert rep.build_report(name, per_axis=grid).computed["grid_points_per_axis"] == grid
 
 

@@ -174,6 +174,17 @@ def test_a_nan_parameter_is_refused_before_any_division():
             frenet(oracles.great_circle(), s)
 
 
+def test_a_nan_in_e2_fails_the_phi_alignment_guard(s_grid):
+    # the spread of the products is then NaN, which a "spread > tol" guard lets through
+    app = frenet(catalog.legendre_circle(), s_grid)
+    frame = [E.copy() for E in app.frame]
+    frame[1][4, 2] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FrenetError, match="not constant"):
+            phi_alignment(app._replace(frame=frame))
+
+
 def test_a_nan_curvature_fails_the_frenet_check(monkeypatch):
     # the NaN sits behind a finite curvature, where a Python max would drop it
     tup, F = catalog.corollary_torus()

@@ -3,10 +3,11 @@
 Every submodule is registered in ``sys.modules`` on import, which is what a
 tool that wraps the package's functions from outside looks them up in
 (``benchmarks/tracing.py``), while ``classify`` loads neither numpy, nor any
-module of the verify stack, nor ``dataclasses``.  A verify run in the same
-process then loads the rest, still without ``dataclasses``, whose class
-creation every process would pay, and writes the same report as a run on its
-own.
+module of the verify stack, nor ``dataclasses``, nor the ``json`` package.  A
+verify run in the same process then loads the rest, still without
+``dataclasses``, whose class creation every process would pay, or ``json``,
+whose module bodies compile regexes, and writes the same report as a run on
+its own.
 """
 
 import json
@@ -20,16 +21,18 @@ ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 VERIFY = ["verify", "minus4-1", "--grid", "3", "--format", "json", "--out"]
 
 # argv[1] and argv[2] are the output files of the classify and the verify run
+# json is imported only after both runs, to print what they loaded
 RUNNER = r"""
-import json, sys
+import sys
 before = set(sys.modules)
 import sasakian.cli
 registered = sorted(n for n in sys.modules if n == "sasakian" or n.startswith("sasakian."))
 classify = sasakian.cli.main(["classify", "--c", "1", "--format", "json", "--out", sys.argv[1]])
-loaded = sorted({"numpy", "dataclasses"} & (set(sys.modules) - before))
+loaded = sorted({"numpy", "dataclasses", "json"} & (set(sys.modules) - before))
 verify = sasakian.cli.main(%r + [sys.argv[2]])
-verify_loaded = sorted({"dataclasses"} & (set(sys.modules) - before))
+verify_loaded = sorted({"dataclasses", "json"} & (set(sys.modules) - before))
 out = {"registered": registered, "classify": classify, "loaded": loaded, "verify": verify, "verify_loaded": verify_loaded}
+import json
 json.dump(out, sys.stdout)
 """ % (VERIFY,)
 
