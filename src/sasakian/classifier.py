@@ -46,7 +46,6 @@ from typing import NamedTuple
 
 from . import shape_algebra as sa
 
-CASE_II_LOWER = (-7.0 + 8.0 * math.sqrt(3.0)) / 13.0
 _EXACT = Context(prec=40)
 BRANCHES = ("delta_zero", "delta_pos")
 
@@ -111,7 +110,6 @@ class CaseIISolution(NamedTuple):
     kappa1: float
     kappa2: float
     radius: float
-    flags: tuple[str, ...] = ()
 
 
 # ----------------------------------------------------------------------
@@ -138,23 +136,20 @@ def _exact_system(c_or_mode) -> System:
 
     A float c is the binary fraction n/d, so b = (n + 3d)/4d and, in
     biharmonic mode, k = (3c+1)/2 = (6n + 2d)/4d.  Then k - 2b = c - 1 and
-    d1 = (13c^2 + 14c - 11)/4.  D1 is set to 0 at c = CASE_II_LOWER, the
-    float that stands for its root (-7 + 8 sqrt 3)/13.
+    d1 = (13c^2 + 14c - 11)/4, whose roots are irrational, so D1 != 0.
     """
     if c_or_mode == "minus4":
         B, K, e = 1, int(sa.MINUS4_EIGENVALUE), 1
     else:
         n, d = float(c_or_mode).as_integer_ratio()
         B, K, e = n + 3 * d, 6 * n + 2 * d, 4 * d
-    D1 = 0 if c_or_mode == CASE_II_LOWER else K * K + 4 * B * K - 8 * B * B
-    return System(B, K, e, D1, (K - 2 * B) * (K + 6 * B))
+    return System(B, K, e, K * K + 4 * B * K - 8 * B * B, (K - 2 * B) * (K + 6 * B))
 
 
 class ExactRoot(NamedTuple):
     """The root (-q1 + s sqrt D)/(2 q2) of q0 + q1 x + q2 x^2, integers with q2 > 0.
 
-    D is q1^2 - 4 q0 q2, or 0 where the input stands for a root of it
-    (``CASE_II_LOWER``); s is -1 or 1, and 0 where D = 0.
+    D is q1^2 - 4 q0 q2; s is -1 or 1, and 0 where D = 0.
     """
 
     q: tuple[int, int, int]
@@ -241,7 +236,7 @@ def isolate_real_roots(branch: str, system: System):
 
 
 def _lambda_squares(system: System):
-    """The real roots L = lam^2 of 3 L^2 - (2b + k) L + b^2, ascending, as (L, multiplicity, ``ExactRoot``).
+    """The real roots L = lam^2 of 3 L^2 - (2b + k) L + b^2, ascending, as (L, ``ExactRoot``).
 
     The exact root is that of 3 X^2 - (2B + K) X + B^2 in X = e L, of
     discriminant D1.  This is the alpha = -gamma family's equation and the
@@ -249,7 +244,7 @@ def _lambda_squares(system: System):
     """
     B, K, e = system.B, system.K, system.e
     with localcontext(_EXACT):
-        return [(X / e, mult, root) for X, mult, root in _quadratic_roots((B * B, -(2 * B + K), 3), system.D1)]
+        return [(X / e, root) for X, _, root in _quadratic_roots((B * B, -(2 * B + K), 3), system.D1)]
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +336,7 @@ def _alpha_eq_neg_gamma_family(system: System, b, c, mode):
     """
     accepted, rejected = [], [RejectedRoot(-1.0, "lambda^2 = (c+3)/12 root is the minimal locus, excluded")]
     forms = _family_forms(system.B, system.K)
-    for L, _, root in _lambda_squares(system):
+    for L, root in _lambda_squares(system):
         reason = _violation(root, forms)
         if reason is not None:
             rejected.append(RejectedRoot(-1.0, f"alpha=-gamma root lambda^2 = {float(L):.6g}: {reason}"))
@@ -420,8 +415,8 @@ def solve_caseII(c_or_mode: float | str) -> list[CaseIISolution]:
     Subcase II1 exists only at c = 5/9.  Subcase II2 has one solution per
     root L = lam^2 of ``_lambda_squares`` with 0 < L < b, decided by exact
     signs, and none where d2 = 0: at c = 1 the roots are b/3, the minimal
-    locus, and b.  The roots are real from ``CASE_II_LOWER`` on, where they
-    are double and flagged, and negative below c = -1.  lam = -sqrt L,
+    locus, and b.  The roots are real from tau = (-7 + 8 sqrt 3)/13 on (d1
+    vanishes at no float), and negative below c = -1.  lam = -sqrt L,
     kappa1 = (L - b)/lam and the radius 1/sqrt(L + b) are each their 40-digit
     value rounded once.  L - b, which cancels near c = 1, is Y/e for the root
     Y = e(L - b) of its own quadratic 3 Y^2 + (4B - K) Y + B(2B - K), the
@@ -434,7 +429,7 @@ def solve_caseII(c_or_mode: float | str) -> list[CaseIISolution]:
         c_or_mode = c = _finite(c_or_mode)
     out: list[CaseIISolution] = []
     if c_or_mode == 5.0 / 9.0:
-        out.append(CaseIISolution("II1", c, None, 1.0 / math.sqrt(2.0), 1.0, math.sqrt(8.0 / (3.0 * (c + 3.0)))))
+        out.append(CaseIISolution("II1", c, None, math.sqrt(0.5), 1.0, math.sqrt(8.0 / (3.0 * (c + 3.0)))))
 
     system = _exact_system(c_or_mode)
     if system.D2 == 0:
@@ -443,12 +438,10 @@ def solve_caseII(c_or_mode: float | str) -> list[CaseIISolution]:
     b = system.decimals()[0]
     with localcontext(_EXACT):
         gaps = _quadratic_roots((B * (2 * B - K), 4 * B - K, 3), system.D1)
-        for (L, mult, root), (Y, _, _) in zip(_lambda_squares(system), gaps):
+        for (L, root), (Y, _, _) in zip(_lambda_squares(system), gaps):
             if root.sign(0, 1) > 0 and root.sign(B, -1) > 0:
                 lam = -L.sqrt()
-                flags = ("boundary: discriminant vanishes",) if mult == 2 else ()
-                radius = float(1 / (L + b).sqrt())
-                out.append(CaseIISolution("II2", c, float(lam), float(Y / e / lam), 1.0, radius, flags))
+                out.append(CaseIISolution("II2", c, float(lam), float(Y / e / lam), 1.0, float(1 / (L + b).sqrt())))
     return out
 
 

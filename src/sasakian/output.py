@@ -247,7 +247,6 @@ def classification_report(c: float | None = None, mode: str = "biharmonic") -> d
                 "kappa1": format_value(s.kappa1),
                 "kappa2": format_value(s.kappa2),
                 "radius": format_value(s.radius),
-                "flags": list(s.flags),
             }
             for s in case_ii
         ],

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import workloads  # noqa: E402
 
 SQ3, SQ13 = math.sqrt(3.0), math.sqrt(13.0)
+# the float nearest the case II threshold tau = (-7 + 8 sqrt 3)/13, where d1
+# changes sign; it is 5.3e-17 below tau, so d1 < 0 there
+CASE_II_LOWER = (-7.0 + 8.0 * SQ3) / 13.0
 
 
 def _as_array(s: cl.SolutionTuple) -> np.ndarray:
@@ -100,7 +104,7 @@ def test_minus4_trace_contents(minus4):
 
 
 def test_every_solution_revalidates():
-    for c in (1.0, 0.8, 2.0, 5.0, cl.CASE_II_LOWER, 1.0 + 1e-4):
+    for c in (1.0, 0.8, 2.0, 5.0, CASE_II_LOWER, 1.0 + 1e-4):
         for s in _sweep_solutions(c):
             assert s.system_residual < 1e-10
             oracles.assert_proper_biharmonic(s.operators(), c)
@@ -188,9 +192,13 @@ def test_solver_determinism_across_seeds():
 
 
 def test_sweep_adds_nothing_beyond_reduction():
-    for c in (1.0, "minus4", cl.CASE_II_LOWER, 1.0 + 1e-4):
+    for c in (1.0, "minus4", CASE_II_LOWER, 1.0 + 1e-4):
         with_sweep = _sweep_solutions(c)
         without, _ = cl.solve_minus4_flat() if c == "minus4" else cl.solve_flat(c)
+        if c == CASE_II_LOWER:
+            # the sweep's rows there solve the system only to float precision
+            assert without == [] and _threshold_float_solutions() == with_sweep
+            continue
         assert [repr(s) for s in with_sweep] == [repr(s) for s in without]
         assert all(s.source != "fallback" for s in with_sweep)
 
@@ -199,7 +207,9 @@ def test_case_ii_at_5_ninths():
     sols = cl.solve_caseII(5.0 / 9.0)
     ii1 = [s for s in sols if s.subcase == "II1"]
     assert len(ii1) == 1
-    assert ii1[0].kappa1 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-14)
+    # 1/sqrt(2) rounded once; 1.0 / math.sqrt(2.0) is one ulp below it
+    with localcontext(Context(prec=40)):
+        assert ii1[0].kappa1 == float(Decimal(0.5).sqrt())
     assert ii1[0].kappa2 == pytest.approx(1.0)
     assert ii1[0].radius == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-14)
 
@@ -233,24 +243,25 @@ def test_case_ii_next_to_c1():
 def test_case_ii_has_no_negative_lambda_square(c):
     # the discriminant d1 is positive here, but both roots L = lam^2 are negative
     system = cl._exact_system(c)
-    assert system.D1 > 0 and all(L < 0 for L, _, _ in cl._lambda_squares(system))
+    assert system.D1 > 0 and all(L < 0 for L, _ in cl._lambda_squares(system))
     assert cl.solve_caseII(c) == []
 
 
-@pytest.mark.parametrize("c", [1.0 - 5e-13, 1.0 + 5e-13, math.nextafter(cl.CASE_II_LOWER, 2.0)])
+@pytest.mark.parametrize("c", [1.0 - 5e-13, 1.0 + 5e-13, math.nextafter(CASE_II_LOWER, 2.0)])
 def test_case_ii2_exists_at_every_float_off_its_thresholds(c):
     # the thresholds are decided on the exact input: c = 1 alone is excluded,
-    # and the discriminant vanishes at CASE_II_LOWER alone
+    # and d1 > 0 from the float above CASE_II_LOWER on
     sols = cl.solve_caseII(c)
-    assert sols and all(s.subcase == "II2" and s.flags == () for s in sols)
+    assert sols and all(s.subcase == "II2" for s in sols)
     for s in sols:
         assert abs(oracles.quartic_lambda_residual(s.lam**2, c)) < 1e-12
 
 
 def test_case_ii_thresholds_are_exact():
-    assert cl.solve_caseII(math.nextafter(cl.CASE_II_LOWER, 0.0)) == []
-    at = cl.solve_caseII(cl.CASE_II_LOWER)
-    assert [s.flags for s in at] == [("boundary: discriminant vanishes",)]
+    # d1 < 0 at CASE_II_LOWER and the float below it, and d1 > 0 at the float above
+    below, above = math.nextafter(CASE_II_LOWER, 0.0), math.nextafter(CASE_II_LOWER, 2.0)
+    for c, flat, case_ii in ((below, 0, []), (CASE_II_LOWER, 0, []), (above, 4, ["II2", "II2"])):
+        assert (len(cl.solve_flat(c)[0]), [s.subcase for s in cl.solve_caseII(c)]) == (flat, case_ii), c
     for c in (5.0 / 9.0 - 5e-13, 5.0 / 9.0 + 5e-13):
         assert [s.subcase for s in cl.solve_caseII(c)] == ["II2", "II2"]
     assert [s.subcase for s in cl.solve_caseII(5.0 / 9.0)] == ["II1", "II2", "II2"]
@@ -307,7 +318,7 @@ def test_case_ii_params_satisfy_criterion():
 
 def test_minus4_case_ii_closed_forms():
     [s] = cl.solve_caseII("minus4")
-    assert (s.subcase, s.c, s.kappa2, s.flags) == ("II2", 1.0, 1.0, ())
+    assert (s.subcase, s.c, s.kappa2) == ("II2", 1.0, 1.0)
     lam2 = s.lam ** 2
     assert lam2 == pytest.approx((4.0 - SQ13) / 3.0, abs=1e-15)
     assert s.kappa1 == pytest.approx((lam2 - 1.0) / s.lam, abs=1e-12)
@@ -415,8 +426,12 @@ def test_isolate_real_roots_double_root_reported():
     # each distinct root once, with its multiplicity
     assert _roots("delta_zero", 1.0) == [(-1.0, 3), (1.0 / 3.0, 1), (2.0, 2)]
     assert _roots("delta_pos", 1.0) == [(-3.0, 1), (-1.0, 3), (2.0, 2)]
-    assert _roots("delta_zero", cl.CASE_II_LOWER) == [(pytest.approx((3.0 - 2.0 * SQ3) / 3.0, abs=1e-15), 2), (2.0, 2)]
-    assert _roots("delta_pos", cl.CASE_II_LOWER) == [(pytest.approx(-SQ3, abs=1e-15), 2), (2.0, 2)]
+    # d1 < 0 at CASE_II_LOWER: the d1 factors' double roots at tau are complex
+    # pairs there and two simple roots at the float above
+    for branch, near in (("delta_zero", (3.0 - 2.0 * SQ3) / 3.0), ("delta_pos", -SQ3)):
+        assert _roots(branch, CASE_II_LOWER) == [(2.0, 2)]
+        above = _roots(branch, math.nextafter(CASE_II_LOWER, 2.0))
+        assert above[:2] == [(pytest.approx(near, abs=1e-7), 1)] * 2 and above[0][0] < above[1][0]
 
 
 def test_isolate_zero_polynomial_rejected(monkeypatch):
@@ -588,17 +603,38 @@ def test_isolation_matches_reference_on_random_coefficients(c):
 @example(offset=0.0, near_one=False)
 @example(offset=0.0, near_one=True)
 def test_isolation_matches_reference_with_a_double_root(offset, near_one):
-    # the double roots of the case II threshold and the triple root -1 at c = 1
-    c = (1.0 if near_one else cl.CASE_II_LOWER) + offset
-    _assert_reference_roots_are_closed_form_roots(c)
-    if offset == 0.0:
-        assert max(mult for branch in cl.BRANCHES for w, mult in _roots(branch, c) if w != 2.0) == (3 if near_one else 2)
+    # the near-double roots next to the case II threshold and the triple root -1 at c = 1
+    c = (1.0 if near_one else CASE_II_LOWER) + offset
+    if c == CASE_II_LOWER:
+        _assert_reference_sees_double_roots_where_d1_is_negative(c)
+    else:
+        _assert_reference_roots_are_closed_form_roots(c)
+    if offset == 0.0 and near_one:
+        assert max(mult for branch in cl.BRANCHES for w, mult in _roots(branch, c) if w != 2.0) == 3
+
+
+def _assert_reference_sees_double_roots_where_d1_is_negative(c):
+    """The reference's near-roots at c lie at the real parts of complex pairs, where d1 < 0 exactly.
+
+    At CASE_II_LOWER d1 is -3.6e-16, so a d1 factor's polynomial has a
+    minimum below float resolution at the real part of its roots, which the
+    reference takes for a double root; the exact roots besides 2 are none.
+    """
+    assert cl._exact_system(c).D1 < 0
+    b, k = oracles.system_constants(c)
+    fb, fk = _exact_constants(c)
+    for branch in cl.BRANCHES:
+        assert _roots(branch, c) == [(2.0, 2)]
+        pairs = [float(-q[1] / (2 * q[2])) for q in cl._branch_factors(branch, fb, fk) if q[1] ** 2 < 4 * q[0] * q[2]]
+        roots, near = _reference_isolate_real_roots(_branch_polynomial_npp(branch, b, k))
+        assert roots == [] and near[-1] == pytest.approx(2.0, abs=1e-8), branch
+        assert near[:-1] and all(min(abs(r - x) for x in pairs) < 1e-6 for r in near[:-1]), (branch, near, pairs)
 
 
 def test_isolation_matches_reference_with_two_roots_in_one_cell():
     # just above the threshold the two roots of a factor are closer than the
     # reference's grid spacing; the reference sees at most one, the closed form both
-    c = cl.CASE_II_LOWER + 1e-9
+    c = CASE_II_LOWER + 1e-9
     b, k = oracles.system_constants(c)
     _assert_reference_roots_are_closed_form_roots(c)
     poly = _branch_polynomial_npp("delta_pos", b, k)
@@ -610,12 +646,11 @@ def test_isolation_matches_reference_with_two_roots_in_one_cell():
     assert sum(abs(r + SQ3) < 1e-3 for r in found) < 2
 
 
-@pytest.mark.parametrize("c", [-1.0 / 3.0, cl.CASE_II_LOWER, 5.0 / 9.0, 1.0, 2.7, "minus4"])
+@pytest.mark.parametrize("c", [-1.0 / 3.0, CASE_II_LOWER, 5.0 / 9.0, 1.0, 2.7, "minus4"])
 def test_classification_matches_the_reference_isolation(c):
     """The reference's roots, run through the same validation, accept the same omegas.
 
-    At the case II threshold the reference finds no sign change at either
-    double root, so it accepts nothing where the closed form accepts two.
+    At CASE_II_LOWER, below the case II threshold, neither accepts any.
     """
     b, k = oracles.system_constants(c)
     sols, traces = cl.solve_minus4_flat() if c == "minus4" else cl.solve_flat(c)
@@ -629,13 +664,10 @@ def test_classification_matches_the_reference_isolation(c):
             and oracles.float_flat_tuple(trace.omega_branch, r, c) is not None
         ]
         got = [w for w in trace.accepted if w != -1.0]
-        if c == cl.CASE_II_LOWER:
-            assert want == [] and len(got) == 1
-        else:
-            assert len(got) == len(want)
-            assert all(min(abs(w - r) for r in want) < 1e-6 for w in got)
-    if c == cl.CASE_II_LOWER:
-        assert len(sols) == 2
+        assert len(got) == len(want)
+        assert all(min(abs(w - r) for r in want) < 1e-6 for w in got)
+    if c == CASE_II_LOWER:
+        assert sols == []
 
 
 def test_sweep_classification_matches_the_reference_isolation_at_c1():
@@ -789,17 +821,14 @@ def test_closed_form_roots_match_mpmath(c):
 
 
 def _case_ii2_exact(mp, c_or_mode):
-    """(lam, kappa1, radius) of each II2 solution at the exact input, by mpmath, ascending in lam^2.
-
-    At ``CASE_II_LOWER`` the discriminant is taken as 0, as the solver takes it.
-    """
+    """(lam, kappa1, radius) of each II2 solution at the exact input, by mpmath, ascending in lam^2."""
     if c_or_mode == "minus4":
         b, k = mp.mpf(1), mp.mpf(6)
     else:
         b, k = (mp.mpf(c_or_mode) + 3) / 4, (3 * mp.mpf(c_or_mode) + 1) / 2
     if k == 2 * b:
         return []
-    disc = 0 if c_or_mode == cl.CASE_II_LOWER else (2 * b + k) ** 2 - 12 * b * b
+    disc = (2 * b + k) ** 2 - 12 * b * b
     if disc < 0:
         return []
     squares = sorted({(2 * b + k - mp.sqrt(disc)) / 6, (2 * b + k + mp.sqrt(disc)) / 6})
@@ -855,7 +884,7 @@ def test_case_ii_gap_quadratic_is_the_lambda_square_quadratic_shifted_by_b(monke
 
 
 def _flat_tuple_at_exact_threshold(mp):
-    """The two flat tuples at c = (-7 + 8 sqrt 3)/13, where both double roots are accepted."""
+    """The two flat tuples at c = (-7 + 8 sqrt 3)/13, where both double roots are accepted, ascending in alpha."""
     c = (-7 + 8 * mp.sqrt(3)) / 13
     b, k = (c + 3) / 4, (3 * c + 1) / 2
     m = 6 * b + k
@@ -868,25 +897,53 @@ def _flat_tuple_at_exact_threshold(mp):
     gamma = -mp.sqrt(m * w / ((w - 1) ** 2 * (w - 2)))
     lam = -mp.sqrt(-m * w / ((w - 1) * (w - 2)) - b)
     out.append((lam, w * gamma, gamma, mp.sqrt(m * (w + 1) ** 2 / (w - 1) ** 2)))
-    return sorted(out)
+    return sorted(out, key=lambda t: t[1])
+
+
+def _threshold_float_solutions():
+    """The Newton sweep's rows at CASE_II_LOWER, each admissible and a solution to float precision.
+
+    The exact answer there is no tuple: d1 < 0.  The rows are the tuples of
+    the double roots at tau, 5.3e-17 away in c, which floats cannot tell apart.
+    """
+    rows = _sweep_solutions(CASE_II_LOWER)
+    assert cl._exact_system(CASE_II_LOWER).D1 < 0 and [s.source for s in rows] == ["fallback"] * 2
+    for s in rows:
+        assert s.system_residual < 1e-10 and oracles.flat_admissibility(s.lam, s.alpha, s.gamma, s.delta, s.b) == []
+        oracles.assert_proper_biharmonic(s.operators(), CASE_II_LOWER)
+    return rows
 
 
 def test_double_root_tuples_at_the_case_ii_threshold():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    sols, traces = cl.solve_flat(cl.CASE_II_LOWER)
-    assert len(sols) == 2
-    for s, want in zip(sols, _flat_tuple_at_exact_threshold(mp)):
-        assert max(abs(g - float(w)) for g, w in zip(_as_array(s), want)) < 1e-12
-    assert {t.omega_branch: t.roots for t in traces} == {
-        "delta_zero": ((pytest.approx((3.0 - 2.0 * SQ3) / 3.0, abs=1e-15), 2), (2.0, 2)),
-        "delta_pos": ((pytest.approx(-SQ3, abs=1e-15), 2), (2.0, 2)),
-    }
+    sols, traces = cl.solve_flat(CASE_II_LOWER)
+    assert sols == []
+    assert {t.omega_branch: t.roots for t in traces} == {"delta_zero": ((2.0, 2),), "delta_pos": ((2.0, 2),)}
+    rows = sorted(_threshold_float_solutions(), key=lambda s: s.alpha)
+    # Newton converges only linearly to a double root
+    for s, want in zip(rows, _flat_tuple_at_exact_threshold(mp)):
+        assert max(abs(g - float(w)) for g, w in zip(_as_array(s), want)) < 1e-7
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(allow_nan=False, allow_infinity=False))
+@example(c=CASE_II_LOWER)
+@example(c=math.nextafter(CASE_II_LOWER, 0.0))
+@example(c=math.nextafter(CASE_II_LOWER, 2.0))
+@example(c=-1.0 / 3.0)
+@example(c=5.0 / 9.0)
+@example(c=1.0)
+def test_d1_vanishes_at_no_float(c):
+    # the roots of d1 = (13c^2 + 14c - 11)/4 are irrational and a float c is a binary fraction
+    system = cl._exact_system(c)
+    assert system.D1 != 0
+    assert all(root.s != 0 for _, root in cl._lambda_squares(system))
 
 
 @pytest.mark.parametrize("offset, count", [(1e-12, 4), (1e-9, 4), (1e-6, 4), (-1e-12, 0)])
 def test_tuple_count_next_to_the_case_ii_threshold(offset, count):
-    sols, _ = cl.solve_flat(cl.CASE_II_LOWER + offset)
+    sols, _ = cl.solve_flat(CASE_II_LOWER + offset)
     assert len(sols) == count
     assert all(s.source == "omega_reduction" for s in sols)
 
@@ -932,8 +989,6 @@ def test_trace_lists_each_root_once_with_exact_omega_minus_one(flat_c1):
 # the exact admissibility decisions
 # ----------------------------------------------------------------------
 
-# the factors of discriminant 4 d1 and d1, which the solver takes as 0 at CASE_II_LOWER
-_D1_FACTORS = {("delta_zero", 1), ("delta_pos", 0)}
 # the reasons of the admissibility tests, in the order of ``cl._violation``
 _REASONS = (
     "lambda^2 nonpositive in the reduction",
@@ -1025,7 +1080,7 @@ def test_the_expanded_equations_vanish_modulo_every_factor(monkeypatch):
 
 
 def test_no_admissibility_test_reaches_equality_at_an_admissible_float_root():
-    # so a boundary flag can never be set: at c = 9, alpha = lambda1 at omega = 1/3 > 0,
+    # so no decision sits on a boundary: at c = 9, alpha = lambda1 at omega = 1/3 > 0,
     # and at c = 1, lambda^2 = b/3 at omega = -1, which the d2 = 0 path decides,
     # and the family's roots are b/3 and b, both rejected
     sp = pytest.importorskip("sympy")
@@ -1089,12 +1144,11 @@ def _surd_classification(mp, c_or_mode):
 
     That is ``_trace_decisions`` of its traces, its sorted tuples and the lam
     of each II2 entry.  Each root of a factor is kept in Q(sqrt D) and each
-    test evaluated on its tuple's squares; at ``CASE_II_LOWER`` d1 is taken
-    as 0, as the solver takes it.
+    test evaluated on its tuple's squares.
     """
     b, k = _exact_constants(c_or_mode)
     d2 = (k - 2 * b) * (k + 6 * b)
-    d1 = 0 if c_or_mode == cl.CASE_II_LOWER else k * k + 4 * b * k - 8 * b * b
+    d1 = k * k + 4 * b * k - 8 * b * b
     mb, mk = mp.mpf(b.numerator) / b.denominator, mp.mpf(k.numerator) / k.denominator
     decisions, tuples = {}, []
 
@@ -1103,7 +1157,7 @@ def _surd_classification(mp, c_or_mode):
         return -mp.sqrt(lam2), w * -mp.sqrt(gam2), -mp.sqrt(gam2), mp.sqrt(del2)
 
     family = [(-1.0, "lambda^2 = (c+3)/12 root is the minimal locus, excluded")]
-    for s in (-1, 1) if d1 > 0 else (0,) if d1 == 0 else ():
+    for s in (-1, 1) if d1 > 0 else ():
         L = oracles.quadratic_root(b * b, -(2 * b + k), 3, s, d1)
         reason = _surd_reason(L, (b + L) / 2, L * 0, 1, b)
         if reason is None:
@@ -1114,8 +1168,8 @@ def _surd_classification(mp, c_or_mode):
             family.append((-1.0, f"alpha=-gamma root lambda^2 = {float(L.to_mpf(mp)):.6g}: {reason}"))
     for branch in cl.BRANCHES:
         found = {2.0: "omega must be negative"}
-        for j, q in enumerate(cl._branch_factors(branch, b, k)):
-            disc = 0 if (branch, j) in _D1_FACTORS and d1 == 0 else q[1] ** 2 - 4 * q[0] * q[2]
+        for q in cl._branch_factors(branch, b, k):
+            disc = q[1] ** 2 - 4 * q[0] * q[2]
             for s in (-1, 1) if disc > 0 else (0,) if disc == 0 else ():
                 w = oracles.quadratic_root(*q, s, disc)
                 if w.sign() >= 0:
@@ -1129,7 +1183,7 @@ def _surd_classification(mp, c_or_mode):
                     tuples.append(flat_tuple(w.to_mpf(mp), branch))
         decisions[branch] = sorted(list(found.items()) + (family if branch == "delta_zero" else []))
     lams = []
-    for s in ((-1, 1) if d1 > 0 else (0,) if d1 == 0 else ()) if d2 != 0 else ():
+    for s in (-1, 1) if d1 > 0 and d2 != 0 else ():
         L = oracles.quadratic_root(b * b, -(2 * b + k), 3, s, d1)
         if L.sign() > 0 and (b - L).sign() > 0:
             lams.append(float(-mp.sqrt(L.to_mpf(mp))))
@@ -1141,7 +1195,7 @@ SURD_ORACLE_CS = [
     *workloads.SPECIAL_C, "minus4", 2.3333333333333335, 0.9999993484121499, 0.9999999999995, 2400.0, 2500.0, 9.0,
     math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1e100, *_parse_sweep("1e9:1000000000.3:0.1"),
     *(1.0 + s * 10.0**-e for e in range(1, 17) for s in (1, -1)),
-    *(cl.CASE_II_LOWER + s * 10.0**-e for e in range(3, 17) for s in (1, -1)),
+    *(CASE_II_LOWER + s * 10.0**-e for e in range(3, 17) for s in (1, -1)),
     *_SURD_RNG.uniform(-1.0 / 3.0, 3.0, 215).tolist(), *(10.0 ** _SURD_RNG.uniform(-20.0, 100.0, 215)).tolist(),
 ]
 

@@ -311,6 +311,24 @@ def test_frenet_error_on_a_coordinate_curve_fails_its_checks(monkeypatch):
     assert all("indeterminate" in c.extra["error"] for c in frenet_checks)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["corollary-c1", "cylinder-c1", "legendre-circle"])
+def test_a_nan_in_a_report_statistic_fails(name, monkeypatch):
+    # one NaN |H| on the grid fails both statistics over it: its variance and its distance to the value
+    real = rep.imm.geometry_pass
+
+    def with_a_nan_norm(*args, **kwargs):
+        geo = real(*args, **kwargs)
+        if "mean_curvature_norm" in vars(geo):
+            geo.mean_curvature_norm[1] = np.nan
+        return geo
+
+    monkeypatch.setattr(rep.imm, "geometry_pass", with_a_nan_norm)
+    checks = {c.name: c for c in rep.build_report(name, 3).checks}
+    for key in ("mean_curvature_constant", "mean_curvature_value"):
+        assert math.isnan(checks[key].residual) and not checks[key].passed, key
+
+
 @pytest.mark.parametrize("name", ["cylinder-c1", "corollary-c1", "legendre-helix:0.5", "cylinder-minus4-2"])
 def test_cli_grid_over_the_cap_exits_2_before_sampling(name, monkeypatch, capsys):
     def refuse(*args, **kwargs):
@@ -422,6 +440,26 @@ def test_cli_classify_minus4(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["flat_solutions"]) == 3
     assert len(payload["case_ii"]) == 1
+
+
+def _json_keys(node):
+    """Every key of a JSON value, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _json_keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _json_keys(value)
+
+
+@pytest.mark.parametrize("argv", [["--c", "0.55"], ["--c", "2"], ["--mode", "minus4"]])
+def test_cli_classify_json_has_no_flags_key(argv, capsys):
+    # each prints II2 entries: no classify entry, flat or Case II, has flags
+    assert main(["classify", *argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert any(s["subcase"] == "II2" for s in payload["case_ii"])
+    assert "flags" not in set(_json_keys(payload))
 
 
 def test_cli_classify_minus4_rejects_explicit_c():
