@@ -301,22 +301,23 @@ def circle_decomposition(
     xval = geometry.values
     z = (xval[:, :half] + 1j * xval[:, half:]) @ basis.conj().T
     moduli = np.abs(z)
-    spread = np.max(moduli, axis=0) - np.min(moduli, axis=0)
+    hi, lo = np.max(moduli, axis=0), np.min(moduli, axis=0)
+    spread = hi - lo
     if not np.max(spread) <= CIRCLE_MODULUS_TOL:  # NaN fails
         raise ValueError(
             f"complex coordinate modulus is not constant (spread {float(np.max(spread)):.3e}); "
             "not a torus of circle-product form in this basis"
         )
-    radii = np.mean(moduli, axis=0)
+    radii = 0.5 * (hi + lo)
 
     freqs = np.empty((half, F.m))
     for i in range(F.m):
         dv = geometry.tangents[:, i]
         dz = (dv[:, :half] + 1j * dv[:, half:]) @ basis.conj().T
         omega = np.imag(np.conj(z) * dz) / moduli**2
-        w_spread = np.max(omega, axis=0) - np.min(omega, axis=0)
-        if not np.max(w_spread) <= 1e-8:
+        hi, lo = np.max(omega, axis=0), np.min(omega, axis=0)
+        if not np.max(hi - lo) <= 1e-8:
             raise ValueError("phase is not affine in the parameters; not a circle product")
-        freqs[:, i] = np.mean(omega, axis=0)
+        freqs[:, i] = 0.5 * (hi + lo)
 
     return CircleProduct(radii=radii, frequencies=freqs)

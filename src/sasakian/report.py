@@ -107,25 +107,22 @@ def _unit_norm(sample):
     return imm.check_unit_norm(sample.values)
 
 
-def _failed_checks(report, checks, ex):
-    """Add every (name, tolerance) of ``checks`` as failed, with residual inf."""
-    for name, tol in checks:
-        report.add(imm.CheckResult(name, float("inf"), tol, {"error": str(ex)}))
-
-
 def _frenet_check(report, F, axis, base, want, per_axis, label):
     curve = catalog.coordinate_curve(F, axis, base)
+    res = spread = math.inf
+    extra = {}
     try:
         app = frenet(curve, curve.grid(max(per_axis, 5)))
     except FrenetError as ex:
-        _failed_checks(report, ((f"frenet_{label}", 1e-8), (f"frenet_{label}_constancy", 1e-8)), ex)
-        return
-    got = app.curvature_values
-    res = float(np.max(np.abs(np.subtract(got, want)))) if app.order == len(want) + 1 else float("inf")
-    report.add(imm.CheckResult(f"frenet_{label}", res, 1e-8))
-    spread = float(np.max(app.curvature_spreads)) if len(app.curvature_spreads) else 0.0
-    report.add(imm.CheckResult(f"frenet_{label}_constancy", spread, 1e-8))
-    report.computed[f"curvatures_{label}"] = [format_value(v) for v in got]
+        extra = {"error": str(ex)}
+    else:
+        got = app.curvature_values
+        if app.order == len(want) + 1:
+            res = float(np.max(np.abs(np.subtract(got, want))))
+        spread = float(np.max(app.curvature_spreads)) if len(app.curvature_spreads) else 0.0
+        report.computed[f"curvatures_{label}"] = [format_value(v) for v in got]
+    report.add(imm.CheckResult(f"frenet_{label}", res, 1e-8, extra))
+    report.add(imm.CheckResult(f"frenet_{label}_constancy", spread, 1e-8, extra))
 
 
 def _mean_curvature_checks(report, h, want=None):
@@ -174,14 +171,11 @@ def _flow_cylinder_checks(report, F, per_axis, want_h=None, fields=()):
     """
     geo = imm.geometry_pass(F, F.grid(per_axis), _NORM_FIELDS + fields, (_unit_norm, imm.check_bitension))
     unit, bitension = geo.checks
-    # the first per_axis**2 points, all at t = t0: that whole slice for m = 3
-    # (cylinder-s5), per_axis**2 of its per_axis**3 points for m = 4 (cylinder-c1)
-    base = slice(per_axis**2)
     report.add(unit)
     # the cylinder direction is the Reeb flow: eta0(d_t y) = 1 exactly
-    eta_t = ambient.eta0(geo.values[base], geo.tangents[base, 0])
+    eta_t = ambient.eta0(geo.values, geo.tangents[:, 0])
     report.add(imm.CheckResult("flow_direction", float(np.max(np.abs(eta_t - 1.0))), 1e-10))
-    _mean_curvature_checks(report, geo.mean_curvature_norm[base], want_h)
+    _mean_curvature_checks(report, geo.mean_curvature_norm, want_h)
     report.add(bitension)
     return geo
 
@@ -199,16 +193,18 @@ def _legendre_suite(report, F, per_axis, label, order, kappa1, align_name, align
     pts = F.grid(max(per_axis, 5))
     geo = imm.geometry_pass(F, pts, _NORM_FIELDS, (_unit_norm, imm.check_integral, imm.check_bitension))
     report.checks += geo.checks
+    res = alignment = math.inf
+    extra = {}
     try:
         app = frenet(F, pts.ravel())
         alignment = abs(abs(phi_alignment(app)) - align_want)
     except FrenetError as ex:
-        _failed_checks(report, ((f"frenet_{label}", 1e-8), (align_name, 1e-10)), ex)
-        app = None
+        app, extra = None, {"error": str(ex)}
     else:
-        res = abs(app.curvature_values[0] - kappa1) if app.order == order else float("inf")
-        report.add(imm.CheckResult(f"frenet_{label}", res, 1e-8))
-        report.add(imm.CheckResult(align_name, alignment, 1e-10))
+        if app.order == order:
+            res = abs(app.curvature_values[0] - kappa1)
+    report.add(imm.CheckResult(f"frenet_{label}", res, 1e-8, extra))
+    report.add(imm.CheckResult(align_name, alignment, 1e-10, extra))
     _mean_curvature_checks(report, geo.mean_curvature_norm, want=kappa1)
     return app
 
@@ -217,25 +213,26 @@ def _decomposition_check(report, F, want_radii, per_axis, basis=None, geo=None):
     # ``geo`` is F's geometry on F.grid(per_axis); below 3 points per axis the
     # decomposition samples a grid of its own
     geo = geo if per_axis >= 3 else None
+    res = sum_sq = math.inf
+    extra = {}
     try:
         dec = catalog.circle_decomposition(F, per_axis=max(per_axis, 3), basis=basis, geometry=geo)
     except ValueError as ex:
-        _failed_checks(report, (("decomposition", 1e-10),), ex)
-        return
-    got = np.sort(dec.radii)
-    want = np.sort(np.asarray(want_radii, dtype=float))
-    res = float(np.max(np.abs(got - want)))
-    report.add(imm.CheckResult("decomposition", res, 1e-10))
-    report.add(imm.CheckResult("decomposition_sum_sq", abs(float(np.sum(dec.radii**2)) - 1.0), 1e-12))
-    report.computed["decomposition_radii"] = [format_value(v) for v in got]
+        extra = {"error": str(ex)}
+    else:
+        got = np.sort(dec.radii)
+        res = float(np.max(np.abs(got - np.sort(np.asarray(want_radii, dtype=float)))))
+        sum_sq = abs(float(np.sum(dec.radii**2)) - 1.0)
+        report.computed["decomposition_radii"] = [format_value(v) for v in got]
+    report.add(imm.CheckResult("decomposition", res, 1e-10, extra))
+    report.add(imm.CheckResult("decomposition_sum_sq", sum_sq, 1e-12, extra))
 
 
 def _eigencheck(report, geo, split, want):
     res = imm.coordinate_laplacian_eigencheck(geo, split)
     for (name, chk), mu_want in zip(sorted(res.items()), [want[k] for k in sorted(want)]):
         mu = chk.extra["eigenvalue"]
-        combined = float(np.max([chk.residual, abs(mu - mu_want)]))
-        report.add(imm.CheckResult(chk.name, combined, chk.tolerance, {"eigenvalue": mu}))
+        report.add(chk._replace(residual=float(np.max([chk.residual, abs(mu - mu_want)]))))
         report.computed[chk.name] = format_value(mu)
 
 
@@ -267,10 +264,9 @@ def _cylinder_c1_suite(report, per_axis, _param):
     q4 = catalog.T4_TRANSFORM_2 @ catalog.T4_TRANSFORM_1
     tilde = catalog.precompose_linear(F, q4.T, name="cylinder-c1-circleform")
     lattice = imm.lattice_check(tilde, catalog.T4_CYLINDER_LATTICE_TILDE, tilde.grid(3)[:20])
-    report.add(imm.CheckResult("lattice_transformed", lattice.residual, 1e-10))
+    report.add(lattice._replace(name="lattice_transformed"))
     original_gens = [q4.T @ np.asarray(a) for a in catalog.T4_CYLINDER_LATTICE_TILDE]
-    lattice = _sample_lattice_check(geo, original_gens, 20)
-    report.add(imm.CheckResult("lattice_original", lattice.residual, 1e-10))
+    report.add(_sample_lattice_check(geo, original_gens, 20)._replace(name="lattice_original"))
     _eigencheck(report, geo, {"y1": [3], "y2": [0, 1, 2]}, {"y1": 2.0, "y2": 6.0})
 
 

@@ -156,6 +156,30 @@ def test_circle_decomposition_reads_a_given_geometry():
     assert np.array_equal(given.frequencies, direct.frequencies)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: catalog.cylinder(catalog.corollary_torus()[1])]
+    + [lambda i=i: catalog.cylinder(catalog.minus4_torus(i)[1]) for i in (1, 2, 3)],
+    ids=["cylinder-c1"] + [f"cylinder-minus4-{i}" for i in (1, 2, 3)],
+)
+def test_circle_decomposition_does_not_depend_on_the_point_order(build):
+    # radii and phase rates are the midpoint of each column's range, exact in any order
+    Y = build()
+    geo = imm.geometry_pass(Y, Y.grid(5))
+    perm = np.random.default_rng(0).permutation(len(geo.points))
+    shuffled = imm.PointGeometry(Y, geo.points[perm], geo.values[perm], geo.tangents[perm])
+    direct = catalog.circle_decomposition(Y, geometry=geo)
+    permuted = catalog.circle_decomposition(Y, geometry=shuffled)
+    assert np.array_equal(permuted.radii, direct.radii)
+    assert np.array_equal(permuted.frequencies, direct.frequencies)
+
+
+@pytest.mark.parametrize("name, grid", [("cylinder-minus4-2", 11), ("cylinder-c1", 9)])
+def test_decomposition_sum_sq_does_not_grow_with_the_grid(name, grid):
+    checks = {c.name: c for c in rep.build_report(name, grid).checks}
+    assert checks["decomposition_sum_sq"].residual < 1e-15
+
+
 @pytest.mark.parametrize("field, index", [("values", (3, 1)), ("tangents", (4, 2, 5))])
 def test_a_nan_in_the_decomposition_input_raises(field, index):
     # a NaN modulus is not constant, and a NaN phase rate not affine

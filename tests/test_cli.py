@@ -301,8 +301,10 @@ def test_frenet_error_on_a_coordinate_curve_fails_its_checks(monkeypatch):
     def indeterminate(curve, s_grid):
         raise rep.FrenetError("osculating order is numerically indeterminate at step 1")
 
+    passing = [c.name for c in rep.build_report("corollary-c1", per_axis=3).checks]
     monkeypatch.setattr(rep, "frenet", indeterminate)
     report = rep.build_report("corollary-c1", per_axis=3)
+    assert [c.name for c in report.checks] == passing
     frenet_checks = [c for c in report.checks if c.name.startswith("frenet_")]
     assert [c.name for c in frenet_checks] == [
         f"frenet_{label}{suffix}" for label in ("X1", "X2", "X3") for suffix in ("", "_constancy")
@@ -311,22 +313,53 @@ def test_frenet_error_on_a_coordinate_curve_fails_its_checks(monkeypatch):
     assert all("indeterminate" in c.extra["error"] for c in frenet_checks)
 
 
+@pytest.mark.parametrize("name", ["cylinder-c1", "cylinder-s5", "cylinder-minus4-1"])
+def test_a_failed_decomposition_reports_both_its_checks(name, monkeypatch):
+    # a check that cannot be computed is reported like a passing one: same name, same place
+    def not_a_circle_product(*args, **kwargs):
+        raise ValueError("phase is not affine in the parameters; not a circle product")
+
+    passing = [c.name for c in rep.build_report(name, 3).checks]
+    monkeypatch.setattr(rep.catalog, "circle_decomposition", not_a_circle_product)
+    report = rep.build_report(name, 3)
+    assert [c.name for c in report.checks] == passing
+    checks = {c.name: c for c in report.checks}
+    for key in ("decomposition", "decomposition_sum_sq"):
+        assert checks[key].residual == math.inf and not checks[key].passed, key
+        assert "not affine" in checks[key].extra["error"], key
+
+
+_MEAN_CURVATURE = ("mean_curvature_constant", "mean_curvature_value")
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", ["corollary-c1", "cylinder-c1", "legendre-circle"])
-def test_a_nan_in_a_report_statistic_fails(name, monkeypatch):
-    # one NaN |H| on the grid fails both statistics over it: its variance and its distance to the value
+@pytest.mark.parametrize(
+    "name, keys",
+    [
+        pytest.param("corollary-c1", _MEAN_CURVATURE, id="corollary-c1"),
+        pytest.param("cylinder-c1", _MEAN_CURVATURE + ("flow_direction",), id="cylinder-c1"),
+        pytest.param("cylinder-s5", ("mean_curvature_constant", "flow_direction"), id="cylinder-s5"),
+        pytest.param("legendre-circle", _MEAN_CURVATURE, id="legendre-circle"),
+    ],
+)
+def test_a_nan_in_a_report_statistic_fails(name, keys, monkeypatch):
+    # one NaN |H| at a grid point, the second or the last, fails both statistics over
+    # it, its variance and its distance to the value; one NaN t-tangent fails a
+    # cylinder's flow direction
     real = rep.imm.geometry_pass
+    for index in (1, -1):
 
-    def with_a_nan_norm(*args, **kwargs):
-        geo = real(*args, **kwargs)
-        if "mean_curvature_norm" in vars(geo):
-            geo.mean_curvature_norm[1] = np.nan
-        return geo
+        def with_a_nan_point(*args, **kwargs):
+            geo = real(*args, **kwargs)
+            if "mean_curvature_norm" in vars(geo):
+                geo.mean_curvature_norm[index] = np.nan
+                geo.tangents[index, 0] = np.nan
+            return geo
 
-    monkeypatch.setattr(rep.imm, "geometry_pass", with_a_nan_norm)
-    checks = {c.name: c for c in rep.build_report(name, 3).checks}
-    for key in ("mean_curvature_constant", "mean_curvature_value"):
-        assert math.isnan(checks[key].residual) and not checks[key].passed, key
+        monkeypatch.setattr(rep.imm, "geometry_pass", with_a_nan_point)
+        checks = {c.name: c for c in rep.build_report(name, 3).checks}
+        for key in keys:
+            assert math.isnan(checks[key].residual) and not checks[key].passed, (key, index)
 
 
 @pytest.mark.parametrize("name", ["cylinder-c1", "corollary-c1", "legendre-helix:0.5", "cylinder-minus4-2"])

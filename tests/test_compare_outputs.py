@@ -60,6 +60,7 @@ def test_comparison_set_covers_every_example_and_both_classify_workloads(monkeyp
     verify = {(argv[1], argv[3]) for argv in argvs if argv[0] == "verify"}
     assert ("legendre-helix:0.5", "3") in verify and ("cylinder-minus4-3", "5") in verify
     assert ("cylinder-c1", "9") in verify and ("corollary-c1", "15") in verify
+    assert ("cylinder-minus4-2", "11") in verify
     assert sum(argv[0] == "classify" for argv in argvs) > 60
     # the benchmark's verify items, among them seeded helices that sum several waves per component
     coarse = {" ".join(argv) for argv in workloads.items("verify-coarse", 1)}

@@ -7,7 +7,11 @@ module of the verify stack, nor ``dataclasses``, nor the ``json`` package.  A
 verify run in the same process then loads the rest, still without
 ``dataclasses``, whose class creation every process would pay, or ``json``,
 whose module bodies compile regexes, and writes the same report as a run on
-its own.
+its own.  Nor does a verify load ``numpy.ma``, whose import ``np.median``
+would add to every run; numpy is imported before the verify because numpy
+1.24 loads ``numpy.ma`` with itself and numpy 2 does not.  A second verify,
+of a cylinder, adds the circle decomposition and the flow-cylinder
+statistics to what is checked.
 """
 
 import json
@@ -19,8 +23,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 VERIFY = ["verify", "minus4-1", "--grid", "3", "--format", "json", "--out"]
+CYLINDER = ["verify", "cylinder-c1", "--grid", "3", "--format", "json", "--out"]
 
-# argv[1] and argv[2] are the output files of the classify and the verify run
+# argv[1], argv[2] and argv[3] are the output files of the classify and the two verify runs
 # json is imported only after both runs, to print what they loaded
 RUNNER = r"""
 import sys
@@ -29,18 +34,20 @@ import sasakian.cli
 registered = sorted(n for n in sys.modules if n == "sasakian" or n.startswith("sasakian."))
 classify = sasakian.cli.main(["classify", "--c", "1", "--format", "json", "--out", sys.argv[1]])
 loaded = sorted({"numpy", "dataclasses", "json"} & (set(sys.modules) - before))
-verify = sasakian.cli.main(%r + [sys.argv[2]])
-verify_loaded = sorted({"dataclasses", "json"} & (set(sys.modules) - before))
+import numpy
+with_numpy = set(sys.modules)
+verify = sasakian.cli.main(%r + [sys.argv[2]]) + sasakian.cli.main(%r + [sys.argv[3]])
+verify_loaded = sorted(({"dataclasses", "json"} - before | {"numpy.ma"} - with_numpy) & set(sys.modules))
 out = {"registered": registered, "classify": classify, "loaded": loaded, "verify": verify, "verify_loaded": verify_loaded}
 import json
 json.dump(out, sys.stdout)
-""" % (VERIFY,)
+""" % (VERIFY, CYLINDER)
 
 
 def test_classify_loads_no_numpy_and_a_later_verify_matches_a_fresh_one(tmp_path):
     together, alone = tmp_path / "together.json", tmp_path / "alone.json"
     proc = subprocess.run(
-        [sys.executable, "-c", RUNNER, str(tmp_path / "classify.json"), str(together)],
+        [sys.executable, "-c", RUNNER, str(tmp_path / "classify.json"), str(together), str(tmp_path / "cylinder.json")],
         env=ENV,
         capture_output=True,
         text=True,

@@ -10,7 +10,9 @@ one subprocess that imports that tree's ``src``:
   helix at kappa1 = 0.5;
 - ``verify cylinder-c1 --grid 9`` and ``verify corollary-c1 --grid 15``,
   the README's grids, which run the most geometry blocks of any report
-  (21 of 312-313 points and 6 of 562-563);
+  (21 of 312-313 points and 6 of 562-563), and ``verify cylinder-minus4-2
+  --grid 11``, the largest grid (14,641 points) of the cylinder whose radii
+  are the most sensitive to how the decomposition reduces its samples;
 - the ``verify-dense`` and ``verify-coarse`` items at seed 1 (the latter
   add three seeded Legendre helices, whose components sum several waves);
 - the items of both classify workloads at seeds 1 to 3;
@@ -56,7 +58,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HELIX_KAPPA1 = "0.5"
 GRIDS = (3, 5)
-LARGE_GRIDS = (("cylinder-c1", 9), ("corollary-c1", 15))
+LARGE_GRIDS = (("cylinder-c1", 9), ("corollary-c1", 15), ("cylinder-minus4-2", 11))
 CLASSIFY_SEEDS = (1, 2, 3)
 EXTRA_COMMANDS = (
     ["classify", "--c-sweep", "0:3:0.01"],
